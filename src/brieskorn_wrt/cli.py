@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .chi import (
     mordell_count,
 )
 from .exactmath import PrecisionContext, to_mpf
-from .modularform import eichler_limit, modular_data, theta_eval
+from .modularform import modular_data, theta_eval
 from .ohtsuki import lambda_coefficients, table1_verify
 from .topology import (
     SpectralFlowPrecisionError,
@@ -54,7 +55,6 @@ class Command:
     precision: int = 50
     fmt: str = "json"
     out: str | None = None
-    workers: int = 1
     suite: str | None = None
     pmax: int = 1000
     nmax: int = 25
@@ -114,7 +114,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--precision", type=int, default=50, help="decimal digits (default 50)")
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
         sp.add_argument("--out", default=None, help="write output to FILE instead of stdout")
-        sp.add_argument("--workers", type=int, default=1, help="summation chunks (recorded)")
 
     sp = sub.add_parser("invariant", help="quantum invariant tau_N and friends")
     add_common(sp)
@@ -167,8 +166,6 @@ def parse(argv: list) -> Command:
             raise _UsageError("--precision must be at least 15")
         if getattr(ns, "order", 8) < 0:
             raise _UsageError("--order must be non-negative")
-        if getattr(ns, "workers", 1) < 1:
-            raise _UsageError("--workers must be positive")
         return Command(
             verb=ns.verb,
             p=p,
@@ -178,7 +175,6 @@ def parse(argv: list) -> Command:
             precision=ns.precision,
             fmt=ns.format,
             out=ns.out,
-            workers=ns.workers,
             suite=getattr(ns, "suite", None),
             pmax=getattr(ns, "pmax", 1000),
             nmax=getattr(ns, "nmax", 25),
@@ -194,7 +190,7 @@ def parse(argv: list) -> Command:
 
 def _run_invariant(cmd: Command, ctx: PrecisionContext) -> dict:
     p = BrieskornTriple(*cmd.p)
-    result = tau_n(p, cmd.n_level, ctx, workers=cmd.workers)
+    result = tau_n(p, cmd.n_level, ctx)
     d = ctx.decimal_digits
     return {
         "p": list(p.p),
@@ -263,23 +259,21 @@ def _run_asymptotic(cmd: Command, ctx: PrecisionContext) -> dict:
     }
 
 
-def _coprime_triples(pmax: int):
-    import math as _math
-
+def coprime_triples(pmax: int):
+    """All pairwise coprime p1 < p2 < p3, each >= 2, with product <= pmax."""
     for p1 in range(2, pmax + 1):
         if p1**3 > pmax:
             break
         for p2 in range(p1 + 1, pmax // p1 + 1):
-            if _math.gcd(p1, p2) != 1 or p1 * p2 * (p2 + 1) > pmax:
+            if math.gcd(p1, p2) != 1 or p1 * p2 * (p2 + 1) > pmax:
                 continue
             for p3 in range(p2 + 1, pmax // (p1 * p2) + 1):
-                if _math.gcd(p1, p3) == 1 and _math.gcd(p2, p3) == 1:
+                if math.gcd(p1, p3) == 1 and math.gcd(p2, p3) == 1:
                     yield BrieskornTriple(p1, p2, p3)
 
 
 def _suite_theorem51(cmd: Command, ctx: PrecisionContext):
-    from .chi import EllTriple
-
+    """The surgery sum against tau_N's Eichler-limit route (Theorem 5.1)."""
     manifolds = [(2, 3, 7), (2, 5, 7), (3, 4, 5), (2, 3, 11), (2, 3, 5)]
     manifolds = [m for m in manifolds if m[0] * m[1] * m[2] <= cmd.pmax]
     failures = []
@@ -288,10 +282,8 @@ def _suite_theorem51(cmd: Command, ctx: PrecisionContext):
         for ps in manifolds:
             p = BrieskornTriple(*ps)
             for n in range(3, cmd.nmax + 1):
-                lhs = rozansky_normalized(p, n, ctx, workers=cmd.workers)
-                rhs = eichler_limit(p, EllTriple(1, 1, 1), 1, n, ctx) / 2
-                if p.is_poincare:
-                    rhs += mp.expjpi(to_mpf(Fraction(1, 60 * n)))
+                lhs = rozansky_normalized(p, n, ctx)
+                rhs = tau_n(p, n, ctx).normalized
                 residual = abs(lhs - rhs)
                 checks += 1
                 if residual > ctx.tolerance:
@@ -367,7 +359,7 @@ def _suite_torsion(cmd: Command, ctx: PrecisionContext):
 def _suite_gamma(cmd: Command, ctx: PrecisionContext):
     failures = []
     checks = 0
-    for p in _coprime_triples(cmd.pmax):
+    for p in coprime_triples(cmd.pmax):
         _, gamma = admissible_triples(p)
         closed = gamma_closed_form(p)
         direct = p.D - mordell_count(p)
@@ -493,7 +485,6 @@ def execute(cmd: Command) -> tuple:
             "format": cmd.fmt,
             "suite": cmd.suite,
             "pmax": cmd.pmax if cmd.verb == "verify" else None,
-            "workers": cmd.workers,
         }
     )
     exit_code = EXIT_OK
@@ -526,10 +517,11 @@ def execute(cmd: Command) -> tuple:
     report.metadata = {
         "precision_digits": cmd.precision,
         "tolerance": f"1e-{cmd.precision - 10}",
-        "workers": cmd.workers,
         "wall_time_seconds": round(time.monotonic() - started, 3),
         "version": __version__,
     }
+    if cmd.verb in ("invariant", "asymptotic"):  # the route that computed tau_N
+        report.metadata["route"] = "eichler_limit"
     return report, exit_code
 
 

@@ -176,9 +176,13 @@ def eichler_limit(
 ):
     """Limiting value of the Eichler integral at tau -> m/n, gcd(m, n) = 1.
 
-    Evaluates the finite sum over 0 <= j <= P*n of
-    chi(j) (1 - j/(P n)) exp(pi i m j^2 / (2 P n)); the phase arguments are
-    reduced exactly in rational arithmetic before evaluation.
+    Evaluates the finite sum over 0 <= j < P*n of
+    chi(j) (1 - j/(P n)) exp(pi i m j^2 / (2 P n)) as
+    (1/(P n)) sum chi(j) (P n - j) exp(pi i k_j / (2 P n)): the phase
+    numerator k_j = m j^2 mod 4Pn and the weight P n - j are exact integers,
+    and the single division by P n comes last.  The sum has exactly 4n
+    terms: chi has eight support residues mod 2P, none at 0 or P, four on
+    each side of P since chi is odd.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -186,18 +190,14 @@ def eichler_limit(
         raise ValueError("m and n must be coprime")
     chi = build_chi(p, ell)
     pn = p.P * n
+    four_pn = 4 * pn
     with ctx.workdps():
         total = mp.mpc(0)
-        two_p = chi.modulus
+        two_pn = mp.mpf(2 * pn)
         for r, sign in chi.signed_support:
-            j = r
-            while j <= pn:
-                weight = Fraction(pn - j, pn)
-                if weight:
-                    arg = Fraction(m * (j * j % (4 * pn)), 2 * pn) % 2
-                    total += sign * to_mpf(weight) * mp.expjpi(to_mpf(arg))
-                j += two_p
-        return ensure_finite(+total)
+            for j in range(r, pn, chi.modulus):
+                total += sign * (pn - j) * mp.expjpi(m * j * j % four_pn / two_pn)
+        return ensure_finite(total / pn)
 
 
 def eichler_integer_data(p: BrieskornTriple, ell: EllTriple):

@@ -1,9 +1,13 @@
-"""The quantum invariant: normalized surgery sum, tau_N, and its asymptotics.
+"""The quantum invariant: tau_N, its surgery-sum cross-check, and its asymptotics.
 
-The level-N invariant is computed from the closed cyclotomic sum over
-0 <= n < 2PN with multiples of N excluded by index arithmetic (never by a
-floating comparison against a small denominator).  All root-of-unity sums
-run in high-precision floating point with exact rational argument
+The level-N invariant is computed through the paper's Theorem 5.1: the
+normalized tau_N equals half the Eichler-integral limit of the (1, 1, 1)
+false theta series at 1/N, plus e^{pi i/60N} for the Poincare sphere.  That
+finite sum has 4N terms whatever the triple.  The closed cyclotomic surgery
+sum over 0 <= n < 2PN (2PN - 2P terms, multiples of N excluded by index
+arithmetic) is kept as ``rozansky_normalized``, the independent route that
+the ``theorem51`` suite and the tests compare against.  All root-of-unity
+sums run in high-precision floating point with exact integer argument
 reduction; an error budget of term_count * ulp is tracked and reported.
 """
 
@@ -16,7 +20,7 @@ from mpmath import mp
 
 from .chi import BrieskornTriple, EllTriple, ell_condition
 from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, to_mpf
-from .modularform import eichler_tail, modular_data
+from .modularform import eichler_limit, eichler_tail, modular_data
 from .topology import phi_invariant
 
 
@@ -41,54 +45,51 @@ def rozansky_normalized(
     p: BrieskornTriple,
     n_level: int,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
-    workers: int = 1,
 ):
     """Normalized invariant e^{2 pi i (phi/4 - 1/2)/N} (e^{2 pi i/N} - 1) tau_N.
 
-    Evaluated as the closed sum
+    Evaluated as the closed surgery sum
     (e^{pi i/4} / (2 sqrt(2 P N))) * sum_{n, N !| n} e^{-pi i n^2/(2PN)}
     * prod_j 2i sin(n pi/(N p_j)) / (2i sin(n pi/N)).
 
-    ``workers`` partitions the index range into that many contiguous chunks
-    reduced in fixed order, so results are reproducible bit-for-bit at a
-    given worker count.
+    This O(PN) sum is the cross-check route: ``tau_n`` computes the same
+    value through the 4N-term Eichler limit, and the ``theorem51`` suite
+    and the tests compare the two.
     """
     if n_level < 2:
         raise ValueError("level must be at least 2")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    total_range = 2 * p.P * n_level
     with ctx.workdps():
         sin_num = [_sinpi_table(n_level * pk) for pk in p.p]
         sin_den = _sinpi_table(n_level)
         four_pn = 4 * p.P * n_level
         two_pn = 2 * p.P * n_level
         exp_cache: dict = {}
-
-        def chunk_sum(start: int, stop: int):
-            acc = mp.mpc(0)
-            for n in range(start, stop):
-                if n % n_level == 0:
-                    continue
-                m = n * n % four_pn
-                phase = exp_cache.get(m)
-                if phase is None:
-                    phase = mp.expjpi(mp.mpf(-m) / two_pn)
-                    exp_cache[m] = phase
-                value = phase
-                for j, pk in enumerate(p.p):
-                    value *= sin_num[j][n % (2 * n_level * pk)]
-                acc += value / sin_den[n % (2 * n_level)]
-            return acc
-
-        bounds = [round(i * total_range / workers) for i in range(workers + 1)]
         total = mp.mpc(0)
-        for i in range(workers):
-            total += chunk_sum(bounds[i], bounds[i + 1])
+        for n in range(two_pn):
+            if n % n_level == 0:
+                continue
+            m = n * n % four_pn
+            phase = exp_cache.get(m)
+            if phase is None:
+                phase = mp.expjpi(mp.mpf(-m) / two_pn)
+                exp_cache[m] = phase
+            value = phase
+            for j, pk in enumerate(p.p):
+                value *= sin_num[j][n % (2 * n_level * pk)]
+            total += value / sin_den[n % (2 * n_level)]
         # prod of three (2i sin) over one (2i sin) contributes (2i)^2 = -4
         total *= -4
         prefactor = mp.expjpi(mp.mpf(1) / 4) / (2 * mp.sqrt(mp.mpf(2) * p.P * n_level))
         return ensure_finite(+(prefactor * total))
+
+
+def _theorem51_normalized(p: BrieskornTriple, n_level: int, ctx: PrecisionContext):
+    """Normalized tau_N as (1/2) Eichler limit at 1/N, + e^{pi i/60N} on (2,3,5)."""
+    with ctx.workdps():
+        value = eichler_limit(p, EllTriple(1, 1, 1), 1, n_level, ctx) / 2
+        if p.is_poincare:
+            value += mp.expjpi(mp.mpf(1) / (60 * n_level))
+        return ensure_finite(+value)
 
 
 def tau_prefactor(p: BrieskornTriple, n_level: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -103,20 +104,22 @@ def tau_n(
     p: BrieskornTriple,
     n_level: int,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
-    workers: int = 1,
 ) -> WrtResult:
     """tau_N normalized to 1 on the three-sphere, plus the Witten quotient.
 
-    The Witten-invariant value divides by sqrt(N/2)/sin(pi/N), the invariant
-    of S^2 x S^1 at the same level (path-integral level k = N - 2).
+    The normalized value comes from the Eichler limit (Theorem 5.1).
+    ``term_count`` is the 4N terms of that sum; the Poincare sphere's extra
+    exponential is not counted.  The Witten-invariant value divides by
+    sqrt(N/2)/sin(pi/N), the invariant of S^2 x S^1 at the same level
+    (path-integral level k = N - 2).
     """
     if n_level < 3:
         raise ValueError("level must be at least 3")
-    normalized = rozansky_normalized(p, n_level, ctx, workers)
+    normalized = _theorem51_normalized(p, n_level, ctx)
     with ctx.workdps():
         tau = normalized / tau_prefactor(p, n_level, ctx)
         z = tau * mp.sinpi(mp.mpf(1) / n_level) / mp.sqrt(mp.mpf(n_level) / 2)
-        term_count = 2 * p.P * n_level - 2 * p.P
+        term_count = 4 * n_level
         budget = mp.mpf(term_count) * mp.mpf(2) ** (-mp.prec + 2)
         return WrtResult(
             level=n_level,
@@ -147,7 +150,7 @@ def asymptotic_approx(
     dominant = sqrt(N/i) sum_l S[(1,1,1)][l] e^{-pi i r(l) N} over admissible
     triples; tail = (1/2) sum_{k<=k_max} L(-2k, chi)/k! (pi i/(2PN))^k, plus
     the extra e^{pi i/(60N)} term for the Poincare sphere.  abs_error
-    compares against the exact normalized sum.
+    compares against the exact normalized value, computed as in ``tau_n``.
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
@@ -167,7 +170,7 @@ def asymptotic_approx(
         tail = eichler_tail(p, base, k_max).evaluate(n_level, k_max, ctx) / 2
         if p.is_poincare:
             tail += mp.expjpi(to_mpf(Fraction(1, 60 * n_level)))
-        exact = rozansky_normalized(p, n_level, ctx)
+        exact = _theorem51_normalized(p, n_level, ctx)
         return AsymptoticApprox(
             dominant=ensure_finite(+dominant),
             tail=ensure_finite(+tail),

@@ -1,10 +1,10 @@
-import math
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 from brieskorn_wrt import BrieskornTriple, PrecisionContext, phi_hat
+from brieskorn_wrt.cli import coprime_triples as cli_coprime_triples
 from brieskorn_wrt.exactmath import to_mpf
 
 
@@ -23,17 +23,7 @@ EXAMPLE_TRIPLES = [(2, 3, 5), (2, 3, 7), (3, 4, 5)]
 
 def coprime_triples(pmax):
     """All pairwise coprime (p1 < p2 < p3), each >= 2, with product <= pmax."""
-    out = []
-    for p1 in range(2, pmax + 1):
-        if p1**3 > pmax:
-            break
-        for p2 in range(p1 + 1, pmax // p1 + 1):
-            if math.gcd(p1, p2) != 1:
-                continue
-            for p3 in range(p2 + 1, pmax // (p1 * p2) + 1):
-                if math.gcd(p1, p3) == 1 and math.gcd(p2, p3) == 1:
-                    out.append((p1, p2, p3))
-    return out
+    return [p.p for p in cli_coprime_triples(pmax)]
 
 
 def vertical_limit(p, ell, m, n, ctx, y0=1e-4, levels=6):

@@ -63,6 +63,12 @@ def test_parse_rejects_missing_verb():
         parse([])
 
 
+def test_parse_rejects_workers_flag():
+    with pytest.raises(SystemExit) as excinfo:
+        parse(["invariant", "--p", "2,3,7", "--N", "7", "--workers", "2"])
+    assert excinfo.value.code == 2
+
+
 # --------------------------------------------------------------------- execute
 
 
@@ -98,9 +104,9 @@ def test_invariant_json_schema():
     assert payload["status"] == "ok"
     tau = payload["results"]["tau"]
     assert set(tau) == {"re", "im"}
-    assert payload["results"]["term_count"] == 2 * 42 * 5 - 2 * 42
+    assert payload["results"]["term_count"] == 4 * 5
     assert payload["metadata"]["precision_digits"] == 50
-    assert payload["metadata"]["workers"] == 1
+    assert payload["metadata"]["route"] == "eichler_limit"
 
 
 def test_flat_records_json():
@@ -114,6 +120,7 @@ def test_asymptotic_reports_error():
     report, code = execute(parse(["asymptotic", "--p", "2,3,5", "--N", "64", "--K", "2"]))
     assert code == EXIT_OK
     assert float(report.results["abs_error"]) < 0.05
+    assert report.metadata["route"] == "eichler_limit"
 
 
 def test_verify_gamma_small():
@@ -173,7 +180,7 @@ def test_out_file_written(tmp_path):
 
 
 def test_deterministic_output_modulo_wall_time():
-    cmd = parse(["invariant", "--p", "2,3,7", "--N", "7", "--workers", "2"])
+    cmd = parse(["invariant", "--p", "2,3,7", "--N", "7"])
     first, _ = execute(cmd)
     second, _ = execute(cmd)
     first_meta = {k: v for k, v in first.metadata.items() if k != "wall_time_seconds"}

@@ -124,17 +124,6 @@ def test_excluded_multiples_vanish_by_regularization(ctx50):
         assert abs(value) < ctx50.tolerance
 
 
-def test_worker_partitions_agree(ctx50):
-    with ctx50.workdps():
-        single = rozansky_normalized(P345, 5, ctx50, workers=1)
-        chunked = rozansky_normalized(P345, 5, ctx50, workers=7)
-        # identical rounding path except for the final chunk reduction order
-        assert abs(single - chunked) < ctx50.tolerance
-        # determinism at fixed worker count is bit-for-bit
-        again = rozansky_normalized(P345, 5, ctx50, workers=7)
-        assert mp.nstr(chunked, 60) == mp.nstr(again, 60)
-
-
 # ------------------------------------------------------------------ identities
 
 
@@ -166,7 +155,7 @@ def test_tau_prefactor_reconstruction(ctx50):
         rebuilt = result.tau * tau_prefactor(P345, 7, ctx50)
         assert abs(rebuilt - result.normalized) < ctx50.tolerance
         assert mp.isfinite(result.tau)
-        assert result.term_count == 2 * P345.P * 7 - 2 * P345.P
+        assert result.term_count == 4 * 7
 
 
 def test_poincare_prefactor_exponent():
@@ -178,9 +167,37 @@ def test_dual_route_tau(ctx50):
     # surgery sum and false-theta finite sum give the same tau
     result = tau_n(P345, 5, ctx50)
     with ctx50.workdps():
-        alt = eichler_limit(P345, EllTriple(1, 1, 1), 1, 5, ctx50) / 2
-        alt_tau = alt / tau_prefactor(P345, 5, ctx50)
+        alt_tau = rozansky_normalized(P345, 5, ctx50) / tau_prefactor(P345, 5, ctx50)
         assert abs(result.tau - alt_tau) < ctx50.tolerance
+
+
+@pytest.mark.parametrize(
+    "ps, n_level, digits",
+    [
+        ((2, 3, 5), 7, 50),
+        ((2, 3, 7), 9, 50),
+        ((3, 4, 5), 8, 50),
+        ((2, 3, 13), 11, 50),
+        ((2, 3, 7), 42, 40),  # N = P
+        ((2, 3, 5), 30, 40),  # N = P
+        ((3, 4, 5), 20, 40),  # N a multiple of p2 and p3
+        ((2, 3, 13), 139, 100),
+    ],
+)
+def test_eichler_route_matches_surgery_sum(ps, n_level, digits):
+    # the production route (Eichler limit) against the independent O(PN)
+    # surgery sum, and the reported count against the non-zero terms of chi
+    p = BrieskornTriple(*ps)
+    ctx = PrecisionContext(digits)
+    result = tau_n(p, n_level, ctx)
+    exact = asymptotic_approx(p, n_level, 2, ctx).exact
+    surgery = rozansky_normalized(p, n_level, ctx)
+    with ctx.workdps():
+        assert abs(result.normalized - surgery) < ctx.tolerance
+        assert abs(exact - surgery) < ctx.tolerance
+    chi = build_chi(p, EllTriple(1, 1, 1))
+    assert result.term_count == sum(1 for j in range(p.P * n_level) if chi.value(j))
+    assert result.term_count == 4 * n_level
 
 
 def test_witten_normalization_quotient(ctx50):
