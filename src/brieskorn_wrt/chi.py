@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, starmap
 
 from .exactmath import Rational, bernoulli_polynomial, dedekind_sum, solve_seifert_q
 
@@ -58,7 +58,8 @@ class BrieskornTriple:
     @cached_property
     def D(self) -> int:
         num = (self.p1 - 1) * (self.p2 - 1) * (self.p3 - 1)
-        assert num % 4 == 0, "at most one p_i is even so 4 divides the product"
+        if num % 4:
+            raise ArithmeticError(f"4 must divide (p1-1)(p2-1)(p3-1) for {self.p}")
         return num // 4
 
     @cached_property
@@ -72,9 +73,10 @@ class BrieskornTriple:
     @property
     def is_poincare(self) -> bool:
         flag = self.p == (2, 3, 5)
-        # (2,3,5) is the only pairwise coprime triple with 1/p1+1/p2+1/p3 > 1.
-        big = Fraction(1, self.p1) + Fraction(1, self.p2) + Fraction(1, self.p3) > 1
-        assert flag == big
+        # (2,3,5) is the only pairwise coprime triple with 1/p1+1/p2+1/p3 > 1,
+        # i.e. with cofactor sum above P.
+        if flag != (sum(self.cofactors) > self.P):
+            raise ArithmeticError(f"reciprocal sum of {self.p} contradicts is_poincare")
         return flag
 
     def __str__(self) -> str:
@@ -118,16 +120,28 @@ def canonicalize(p: BrieskornTriple, ell: EllTriple) -> EllTriple:
     return min(orbit(p, ell))
 
 
-@lru_cache(maxsize=None)
+def _canonical_ells(p: BrieskornTriple):
+    """Yield (l1, l2, l3) of every canonical representative, lexicographically.
+
+    The orbit least member has 2*l1 <= p1 and 2*l2 <= p2.  A tie 2*l1 = p1
+    (p1 even) leaves both later coordinates free to flip, and a tie 2*l2 = p2
+    (p2 even) leaves l3 free to flip; either way 2*l3 < p3, since p3 is then
+    odd.  Otherwise l3 is unrestricted.
+    """
+    p1, p2, p3 = p.p
+    for l1 in range(1, p1 // 2 + 1):
+        for l2 in range(1, p2 // 2 + 1):
+            top = p3 // 2 + 1 if 2 * l1 == p1 or 2 * l2 == p2 else p3
+            for l3 in range(1, top):
+                yield l1, l2, l3
+
+
+@lru_cache(maxsize=128)
 def enumerate_triples(p: BrieskornTriple) -> tuple:
     """All canonical representatives, sorted; exactly D of them."""
-    seen = set()
-    for l1, l2, l3 in product(
-        range(1, p.p1), range(1, p.p2), range(1, p.p3)
-    ):
-        seen.add(canonicalize(p, EllTriple(l1, l2, l3)))
-    result = tuple(sorted(seen))
-    assert len(result) == p.D
+    result = tuple(starmap(EllTriple, _canonical_ells(p)))
+    if len(result) != p.D:
+        raise ArithmeticError(f"{len(result)} canonical triples for {p}, expected D={p.D}")
     return result
 
 
@@ -151,12 +165,12 @@ class PeriodicChi:
         return tuple((r, self.table[r]) for r in self.support)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def build_chi(p: BrieskornTriple, ell: EllTriple) -> PeriodicChi:
     """Construct chi for (p, ell): value -prod(eps) at P(1 + sum eps_j l_j/p_j).
 
     The eight epsilon assignments must land on eight distinct residues mod 2P;
-    a collision would break oddness and is asserted against explicitly.
+    a collision would break oddness and raises ArithmeticError.
     """
     _check_range(p, ell)
     two_p = 2 * p.P
@@ -165,18 +179,19 @@ def build_chi(p: BrieskornTriple, ell: EllTriple) -> PeriodicChi:
         residue = (p.P + sum(e * l * c for e, l, c in zip(eps, ell.ell, p.cofactors))) % two_p
         sign = -eps[0] * eps[1] * eps[2]
         if residue in values:
-            raise AssertionError(
+            raise ArithmeticError(
                 f"epsilon residues collide for p={p.p}, ell={ell.ell} at {residue}"
             )
         values[residue] = sign
     table = [0] * two_p
     for residue, sign in values.items():
         table[residue] = sign
-    chi = PeriodicChi(two_p, tuple(table), tuple(sorted(values)))
     # oddness and zero mean are structural; verify once at construction
-    assert all(chi.value(two_p - r) == -chi.value(r) for r in chi.support)
-    assert sum(chi.table) == 0
-    return chi
+    if any(table[-r % two_p] != -sign for r, sign in values.items()):
+        raise ArithmeticError(f"chi is not odd for p={p.p}, ell={ell.ell}")
+    if sum(values.values()):
+        raise ArithmeticError(f"chi has non-zero mean for p={p.p}, ell={ell.ell}")
+    return PeriodicChi(two_p, tuple(table), tuple(sorted(values)))
 
 
 def weighted_sum(chi: PeriodicChi) -> int:
@@ -184,32 +199,47 @@ def weighted_sum(chi: PeriodicChi) -> int:
     return sum(r * chi.table[r] for r in chi.support)
 
 
+def _in_open_tetrahedron(big: int, a1: int, a2: int, a3: int) -> bool:
+    # a_k = l_k * P/p_k is l_k/p_k scaled by big = P, so with S = sum a_k the
+    # inequalities 1 < sum l_k/p_k < 3 and |sum l_j/p_j - 2 l_k/p_k| < 1 read:
+    s = a1 + a2 + a3
+    return (
+        big < s < 3 * big
+        and abs(s - 2 * a1) < big
+        and abs(s - 2 * a2) < big
+        and abs(s - 2 * a3) < big
+    )
+
+
 def ell_condition(p: BrieskornTriple, ell: EllTriple) -> bool:
     """Open-tetrahedron inequalities marking non-vanishing integer limits."""
     _check_range(p, ell)
-    f = [Fraction(l, pk) for l, pk in zip(ell.ell, p.p)]
-    s = f[0] + f[1] + f[2]
-    if not 1 < s < 3:
-        return False
-    return all(-1 < s - 2 * fk < 1 for fk in f)
+    c1, c2, c3 = p.cofactors
+    return _in_open_tetrahedron(p.P, ell.l1 * c1, ell.l2 * c2, ell.l3 * c3)
 
 
 def admissible_triples(p: BrieskornTriple) -> tuple:
     """(canonical triples satisfying the open inequalities, their count gamma)."""
-    triples = tuple(t for t in enumerate_triples(p) if ell_condition(p, t))
+    big = p.P
+    c1, c2, c3 = p.cofactors
+    triples = tuple(
+        t
+        for t in enumerate_triples(p)
+        if _in_open_tetrahedron(big, t.l1 * c1, t.l2 * c2, t.l3 * c3)
+    )
     return triples, len(triples)
+
+
+def _dedekind_triple_sum(p: BrieskornTriple) -> Rational:
+    """s(p2 p3, p1) + s(p1 p3, p2) + s(p1 p2, p3), shared by gamma, Casson and phi."""
+    return sum((dedekind_sum(c, pk) for c, pk in zip(p.cofactors, p.p)), Fraction(0))
 
 
 def gamma_closed_form(p: BrieskornTriple) -> Rational:
     """Dedekind-sum expression for the count of non-vanishing limits."""
     p1, p2, p3 = p.p
-    s = (
-        dedekind_sum(p1 * p2, p3)
-        + dedekind_sum(p2 * p3, p1)
-        + dedekind_sum(p1 * p3, p2)
-    )
     return (
-        s
+        _dedekind_triple_sum(p)
         + Fraction(p.P, 12)
         * (1 - Fraction(1, p1**2) - Fraction(1, p2**2) - Fraction(1, p3**2))
         - Fraction(1, 12 * p.P)
@@ -219,17 +249,16 @@ def gamma_closed_form(p: BrieskornTriple) -> Rational:
 
 def mordell_count(p: BrieskornTriple) -> int:
     """Lattice points with 0 < l_k < p_k and sum l_k/p_k < 1, counted directly."""
+    c1, c2, c3 = p.cofactors
     count = 0
     for l1 in range(1, p.p1):
         for l2 in range(1, p.p2):
-            partial = Fraction(l1, p.p1) + Fraction(l2, p.p2)
-            if partial >= 1:
-                continue
-            # l3/p3 < 1 - partial  <=>  l3 < p3 * (1 - partial)
-            bound = p.p3 * (1 - partial)
-            limit = min(p.p3 - 1, math.ceil(bound) - 1)
-            if limit >= 1:
-                count += limit
+            # rest = P(1 - l1/p1 - l2/p2); l3 counts when l3 * c3 < rest,
+            # which also keeps l3 < p3 since rest < P
+            rest = p.P - l1 * c1 - l2 * c2
+            if rest <= c3:
+                break
+            count += (rest - 1) // c3
     return count
 
 
@@ -270,10 +299,8 @@ def generating_series(p: BrieskornTriple, truncation: int) -> list:
     # multiply both parts of the quotient by z^P: f(z) / (z^{2P} - 1)
     shifted = {exp + p.P: coeff for exp, coeff in numerator.items()}
     min_exp = min(shifted)
-    if p.is_poincare:
-        assert min_exp == -1
-    else:
-        assert min_exp >= 0
+    if not (min_exp == -1 if p.is_poincare else min_exp >= 0):
+        raise ArithmeticError(f"unexpected lowest exponent {min_exp} for {p}")
     # 1/(z^{2P} - 1) = -(1 + z^{2P} + z^{4P} + ...) as a power series
     def coefficient(t: int) -> int:
         total = 0
@@ -283,6 +310,6 @@ def generating_series(p: BrieskornTriple, truncation: int) -> list:
             e -= 2 * p.P
         return total
 
-    if p.is_poincare:
-        assert coefficient(-1) == 1, "Laurent part must be exactly 1/z"
+    if p.is_poincare and coefficient(-1) != 1:
+        raise ArithmeticError("Laurent part must be exactly 1/z")
     return [coefficient(t) for t in range(truncation + 1)]

@@ -97,13 +97,25 @@ def sawtooth(x) -> Fraction:
 
 
 def dedekind_sum(b: int, a: int) -> Fraction:
-    """Dedekind sum s(b, a) = sign(a) * sum_k ((k/a))((kb/a)), k = 1..|a|-1."""
+    """Dedekind sum s(b, a) = sign(a) * sum_k ((k/a))((kb/a)), k = 1..|a|-1.
+
+    Evaluated in O(log |a|) steps by the reciprocity law
+    s(h, k) + s(k, h) = (h^2 + k^2 + 1)/(12hk) - 1/4 for coprime h, k > 0,
+    run along Euclid's algorithm on (b mod |a|, |a|) after dividing out the
+    gcd (s(dh, dk) = s(h, k)).
+    """
     if a == 0:
         raise ValueError("dedekind_sum requires a != 0")
-    n = abs(a)
-    total = Fraction(0)
-    for k in range(1, n):
-        total += sawtooth(Fraction(k, n)) * sawtooth(Fraction(k * b, n))
+    k = abs(a)
+    h = b % k
+    g = math.gcd(h, k)
+    h, k = h // g, k // g
+    # s(h, k) = (h^2 + k^2 + 1 - 3hk)/(12hk) - s(k mod h, h)
+    total, sign = Fraction(0), 1
+    while h:
+        total += sign * Fraction(h * h + k * k + 1 - 3 * h * k, 12 * h * k)
+        h, k = k % h, h
+        sign = -sign
     return total if a > 0 else -total
 
 
@@ -257,5 +269,6 @@ def solve_seifert_q(p1: int, p2: int, p3: int) -> tuple:
     shift = q2 // p2
     q2 -= shift * p2
     q3 += shift * p3
-    assert q1 * p2 * p3 + q2 * p1 * p3 + q3 * p1 * p2 == 1
+    if q1 * p2 * p3 + q2 * p1 * p3 + q3 * p1 * p2 != 1:
+        raise ArithmeticError(f"surgery coefficients fail to solve for p={(p1, p2, p3)}")
     return q1, q2, q3

@@ -17,13 +17,14 @@ from mpmath import mp
 from .chi import (
     BrieskornTriple,
     EllTriple,
+    _dedekind_triple_sum,
     admissible_triples,
+    gamma_closed_form,
 )
 from .exactmath import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     Rational,
-    dedekind_sum,
     ensure_finite,
     to_mpf,
 )
@@ -51,34 +52,16 @@ class FlatConnectionRecord:
 
 def phi_invariant(p: BrieskornTriple) -> Rational:
     """Framing correction 3 - 1/P + 12(s(p2 p3, p1) + s(p1 p3, p2) + s(p1 p2, p3))."""
-    p1, p2, p3 = p.p
-    return (
-        3
-        - Fraction(1, p.P)
-        + 12
-        * (
-            dedekind_sum(p2 * p3, p1)
-            + dedekind_sum(p1 * p3, p2)
-            + dedekind_sum(p1 * p2, p3)
-        )
-    )
+    return 3 - Fraction(1, p.P) + 12 * _dedekind_triple_sum(p)
 
 
 def casson(p: BrieskornTriple) -> Rational:
-    """Casson invariant, exact; equals minus half the admissible-triple count."""
-    p1, p2, p3 = p.p
-    s = (
-        dedekind_sum(p1 * p2, p3)
-        + dedekind_sum(p2 * p3, p1)
-        + dedekind_sum(p1 * p3, p2)
-    )
-    return (
-        -s / 2
-        - Fraction(p.P, 24)
-        * (1 - Fraction(1, p1**2) - Fraction(1, p2**2) - Fraction(1, p3**2))
-        + Fraction(1, 24 * p.P)
-        - Fraction(1, 8)
-    )
+    """Casson invariant, exact; equals minus half the admissible-triple count.
+
+    The Dedekind-sum formula for the Casson invariant is -1/2 times the
+    closed form for gamma, term by term.
+    """
+    return -gamma_closed_form(p) / 2
 
 
 def chern_simons(p: BrieskornTriple, ell: EllTriple) -> Rational:

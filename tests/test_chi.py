@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,20 @@ def test_poincare_is_unique_small_exhaustive():
                 if Fraction(1, p1) + Fraction(1, p2) + Fraction(1, p3) > 1:
                     found.append((p1, p2, p3))
     assert found == [(2, 3, 5)]
+
+
+def test_structural_checks_raise_arithmetic_error():
+    # bypass validation to reach the invariants that valid input never breaks
+    not_coprime = object.__new__(BrieskornTriple)
+    for name, value in zip(("p1", "p2", "p3"), (2, 3, 4)):
+        object.__setattr__(not_coprime, name, value)
+    with pytest.raises(ArithmeticError):
+        not_coprime.is_poincare  # 1/2 + 1/3 + 1/4 > 1 but not (2, 3, 5)
+    even_pair = object.__new__(BrieskornTriple)
+    for name, value in zip(("p1", "p2", "p3"), (2, 4, 7)):
+        object.__setattr__(even_pair, name, value)
+    with pytest.raises(ArithmeticError):
+        even_pair.D  # (p1-1)(p2-1)(p3-1) = 18 is not divisible by 4
 
 
 def test_seifert_q_attached_to_triple():
@@ -155,6 +170,32 @@ def test_enumerate_triples_examples():
     assert len(enumerate_triples(BrieskornTriple(2, 3, 5))) == 2
 
 
+def _orbit_minima(ps):
+    """Oracle: lexicographically least orbit member of every lattice point, sorted."""
+    p1, p2, p3 = ps
+    return sorted(
+        {
+            min((l1, l2, l3), (l1, p2 - l2, p3 - l3), (p1 - l1, l2, p3 - l3), (p1 - l1, p2 - l2, l3))
+            for l1, l2, l3 in product(range(1, p1), range(1, p2), range(1, p3))
+        }
+    )
+
+
+def test_enumerate_triples_equals_full_lattice_canonicalization():
+    even_positions = set()
+    for ps in coprime_triples(3000):
+        p = BrieskornTriple(*ps)
+        assert [t.ell for t in enumerate_triples(p)] == _orbit_minima(ps)
+        even_positions.update(i for i, pk in enumerate(ps) if pk % 2 == 0)
+    # the tie rules differ with the position of the single even p_i
+    assert even_positions == {0, 1, 2}
+    for ps in SMALL_TRIPLES:
+        p = BrieskornTriple(*ps)
+        lattice = product(range(1, p.p1), range(1, p.p2), range(1, p.p3))
+        canonical = {canonicalize(p, EllTriple(*ell)) for ell in lattice}
+        assert enumerate_triples(p) == tuple(sorted(canonical))
+
+
 @settings(max_examples=40, deadline=None)
 @given(triple_strategy)
 def test_enumerate_count_is_d(ps):
@@ -198,6 +239,35 @@ def test_admissible_examples():
     assert admissible_triples(BrieskornTriple(3, 4, 5))[1] == 4
     triples5, gamma5 = admissible_triples(BrieskornTriple(2, 3, 5))
     assert gamma5 == 2 and len(triples5) == 2
+
+
+def _ell_condition_fractions(p, ell):
+    """Oracle: the open-tetrahedron inequalities in exact fractions l_k/p_k."""
+    f = [Fraction(l, pk) for l, pk in zip(ell.ell, p.p)]
+    s = f[0] + f[1] + f[2]
+    if not 1 < s < 3:
+        return False
+    return all(-1 < s - 2 * fk < 1 for fk in f)
+
+
+def test_ell_condition_matches_fraction_form():
+    for ps in coprime_triples(3000):
+        p = BrieskornTriple(*ps)
+        triples = enumerate_triples(p)
+        expected = tuple(t for t in triples if _ell_condition_fractions(p, t))
+        assert tuple(t for t in triples if ell_condition(p, t)) == expected
+        assert admissible_triples(p) == (expected, len(expected))
+
+
+def test_mordell_count_matches_brute_force():
+    for ps in coprime_triples(500):
+        p = BrieskornTriple(*ps)
+        brute = sum(
+            1
+            for ell in product(range(1, p.p1), range(1, p.p2), range(1, p.p3))
+            if sum(Fraction(l, pk) for l, pk in zip(ell, p.p)) < 1
+        )
+        assert mordell_count(p) == brute
 
 
 @settings(max_examples=60, deadline=None)

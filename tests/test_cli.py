@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from brieskorn_wrt import build_chi, enumerate_triples
 from brieskorn_wrt.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -128,6 +129,18 @@ def test_verify_gamma_small():
     assert code == EXIT_OK
     assert report.status == "ok"
     assert report.results["checks"] > 10
+
+
+def test_verify_gamma_pmax_2000_keeps_caches_bounded():
+    report, code = execute(parse(["verify", "--suite", "gamma", "--pmax", "2000"]))
+    assert code == EXIT_OK
+    assert report.status == "ok"
+    assert report.results["checks"] == 1113
+    # 1113 manifolds pass through enumerate_triples, more than its bound
+    for cached in (enumerate_triples, build_chi):
+        info = cached.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
 
 
 def test_verify_theorem51_trimmed():

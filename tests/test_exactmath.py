@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -43,6 +43,36 @@ def test_sawtooth_is_odd_and_periodic(x):
 
 
 # ------------------------------------------------------------------- dedekind sum
+
+
+def dedekind_sum_sawtooth(b, a):
+    """Oracle: the defining O(|a|) sum sign(a) * sum_k ((k/|a|))((kb/|a|))."""
+    n = abs(a)
+    total = sum(
+        (sawtooth(Fraction(k, n)) * sawtooth(Fraction(k * b, n)) for k in range(1, n)),
+        Fraction(0),
+    )
+    return total if a > 0 else -total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2000, 2000), st.integers(-400, 400).filter(bool))
+@example(0, 7)
+@example(5, -1)
+@example(-9, 1)
+@example(-12, -18)
+@example(30, 45)
+@example(-25, 35)
+def test_dedekind_matches_sawtooth_sum(b, a):
+    assert dedekind_sum(b, a) == dedekind_sum_sawtooth(b, a)
+
+
+@given(st.integers(1, 10**12), st.integers(1, 10**12))
+def test_dedekind_reciprocity_law(h, k):
+    g = math.gcd(h, k)
+    h, k = h // g, k // g
+    expected = Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4)
+    assert dedekind_sum(h, k) + dedekind_sum(k, h) == expected
 
 
 def test_dedekind_small_values():

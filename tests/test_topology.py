@@ -56,7 +56,7 @@ def test_phi_symmetric_under_permutation():
 
 
 def test_phi_dual_dedekind_routes(ctx50):
-    # sawtooth-sum and cotangent-form Dedekind sums give the same phi
+    # reciprocity and cotangent-form Dedekind sums give the same phi
     p1, p2, p3 = 2, 3, 7
     exact = phi_invariant(P237)
     with ctx50.workdps():
