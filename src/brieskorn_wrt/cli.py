@@ -313,22 +313,18 @@ def _suite_modular(cmd: Command, ctx: PrecisionContext):
     with ctx.workdps():
         taus = [mp.mpc(0, 1), (1 + 2j) / mp.mpf(3), mp.mpc(0, 1) / 5]
         threshold = mp.mpf(10) ** (-(ctx.decimal_digits - 15))
-        for ps in [(2, 3, 5), (2, 3, 7), (3, 4, 5)]:
+        for ps in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (3, 5, 8)]:
             p = BrieskornTriple(*ps)
             md = modular_data(p, ctx)
+            s_rows = [md.s_row(ell) for ell in md.triples]
             for tau in taus:
-                values = {
-                    ell: theta_eval(p, ell, -1 / tau, ctx) for ell in md.triples
-                }
+                values = [theta_eval(p, ell, -1 / tau, ctx) for ell in md.triples]
                 front = (mp.mpc(0, 1) / tau) ** mp.mpf(1.5)
-                for i, ell in enumerate(md.triples):
+                for ell, row, r in zip(md.triples, s_rows, md.t_exponents):
                     lhs = theta_eval(p, ell, tau, ctx)
-                    rhs = front * sum(
-                        md.s[i][j].value * values[ellp]
-                        for j, ellp in enumerate(md.triples)
-                    )
+                    rhs = front * sum(s * v for s, v in zip(row, values))
                     t_lhs = theta_eval(p, ell, tau + 1, ctx)
-                    t_rhs = mp.expjpi(to_mpf(md.t_exponents[i])) * lhs
+                    t_rhs = mp.expjpi(to_mpf(r)) * lhs
                     checks += 2
                     for name, res in (("S", abs(lhs - rhs)), ("T", abs(t_lhs - t_rhs))):
                         if res > threshold:

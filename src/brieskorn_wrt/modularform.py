@@ -1,10 +1,12 @@
 """Weight-3/2 theta series, transformation data and Eichler-integral limits.
 
 The theta series attached to each periodic sign function is modular of
-weight 3/2 under an explicit D x D transformation matrix.  Its Eichler
-integral is only nearly modular: at rationals it has finite limiting values
-(computable as finite sums) and a divergent asymptotic tail built from
-L-values, both of which are exposed here.
+weight 3/2 under an explicit D x D transformation matrix S.  S is kept in
+factored form, a scale, three per-fibre sine tables and an integer parity
+sign, and is read one row at a time.  Its Eichler integral is only nearly
+modular: at rationals it has finite limiting values (computable as finite
+sums) and a divergent asymptotic tail built from L-values, both of which are
+exposed here.
 """
 
 from __future__ import annotations
@@ -35,92 +37,83 @@ def t_exponent(p: BrieskornTriple, ell: EllTriple) -> Fraction:
     return (Fraction(p.P, 2) * s * s) % 2
 
 
-def _sign_of_sinpi(x: Fraction) -> int:
-    # sign of sin(pi x) for non-integral rational x
-    return -1 if math.floor(x) % 2 else 1
-
-
-@dataclass(frozen=True)
-class SEntry:
-    """One transformation-matrix entry sign * sqrt(32/P) * prod sin(pi r_j).
-
-    ``angles`` are the reduced arguments r_j in [0, 1); ``sign`` collects the
-    parity sign and the sine signs so the product over angles is the entry's
-    magnitude.  ``value`` is the numeric entry at context precision.
-    """
-
-    sign: int
-    angles: tuple
-    value: object
-
-
-@dataclass(frozen=True)
-class ModularData:
-    """S-matrix and T-exponents over the canonical triples of one manifold."""
-
-    triple: BrieskornTriple
-    triples: tuple
-    s: tuple
-    t_exponents: tuple
-
-    def index(self, ell: EllTriple) -> int:
-        return self.triples.index(canonicalize(self.triple, ell))
-
-    def s_entry(self, ell: EllTriple, ellp: EllTriple) -> SEntry:
-        return self.s[self.index(ell)][self.index(ellp)]
-
-    def s_value(self, ell: EllTriple, ellp: EllTriple):
-        return self.s_entry(ell, ellp).value
-
-    def t_exponent_of(self, ell: EllTriple) -> Fraction:
-        return self.t_exponents[self.index(ell)]
-
-
-def _s_entry_exact(p: BrieskornTriple, ell: EllTriple, ellp: EllTriple):
-    l, lp = ell.ell, ellp.ell
+def _s_parity(p: BrieskornTriple, l: tuple, lp: tuple) -> int:
+    # 1 when the integer parity part of the sign of S[l][l'] is negative
     cross = (
         (l[1] * lp[2] - l[2] * lp[1]) * p.p1
         + (l[2] * lp[0] - l[0] * lp[2]) * p.p2
         + (l[0] * lp[1] - l[1] * lp[0]) * p.p3
     )
-    parity = 1 + p.P + sum((a + b) * c for a, b, c in zip(l, lp, p.cofactors)) + cross
-    sign = -1 if parity % 2 else 1
-    angles = []
-    for j in range(3):
-        x = Fraction(p.P * l[j] * lp[j], p.p[j] ** 2)
-        frac = x % 1
-        if frac != 0:  # integral argument means the sine, hence the entry, is 0
-            sign *= _sign_of_sinpi(x)
-        angles.append(frac)
-    return sign, tuple(angles)
+    return (1 + p.P + sum((a + b) * c for a, b, c in zip(l, lp, p.cofactors)) + cross) % 2
 
 
-@lru_cache(maxsize=None)
+@dataclass(frozen=True)
+class ModularData:
+    """Factored S-matrix and T-exponents over the canonical triples of one manifold.
+
+    S[l][l'] = sign * sqrt(32/P) * prod_j sin(pi P l_j l'_j / p_j^2).  With
+    c_j = P/p_j the j-th sine is ``sine_tables[j][c_j l_j l'_j mod 2 p_j]``,
+    where ``sine_tables[j][k] = sin(pi k / p_j)`` carries the sine's own sign;
+    the rest of the sign is an integer parity.  ``scale`` = sqrt(32/P) and the
+    tables hold ``ctx``-precision values, and entries are multiplied out at
+    that precision whatever the caller's.
+    """
+
+    triple: BrieskornTriple
+    triples: tuple
+    t_exponents: tuple
+    ctx: PrecisionContext
+    scale: object
+    sine_tables: tuple
+
+    def index(self, ell: EllTriple) -> int:
+        return self.triples.index(canonicalize(self.triple, ell))
+
+    def s_row(self, ell: EllTriple) -> tuple:
+        """The D entries S[ell][l'] over the canonical triples l', in O(D)."""
+        l = canonicalize(self.triple, ell).ell
+        with self.ctx.workdps():
+            return tuple(self._entry(l, ellp.ell) for ellp in self.triples)
+
+    def s_value(self, ell: EllTriple, ellp: EllTriple):
+        """One entry S[ell][ellp]; each argument stands for its orbit."""
+        p = self.triple
+        with self.ctx.workdps():
+            return self._entry(canonicalize(p, ell).ell, canonicalize(p, ellp).ell)
+
+    def _entry(self, l: tuple, lp: tuple):
+        p = self.triple
+        value = -self.scale if _s_parity(p, l, lp) else self.scale
+        for table, c, a, b in zip(self.sine_tables, p.cofactors, l, lp):
+            value *= table[c * a * b % len(table)]
+        return value
+
+
+def _signed_sines(pk: int) -> tuple:
+    # sin(pi k / pk) for 0 <= k < 2 pk: the second half negates the first
+    half = [mp.sinpi(mp.mpf(k) / pk) for k in range(pk)]
+    return tuple(half + [-v for v in half])
+
+
+@lru_cache(maxsize=64)
 def _modular_data_cached(p: BrieskornTriple, digits: int) -> ModularData:
     ctx = PrecisionContext(digits)
     triples = enumerate_triples(p)
     with ctx.workdps():
-        scale = mp.sqrt(mp.mpf(32) / p.P)
-        rows = []
-        for ell in triples:
-            row = []
-            for ellp in triples:
-                sign, angles = _s_entry_exact(p, ell, ellp)
-                value = sign * scale
-                for a in angles:
-                    value *= mp.sinpi(to_mpf(a))
-                row.append(SEntry(sign, angles, ensure_finite(+value)))
-            rows.append(tuple(row))
+        scale = ensure_finite(mp.sqrt(mp.mpf(32) / p.P))
+        sine_tables = tuple(_signed_sines(pk) for pk in p.p)
     return ModularData(
         triple=p,
         triples=triples,
-        s=tuple(rows),
         t_exponents=tuple(t_exponent(p, ell) for ell in triples),
+        ctx=ctx,
+        scale=scale,
+        sine_tables=sine_tables,
     )
 
 
 def modular_data(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> ModularData:
-    """S-matrix (exact sign/angle data plus numeric values) and T-exponents."""
+    """Factored S-matrix (read by ``s_row``/``s_value``) and exact T-exponents."""
     return _modular_data_cached(p, ctx.decimal_digits)
 
 
@@ -326,15 +319,14 @@ def nearly_modular_expansion(
     if n < 1:
         raise ValueError("n must be positive")
     md = modular_data(p, ctx)
-    i = md.index(ell)
     with ctx.workdps():
         dominant = mp.mpc(0)
-        for j, ellp in enumerate(md.triples):
+        for s, ellp in zip(md.s_row(ell), md.triples):
             amplitude, r = eichler_integer_data(p, ellp)
             if amplitude == 0:
                 continue
             phase = mp.expjpi(to_mpf((r * -n) % 2))
-            dominant += md.s[i][j].value * to_mpf(amplitude) * phase
+            dominant += s * to_mpf(amplitude) * phase
         dominant *= -mp.sqrt(mp.mpf(n)) * mp.expjpi(mp.mpf(-0.25))
         tail = eichler_tail(p, ell, k_max).evaluate(n, k_max, ctx)
         exact = eichler_limit(p, ell, 1, n, ctx)

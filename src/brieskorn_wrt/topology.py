@@ -111,7 +111,10 @@ def spectral_flow(
             inner = mp.mpf(0)
             for k in range(1, pk):
                 a1 = Fraction(k * p.P, pk * pk) % 1
-                assert a1 != 0, "cotangent argument cannot be integral"
+                if a1 == 0:
+                    raise ArithmeticError(
+                        f"cotangent argument {k}*P/{pk}^2 is integral for p={p.p}"
+                    )
                 a2 = Fraction(k, pk) % 1
                 s = mp.sinpi(to_mpf(Fraction(k * e, pk) % 1))
                 inner += (

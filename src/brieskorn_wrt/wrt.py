@@ -158,14 +158,13 @@ def asymptotic_approx(
         raise ValueError("level must be at least 3")
     md = modular_data(p, ctx)
     base = EllTriple(1, 1, 1)
-    i = md.index(base)
     with ctx.workdps():
         dominant = mp.mpc(0)
-        for j, ellp in enumerate(md.triples):
+        for s, r, ellp in zip(md.s_row(base), md.t_exponents, md.triples):
             if not ell_condition(p, ellp):
                 continue
-            phase = mp.expjpi(to_mpf((md.t_exponents[j] * -n_level) % 2))
-            dominant += md.s[i][j].value * phase
+            phase = mp.expjpi(to_mpf((r * -n_level) % 2))
+            dominant += s * phase
         dominant *= mp.sqrt(mp.mpf(n_level)) * mp.expjpi(mp.mpf(-0.25))
         tail = eichler_tail(p, base, k_max).evaluate(n_level, k_max, ctx) / 2
         if p.is_poincare:

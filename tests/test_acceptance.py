@@ -89,7 +89,7 @@ def test_criterion_03_modular_transformations():
                 for i, ell in enumerate(md.triples):
                     value = theta_eval(p, ell, tau, CTX)
                     s_rhs = front * sum(
-                        md.s[i][j].value * transformed[ellp]
+                        md.s_row(ell)[j] * transformed[ellp]
                         for j, ellp in enumerate(md.triples)
                     )
                     t_lhs = theta_eval(p, ell, tau + 1, CTX)

@@ -152,7 +152,7 @@ def test_verify_theorem51_trimmed():
 
 
 def test_verify_torsion_and_modular_and_table():
-    for suite in ("torsion", "table1"):
+    for suite in ("torsion", "modular", "table1"):
         report, code = execute(parse(["verify", "--suite", suite]))
         assert code == EXIT_OK, suite
         assert report.status == "ok"

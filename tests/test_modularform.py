@@ -15,17 +15,21 @@ from brieskorn_wrt import (
     enumerate_triples,
     modular_data,
     nearly_modular_expansion,
+    orbit,
     phi_hat,
     t_exponent,
     theta_eval,
     weighted_sum,
 )
 from brieskorn_wrt.exactmath import PrecisionContext, to_mpf
+from brieskorn_wrt.modularform import _modular_data_cached
 from conftest import vertical_limit
 
 P235 = BrieskornTriple(2, 3, 5)
 P237 = BrieskornTriple(2, 3, 7)
 P345 = BrieskornTriple(3, 4, 5)
+P358 = BrieskornTriple(3, 5, 8)
+P579 = BrieskornTriple(5, 7, 9)
 
 
 # ------------------------------------------------------------- exact S/T data
@@ -67,17 +71,59 @@ def test_s_entries_quoted_values(ctx50):
         ) < tol
 
 
-def test_s_entry_decomposition_consistent(ctx50):
-    md = modular_data(P345, ctx50)
+def _sign_of_sinpi(x: Fraction) -> int:
+    # sign of sin(pi x) for non-integral rational x
+    return -1 if math.floor(x) % 2 else 1
+
+
+def _s_entry_oracle(p, ell, ellp):
+    # the per-entry formula: integer parity, then the reduced Fraction angles
+    # r_j = P l_j l'_j / p_j^2 mod 1 with the sign of each sin(pi x_j)
+    l, lp = ell.ell, ellp.ell
+    cross = (
+        (l[1] * lp[2] - l[2] * lp[1]) * p.p1
+        + (l[2] * lp[0] - l[0] * lp[2]) * p.p2
+        + (l[0] * lp[1] - l[1] * lp[0]) * p.p3
+    )
+    parity = 1 + p.P + sum((a + b) * c for a, b, c in zip(l, lp, p.cofactors)) + cross
+    value = (-1 if parity % 2 else 1) * mp.sqrt(mp.mpf(32) / p.P)
+    for j in range(3):
+        x = Fraction(p.P * l[j] * lp[j], p.p[j] ** 2)
+        angle = x % 1
+        assert 0 <= angle < 1
+        if angle != 0:
+            value *= _sign_of_sinpi(x)
+        value *= mp.sinpi(to_mpf(angle))
+    return value
+
+
+@pytest.mark.parametrize("p", [P235, P345, P358, P579])
+def test_s_row_matches_per_entry_oracle(p, ctx50):
+    md = modular_data(p, ctx50)
+    assert len(md.triples) == p.D
     with ctx50.workdps():
-        scale = mp.sqrt(mp.mpf(32) / P345.P)
-        for row in md.s:
-            for entry in row:
-                magnitude = scale
-                for angle in entry.angles:
-                    assert 0 <= angle < 1
-                    magnitude *= mp.sinpi(to_mpf(angle))
-                assert abs(entry.sign * magnitude - entry.value) < ctx50.tolerance
+        for i, ell in enumerate(md.triples):
+            row = md.s_row(ell)
+            assert len(row) == p.D
+            # a non-canonical orbit member reads the canonical row and entry,
+            # which the per-entry formula also gives at that member
+            for member in orbit(p, ell)[1:]:
+                assert md.index(member) == i
+                assert md.s_row(member) == row
+            for s, ellp in zip(row, md.triples):
+                assert abs(s - _s_entry_oracle(p, ell, ellp)) < ctx50.tolerance
+                for member in orbit(p, ellp)[1:]:
+                    assert md.s_value(ell, member) == s
+                    assert abs(s - _s_entry_oracle(p, ell, member)) < ctx50.tolerance
+
+
+def test_modular_data_cache_is_bounded():
+    bound = _modular_data_cached.cache_info().maxsize
+    assert bound is not None
+    for digits in range(15, 15 + bound + 2):
+        modular_data(P235, PrecisionContext(digits))
+    info = _modular_data_cached.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_s_matrix_structure_report(ctx50):
@@ -87,15 +133,16 @@ def test_s_matrix_structure_report(ctx50):
         md = modular_data(p, ctx50)
         with ctx50.workdps():
             d = len(md.triples)
+            s = [md.s_row(ell) for ell in md.triples]
             ss = [
-                [sum(md.s[i][k].value * md.s[k][j].value for k in range(d)) for j in range(d)]
+                [sum(s[i][k] * s[k][j] for k in range(d)) for j in range(d)]
                 for i in range(d)
             ]
             dev_invol = max(
                 abs(ss[i][j] - (1 if i == j else 0)) for i in range(d) for j in range(d)
             )
             dev_sym = max(
-                abs(md.s[i][j].value - md.s[j][i].value)
+                abs(s[i][j] - s[j][i])
                 for i in range(d)
                 for j in range(d)
             )
@@ -122,7 +169,7 @@ def test_theta_t_transformation(ctx50):
             assert abs(lhs - rhs) < ctx50.tolerance
 
 
-@pytest.mark.parametrize("p", [P235, P345])
+@pytest.mark.parametrize("p", [P235, P345, P358])
 @pytest.mark.parametrize("tau", [1j, (1 + 2j) / 3])
 def test_theta_s_transformation(p, tau, ctx50):
     md = modular_data(p, ctx50)
@@ -133,7 +180,7 @@ def test_theta_s_transformation(p, tau, ctx50):
         for i, ell in enumerate(md.triples):
             lhs = theta_eval(p, ell, tau, ctx50)
             rhs = front * sum(
-                md.s[i][j].value * values[ellp] for j, ellp in enumerate(md.triples)
+                md.s_row(ell)[j] * values[ellp] for j, ellp in enumerate(md.triples)
             )
             assert abs(lhs - rhs) < ctx50.tolerance
 
@@ -266,14 +313,13 @@ def test_nearly_modular_inadmissible_rows_drop_out(ctx50):
     md = modular_data(P237, ctx50)
     with ctx50.workdps():
         nm = nearly_modular_expansion(P237, EllTriple(1, 1, 1), 40, 3, ctx50)
-        i = md.index(EllTriple(1, 1, 1))
         manual = mp.mpc(0)
         for j, ellp in enumerate(md.triples):
             amp, r = eichler_integer_data(P237, ellp)
             if amp == 0:
                 assert ellp == EllTriple(1, 1, 1)
                 continue
-            manual += md.s[i][j].value * (-2) * mp.expjpi(to_mpf((-r * 40) % 2))
+            manual += md.s_row(EllTriple(1, 1, 1))[j] * (-2) * mp.expjpi(to_mpf((-r * 40) % 2))
         manual *= -mp.sqrt(mp.mpf(40)) * mp.expjpi(mp.mpf(-0.25))
         assert abs(nm.dominant - manual) < ctx50.tolerance
 
