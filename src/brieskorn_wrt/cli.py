@@ -344,7 +344,7 @@ def _suite_torsion(cmd: Command, ctx: PrecisionContext):
     checks = 0
     with ctx.workdps():
         threshold = mp.mpf(10) ** (-(ctx.decimal_digits - 15))
-        for ps in [(2, 3, 5), (2, 3, 7), (3, 4, 5)]:
+        for ps in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (3, 5, 8), (5, 7, 9), (7, 11, 13)]:
             residual = verify_s_torsion(BrieskornTriple(*ps), ctx)
             checks += 1
             if residual > threshold:

@@ -21,7 +21,6 @@ from mpmath import mp
 from .chi import (
     BrieskornTriple,
     EllTriple,
-    PeriodicChi,
     build_chi,
     canonicalize,
     enumerate_triples,

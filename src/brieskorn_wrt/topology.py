@@ -4,13 +4,18 @@ One record per irreducible flat SU(2) connection (equivalently per lattice
 triple passing the open-tetrahedron condition), carrying its Chern-Simons
 value, Reidemeister torsion amplitude, spectral flow mod 8 and conjugacy
 angles, plus the identity tying sqrt(2) times an S-matrix entry to torsion
-and spectral flow.
+and spectral flow.  Chern-Simons values, conjugacy angles and spectral flows
+are exact rationals and integers; the spectral flow comes from an integer
+sawtooth convolution plus Dedekind sums, so no floating sum is rounded to
+an integer anywhere.  Only the torsion amplitude is evaluated at the
+context precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp
 
@@ -30,13 +35,13 @@ from .exactmath import (
 )
 from .modularform import modular_data, t_exponent
 
-# Spectral-flow totals mix transcendental cotangent sums that must conspire
-# to an integer; the snap window is fixed, not precision-dependent.
-SPECTRAL_SNAP_TOLERANCE = 1e-10
-
 
 class SpectralFlowPrecisionError(ArithmeticError):
-    """Cotangent sum failed to land near an integer; refusing to round."""
+    """Precision failure, reported by the CLI with exit code 2.
+
+    The spectral flow is exact and does not raise it; the class stays the
+    public precision-failure type.
+    """
 
 
 @dataclass(frozen=True)
@@ -93,45 +98,44 @@ def torsion_sqrt(
         return ensure_finite(+value)
 
 
-def spectral_flow(
-    p: BrieskornTriple, ell: EllTriple, ctx: PrecisionContext = DEFAULT_CONTEXT
-) -> int:
-    """Spectral flow mod 8 via the cotangent sum, integer-snapped.
+@lru_cache(maxsize=128)
+def _spectral_flow_offset(p: BrieskornTriple) -> Rational:
+    """-3 - 4 sum_j s(c_j, p_j), the part of the spectral flow shared by all ell."""
+    return -3 - 4 * _dedekind_triple_sum(p)
 
-    The rational part 2 e^2 / P is exact; the remaining double sum is
-    evaluated at context precision and the total must land within
-    SPECTRAL_SNAP_TOLERANCE of an integer, else an error is raised rather
-    than silently rounding.
+
+def spectral_flow(p: BrieskornTriple, ell: EllTriple) -> int:
+    """Spectral flow mod 8, exactly, in integer arithmetic.
+
+    The cotangent form -3 - 2e^2/P - sum_j (2/p_j) sum_k cot(pi k c_j/p_j)
+    cot(pi k/p_j) sin^2(pi k e/p_j), with e the Euler number and
+    c_j = P/p_j, becomes rational once sin^2 = (1 - cos)/2 is written out
+    and the finite Fourier expansion of the sawtooth ((j/p)) is used
+    (Rademacher-Grosswald, Dedekind Sums, ch. 2):
+
+        SF = -3 - 2e^2/P - 4 sum_j s(c_j, p_j) - sum_j K_j(e)/p_j^2,
+        K_j(e) = sum_{i=1}^{p_j-1} (2i - p_j)(2r_i - p_j) [r_i != 0],
+
+    where r_i = c_j^{-1}(e - i) mod p_j.  Each K_j is an O(p_j) integer sum;
+    the Dedekind sums, O(log p_j) each, are shared by every ell of a manifold.
+    The total must be an integer: a fraction is a structural fault and
+    raises, nothing is rounded.
     """
     e = euler_number(p, ell)
-    rational_part = Fraction(2 * e * e, p.P)
-    with ctx.workdps():
-        cot_total = mp.mpf(0)
-        for pk in p.p:
-            inner = mp.mpf(0)
-            for k in range(1, pk):
-                a1 = Fraction(k * p.P, pk * pk) % 1
-                if a1 == 0:
-                    raise ArithmeticError(
-                        f"cotangent argument {k}*P/{pk}^2 is integral for p={p.p}"
-                    )
-                a2 = Fraction(k, pk) % 1
-                s = mp.sinpi(to_mpf(Fraction(k * e, pk) % 1))
-                inner += (
-                    (mp.cospi(to_mpf(a1)) / mp.sinpi(to_mpf(a1)))
-                    * (mp.cospi(to_mpf(a2)) / mp.sinpi(to_mpf(a2)))
-                    * s
-                    * s
-                )
-            cot_total += 2 * inner / pk
-        total = -3 - (to_mpf(rational_part) + cot_total)
-        snapped = int(mp.nint(total))
-        if abs(total - snapped) > SPECTRAL_SNAP_TOLERANCE:
-            raise SpectralFlowPrecisionError(
-                f"spectral flow sum {mp.nstr(total, 25)} is not near an integer "
-                f"for p={p.p}, ell={ell.ell}"
-            )
-    return snapped % 8
+    total = _spectral_flow_offset(p) - Fraction(2 * e * e, p.P)
+    for c, pk in zip(p.cofactors, p.p):
+        c_inv = pow(c, -1, pk)
+        kernel = 0
+        for i in range(1, pk):
+            r = c_inv * (e - i) % pk
+            if r:
+                kernel += (2 * i - pk) * (2 * r - pk)
+        total -= Fraction(kernel, pk * pk)
+    if total.denominator != 1:
+        raise ArithmeticError(
+            f"spectral flow {total} is not an integer for p={p.p}, ell={ell.ell}"
+        )
+    return total.numerator % 8
 
 
 def flat_connections(
@@ -145,7 +149,7 @@ def flat_connections(
                 triple=ell,
                 cs=chern_simons(p, ell),
                 torsion_sqrt=torsion_sqrt(p, ell, ctx),
-                spectral_flow=spectral_flow(p, ell, ctx),
+                spectral_flow=spectral_flow(p, ell),
                 conjugacy_angles=conjugacy_angles(p, ell),
             )
         )

@@ -156,6 +156,8 @@ def test_verify_torsion_and_modular_and_table():
         report, code = execute(parse(["verify", "--suite", suite]))
         assert code == EXIT_OK, suite
         assert report.status == "ok"
+        if suite == "torsion":  # one S-torsion residual per manifold, up to D = 180
+            assert report.results["checks"] == 6
 
 
 def test_verify_failure_exit_code(monkeypatch, tmp_path):
@@ -209,6 +211,20 @@ def test_text_format_renders():
     text = render(cmd, report)
     assert "status: ok" in text
     assert "tau.re" in text
+
+
+def test_flat_is_precision_independent():
+    # the exact parts of every flat-connection record ignore --precision
+    exact_keys = ("ell", "cs", "spectral_flow", "conjugacy_angles")
+    records = []
+    for digits in ("20", "100"):
+        report, code = execute(parse(["flat", "--p", "5,7,9", "--precision", digits]))
+        assert code == EXIT_OK
+        records.append(
+            [{k: r[k] for k in exact_keys} for r in report.results["flat_connections"]]
+        )
+    assert records[0] == records[1]
+    assert len(records[0]) == 24
 
 
 def test_precision_failure_exit_code(monkeypatch):

@@ -8,18 +8,22 @@ from mpmath import mp
 from brieskorn_wrt import (
     BrieskornTriple,
     EllTriple,
+    PrecisionContext,
     admissible_triples,
     casson,
     chern_simons,
     conjugacy_angles,
     dedekind_sum,
     dedekind_sum_cotangent,
+    euler_number,
     flat_connections,
     modular_data,
     phi_invariant,
+    spectral_flow,
     t_exponent,
     verify_s_torsion,
 )
+from brieskorn_wrt.exactmath import to_mpf
 from conftest import coprime_triples
 
 P235 = BrieskornTriple(2, 3, 5)
@@ -167,6 +171,72 @@ def test_s_torsion_identity_residuals(ctx50):
         threshold = mp.mpf(10) ** (-(ctx50.decimal_digits - 15))
         for p in (P235, P237, P345):
             assert verify_s_torsion(p, ctx50) < threshold
+
+
+def spectral_flow_cotangent(p, ell, ctx):
+    """Oracle: the floating cotangent sum, snapped to an integer within 1e-10.
+
+    -3 - 2e^2/P - sum_j (2/p_j) sum_k cot(pi k P/p_j^2) cot(pi k/p_j) sin^2(pi k e/p_j)
+    """
+    e = euler_number(p, ell)
+    with ctx.workdps():
+        cot_total = mp.mpf(0)
+        for pk in p.p:
+            inner = mp.mpf(0)
+            for k in range(1, pk):
+                a1 = Fraction(k * p.P, pk * pk) % 1
+                assert a1 != 0
+                a2 = Fraction(k, pk) % 1
+                s = mp.sinpi(to_mpf(Fraction(k * e, pk) % 1))
+                inner += (
+                    (mp.cospi(to_mpf(a1)) / mp.sinpi(to_mpf(a1)))
+                    * (mp.cospi(to_mpf(a2)) / mp.sinpi(to_mpf(a2)))
+                    * s
+                    * s
+                )
+            cot_total += 2 * inner / pk
+        total = -3 - (to_mpf(Fraction(2 * e * e, p.P)) + cot_total)
+        snapped = int(mp.nint(total))
+        assert abs(total - snapped) < 1e-10, (p.p, ell.ell, total)
+    return snapped % 8
+
+
+ORACLE_PMAX = 315  # every coprime triple up to (5,7,9)
+
+
+def test_spectral_flow_matches_cotangent_sum(ctx30):
+    # a formula with c_j in place of c_j^{-1} still agrees on (2,3,5),
+    # (2,3,7) and (3,5,8), where c_j^2 = 1 mod p_j; (3,4,5), (5,7,9) and
+    # most of the range tell them apart
+    triples = coprime_triples(ORACLE_PMAX)
+    assert {(2, 3, 5), (3, 4, 5), (3, 5, 8), (5, 7, 9)} <= set(triples)
+    for ps in triples:
+        p = BrieskornTriple(*ps)
+        for ell in admissible_triples(p)[0]:
+            assert spectral_flow(p, ell) == spectral_flow_cotangent(p, ell, ctx30), (
+                ps,
+                ell.ell,
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([ps for ps in coprime_triples(3000) if ps[0] * ps[1] * ps[2] > ORACLE_PMAX]),
+    st.data(),
+)
+def test_spectral_flow_matches_cotangent_sum_above_bound(ps, data):
+    p = BrieskornTriple(*ps)
+    ell = data.draw(st.sampled_from(admissible_triples(p)[0]))
+    assert spectral_flow(p, ell) == spectral_flow_cotangent(p, ell, PrecisionContext(30))
+
+
+def test_spectral_flow_raises_on_a_fraction(monkeypatch):
+    # a non-integer total is a structural fault, never rounded
+    import brieskorn_wrt.topology as topology
+
+    monkeypatch.setattr(topology, "_spectral_flow_offset", lambda p: Fraction(-7, 2))
+    with pytest.raises(ArithmeticError, match=r"p=\(2, 3, 5\), ell=\(1, 1, 1\)"):
+        spectral_flow(P235, EllTriple(1, 1, 1))
 
 
 def test_spectral_phase_is_fourth_root_of_unity():
