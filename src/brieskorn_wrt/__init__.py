@@ -1,10 +1,12 @@
 """Exact and high-precision invariants of Brieskorn homology spheres.
 
-Computes the SU(2) quantum invariant tau_N from its closed cyclotomic sum,
-the weight-3/2 theta series with its transformation data, Eichler-integral
-limits and asymptotics, the classical invariants (Casson, Chern-Simons,
-Reidemeister torsion, spectral flow), and the exact perturbative series
-coefficients, with every identity between them available as a check.
+Computes the SU(2) quantum invariant tau_N as half the Eichler-integral
+limit of a false theta series (the closed cyclotomic surgery sum is kept as
+a cross-check), the weight-3/2 theta series with its transformation data,
+the nearly modular asymptotics of those limits, the classical invariants
+(Casson, Chern-Simons, Reidemeister torsion, spectral flow), and the exact
+perturbative series coefficients, with every identity between them
+available as a check.
 """
 
 __version__ = "0.1.0"
@@ -19,39 +21,28 @@ from .chi import (
     ell_condition,
     enumerate_triples,
     gamma_closed_form,
-    generating_series,
     l_function_value,
     mordell_count,
     orbit,
-    weighted_sum,
 )
 from .exactmath import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     Rational,
-    UnimodularMatrix,
     bernoulli_number,
     bernoulli_polynomial,
     dedekind_sum,
-    dedekind_sum_cotangent,
-    erfc,
-    gauss_reciprocity_sides,
-    gauss_sum,
-    rademacher_phi,
-    sawtooth,
     solve_seifert_q,
     stirling_first,
 )
 from .modularform import (
+    AsymptoticApprox,
     EichlerTail,
     ModularData,
-    NearlyModularExpansion,
-    eichler_integer_data,
     eichler_limit,
     eichler_tail,
     modular_data,
     nearly_modular_expansion,
-    phi_hat,
     t_exponent,
     theta_eval,
 )
@@ -78,7 +69,6 @@ from .topology import (
     verify_s_torsion,
 )
 from .wrt import (
-    AsymptoticApprox,
     WrtResult,
     asymptotic_approx,
     rozansky_normalized,
@@ -94,14 +84,12 @@ __all__ = [
     "EllTriple",
     "FlatConnectionRecord",
     "ModularData",
-    "NearlyModularExpansion",
     "OhtsukiSeries",
     "PeriodicChi",
     "PrecisionContext",
     "Rational",
     "SpectralFlowPrecisionError",
     "Table1Report",
-    "UnimodularMatrix",
     "WrtResult",
     "admissible_triples",
     "asymptotic_approx",
@@ -113,19 +101,13 @@ __all__ = [
     "chern_simons",
     "conjugacy_angles",
     "dedekind_sum",
-    "dedekind_sum_cotangent",
-    "eichler_integer_data",
     "eichler_limit",
     "eichler_tail",
     "ell_condition",
     "enumerate_triples",
-    "erfc",
     "euler_number",
     "flat_connections",
     "gamma_closed_form",
-    "gauss_reciprocity_sides",
-    "gauss_sum",
-    "generating_series",
     "l_function_value",
     "lambda_coefficients",
     "load_table1",
@@ -133,11 +115,8 @@ __all__ = [
     "mordell_count",
     "nearly_modular_expansion",
     "orbit",
-    "phi_hat",
     "phi_invariant",
-    "rademacher_phi",
     "rozansky_normalized",
-    "sawtooth",
     "solve_seifert_q",
     "spectral_flow",
     "stirling_first",
@@ -150,5 +129,4 @@ __all__ = [
     "theta_eval",
     "torsion_sqrt",
     "verify_s_torsion",
-    "weighted_sum",
 ]

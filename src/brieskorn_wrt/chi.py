@@ -149,20 +149,13 @@ def enumerate_triples(p: BrieskornTriple) -> tuple:
 class PeriodicChi:
     """Odd periodic sign function of period 2*P with eight-point support.
 
-    ``table`` maps residue (0-indexed, length 2*P) to {-1, 0, +1};
-    ``support`` lists the eight residues carrying a sign, sorted.
+    ``signed_support`` lists the eight (residue, sign) pairs, sorted by
+    residue in [0, 2P); chi vanishes at every other residue.  Nothing of
+    size P is stored.
     """
 
     modulus: int
-    table: tuple
-    support: tuple
-
-    def value(self, n: int) -> int:
-        return self.table[n % self.modulus]
-
-    @property
-    def signed_support(self) -> tuple:
-        return tuple((r, self.table[r]) for r in self.support)
+    signed_support: tuple
 
 
 @lru_cache(maxsize=4096)
@@ -183,20 +176,12 @@ def build_chi(p: BrieskornTriple, ell: EllTriple) -> PeriodicChi:
                 f"epsilon residues collide for p={p.p}, ell={ell.ell} at {residue}"
             )
         values[residue] = sign
-    table = [0] * two_p
-    for residue, sign in values.items():
-        table[residue] = sign
     # oddness and zero mean are structural; verify once at construction
-    if any(table[-r % two_p] != -sign for r, sign in values.items()):
+    if any(values.get(-r % two_p) != -sign for r, sign in values.items()):
         raise ArithmeticError(f"chi is not odd for p={p.p}, ell={ell.ell}")
     if sum(values.values()):
         raise ArithmeticError(f"chi has non-zero mean for p={p.p}, ell={ell.ell}")
-    return PeriodicChi(two_p, tuple(table), tuple(sorted(values)))
-
-
-def weighted_sum(chi: PeriodicChi) -> int:
-    """sum_{n=1}^{2P} n * chi(n); always 0 or 4P."""
-    return sum(r * chi.table[r] for r in chi.support)
+    return PeriodicChi(two_p, tuple(sorted(values.items())))
 
 
 def _in_open_tetrahedron(big: int, a1: int, a2: int, a3: int) -> bool:
@@ -274,42 +259,3 @@ def l_function_value(chi: PeriodicChi, k: int) -> Rational:
     for r, sign in chi.signed_support:
         total += sign * bernoulli_polynomial(2 * k + 1, Fraction(r, two_p))
     return -Fraction(two_p ** (2 * k), 2 * k + 1) * total
-
-
-def generating_series(p: BrieskornTriple, truncation: int) -> list:
-    """Laurent coefficients of the sign-function generating quotient.
-
-    Expands (z^{p1 p2} - z^{-p1 p2})(z^{p2 p3} - z^{-p2 p3})
-    (z^{p1 p3} - z^{-p1 p3}) / (z^P - z^{-P}) about z = 0 and returns the
-    coefficients of z^0 .. z^truncation.  For triples with reciprocal sum
-    below 1 these equal chi(n) for ell = (1,1,1); for (2,3,5) the expansion
-    carries an extra 1/z + z, so the returned list is chi(n) plus 1 at n = 1
-    (the 1/z coefficient is checked and dropped).
-    """
-    if truncation < 1:
-        raise ValueError("truncation must be positive")
-    a, b, c = p.p1 * p.p2, p.p2 * p.p3, p.p1 * p.p3
-    numerator = {0: 1}
-    for e in (a, b, c):
-        nxt = {}
-        for exp, coeff in numerator.items():
-            nxt[exp + e] = nxt.get(exp + e, 0) + coeff
-            nxt[exp - e] = nxt.get(exp - e, 0) - coeff
-        numerator = nxt
-    # multiply both parts of the quotient by z^P: f(z) / (z^{2P} - 1)
-    shifted = {exp + p.P: coeff for exp, coeff in numerator.items()}
-    min_exp = min(shifted)
-    if not (min_exp == -1 if p.is_poincare else min_exp >= 0):
-        raise ArithmeticError(f"unexpected lowest exponent {min_exp} for {p}")
-    # 1/(z^{2P} - 1) = -(1 + z^{2P} + z^{4P} + ...) as a power series
-    def coefficient(t: int) -> int:
-        total = 0
-        e = t
-        while e >= min_exp:
-            total -= shifted.get(e, 0)
-            e -= 2 * p.P
-        return total
-
-    if p.is_poincare and coefficient(-1) != 1:
-        raise ArithmeticError("Laurent part must be exactly 1/z")
-    return [coefficient(t) for t in range(truncation + 1)]

@@ -1,9 +1,9 @@
-"""Exact rational number theory and precision-controlled numeric primitives.
+"""Exact rational number theory and the precision context for numeric work.
 
-Everything exact (sawtooth, Dedekind sums, Bernoulli polynomials, Stirling
-numbers, Seifert surgery coefficients) is computed over arbitrary-precision
-integers and ``fractions.Fraction``.  Everything numeric (Gauss sums, erfc)
-is computed with mpmath at a precision carried explicitly by a
+Everything exact (Dedekind sums, Bernoulli polynomials, Stirling numbers,
+Seifert surgery coefficients) is computed over arbitrary-precision integers
+and ``fractions.Fraction``.  Floating computations elsewhere in the package
+run with mpmath at a precision carried explicitly by a
 :class:`PrecisionContext`, so results never depend on ambient mpmath state
 beyond the scope of a single call.
 """
@@ -56,24 +56,6 @@ class PrecisionContext:
 DEFAULT_CONTEXT = PrecisionContext()
 
 
-@dataclass(frozen=True)
-class UnimodularMatrix:
-    """Integer matrix [[p, r], [q, s]] with determinant one."""
-
-    p: int
-    r: int
-    q: int
-    s: int
-
-    def __post_init__(self) -> None:
-        if self.p * self.s - self.q * self.r != 1:
-            raise ValueError("matrix must have determinant 1")
-
-    def left_multiply_s(self) -> "UnimodularMatrix":
-        """Return S*U for S = [[0, -1], [1, 0]]."""
-        return UnimodularMatrix(-self.q, -self.s, self.p, self.r)
-
-
 def to_mpf(x):
     """Convert int/Fraction/float to mpf at current working precision."""
     if isinstance(x, Fraction):
@@ -86,14 +68,6 @@ def ensure_finite(z):
     if not mp.isfinite(z):
         raise ArithmeticError(f"non-finite value escaped a computation: {z!r}")
     return z
-
-
-def sawtooth(x) -> Fraction:
-    """Sawtooth ((x)) = x - floor(x) - 1/2 for non-integral x, else 0."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - math.floor(x) - Fraction(1, 2)
 
 
 def dedekind_sum(b: int, a: int) -> Fraction:
@@ -117,34 +91,6 @@ def dedekind_sum(b: int, a: int) -> Fraction:
         h, k = k % h, h
         sign = -sign
     return total if a > 0 else -total
-
-
-def dedekind_sum_cotangent(b: int, a: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Cotangent form (1/4a) * sum_k cot(k pi/a) cot(k b pi/a), gcd(b, a) = 1.
-
-    Numeric cross-check of :func:`dedekind_sum`; requires coprimality so no
-    cotangent pole is hit.
-    """
-    if a <= 1:
-        raise ValueError("cotangent form needs a > 1")
-    if math.gcd(b, a) != 1:
-        raise ValueError("cotangent form needs gcd(b, a) = 1")
-    with ctx.workdps():
-        total = mp.mpf(0)
-        for k in range(1, a):
-            t1 = Fraction(k, a) % 1
-            t2 = Fraction(k * b, a) % 1
-            total += (mp.cospi(to_mpf(t1)) / mp.sinpi(to_mpf(t1))) * (
-                mp.cospi(to_mpf(t2)) / mp.sinpi(to_mpf(t2))
-            )
-        return ensure_finite(+(total / (4 * a)))
-
-
-def rademacher_phi(u: UnimodularMatrix) -> Fraction:
-    """Rademacher Phi of [[p, r], [q, s]]: (p+s)/q - 12 s(p, q), or r/s if q = 0."""
-    if u.q != 0:
-        return Fraction(u.p + u.s, u.q) - 12 * dedekind_sum(u.p, u.q)
-    return Fraction(u.r, u.s)
 
 
 @lru_cache(maxsize=None)
@@ -189,54 +135,6 @@ def stirling_first(n: int, m: int) -> int:
     if n < 0 or not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     return _stirling_row(n)[m]
-
-
-def gauss_sum(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Quadratic Gauss sum G(n) = sum_{j=0}^{2n-1} exp(-pi i j^2 / (2n))."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    with ctx.workdps():
-        total = mp.mpc(0)
-        for j in range(2 * n):
-            total += mp.expjpi(to_mpf(Fraction(-(j * j % (4 * n)), 2 * n)))
-        return ensure_finite(+total)
-
-
-def gauss_reciprocity_sides(n: int, m: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Both sides of the quadratic reciprocity identity for finite Gauss sums.
-
-    Left: sum_{j mod n} exp(pi i m j^2 / n + 2 pi i k j).
-    Right: sqrt|n/m| exp(pi i sign(nm)/4) sum_{j mod m} exp(-pi i n (j+k)^2 / m).
-    Requires n >= 1, m != 0, n*m even and n*k integral, which make both sums
-    well defined.  Returns the pair (left, right).
-    """
-    k = Fraction(k)
-    if n < 1:
-        raise ValueError("n must be positive")
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    if (n * m) % 2 != 0:
-        raise ValueError("n*m must be even")
-    if (k * n).denominator != 1:
-        raise ValueError("n*k must be an integer")
-    with ctx.workdps():
-        left = mp.mpc(0)
-        for j in range(n):
-            arg = (Fraction(m * j * j, n) + 2 * k * j) % 2
-            left += mp.expjpi(to_mpf(arg))
-        right = mp.mpc(0)
-        for j in range(abs(m)):
-            arg = (-Fraction(n) * (j + k) ** 2 / m) % 2
-            right += mp.expjpi(to_mpf(arg))
-        sign = 1 if m > 0 else -1
-        right *= mp.sqrt(mp.mpf(n) / abs(m)) * mp.expjpi(to_mpf(Fraction(sign, 4)))
-        return ensure_finite(+left), ensure_finite(+right)
-
-
-def erfc(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Complementary error function at context precision."""
-    with ctx.workdps():
-        return ensure_finite(+mp.erfc(to_mpf(x)))
 
 
 def _egcd(a: int, b: int):

@@ -6,7 +6,8 @@ factored form, a scale, three per-fibre sine tables and an integer parity
 sign, and is read one row at a time.  Its Eichler integral is only nearly
 modular: at rationals it has finite limiting values (computable as finite
 sums) and a divergent asymptotic tail built from L-values, both of which are
-exposed here.
+exposed here.  ``nearly_modular_expansion`` is the one implementation of that
+split; ``wrt.asymptotic_approx`` normalizes its (1, 1, 1) row.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .chi import (
     EllTriple,
     build_chi,
     canonicalize,
+    ell_condition,
     enumerate_triples,
     l_function_value,
-    weighted_sum,
 )
 from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, to_mpf
 
@@ -64,9 +65,6 @@ class ModularData:
     ctx: PrecisionContext
     scale: object
     sine_tables: tuple
-
-    def index(self, ell: EllTriple) -> int:
-        return self.triples.index(canonicalize(self.triple, ell))
 
     def s_row(self, ell: EllTriple) -> tuple:
         """The D entries S[ell][l'] over the canonical triples l', in O(D)."""
@@ -192,83 +190,27 @@ def eichler_limit(
         return ensure_finite(total / pn)
 
 
-def eichler_integer_data(p: BrieskornTriple, ell: EllTriple):
-    """Exact form of the integer-point limit: (amplitude, phase exponent).
-
-    The limit at integer N equals amplitude * exp(pi i r N) with amplitude
-    -(sum n chi(n)) / 2P (hence 0 or -2) and r the T-exponent.
-    """
-    chi = build_chi(p, ell)
-    amplitude = -Fraction(weighted_sum(chi), 2 * p.P)
-    return amplitude, t_exponent(p, ell)
-
-
-def phi_hat(
-    p: BrieskornTriple,
-    ell: EllTriple,
-    z,
-    ctx: PrecisionContext = DEFAULT_CONTEXT,
-):
-    """Lower-half-plane companion sum_n chi(n) e^{n^2 pi i z/2P} erfc(n sqrt(-pi y/P)).
-
-    Converges for Im z < 0 and tends to the Eichler limit as z approaches a
-    rational from below.  Truncated via the erfc tail bound
-    erfc(t) <= exp(-t^2)/(t sqrt(pi)).
-    """
-    chi = build_chi(p, ell)
-    with ctx.workdps():
-        z = mp.mpc(z)
-        y = mp.im(z)
-        if not y < 0:
-            raise ValueError("z must lie in the lower half plane")
-        c = mp.sqrt(-mp.pi * y / p.P)
-        log_tol = float(mp.log(ctx.tolerance))
-        # |term(n)| <= exp(-n^2 pi|y|/2P) / (n c sqrt(pi)); stop once the
-        # geometric tail starting at n is below tolerance
-        decay = float(mp.pi * (-y) / (2 * p.P))
-        log_c = float(mp.log(c * mp.sqrt(mp.pi)))
-
-        def tail_small(n: int) -> bool:
-            bound = -decay * n * n - math.log(n) - log_c
-            gap = decay * (2 * n + 1)
-            spread = math.log1p(1 / max(gap, 1e-300)) if gap < 1 else 0.0
-            return bound + spread < log_tol
-
-        total = mp.mpc(0)
-        two_p = chi.modulus
-        supports = list(chi.signed_support)
-        block = 0
-        while True:
-            done = True
-            for r, sign in supports:
-                n = r + block * two_p
-                total += sign * mp.expjpi(z * n * n / (2 * p.P)) * mp.erfc(n * c)
-            probe = (block + 1) * two_p + 1
-            if not tail_small(probe):
-                done = False
-            block += 1
-            if done:
-                break
-        return ensure_finite(+total)
-
-
 @dataclass(frozen=True)
 class EichlerTail:
     """Asymptotic tail of the nearly modular expansion.
 
     ``coefficients[k]`` is L(-2k, chi)/k!; evaluation multiplies term k by
     (pi i / (2 P N))^k.  The series is asymptotic, not convergent: K is the
-    caller's truncation choice.
+    caller's truncation choice.  An order outside the stored coefficients
+    raises ValueError.
     """
 
     two_p: int
     coefficients: tuple
 
+    def _check_order(self, k: int) -> None:
+        if not 0 <= k < len(self.coefficients):
+            raise ValueError(f"tail order {k} outside [0, {len(self.coefficients)})")
+
     def evaluate(self, n: int, k_max: int | None = None, ctx: PrecisionContext = DEFAULT_CONTEXT):
         if k_max is None:
             k_max = len(self.coefficients) - 1
-        if k_max >= len(self.coefficients):
-            raise ValueError("tail order exceeds stored coefficients")
+        self._check_order(k_max)
         with ctx.workdps():
             scale = mp.mpc(0, 1) * mp.pi / (self.two_p * n)
             total = mp.mpc(0)
@@ -279,6 +221,7 @@ class EichlerTail:
             return ensure_finite(+total)
 
     def term(self, n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
+        self._check_order(k)
         with ctx.workdps():
             scale = mp.mpc(0, 1) * mp.pi / (self.two_p * n)
             return ensure_finite(+(to_mpf(self.coefficients[k]) * scale**k))
@@ -286,6 +229,8 @@ class EichlerTail:
 
 def eichler_tail(p: BrieskornTriple, ell: EllTriple, order: int) -> EichlerTail:
     """Tail coefficients L(-2k, chi)/k! for k = 0..order, exact."""
+    if order < 0:
+        raise ValueError("tail order must be non-negative")
     chi = build_chi(p, ell)
     coeffs = tuple(
         l_function_value(chi, k) / math.factorial(k) for k in range(order + 1)
@@ -294,10 +239,13 @@ def eichler_tail(p: BrieskornTriple, ell: EllTriple, order: int) -> EichlerTail:
 
 
 @dataclass(frozen=True)
-class NearlyModularExpansion:
+class AsymptoticApprox:
+    """dominant + tail of a limit at 1/N; abs_error = |exact - dominant - tail|."""
+
     dominant: object
     tail: object
-    residual: object
+    exact: object
+    abs_error: object
 
 
 def nearly_modular_expansion(
@@ -306,12 +254,12 @@ def nearly_modular_expansion(
     n: int,
     k_max: int,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
-) -> NearlyModularExpansion:
+) -> AsymptoticApprox:
     """Dominant S-transformed part plus order-k_max tail of the limit at 1/n.
 
-    dominant = -sqrt(n/i) * sum_l' S[ell][l'] * (integer-point limit at -n);
-    only triples with non-vanishing integer limits contribute.  residual is
-    |finite-sum value - dominant - tail|.
+    dominant = -sqrt(n/i) sum_l' S[ell][l'] (integer-point limit of l' at -n),
+    that limit being -2 e^{-pi i r(l') n} where ``ell_condition`` holds and 0
+    elsewhere; exact is ``eichler_limit`` at 1/n.
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
@@ -320,18 +268,12 @@ def nearly_modular_expansion(
     md = modular_data(p, ctx)
     with ctx.workdps():
         dominant = mp.mpc(0)
-        for s, ellp in zip(md.s_row(ell), md.triples):
-            amplitude, r = eichler_integer_data(p, ellp)
-            if amplitude == 0:
-                continue
-            phase = mp.expjpi(to_mpf((r * -n) % 2))
-            dominant += s * to_mpf(amplitude) * phase
-        dominant *= -mp.sqrt(mp.mpf(n)) * mp.expjpi(mp.mpf(-0.25))
+        for s, r, ellp in zip(md.s_row(ell), md.t_exponents, md.triples):
+            if ell_condition(p, ellp):
+                dominant += s * mp.expjpi(to_mpf((r * -n) % 2))
+        # -sqrt(n/i) times the amplitude -2
+        dominant *= 2 * mp.sqrt(mp.mpf(n)) * mp.expjpi(mp.mpf(-0.25))
         tail = eichler_tail(p, ell, k_max).evaluate(n, k_max, ctx)
         exact = eichler_limit(p, ell, 1, n, ctx)
-        residual = abs(exact - dominant - tail)
-        return NearlyModularExpansion(
-            dominant=ensure_finite(+dominant),
-            tail=ensure_finite(+tail),
-            residual=ensure_finite(+residual),
-        )
+        abs_error = ensure_finite(abs(exact - dominant - tail))
+        return AsymptoticApprox(ensure_finite(+dominant), tail, exact, abs_error)

@@ -6,9 +6,10 @@ false theta series at 1/N, plus e^{pi i/60N} for the Poincare sphere.  That
 finite sum has 4N terms whatever the triple.  The closed cyclotomic surgery
 sum over 0 <= n < 2PN (2PN - 2P terms, multiples of N excluded by index
 arithmetic) is kept as ``rozansky_normalized``, the independent route that
-the ``theorem51`` suite and the tests compare against.  All root-of-unity
-sums run in high-precision floating point with exact integer argument
-reduction; an error budget of term_count * ulp is tracked and reported.
+the ``theorem51`` suite and the tests compare against; the asymptotics
+normalize the (1, 1, 1) nearly modular expansion the same way.  All
+root-of-unity sums run in high-precision floating point with exact integer
+argument reduction; an error budget of term_count * ulp is tracked.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .chi import BrieskornTriple, EllTriple, ell_condition
+from .chi import BrieskornTriple, EllTriple
 from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, to_mpf
-from .modularform import eichler_limit, eichler_tail, modular_data
+from .modularform import AsymptoticApprox, eichler_limit, nearly_modular_expansion
 from .topology import phi_invariant
 
 
@@ -83,13 +84,13 @@ def rozansky_normalized(
         return ensure_finite(+(prefactor * total))
 
 
-def _theorem51_normalized(p: BrieskornTriple, n_level: int, ctx: PrecisionContext):
-    """Normalized tau_N as (1/2) Eichler limit at 1/N, + e^{pi i/60N} on (2,3,5)."""
-    with ctx.workdps():
-        value = eichler_limit(p, EllTriple(1, 1, 1), 1, n_level, ctx) / 2
-        if p.is_poincare:
-            value += mp.expjpi(mp.mpf(1) / (60 * n_level))
-        return ensure_finite(+value)
+def _theorem51_normalized(p: BrieskornTriple, limit, n_level: int):
+    # Theorem 5.1: half a (1, 1, 1) quantity at 1/N, plus e^{pi i/60N} on
+    # (2,3,5); called inside the caller's workdps()
+    value = limit / 2
+    if p.is_poincare:
+        value += mp.expjpi(mp.mpf(1) / (60 * n_level))
+    return ensure_finite(+value)
 
 
 def tau_prefactor(p: BrieskornTriple, n_level: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -115,8 +116,9 @@ def tau_n(
     """
     if n_level < 3:
         raise ValueError("level must be at least 3")
-    normalized = _theorem51_normalized(p, n_level, ctx)
     with ctx.workdps():
+        limit = eichler_limit(p, EllTriple(1, 1, 1), 1, n_level, ctx)
+        normalized = _theorem51_normalized(p, limit, n_level)
         tau = normalized / tau_prefactor(p, n_level, ctx)
         z = tau * mp.sinpi(mp.mpf(1) / n_level) / mp.sqrt(mp.mpf(n_level) / 2)
         term_count = 4 * n_level
@@ -131,14 +133,6 @@ def tau_n(
         )
 
 
-@dataclass(frozen=True)
-class AsymptoticApprox:
-    dominant: object
-    tail: object
-    exact: object
-    abs_error: object
-
-
 def asymptotic_approx(
     p: BrieskornTriple,
     n_level: int,
@@ -147,32 +141,16 @@ def asymptotic_approx(
 ) -> AsymptoticApprox:
     """Stationary-phase approximation of the normalized invariant.
 
-    dominant = sqrt(N/i) sum_l S[(1,1,1)][l] e^{-pi i r(l) N} over admissible
-    triples; tail = (1/2) sum_{k<=k_max} L(-2k, chi)/k! (pi i/(2PN))^k, plus
-    the extra e^{pi i/(60N)} term for the Poincare sphere.  abs_error
-    compares against the exact normalized value, computed as in ``tau_n``.
+    Half the (1, 1, 1) ``nearly_modular_expansion`` at 1/N: dominant =
+    sqrt(N/i) sum_l S[(1,1,1)][l] e^{-pi i r(l) N} over admissible triples,
+    tail = (1/2) sum_{k<=k_max} L(-2k, chi)/k! (pi i/(2PN))^k; tail and the
+    exact value (that of ``tau_n``) gain e^{pi i/(60N)} on the Poincare sphere.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be non-negative")
     if n_level < 3:
         raise ValueError("level must be at least 3")
-    md = modular_data(p, ctx)
-    base = EllTriple(1, 1, 1)
+    expansion = nearly_modular_expansion(p, EllTriple(1, 1, 1), n_level, k_max, ctx)
     with ctx.workdps():
-        dominant = mp.mpc(0)
-        for s, r, ellp in zip(md.s_row(base), md.t_exponents, md.triples):
-            if not ell_condition(p, ellp):
-                continue
-            phase = mp.expjpi(to_mpf((r * -n_level) % 2))
-            dominant += s * phase
-        dominant *= mp.sqrt(mp.mpf(n_level)) * mp.expjpi(mp.mpf(-0.25))
-        tail = eichler_tail(p, base, k_max).evaluate(n_level, k_max, ctx) / 2
-        if p.is_poincare:
-            tail += mp.expjpi(to_mpf(Fraction(1, 60 * n_level)))
-        exact = _theorem51_normalized(p, n_level, ctx)
-        return AsymptoticApprox(
-            dominant=ensure_finite(+dominant),
-            tail=ensure_finite(+tail),
-            exact=exact,
-            abs_error=+abs(exact - dominant - tail),
-        )
+        dominant = expansion.dominant / 2
+        tail = _theorem51_normalized(p, expansion.tail, n_level)
+        exact = _theorem51_normalized(p, expansion.exact, n_level)
+        return AsymptoticApprox(dominant, tail, exact, +abs(exact - dominant - tail))

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from brieskorn_wrt import BrieskornTriple, PrecisionContext, phi_hat
+from brieskorn_wrt import BrieskornTriple, PrecisionContext
 from brieskorn_wrt.cli import coprime_triples as cli_coprime_triples
 from brieskorn_wrt.exactmath import to_mpf
+from oracles import phi_hat
 
 
 @pytest.fixture(scope="session")

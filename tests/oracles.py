@@ -1,0 +1,248 @@
+"""Closed forms and slower routes kept only as cross-checks for the tests.
+
+None of these has a caller in ``brieskorn_wrt``: the cotangent, sawtooth
+and Rademacher forms check the exact Dedekind sums, the Gauss sums and erfc
+check the root-of-unity and error-function arithmetic, ``generating_series``
+and ``chi_value`` read chi off independently of its eight-point support,
+``phi_hat`` approaches the Eichler limits from the lower half plane, and
+``eichler_integer_data`` is the closed form behind the ``ell_condition``
+filter of the nearly modular expansion.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from mpmath import mp
+
+from brieskorn_wrt import (
+    DEFAULT_CONTEXT,
+    BrieskornTriple,
+    EllTriple,
+    ModularData,
+    PeriodicChi,
+    PrecisionContext,
+    build_chi,
+    canonicalize,
+    dedekind_sum,
+    t_exponent,
+)
+from brieskorn_wrt.exactmath import ensure_finite, to_mpf
+
+
+@dataclass(frozen=True)
+class UnimodularMatrix:
+    """Integer matrix [[p, r], [q, s]] with determinant one."""
+
+    p: int
+    r: int
+    q: int
+    s: int
+
+    def __post_init__(self) -> None:
+        if self.p * self.s - self.q * self.r != 1:
+            raise ValueError("matrix must have determinant 1")
+
+    def left_multiply_s(self) -> "UnimodularMatrix":
+        """Return S*U for S = [[0, -1], [1, 0]]."""
+        return UnimodularMatrix(-self.q, -self.s, self.p, self.r)
+
+
+def sawtooth(x) -> Fraction:
+    """Sawtooth ((x)) = x - floor(x) - 1/2 for non-integral x, else 0."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - math.floor(x) - Fraction(1, 2)
+
+
+def dedekind_sum_cotangent(b: int, a: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """Cotangent form (1/4a) * sum_k cot(k pi/a) cot(k b pi/a), gcd(b, a) = 1.
+
+    Numeric cross-check of :func:`dedekind_sum`; requires coprimality so no
+    cotangent pole is hit.
+    """
+    if a <= 1:
+        raise ValueError("cotangent form needs a > 1")
+    if math.gcd(b, a) != 1:
+        raise ValueError("cotangent form needs gcd(b, a) = 1")
+    with ctx.workdps():
+        total = mp.mpf(0)
+        for k in range(1, a):
+            t1 = Fraction(k, a) % 1
+            t2 = Fraction(k * b, a) % 1
+            total += (mp.cospi(to_mpf(t1)) / mp.sinpi(to_mpf(t1))) * (
+                mp.cospi(to_mpf(t2)) / mp.sinpi(to_mpf(t2))
+            )
+        return ensure_finite(+(total / (4 * a)))
+
+
+def rademacher_phi(u: UnimodularMatrix) -> Fraction:
+    """Rademacher Phi of [[p, r], [q, s]]: (p+s)/q - 12 s(p, q), or r/s if q = 0."""
+    if u.q != 0:
+        return Fraction(u.p + u.s, u.q) - 12 * dedekind_sum(u.p, u.q)
+    return Fraction(u.r, u.s)
+
+
+def gauss_sum(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """Quadratic Gauss sum G(n) = sum_{j=0}^{2n-1} exp(-pi i j^2 / (2n))."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    with ctx.workdps():
+        total = mp.mpc(0)
+        for j in range(2 * n):
+            total += mp.expjpi(to_mpf(Fraction(-(j * j % (4 * n)), 2 * n)))
+        return ensure_finite(+total)
+
+
+def gauss_reciprocity_sides(n: int, m: int, k, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """Both sides of the quadratic reciprocity identity for finite Gauss sums.
+
+    Left: sum_{j mod n} exp(pi i m j^2 / n + 2 pi i k j).
+    Right: sqrt|n/m| exp(pi i sign(nm)/4) sum_{j mod m} exp(-pi i n (j+k)^2 / m).
+    Requires n >= 1, m != 0, n*m even and n*k integral, which make both sums
+    well defined.  Returns the pair (left, right).
+    """
+    k = Fraction(k)
+    if n < 1:
+        raise ValueError("n must be positive")
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    if (n * m) % 2 != 0:
+        raise ValueError("n*m must be even")
+    if (k * n).denominator != 1:
+        raise ValueError("n*k must be an integer")
+    with ctx.workdps():
+        left = mp.mpc(0)
+        for j in range(n):
+            arg = (Fraction(m * j * j, n) + 2 * k * j) % 2
+            left += mp.expjpi(to_mpf(arg))
+        right = mp.mpc(0)
+        for j in range(abs(m)):
+            arg = (-Fraction(n) * (j + k) ** 2 / m) % 2
+            right += mp.expjpi(to_mpf(arg))
+        sign = 1 if m > 0 else -1
+        right *= mp.sqrt(mp.mpf(n) / abs(m)) * mp.expjpi(to_mpf(Fraction(sign, 4)))
+        return ensure_finite(+left), ensure_finite(+right)
+
+
+def erfc(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """Complementary error function at context precision."""
+    with ctx.workdps():
+        return ensure_finite(+mp.erfc(to_mpf(x)))
+
+
+def generating_series(p: BrieskornTriple, truncation: int) -> list:
+    """Laurent coefficients of the sign-function generating quotient.
+
+    Expands (z^{p1 p2} - z^{-p1 p2})(z^{p2 p3} - z^{-p2 p3})
+    (z^{p1 p3} - z^{-p1 p3}) / (z^P - z^{-P}) about z = 0 and returns the
+    coefficients of z^0 .. z^truncation.  For triples with reciprocal sum
+    below 1 these equal chi(n) for ell = (1,1,1); for (2,3,5) the expansion
+    carries an extra 1/z + z, so the returned list is chi(n) plus 1 at n = 1
+    (the 1/z coefficient is checked and dropped).
+    """
+    if truncation < 1:
+        raise ValueError("truncation must be positive")
+    a, b, c = p.p1 * p.p2, p.p2 * p.p3, p.p1 * p.p3
+    numerator = {0: 1}
+    for e in (a, b, c):
+        nxt = {}
+        for exp, coeff in numerator.items():
+            nxt[exp + e] = nxt.get(exp + e, 0) + coeff
+            nxt[exp - e] = nxt.get(exp - e, 0) - coeff
+        numerator = nxt
+    # multiply both parts of the quotient by z^P: f(z) / (z^{2P} - 1)
+    shifted = {exp + p.P: coeff for exp, coeff in numerator.items()}
+    min_exp = min(shifted)
+    if not (min_exp == -1 if p.is_poincare else min_exp >= 0):
+        raise ArithmeticError(f"unexpected lowest exponent {min_exp} for {p}")
+    # 1/(z^{2P} - 1) = -(1 + z^{2P} + z^{4P} + ...) as a power series
+    def coefficient(t: int) -> int:
+        total = 0
+        e = t
+        while e >= min_exp:
+            total -= shifted.get(e, 0)
+            e -= 2 * p.P
+        return total
+
+    if p.is_poincare and coefficient(-1) != 1:
+        raise ArithmeticError("Laurent part must be exactly 1/z")
+    return [coefficient(t) for t in range(truncation + 1)]
+
+
+def chi_value(chi: PeriodicChi, n: int) -> int:
+    """chi(n) in {-1, 0, +1}, read from the eight signed residues."""
+    return dict(chi.signed_support).get(n % chi.modulus, 0)
+
+
+def weighted_sum(chi: PeriodicChi) -> int:
+    """sum_{n=1}^{2P} n * chi(n); always 0 or 4P."""
+    return sum(r * sign for r, sign in chi.signed_support)
+
+
+def modular_index(md: ModularData, ell: EllTriple) -> int:
+    """Position of the orbit of ``ell`` among the canonical triples of ``md``."""
+    return md.triples.index(canonicalize(md.triple, ell))
+
+
+def eichler_integer_data(p: BrieskornTriple, ell: EllTriple):
+    """Exact form of the integer-point limit: (amplitude, phase exponent).
+
+    The limit at integer N equals amplitude * exp(pi i r N) with amplitude
+    -(sum n chi(n)) / 2P (hence 0 or -2) and r the T-exponent.
+    """
+    chi = build_chi(p, ell)
+    amplitude = -Fraction(weighted_sum(chi), 2 * p.P)
+    return amplitude, t_exponent(p, ell)
+
+
+def phi_hat(
+    p: BrieskornTriple,
+    ell: EllTriple,
+    z,
+    ctx: PrecisionContext = DEFAULT_CONTEXT,
+):
+    """Lower-half-plane companion sum_n chi(n) e^{n^2 pi i z/2P} erfc(n sqrt(-pi y/P)).
+
+    Converges for Im z < 0 and tends to the Eichler limit as z approaches a
+    rational from below.  Truncated via the erfc tail bound
+    erfc(t) <= exp(-t^2)/(t sqrt(pi)).
+    """
+    chi = build_chi(p, ell)
+    with ctx.workdps():
+        z = mp.mpc(z)
+        y = mp.im(z)
+        if not y < 0:
+            raise ValueError("z must lie in the lower half plane")
+        c = mp.sqrt(-mp.pi * y / p.P)
+        log_tol = float(mp.log(ctx.tolerance))
+        # |term(n)| <= exp(-n^2 pi|y|/2P) / (n c sqrt(pi)); stop once the
+        # geometric tail starting at n is below tolerance
+        decay = float(mp.pi * (-y) / (2 * p.P))
+        log_c = float(mp.log(c * mp.sqrt(mp.pi)))
+
+        def tail_small(n: int) -> bool:
+            bound = -decay * n * n - math.log(n) - log_c
+            gap = decay * (2 * n + 1)
+            spread = math.log1p(1 / max(gap, 1e-300)) if gap < 1 else 0.0
+            return bound + spread < log_tol
+
+        total = mp.mpc(0)
+        two_p = chi.modulus
+        supports = list(chi.signed_support)
+        block = 0
+        while True:
+            done = True
+            for r, sign in supports:
+                n = r + block * two_p
+                total += sign * mp.expjpi(z * n * n / (2 * p.P)) * mp.erfc(n * c)
+            probe = (block + 1) * two_p + 1
+            if not tail_small(probe):
+                done = False
+            block += 1
+            if done:
+                break
+        return ensure_finite(+total)

@@ -24,8 +24,6 @@ from brieskorn_wrt import (
     enumerate_triples,
     flat_connections,
     gamma_closed_form,
-    gauss_reciprocity_sides,
-    gauss_sum,
     l_function_value,
     modular_data,
     mordell_count,
@@ -38,6 +36,7 @@ from brieskorn_wrt import (
 )
 from brieskorn_wrt.exactmath import to_mpf
 from conftest import coprime_triples
+from oracles import gauss_reciprocity_sides, gauss_sum
 from test_chi import l_values_from_hyperbolic_quotient
 
 CTX = PrecisionContext(50)

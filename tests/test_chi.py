@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -15,13 +16,12 @@ from brieskorn_wrt import (
     ell_condition,
     enumerate_triples,
     gamma_closed_form,
-    generating_series,
     l_function_value,
     mordell_count,
     orbit,
-    weighted_sum,
 )
 from conftest import coprime_triples
+from oracles import chi_value, generating_series, weighted_sum
 
 SMALL_TRIPLES = coprime_triples(400)
 triple_strategy = st.sampled_from(SMALL_TRIPLES)
@@ -113,13 +113,15 @@ def test_chi_odd_zero_mean_eight_support(ps, data):
         data.draw(st.integers(1, p.p3 - 1)),
     )
     chi = build_chi(p, ell)
-    assert len(chi.support) == 8
-    signs = [chi.table[r] for r in chi.support]
+    residues = [r for r, _ in chi.signed_support]
+    assert len(set(residues)) == 8 and residues == sorted(residues)
+    assert all(0 <= r < chi.modulus for r in residues)
+    signs = [sign for _, sign in chi.signed_support]
     assert signs.count(1) == 4 and signs.count(-1) == 4
-    assert sum(chi.table) == 0
+    assert sum(chi_value(chi, n) for n in range(chi.modulus)) == 0
     for n in range(chi.modulus):
-        assert chi.value(chi.modulus - n) == -chi.value(n)
-        assert chi.value(n + chi.modulus) == chi.value(n)
+        assert chi_value(chi, chi.modulus - n) == -chi_value(chi, n)
+        assert chi_value(chi, n + chi.modulus) == chi_value(chi, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,8 +133,22 @@ def test_chi_constant_on_orbit(ps, data):
         data.draw(st.integers(1, p.p2 - 1)),
         data.draw(st.integers(1, p.p3 - 1)),
     )
-    tables = {build_chi(p, member).table for member in orbit(p, ell)}
-    assert len(tables) == 1
+    supports = {build_chi(p, member).signed_support for member in orbit(p, ell)}
+    assert len(supports) == 1
+
+
+def test_chi_memory_does_not_grow_with_the_period():
+    # fifty chi of a manifold with P = 102,083 hold eight pairs each, not a
+    # table of 2P entries; the cache is bypassed so every chi is built anew
+    p = BrieskornTriple(31, 37, 89)
+    tracemalloc.start()
+    try:
+        chis = [build_chi.__wrapped__(p, EllTriple(1, 1, l3)) for l3 in range(1, 51)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(chis) == 50
+    assert peak < 2**20, peak
 
 
 # ------------------------------------------------------------- canonical triples
@@ -382,14 +398,14 @@ def test_generating_series_matches_chi(ps):
     coeffs = generating_series(p, 4 * p.P - 1)
     assert all(c in (-1, 0, 1) for c in coeffs)
     for n, c in enumerate(coeffs):
-        assert c == chi.value(n)
+        assert c == chi_value(chi, n)
 
 
 def test_generating_series_poincare_correction():
     p = BrieskornTriple(2, 3, 5)
     chi = build_chi(p, EllTriple(1, 1, 1))
     coeffs = generating_series(p, 2 * p.P)
-    assert coeffs[1] == chi.value(1) + 1 == 0
+    assert coeffs[1] == chi_value(chi, 1) + 1 == 0
     for n, c in enumerate(coeffs):
         if n != 1:
-            assert c == chi.value(n)
+            assert c == chi_value(chi, n)

@@ -8,18 +8,20 @@ from mpmath import mp
 
 from brieskorn_wrt import (
     PrecisionContext,
-    UnimodularMatrix,
     bernoulli_number,
     bernoulli_polynomial,
     dedekind_sum,
+    solve_seifert_q,
+    stirling_first,
+)
+from oracles import (
+    UnimodularMatrix,
     dedekind_sum_cotangent,
     erfc,
     gauss_reciprocity_sides,
     gauss_sum,
     rademacher_phi,
     sawtooth,
-    solve_seifert_q,
-    stirling_first,
 )
 
 

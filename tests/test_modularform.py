@@ -9,21 +9,19 @@ from brieskorn_wrt import (
     BrieskornTriple,
     EllTriple,
     build_chi,
-    eichler_integer_data,
     eichler_limit,
     eichler_tail,
     enumerate_triples,
     modular_data,
     nearly_modular_expansion,
     orbit,
-    phi_hat,
     t_exponent,
     theta_eval,
-    weighted_sum,
 )
 from brieskorn_wrt.exactmath import PrecisionContext, to_mpf
 from brieskorn_wrt.modularform import _modular_data_cached
 from conftest import vertical_limit
+from oracles import eichler_integer_data, modular_index, phi_hat, weighted_sum
 
 P235 = BrieskornTriple(2, 3, 5)
 P237 = BrieskornTriple(2, 3, 7)
@@ -108,7 +106,7 @@ def test_s_row_matches_per_entry_oracle(p, ctx50):
             # a non-canonical orbit member reads the canonical row and entry,
             # which the per-entry formula also gives at that member
             for member in orbit(p, ell)[1:]:
-                assert md.index(member) == i
+                assert modular_index(md, member) == i
                 assert md.s_row(member) == row
             for s, ellp in zip(row, md.triples):
                 assert abs(s - _s_entry_oracle(p, ell, ellp)) < ctx50.tolerance
@@ -187,10 +185,10 @@ def test_theta_s_transformation(p, tau, ctx50):
 def test_theta_leading_term_dominates(ctx50):
     # far up the imaginary axis one lacunary term carries everything
     chi = build_chi(P237, EllTriple(1, 1, 1))
-    n0 = chi.support[0]
+    n0, sign = chi.signed_support[0]
     with ctx50.workdps():
         tau = mp.mpc(0, 40)
-        lead = n0 * chi.value(n0) * mp.expjpi(tau * n0 * n0 / (2 * P237.P))
+        lead = n0 * sign * mp.expjpi(tau * n0 * n0 / (2 * P237.P))
         ratio = theta_eval(P237, EllTriple(1, 1, 1), tau, ctx50) / lead
         assert abs(ratio - 1) < mp.mpf("1e-80")
 
@@ -286,24 +284,34 @@ def test_phi_hat_vertical_limits_random_rationals(ctx30):
 # --------------------------------------------------- nearly modular expansion
 
 
+# the trivial row of the Poincare sphere and two rows off (1, 1, 1)
+NEARLY_MODULAR_ROWS = (
+    (P235, EllTriple(1, 1, 1)),
+    (P237, EllTriple(1, 1, 3)),
+    (P345, EllTriple(1, 1, 2)),
+)
+
+
 def test_nearly_modular_residual_below_last_term(ctx50):
-    nm = nearly_modular_expansion(P235, EllTriple(1, 1, 1), 100, 4, ctx50)
-    with ctx50.workdps():
-        last = abs(eichler_tail(P235, EllTriple(1, 1, 1), 4).term(100, 4, ctx50))
-        assert nm.residual < last
+    for p, ell in NEARLY_MODULAR_ROWS:
+        nm = nearly_modular_expansion(p, ell, 100, 4, ctx50)
+        with ctx50.workdps():
+            last = abs(eichler_tail(p, ell, 4).term(100, 4, ctx50))
+            assert nm.abs_error < last, (p, ell)
 
 
 def test_nearly_modular_residual_scaling(ctx50):
     # truncation error drops like N^-(K+1); allow a factor-two window
     k = 3
-    with ctx50.workdps():
-        res = {
-            n: nearly_modular_expansion(P235, EllTriple(1, 1, 1), n, k, ctx50).residual
-            for n in (50, 100, 200)
-        }
-        for a, b in ((50, 100), (100, 200)):
-            ratio = res[b] / res[a]
-            assert mp.mpf(1) / 32 < ratio < mp.mpf(1) / 8
+    for p, ell in NEARLY_MODULAR_ROWS:
+        with ctx50.workdps():
+            res = {
+                n: nearly_modular_expansion(p, ell, n, k, ctx50).abs_error
+                for n in (50, 100, 200)
+            }
+            for a, b in ((50, 100), (100, 200)):
+                ratio = res[b] / res[a]
+                assert mp.mpf(1) / 32 < ratio < mp.mpf(1) / 8, (p, ell, a, b, ratio)
 
 
 def test_nearly_modular_inadmissible_rows_drop_out(ctx50):
@@ -331,3 +339,17 @@ def test_eichler_tail_coefficients_exact():
     for k in range(4):
         assert tail.coefficients[k] == l_function_value(chi, k) / math.factorial(k)
     assert tail.coefficients[0] == l_function_value(chi, 0)
+
+
+def test_eichler_tail_rejects_orders_out_of_range(ctx50):
+    # a negative order, a negative k_max and a k past the stored coefficients
+    # raise instead of giving an empty sum or wrapping to the last term
+    ell = EllTriple(1, 1, 1)
+    with pytest.raises(ValueError):
+        eichler_tail(P235, ell, -2)
+    tail = eichler_tail(P235, ell, 3)
+    for k in (-1, 4):
+        with pytest.raises(ValueError):
+            tail.evaluate(10, k, ctx50)
+        with pytest.raises(ValueError):
+            tail.term(10, k, ctx50)

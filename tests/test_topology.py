@@ -14,7 +14,6 @@ from brieskorn_wrt import (
     chern_simons,
     conjugacy_angles,
     dedekind_sum,
-    dedekind_sum_cotangent,
     euler_number,
     flat_connections,
     modular_data,
@@ -25,6 +24,7 @@ from brieskorn_wrt import (
 )
 from brieskorn_wrt.exactmath import to_mpf
 from conftest import coprime_triples
+from oracles import dedekind_sum_cotangent
 
 P235 = BrieskornTriple(2, 3, 5)
 P237 = BrieskornTriple(2, 3, 7)
