@@ -5,8 +5,8 @@ limit of a false theta series (the closed cyclotomic surgery sum is kept as
 a cross-check), the weight-3/2 theta series with its transformation data,
 the nearly modular asymptotics of those limits, the classical invariants
 (Casson, Chern-Simons, Reidemeister torsion, spectral flow), and the exact
-perturbative series coefficients, with every identity between them
-available as a check.
+perturbative series coefficients, re-expanded from the same nearly modular
+tail, with every identity between them available as a check.
 """
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ from .exactmath import (
     bernoulli_polynomial,
     dedekind_sum,
     solve_seifert_q,
-    stirling_first,
 )
 from .modularform import (
     AsymptoticApprox,
@@ -53,11 +52,9 @@ from .ohtsuki import (
     load_table1,
     table1_path,
     table1_verify,
-    tau_infinity_check,
 )
 from .topology import (
     FlatConnectionRecord,
-    SpectralFlowPrecisionError,
     casson,
     chern_simons,
     conjugacy_angles,
@@ -88,7 +85,6 @@ __all__ = [
     "PeriodicChi",
     "PrecisionContext",
     "Rational",
-    "SpectralFlowPrecisionError",
     "Table1Report",
     "WrtResult",
     "admissible_triples",
@@ -119,11 +115,9 @@ __all__ = [
     "rozansky_normalized",
     "solve_seifert_q",
     "spectral_flow",
-    "stirling_first",
     "t_exponent",
     "table1_path",
     "table1_verify",
-    "tau_infinity_check",
     "tau_n",
     "tau_prefactor",
     "theta_eval",

@@ -2,7 +2,8 @@
 
 Verbs: invariant, ohtsuki, cs, flat, asymptotic, verify, table.  Output is
 JSON (default), CSV or text, written to stdout or --out.  Exit codes:
-0 success, 1 verification failure, 2 precision failure or usage error.
+0 success, 1 verification failure (including a suite that ran no checks),
+2 usage error.
 Rationals are serialized as {"num", "den"} strings and complex values as
 {"re", "im"} decimal strings so arbitrarily large results survive any JSON
 consumer.
@@ -30,19 +31,14 @@ from .chi import (
 from .exactmath import PrecisionContext, to_mpf
 from .modularform import modular_data, theta_eval
 from .ohtsuki import lambda_coefficients, table1_verify
-from .topology import (
-    SpectralFlowPrecisionError,
-    casson,
-    flat_connections,
-    verify_s_torsion,
-)
+from .topology import casson, flat_connections, verify_s_torsion
 from .wrt import asymptotic_approx, rozansky_normalized, tau_n
 
 VERBS = ("invariant", "ohtsuki", "cs", "flat", "asymptotic", "verify", "table")
 SUITES = ("theorem51", "table1", "modular", "torsion", "gamma")
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_PRECISION = 2
+EXIT_USAGE = 2
 
 
 @dataclass(frozen=True)
@@ -166,6 +162,8 @@ def parse(argv: list) -> Command:
             raise _UsageError("--precision must be at least 15")
         if getattr(ns, "order", 8) < 0:
             raise _UsageError("--order must be non-negative")
+        if getattr(ns, "k_max", 4) < 0:
+            raise _UsageError("--K must be non-negative")
         return Command(
             verb=ns.verb,
             p=p,
@@ -181,7 +179,7 @@ def parse(argv: list) -> Command:
         )
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PRECISION) from None
+        raise SystemExit(EXIT_USAGE) from None
 
 
 # ---------------------------------------------------------------------------
@@ -484,32 +482,29 @@ def execute(cmd: Command) -> tuple:
         }
     )
     exit_code = EXIT_OK
-    try:
-        if cmd.verb == "invariant":
-            report.results = _run_invariant(cmd, ctx)
-        elif cmd.verb == "ohtsuki":
-            report.results = _run_ohtsuki(cmd, ctx)
-        elif cmd.verb == "cs":
-            report.results = _run_cs(cmd, ctx)
-        elif cmd.verb == "flat":
-            report.results = _run_flat(cmd, ctx)
-        elif cmd.verb == "asymptotic":
-            report.results = _run_asymptotic(cmd, ctx)
-        elif cmd.verb == "verify":
-            results, failures = _SUITE_RUNNERS[cmd.suite](cmd, ctx)
-            report.results = results
-            if failures:
-                report.status = "fail"
-                report.failure = failures
-                exit_code = EXIT_FAIL
-        elif cmd.verb == "table":
-            report.results = {"csv": _run_table_csv()}
-        else:  # unreachable after parse()
-            raise ValueError(f"unknown verb {cmd.verb!r}")
-    except SpectralFlowPrecisionError as exc:
-        report.status = "fail"
-        report.failure = [{"precision_error": str(exc)}]
-        exit_code = EXIT_PRECISION
+    if cmd.verb == "invariant":
+        report.results = _run_invariant(cmd, ctx)
+    elif cmd.verb == "ohtsuki":
+        report.results = _run_ohtsuki(cmd, ctx)
+    elif cmd.verb == "cs":
+        report.results = _run_cs(cmd, ctx)
+    elif cmd.verb == "flat":
+        report.results = _run_flat(cmd, ctx)
+    elif cmd.verb == "asymptotic":
+        report.results = _run_asymptotic(cmd, ctx)
+    elif cmd.verb == "verify":
+        results, failures = _SUITE_RUNNERS[cmd.suite](cmd, ctx)
+        if results["checks"] == 0:  # a suite that checked nothing proves nothing
+            failures.append({"error": "suite ran no checks"})
+        report.results = results
+        if failures:
+            report.status = "fail"
+            report.failure = failures
+            exit_code = EXIT_FAIL
+    elif cmd.verb == "table":
+        report.results = {"csv": _run_table_csv()}
+    else:  # unreachable after parse()
+        raise ValueError(f"unknown verb {cmd.verb!r}")
     report.metadata = {
         "precision_digits": cmd.precision,
         "tolerance": f"1e-{cmd.precision - 10}",

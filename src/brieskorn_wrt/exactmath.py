@@ -1,11 +1,11 @@
 """Exact rational number theory and the precision context for numeric work.
 
-Everything exact (Dedekind sums, Bernoulli polynomials, Stirling numbers,
-Seifert surgery coefficients) is computed over arbitrary-precision integers
-and ``fractions.Fraction``.  Floating computations elsewhere in the package
-run with mpmath at a precision carried explicitly by a
-:class:`PrecisionContext`, so results never depend on ambient mpmath state
-beyond the scope of a single call.
+Everything exact (Dedekind sums, Bernoulli polynomials, Seifert surgery
+coefficients) is computed over arbitrary-precision integers and
+``fractions.Fraction``.  Floating computations elsewhere in the package run
+with mpmath at a precision carried explicitly by a :class:`PrecisionContext`,
+so results never depend on ambient mpmath state beyond the scope of a single
+call.
 """
 
 from __future__ import annotations
@@ -115,26 +115,6 @@ def bernoulli_polynomial(n: int, x) -> Fraction:
     for k in range(n + 1):
         total += math.comb(n, k) * bernoulli_number(k) * x ** (n - k)
     return total
-
-
-@lru_cache(maxsize=None)
-def _stirling_row(n: int) -> tuple:
-    # ascending coefficients of prod_{j=0}^{n-1} (x - j)
-    coeffs = [1]
-    for j in range(n):
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= j * c
-        coeffs = nxt
-    return tuple(coeffs)
-
-
-def stirling_first(n: int, m: int) -> int:
-    """Signed Stirling number of the first kind: [x^m] prod_{j=0}^{n-1}(x-j)."""
-    if n < 0 or not 0 <= m <= n:
-        raise ValueError("need 0 <= m <= n")
-    return _stirling_row(n)[m]
 
 
 def _egcd(a: int, b: int):

@@ -1,9 +1,11 @@
 """Perturbative series of the quantum invariant and its exact coefficients.
 
 The trivial-connection series tau_infinity, expanded in powers of (q - 1),
-has exact rational coefficients lambda_n built from Stirling numbers,
-binomials and L-values.  A bundled reference table (26 manifolds, orders
-0..8) provides golden data; BWRT_TABLE1_PATH overrides its location.
+has exact rational coefficients lambda_n: the nearly modular tail of the
+(1, 1, 1) Eichler integral, a series in log q / 4P with L-value
+coefficients, re-expanded in q - 1.  A bundled reference table (26
+manifolds, orders 0..8) provides golden data; BWRT_TABLE1_PATH overrides
+its location.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .chi import BrieskornTriple, EllTriple, build_chi, l_function_value
-from .exactmath import Rational, stirling_first
+from .chi import BrieskornTriple, EllTriple
+from .exactmath import Rational
+from .modularform import eichler_tail
 from .topology import phi_invariant
 
 logger = logging.getLogger(__name__)
@@ -37,105 +40,56 @@ class OhtsukiSeries:
         return all(lam.denominator == 1 for lam in self.lambdas)
 
 
-def _l_values(p: BrieskornTriple, count: int) -> list:
-    chi = build_chi(p, EllTriple(1, 1, 1))
-    return [l_function_value(chi, k) for k in range(count)]
+def _series_mul(a: list, b: list, order: int) -> list:
+    # product of two power series in u, truncated after u^order
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(order + 1)]
+
+
+def _binomial_series(exponent: Fraction, order: int) -> list:
+    # (1 + u)^exponent = sum_j C(exponent, j) u^j
+    coeffs = [Fraction(1)]
+    for j in range(1, order + 1):
+        coeffs.append(coeffs[-1] * (exponent - (j - 1)) / j)
+    return coeffs
 
 
 def lambda_coefficients(p: BrieskornTriple, order: int) -> OhtsukiSeries:
     """lambda_n for n = 0..order, exact.
 
-    lambda_n combines Stirling numbers S_{n+1}^{(m)}, powers of (2-phi)/4 and
-    1/(P(2-phi)), and the L-values of the (1,1,1) sign function; the
-    Poincare sphere carries the extra correction (-1)^(n+1).  Non-integer
-    values are reported on the warning channel, never rejected.
+    The nearly modular tail (1/2) sum_k c_k (log q / 4P)^k, with
+    c_k = L(-2k, chi)/k! the (1, 1, 1) ``eichler_tail`` coefficients and
+    q^(1/120) added for the Poincare sphere, is re-expanded in u = q - 1
+    through u^(order+1); then sum_n lambda_n u^n = q^(1/2 - phi/4) times that
+    bracket over u.  A non-zero constant term of the bracket raises
+    ArithmeticError.  Non-integer values are reported on the warning
+    channel, never rejected.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    phi = phi_invariant(p)
-    a = (2 - phi) / 4
-    b = Fraction(1, p.P * (2 - phi))
-    l_values = _l_values(p, order + 2)
-    lambdas = []
-    for n in range(order + 1):
-        total = Fraction(0)
-        for m in range(1, n + 2):
-            inner = Fraction(0)
-            for k in range(m + 1):
-                inner += math.comb(m, k) * b**k * l_values[k]
-            total += stirling_first(n + 1, m) * a**m * inner
-        lam = total / (2 * math.factorial(n + 1))
-        if p.is_poincare:
-            lam += (-1) ** (n + 1)
-        lambdas.append(lam)
+    top = order + 1
+    c = eichler_tail(p, EllTriple(1, 1, 1), top).coefficients
+    # log(1 + u) = y(u)/lcm with integer y, so with s = 4P lcm the tail is
+    # sum_k c_k (y/s)^k; Horner runs in integers on den c_k s^(top - k)
+    lcm = math.lcm(*range(1, top + 1))
+    y = [0] + [(-1) ** (j + 1) * (lcm // j) for j in range(1, top + 1)]
+    s = 4 * p.P * lcm
+    den = math.lcm(*(ck.denominator for ck in c))
+    acc = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        acc = _series_mul(acc, y, top)
+        acc[0] += c[k].numerator * (den // c[k].denominator) * s ** (top - k)
+    bracket = [Fraction(a, 2 * den * s**top) for a in acc]
+    if p.is_poincare:
+        bracket = [b + e for b, e in zip(bracket, _binomial_series(Fraction(1, 120), top))]
+    if bracket[0] != 0:
+        raise ArithmeticError(f"tail of {p} has constant term {bracket[0]}, expected 0")
+    shift = _binomial_series(Fraction(1, 2) - phi_invariant(p) / 4, order)
+    lambdas = _series_mul(shift, bracket[1:], order)
     series = OhtsukiSeries(manifold=p, order=order, lambdas=tuple(lambdas))
     if not series.all_integer:
         bad = [n for n, lam in enumerate(series.lambdas) if lam.denominator != 1]
         logger.warning("non-integer lambda_n for %s at orders %s", p, bad)
     return series
-
-
-# ---------------------------------------------------------------------------
-# exact truncated power series in u = q - 1, coefficients in Fraction
-
-
-def _series_mul(a: list, b: list, order: int) -> list:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if i > order or ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _binomial_series(exponent: Fraction, order: int) -> list:
-    # (1 + u)^exponent as sum_j C(exponent, j) u^j
-    coeffs = [Fraction(1)]
-    c = Fraction(1)
-    for j in range(1, order + 1):
-        c *= (exponent - (j - 1)) / j
-        coeffs.append(c)
-    return coeffs
-
-
-def _log_series(order: int) -> list:
-    # log(1 + u) = sum_{j>=1} (-1)^(j+1) u^j / j
-    return [Fraction(0)] + [Fraction((-1) ** (j + 1), j) for j in range(1, order + 1)]
-
-
-def tau_infinity_check(p: BrieskornTriple, order: int) -> Rational:
-    """Max coefficient mismatch between the two exact forms of tau_infinity.
-
-    Expands q^{phi/4 - 1/2} (q - 1) sum_n lambda_n (q-1)^n and
-    (1/2) sum_k L(-2k, chi)/k! (log q / 4P)^k  [plus q^{1/120} for (2,3,5)]
-    through order + 1 in (q - 1), entirely in rational arithmetic; the two
-    must agree term by term, so the returned residual must be zero.
-    """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    top = order + 1
-    phi = phi_invariant(p)
-    lambdas = lambda_coefficients(p, order).lambdas
-    tau_series = [lambdas[n] if n <= order else Fraction(0) for n in range(top + 1)]
-    lhs = _series_mul(_binomial_series(phi / 4 - Fraction(1, 2), top), tau_series, top)
-    lhs = [Fraction(0)] + lhs[:-1]  # multiply by (q - 1) = u
-
-    l_values = _l_values(p, top + 1)
-    log_u = _log_series(top)
-    rhs = [Fraction(0)] * (top + 1)
-    power = [Fraction(1)] + [Fraction(0)] * top
-    for k in range(top + 1):
-        scale = l_values[k] / (math.factorial(k) * Fraction(4 * p.P) ** k) / 2
-        for j in range(top + 1):
-            rhs[j] += scale * power[j]
-        power = _series_mul(power, log_u, top)
-    if p.is_poincare:
-        extra = _binomial_series(Fraction(1, 120), top)
-        rhs = [r + e for r, e in zip(rhs, extra)]
-    return max(abs(l - r) for l, r in zip(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------

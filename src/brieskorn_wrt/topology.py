@@ -36,14 +36,6 @@ from .exactmath import (
 from .modularform import modular_data, t_exponent
 
 
-class SpectralFlowPrecisionError(ArithmeticError):
-    """Precision failure, reported by the CLI with exit code 2.
-
-    The spectral flow is exact and does not raise it; the class stays the
-    public precision-failure type.
-    """
-
-
 @dataclass(frozen=True)
 class FlatConnectionRecord:
     """Stationary-phase data of one irreducible flat connection."""

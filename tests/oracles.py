@@ -4,9 +4,10 @@ None of these has a caller in ``brieskorn_wrt``: the cotangent, sawtooth
 and Rademacher forms check the exact Dedekind sums, the Gauss sums and erfc
 check the root-of-unity and error-function arithmetic, ``generating_series``
 and ``chi_value`` read chi off independently of its eight-point support,
-``phi_hat`` approaches the Eichler limits from the lower half plane, and
+``phi_hat`` approaches the Eichler limits from the lower half plane,
 ``eichler_integer_data`` is the closed form behind the ``ell_condition``
-filter of the nearly modular expansion.
+filter of the nearly modular expansion, and ``lambda_stirling`` is the
+Stirling-number closed form of the perturbative coefficients lambda_n.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp
 
@@ -22,11 +24,14 @@ from brieskorn_wrt import (
     BrieskornTriple,
     EllTriple,
     ModularData,
+    OhtsukiSeries,
     PeriodicChi,
     PrecisionContext,
     build_chi,
     canonicalize,
     dedekind_sum,
+    l_function_value,
+    phi_invariant,
     t_exponent,
 )
 from brieskorn_wrt.exactmath import ensure_finite, to_mpf
@@ -246,3 +251,50 @@ def phi_hat(
             if done:
                 break
         return ensure_finite(+total)
+
+
+@lru_cache(maxsize=None)
+def _stirling_row(n: int) -> tuple:
+    # ascending coefficients of prod_{j=0}^{n-1} (x - j)
+    coeffs = [1]
+    for j in range(n):
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] += c
+            nxt[i] -= j * c
+        coeffs = nxt
+    return tuple(coeffs)
+
+
+def stirling_first(n: int, m: int) -> int:
+    """Signed Stirling number of the first kind: [x^m] prod_{j=0}^{n-1}(x-j)."""
+    if n < 0 or not 0 <= m <= n:
+        raise ValueError("need 0 <= m <= n")
+    return _stirling_row(n)[m]
+
+
+def lambda_stirling(p: BrieskornTriple, order: int) -> OhtsukiSeries:
+    """lambda_n for n = 0..order from the Stirling-number closed form.
+
+    lambda_n = sum_m S_{n+1}^{(m)} a^m sum_k C(m, k) b^k L(-2k, chi)
+    / (2 (n+1)!), with a = (2 - phi)/4, b = 1/(P(2 - phi)) and chi the
+    (1, 1, 1) sign function; the Poincare sphere adds (-1)^(n+1).
+    """
+    phi = phi_invariant(p)
+    a = (2 - phi) / 4
+    b = Fraction(1, p.P * (2 - phi))
+    chi = build_chi(p, EllTriple(1, 1, 1))
+    l_values = [l_function_value(chi, k) for k in range(order + 2)]
+    lambdas = []
+    for n in range(order + 1):
+        total = Fraction(0)
+        for m in range(1, n + 2):
+            inner = Fraction(0)
+            for k in range(m + 1):
+                inner += math.comb(m, k) * b**k * l_values[k]
+            total += stirling_first(n + 1, m) * a**m * inner
+        lam = total / (2 * math.factorial(n + 1))
+        if p.is_poincare:
+            lam += (-1) ** (n + 1)
+        lambdas.append(lam)
+    return OhtsukiSeries(manifold=p, order=order, lambdas=tuple(lambdas))

@@ -6,6 +6,7 @@ from brieskorn_wrt import build_chi, enumerate_triples
 from brieskorn_wrt.cli import (
     EXIT_FAIL,
     EXIT_OK,
+    EXIT_USAGE,
     Command,
     execute,
     main,
@@ -68,6 +69,14 @@ def test_parse_rejects_workers_flag():
     with pytest.raises(SystemExit) as excinfo:
         parse(["invariant", "--p", "2,3,7", "--N", "7", "--workers", "2"])
     assert excinfo.value.code == 2
+
+
+def test_parse_rejects_negative_tail_order(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        parse(["asymptotic", "--p", "2,3,5", "--N", "10", "--K", "-1"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "--K" in capsys.readouterr().err
+    assert parse(["asymptotic", "--p", "2,3,5", "--N", "10", "--K", "0"]).k_max == 0
 
 
 # --------------------------------------------------------------------- execute
@@ -176,6 +185,22 @@ def test_verify_failure_exit_code(monkeypatch, tmp_path):
     assert len(report.failure) == 1
 
 
+def test_verify_without_checks_fails(monkeypatch, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    monkeypatch.setenv(TABLE_ENV_VAR, str(empty))
+    for argv in (
+        ["verify", "--suite", "gamma", "--pmax", "1"],
+        ["verify", "--suite", "theorem51", "--nmax", "2"],
+        ["verify", "--suite", "table1"],
+    ):
+        report, code = execute(parse(argv))
+        assert report.results["checks"] == 0, argv
+        assert code == EXIT_FAIL, argv
+        assert report.status == "fail", argv
+        assert len(report.failure) == 1, argv
+
+
 def test_table_csv_emission():
     cmd = parse(["table", "--format", "csv"])
     report, code = execute(cmd)
@@ -225,17 +250,3 @@ def test_flat_is_precision_independent():
         )
     assert records[0] == records[1]
     assert len(records[0]) == 24
-
-
-def test_precision_failure_exit_code(monkeypatch):
-    import brieskorn_wrt.cli as cli_mod
-    from brieskorn_wrt import SpectralFlowPrecisionError
-
-    def exploding(*args, **kwargs):
-        raise SpectralFlowPrecisionError("sum refused to snap")
-
-    monkeypatch.setattr(cli_mod, "flat_connections", exploding)
-    report, code = execute(parse(["flat", "--p", "2,3,5"]))
-    assert code == 2
-    assert report.status == "fail"
-    assert "precision_error" in report.failure[0]

@@ -12,7 +12,6 @@ from brieskorn_wrt import (
     bernoulli_polynomial,
     dedekind_sum,
     solve_seifert_q,
-    stirling_first,
 )
 from oracles import (
     UnimodularMatrix,
@@ -22,6 +21,7 @@ from oracles import (
     gauss_sum,
     rademacher_phi,
     sawtooth,
+    stirling_first,
 )
 
 

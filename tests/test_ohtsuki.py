@@ -1,20 +1,21 @@
-import math
 from fractions import Fraction
 
 import pytest
 
 from brieskorn_wrt import (
     BrieskornTriple,
+    EichlerTail,
     casson,
     lambda_coefficients,
     load_table1,
     phi_invariant,
     table1_path,
     table1_verify,
-    tau_infinity_check,
 )
+from brieskorn_wrt import ohtsuki
 from brieskorn_wrt.ohtsuki import TABLE_ENV_VAR
 from conftest import coprime_triples
+from oracles import lambda_stirling
 
 P235 = BrieskornTriple(2, 3, 5)
 
@@ -93,18 +94,44 @@ def test_non_integer_lambdas_warn_not_raise(caplog):
 
 
 # --------------------------------------------------------- series consistency
+# lambda_coefficients re-expands the nearly modular tail in (q - 1); the
+# Stirling-number closed form is the independent exact route to the same
+# coefficients, so the two must agree exactly.
 
 
 @pytest.mark.parametrize(
     "ps", [(2, 3, 5), (2, 3, 7), (3, 4, 5), (2, 5, 7), (2, 3, 11)]
 )
 def test_tau_infinity_residual_exactly_zero(ps):
-    assert tau_infinity_check(BrieskornTriple(*ps), 8) == 0
+    p = BrieskornTriple(*ps)
+    assert lambda_coefficients(p, 8).lambdas == lambda_stirling(p, 8).lambdas
 
 
 def test_tau_infinity_low_orders():
-    assert tau_infinity_check(BrieskornTriple(2, 3, 7), 0) == 0
-    assert tau_infinity_check(P235, 6) == 0
+    p237 = BrieskornTriple(2, 3, 7)
+    assert lambda_coefficients(p237, 0).lambdas == lambda_stirling(p237, 0).lambdas
+    assert lambda_coefficients(P235, 6).lambdas == lambda_stirling(P235, 6).lambdas
+
+
+def test_tail_route_matches_stirling_on_every_small_triple():
+    triples = coprime_triples(300)
+    assert len(triples) == 63
+    for ps in triples:
+        p = BrieskornTriple(*ps)
+        assert lambda_coefficients(p, 8).lambdas == lambda_stirling(p, 8).lambdas, ps
+
+
+def test_nonzero_tail_constant_term_raises(monkeypatch):
+    real = ohtsuki.eichler_tail
+
+    def perturbed(p, ell, order):
+        tail = real(p, ell, order)
+        c0, *rest = tail.coefficients
+        return EichlerTail(two_p=tail.two_p, coefficients=(c0 + Fraction(1, 7), *rest))
+
+    monkeypatch.setattr(ohtsuki, "eichler_tail", perturbed)
+    with pytest.raises(ArithmeticError, match="constant term"):
+        lambda_coefficients(BrieskornTriple(2, 3, 7), 3)
 
 
 # -------------------------------------------------------------- golden table
