@@ -3,7 +3,8 @@
 Verbs: invariant, ohtsuki, cs, flat, asymptotic, verify, table.  Output is
 JSON (default), CSV or text, written to stdout or --out.  Exit codes:
 0 success, 1 verification failure (including a suite that ran no checks),
-2 usage error.
+2 usage error (among them --N above 10^6, --precision above 10^4, --pmax
+below 30 and --nmax below 3).
 Rationals are serialized as {"num", "den"} strings and complex values as
 {"re", "im"} decimal strings so arbitrarily large results survive any JSON
 consumer.
@@ -39,6 +40,15 @@ SUITES = ("theorem51", "table1", "modular", "torsion", "gamma")
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# Input bounds: the Eichler limit holds O(N) integers and the surgery sum an
+# O(PN) phase cache, so N and the precision are capped; no Brieskorn sphere
+# has P below 2*3*5 and no level is below 3, so smaller --pmax and --nmax
+# would select nothing.
+MAX_LEVEL = 10**6
+MAX_PRECISION = 10**4
+MIN_PMAX = 30
+MIN_NMAX = 3
 
 
 @dataclass(frozen=True)
@@ -156,10 +166,14 @@ def parse(argv: list) -> Command:
             except ValueError as exc:
                 raise _UsageError(str(exc)) from None
         n_level = getattr(ns, "n_level", None)
-        if n_level is not None and n_level < 3:
-            raise _UsageError("--N must be at least 3")
-        if ns.precision < 15:
-            raise _UsageError("--precision must be at least 15")
+        if n_level is not None and not 3 <= n_level <= MAX_LEVEL:
+            raise _UsageError(f"--N must be between 3 and {MAX_LEVEL}")
+        if not 15 <= ns.precision <= MAX_PRECISION:
+            raise _UsageError(f"--precision must be between 15 and {MAX_PRECISION}")
+        if getattr(ns, "pmax", MIN_PMAX) < MIN_PMAX:
+            raise _UsageError(f"--pmax must be at least {MIN_PMAX}, the least P of a sphere")
+        if getattr(ns, "nmax", MIN_NMAX) < MIN_NMAX:
+            raise _UsageError(f"--nmax must be at least {MIN_NMAX}, the least level")
         if getattr(ns, "order", 8) < 0:
             raise _UsageError("--order must be non-negative")
         if getattr(ns, "k_max", 4) < 0:

@@ -6,13 +6,17 @@ factored form, a scale, three per-fibre sine tables and an integer parity
 sign, and is read one row at a time.  Its Eichler integral is only nearly
 modular: at rationals it has finite limiting values (computable as finite
 sums) and a divergent asymptotic tail built from L-values, both of which are
-exposed here.  ``nearly_modular_expansion`` is the one implementation of that
-split; ``wrt.asymptotic_approx`` normalizes its (1, 1, 1) row.
+exposed here.  ``eichler_limit`` evaluates a limit at m/n as four exact
+integer weight vectors over the n-th roots of unity, read against one
+fixed-point table of those roots, so its rounding is bounded by the weights
+it sums.  ``nearly_modular_expansion`` is the one implementation of the
+dominant/tail split; ``wrt.asymptotic_approx`` normalizes its (1, 1, 1) row.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -157,6 +161,60 @@ def theta_eval(
         return ensure_finite(+total)
 
 
+# Fixed-point roots of unity carry this many bits beyond the working
+# precision, and the exponentials behind them (baby and giant steps, and the
+# per-class phases of eichler_limit) this many more.
+_TABLE_EXTRA_BITS = 10
+_STEP_GUARD_BITS = 18
+
+
+def _root_table(n: int, bits: int) -> tuple:
+    # round(cos, sin(2 pi e/n) * 2^bits) for 0 <= e <= n/2.  e = a + b*step is
+    # a baby step a < step times a giant step b*step, both exp(2 pi i k/n)
+    # taken at bits + _STEP_GUARD_BITS and truncated to integers, so each
+    # entry is one integer complex product rounded to within 2 units of 2^-bits.
+    half = n // 2
+    step = math.isqrt(half) + 1
+    wide = bits + _STEP_GUARD_BITS
+
+    def root(k: int) -> tuple:
+        z = mp.expjpi(mp.mpf(2 * k) / n)
+        return int(mp.ldexp(z.real, wide)), int(mp.ldexp(z.imag, wide))
+
+    with mp.workprec(wide):
+        one = (1 << wide, 0)
+        baby = [one] + [root(a) for a in range(1, step)]
+        giant = [one] + [root(b) for b in range(step, half + 1, step)]
+    shift = 2 * wide - bits
+    rounding = 1 << (shift - 1)
+    cos, sin = [], []
+    for gx, gy in giant:
+        for bx, by in baby[: half + 1 - len(cos)]:
+            cos.append((gx * bx - gy * by + rounding) >> shift)
+            sin.append((gx * by + gy * bx + rounding) >> shift)
+    return cos, sin
+
+
+def _class_weights(p: BrieskornTriple, r: int, sign: int, m: int, n: int) -> list:
+    # W[e] = sum of chi(j) (P n - j) over the j = r and j = 2P - r (mod 2P)
+    # in [0, P n) whose phase is exp(pi i m r^2 / 2Pn) exp(2 pi i e / n)
+    big_p, pn = p.P, p.P * n
+    weights = [0] * n
+    for start, offset, weight in ((r, 0, sign), (2 * big_p - r, big_p - r, -sign)):
+        # e_k = m (offset + start k + P k^2) mod n, stepped by its differences
+        e = m * offset % n
+        de = m * (start + big_p) % n
+        dde = 2 * m * big_p % n
+        w = weight * (pn - start)
+        dw = -2 * big_p * weight
+        for _ in range(len(range(start, pn, 2 * big_p))):
+            weights[e] += w
+            e = (e + de) % n
+            de = (de + dde) % n
+            w += dw
+    return weights
+
+
 def eichler_limit(
     p: BrieskornTriple,
     ell: EllTriple,
@@ -166,13 +224,32 @@ def eichler_limit(
 ):
     """Limiting value of the Eichler integral at tau -> m/n, gcd(m, n) = 1.
 
-    Evaluates the finite sum over 0 <= j < P*n of
-    chi(j) (1 - j/(P n)) exp(pi i m j^2 / (2 P n)) as
-    (1/(P n)) sum chi(j) (P n - j) exp(pi i k_j / (2 P n)): the phase
-    numerator k_j = m j^2 mod 4Pn and the weight P n - j are exact integers,
-    and the single division by P n comes last.  The sum has exactly 4n
-    terms: chi has eight support residues mod 2P, none at 0 or P, four on
-    each side of P since chi is odd.
+    The limit is the finite sum over 0 <= j < P n of
+    chi(j) (1 - j/(P n)) exp(pi i m j^2 / (2 P n)).  It has 4n non-zero
+    terms: chi has eight support residues mod 2P, four of them r < P, and
+    chi(2P - r) = -chi(r).
+
+    Identity.  For j = r + 2Pk, m j^2 = m r^2 + 4P m (r k + P k^2), and for
+    j = 2P - r + 2Pk, m j^2 = m r^2 + 4P m ((P - r) + (2P - r) k + P k^2).
+    So, with zeta = exp(2 pi i / n), the limit is exactly
+
+        (1 / P n) sum_{r < P} exp(pi i (m r^2 mod 4Pn) / 2Pn) sum_e W_r[e] zeta^e
+
+    over four integer vectors W_r[e] = sum chi(j) (P n - j), taken over the
+    j of both progressions whose bracket above, times m, is e mod n.  They
+    are built and consumed one at a time.
+
+    Table.  W[e] + W[n - e] meets the even cosines and W[e] - W[n - e] the
+    odd sines, so n/2 + 1 entries round(cos, sin(2 pi e / n) 2^F) suffice,
+    F = mp.prec + 10.  Baby and giant steps build them from about
+    2 sqrt(n/2) ``expjpi`` calls at F + 18 bits; each entry is within
+    2 units of 2^-F.  The dot products are exact integers.
+
+    Bound.  With u = 2^-mp.prec and |W| = sum_r sum_e |W_r[e]|, which is at
+    most sum_j (P n - j), the result is within
+    (4 |W| 2^-F + 8 |W| u) / (P n) of the exact limit: the table entries,
+    then a few roundings in the four complex products (phases taken at
+    F + 18 bits), their sum and the one division by P n.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -181,12 +258,27 @@ def eichler_limit(
     chi = build_chi(p, ell)
     pn = p.P * n
     four_pn = 4 * pn
+    half = n // 2
     with ctx.workdps():
+        bits = mp.prec + _TABLE_EXTRA_BITS
+        cos, sin = _root_table(n, bits)
         total = mp.mpc(0)
-        two_pn = mp.mpf(2 * pn)
         for r, sign in chi.signed_support:
-            for j in range(r, pn, chi.modulus):
-                total += sign * (pn - j) * mp.expjpi(m * j * j % four_pn / two_pn)
+            if r > p.P:
+                continue  # 2P - r joins the class of r
+            weights = _class_weights(p, r, sign, m, n)
+            low = weights[1 : half + 1]
+            even = [weights[0], *map(operator.add, low, reversed(weights))]
+            odd = [0, *map(operator.sub, low, reversed(weights))]
+            if n % 2 == 0:
+                even[half] = weights[half]  # e = n - e = n/2 counts once
+            inner = mp.mpc(
+                mp.ldexp(sum(map(operator.mul, even, cos)), -bits),
+                mp.ldexp(sum(map(operator.mul, odd, sin)), -bits),
+            )
+            with mp.workprec(bits + _STEP_GUARD_BITS):
+                phase = mp.expjpi(mp.mpf(m * r * r % four_pn) / (2 * pn))
+            total += phase * inner
         return ensure_finite(total / pn)
 
 

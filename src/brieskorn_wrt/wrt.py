@@ -7,9 +7,11 @@ finite sum has 4N terms whatever the triple.  The closed cyclotomic surgery
 sum over 0 <= n < 2PN (2PN - 2P terms, multiples of N excluded by index
 arithmetic) is kept as ``rozansky_normalized``, the independent route that
 the ``theorem51`` suite and the tests compare against; the asymptotics
-normalize the (1, 1, 1) nearly modular expansion the same way.  All
-root-of-unity sums run in high-precision floating point with exact integer
-argument reduction; an error budget of term_count * ulp is tracked.
+normalize the (1, 1, 1) nearly modular expansion the same way.  The Eichler
+limit sums exact integer weights against a fixed-point table of N-th roots
+of unity (its rounding bound is in ``modularform.eichler_limit``); the
+surgery sum runs in high-precision floating point with exact integer
+argument reduction.  ``WrtResult.error_budget`` is still term_count * ulp.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ and Rademacher forms check the exact Dedekind sums, the Gauss sums and erfc
 check the root-of-unity and error-function arithmetic, ``generating_series``
 and ``chi_value`` read chi off independently of its eight-point support,
 ``phi_hat`` approaches the Eichler limits from the lower half plane,
+``eichler_limit_per_term`` sums them one ``expjpi`` per term,
 ``eichler_integer_data`` is the closed form behind the ``ell_condition``
 filter of the nearly modular expansion, and ``lambda_stirling`` is the
 Stirling-number closed form of the perturbative coefficients lambda_n.
@@ -202,6 +203,34 @@ def eichler_integer_data(p: BrieskornTriple, ell: EllTriple):
     chi = build_chi(p, ell)
     amplitude = -Fraction(weighted_sum(chi), 2 * p.P)
     return amplitude, t_exponent(p, ell)
+
+
+def eichler_limit_per_term(
+    p: BrieskornTriple,
+    ell: EllTriple,
+    m: int,
+    n: int,
+    ctx: PrecisionContext = DEFAULT_CONTEXT,
+):
+    """The Eichler limit at m/n as (1/(P n)) sum chi(j) (P n - j) exp(pi i k_j / 2Pn).
+
+    One ``expjpi`` per each of the 4n terms, with the exact phase numerator
+    k_j = m j^2 mod 4Pn and the single division by P n last.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if math.gcd(m, n) != 1:
+        raise ValueError("m and n must be coprime")
+    chi = build_chi(p, ell)
+    pn = p.P * n
+    four_pn = 4 * pn
+    with ctx.workdps():
+        total = mp.mpc(0)
+        two_pn = mp.mpf(2 * pn)
+        for r, sign in chi.signed_support:
+            for j in range(r, pn, chi.modulus):
+                total += sign * (pn - j) * mp.expjpi(m * j * j % four_pn / two_pn)
+        return ensure_finite(total / pn)
 
 
 def phi_hat(

@@ -7,6 +7,8 @@ from brieskorn_wrt.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_LEVEL,
+    MAX_PRECISION,
     Command,
     execute,
     main,
@@ -69,6 +71,24 @@ def test_parse_rejects_workers_flag():
     with pytest.raises(SystemExit) as excinfo:
         parse(["invariant", "--p", "2,3,7", "--N", "7", "--workers", "2"])
     assert excinfo.value.code == 2
+
+
+def test_parse_rejects_unbounded_level_and_precision(capsys):
+    # the Eichler kernel holds O(N) integers, so --N and --precision are capped
+    for argv, flag in (
+        (["invariant", "--p", "2,3,5", "--N", "100000000000", "--precision", "20"], "--N"),
+        (["invariant", "--p", "2,3,5", "--N", str(MAX_LEVEL + 1)], "--N"),
+        (["asymptotic", "--p", "2,3,5", "--N", str(MAX_LEVEL + 1)], "--N"),
+        (["cs", "--p", "2,3,7", "--precision", str(MAX_PRECISION + 1)], "--precision"),
+        (["verify", "--suite", "modular", "--precision", str(MAX_PRECISION + 1)], "--precision"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            parse(argv)
+        assert excinfo.value.code == EXIT_USAGE, argv
+        assert flag in capsys.readouterr().err, argv
+    argv = ["invariant", "--p", "2,3,5", "--N", str(MAX_LEVEL), "--precision", str(MAX_PRECISION)]
+    cmd = parse(argv)
+    assert (cmd.n_level, cmd.precision) == (MAX_LEVEL, MAX_PRECISION)
 
 
 def test_parse_rejects_negative_tail_order(capsys):
@@ -189,16 +209,29 @@ def test_verify_without_checks_fails(monkeypatch, tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
     monkeypatch.setenv(TABLE_ENV_VAR, str(empty))
-    for argv in (
-        ["verify", "--suite", "gamma", "--pmax", "1"],
-        ["verify", "--suite", "theorem51", "--nmax", "2"],
-        ["verify", "--suite", "table1"],
+    report, code = execute(parse(["verify", "--suite", "table1"]))
+    assert report.results["checks"] == 0
+    assert code == EXIT_FAIL
+    assert report.status == "fail"
+    assert len(report.failure) == 1
+
+
+def test_verify_selecting_nothing_is_a_usage_error(capsys):
+    # no Brieskorn sphere has P < 30 and no level is below 3
+    for argv, flag in (
+        (["verify", "--suite", "gamma", "--pmax", "1"], "--pmax"),
+        (["verify", "--suite", "theorem51", "--pmax", "29"], "--pmax"),
+        (["verify", "--suite", "gamma", "--pmax", "-5"], "--pmax"),
+        (["verify", "--suite", "theorem51", "--nmax", "2"], "--nmax"),
     ):
-        report, code = execute(parse(argv))
-        assert report.results["checks"] == 0, argv
-        assert code == EXIT_FAIL, argv
-        assert report.status == "fail", argv
-        assert len(report.failure) == 1, argv
+        with pytest.raises(SystemExit) as excinfo:
+            parse(argv)
+        assert excinfo.value.code == EXIT_USAGE, argv
+        assert flag in capsys.readouterr().err, argv
+    report, code = execute(parse(["verify", "--suite", "gamma", "--pmax", "30"]))
+    assert (report.results["checks"], code) == (1, EXIT_OK)
+    cmd = parse(["verify", "--suite", "theorem51", "--pmax", "30", "--nmax", "3"])
+    assert (cmd.pmax, cmd.nmax) == (30, 3)
 
 
 def test_table_csv_emission():

@@ -21,7 +21,13 @@ from brieskorn_wrt import (
 from brieskorn_wrt.exactmath import PrecisionContext, to_mpf
 from brieskorn_wrt.modularform import _modular_data_cached
 from conftest import vertical_limit
-from oracles import eichler_integer_data, modular_index, phi_hat, weighted_sum
+from oracles import (
+    eichler_integer_data,
+    eichler_limit_per_term,
+    modular_index,
+    phi_hat,
+    weighted_sum,
+)
 
 P235 = BrieskornTriple(2, 3, 5)
 P237 = BrieskornTriple(2, 3, 7)
@@ -225,6 +231,54 @@ def test_eichler_integer_237_quoted_values(ctx50):
             value = eichler_limit(P237, EllTriple(1, 1, 3), n0, 1, ctx50)
             want = -2 * mp.expjpi(to_mpf(Fraction(-47 * n0, 84) % 2))
             assert abs(value - want) < ctx50.tolerance
+
+
+@pytest.mark.parametrize("digits", (40, 100))
+@pytest.mark.parametrize("p", (P235, P237, P345, P358, P579), ids=lambda p: str(p.p))
+def test_eichler_limit_matches_per_term_oracle(p, digits):
+    # every canonical ell, m of both signs and a level sharing factors with P
+    ctx = PrecisionContext(digits)
+    for ell in enumerate_triples(p):
+        for m in (1, -1, 2, 5):
+            for n in (1, 2, 3, 4, 17, 60, 139):
+                if math.gcd(m, n) > 1:
+                    continue
+                value = eichler_limit(p, ell, m, n, ctx)
+                oracle = eichler_limit_per_term(p, ell, m, n, ctx)
+                with ctx.workdps():
+                    assert abs(value - oracle) < ctx.tolerance, (ell, m, n)
+
+
+@pytest.mark.parametrize("ps", ((2, 3, 7), (7, 11, 13)))
+def test_eichler_limit_error_within_stated_bound(ps, ctx50):
+    # (4 |W| 2^-F + 8 |W| u) / (P n), F = prec + 10, |W| <= sum_j (P n - j),
+    # against the per-term sum at twice the digits
+    p, n, ell = BrieskornTriple(*ps), 1000, EllTriple(1, 1, 1)
+    value = eichler_limit(p, ell, 1, n, ctx50)
+    reference = eichler_limit_per_term(p, ell, 1, n, PrecisionContext(100))
+    pn = p.P * n
+    weight = sum(pn - j for r, _ in build_chi(p, ell).signed_support for j in range(r, pn, 2 * p.P))
+    with ctx50.workdps():
+        u = mp.mpf(2) ** -mp.prec
+        bound = (4 * u / 2**10 + 8 * u) * weight / pn
+    with mp.workdps(115):
+        assert abs(value - reference) < bound
+
+
+def test_eichler_limit_root_calls_grow_as_sqrt_n(monkeypatch, ctx50):
+    # the table takes about 2 sqrt(N/2) roots; a per-term kernel takes 4N
+    calls = []
+    for name in ("expjpi", "cospi", "sinpi"):
+        real = getattr(mp, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mp, name, counted)
+    n = 20000
+    eichler_limit(P237, EllTriple(1, 1, 1), 1, n, ctx50)
+    assert 0 < len(calls) <= 2 * math.ceil(math.sqrt(n / 2)) + 8
 
 
 # ------------------------------------------------------------------- phi_hat
