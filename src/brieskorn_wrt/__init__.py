@@ -30,7 +30,6 @@ from .exactmath import (
     PrecisionContext,
     Rational,
     bernoulli_number,
-    bernoulli_polynomial,
     dedekind_sum,
     solve_seifert_q,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "admissible_triples",
     "asymptotic_approx",
     "bernoulli_number",
-    "bernoulli_polynomial",
     "build_chi",
     "canonicalize",
     "casson",

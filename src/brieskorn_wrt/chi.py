@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product, starmap
 
-from .exactmath import Rational, bernoulli_polynomial, dedekind_sum, solve_seifert_q
+from .exactmath import Rational, bernoulli_number, dedekind_sum, solve_seifert_q
 
 COPRIMALITY_ERROR = "p must be pairwise coprime"
 
@@ -250,12 +250,26 @@ def mordell_count(p: BrieskornTriple) -> int:
 def l_function_value(chi: PeriodicChi, k: int) -> Rational:
     """L(-2k, chi) = -(2P)^(2k)/(2k+1) * sum_j chi(j) B_{2k+1}(j / 2P), exact.
 
-    The sum runs over the eight-point support since chi vanishes elsewhere.
+    Evaluated from the integer power moments M_j = sum_r chi(r) r^j of the
+    eight-point support.  With n = 2k + 1 and Q = 2P, expanding
+    B_n(x) = sum_i C(n, i) B_i x^(n-i) at x = r/Q gives
+    L(-2k, chi) = -(M_n/Q + sum_{i>=1} C(n, i) B_i Q^(i-1) M_(n-i)) / n,
+    and since B_i vanishes at odd i > 1 only i = 1 and even i contribute.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    n = 2 * k + 1
     two_p = chi.modulus
-    total = Fraction(0)
+    moments = [0] * (n + 1)
     for r, sign in chi.signed_support:
-        total += sign * bernoulli_polynomial(2 * k + 1, Fraction(r, two_p))
-    return -Fraction(two_p ** (2 * k), 2 * k + 1) * total
+        power = sign
+        for j in range(n + 1):
+            moments[j] += power
+            power *= r
+    # i = 0 and i = 1 (B_1 = -1/2), then the even i
+    total = Fraction(moments[n], two_p) - Fraction(n * moments[n - 1], 2)
+    scale = two_p
+    for i in range(2, n, 2):
+        total += math.comb(n, i) * scale * moments[n - i] * bernoulli_number(i)
+        scale *= two_p * two_p
+    return -total / n

@@ -3,8 +3,8 @@
 Verbs: invariant, ohtsuki, cs, flat, asymptotic, verify, table.  Output is
 JSON (default), CSV or text, written to stdout or --out.  Exit codes:
 0 success, 1 verification failure (including a suite that ran no checks),
-2 usage error (among them --N above 10^6, --precision above 10^4, --pmax
-below 30 and --nmax below 3).
+2 usage error (among them --N above 10^6, --precision above 10^4, --order
+or --K above 100, --pmax below 30 and --nmax outside 3..50).
 Rationals are serialized as {"num", "den"} strings and complex values as
 {"re", "im"} decimal strings so arbitrarily large results survive any JSON
 consumer.
@@ -13,6 +13,7 @@ consumer.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -42,13 +43,19 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 # Input bounds: the Eichler limit holds O(N) integers and the surgery sum an
-# O(PN) phase cache, so N and the precision are capped; no Brieskorn sphere
-# has P below 2*3*5 and no level is below 3, so smaller --pmax and --nmax
-# would select nothing.
+# O(PN) phase cache, so N and the precision are capped; the lambda_n
+# re-expansion is O(order^3) and the L-values behind --order and --K fill
+# the unbounded Bernoulli-number cache, so both are capped; the theorem51
+# suite runs the O(PN) surgery sum at every level up to --nmax, so that is
+# capped too.  No Brieskorn sphere has P below 2*3*5 and no level is below
+# 3, so smaller --pmax and --nmax would select nothing.
 MAX_LEVEL = 10**6
 MAX_PRECISION = 10**4
+MAX_ORDER = 100
+MAX_K = 100
 MIN_PMAX = 30
 MIN_NMAX = 3
+MAX_NMAX = 50
 
 
 @dataclass(frozen=True)
@@ -110,7 +117,9 @@ def _parse_triple(text: str) -> tuple:
     return ps
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="bwrt", description=__doc__)
     sub = parser.add_subparsers(dest="verb", metavar="|".join(VERBS))
 
@@ -172,12 +181,14 @@ def parse(argv: list) -> Command:
             raise _UsageError(f"--precision must be between 15 and {MAX_PRECISION}")
         if getattr(ns, "pmax", MIN_PMAX) < MIN_PMAX:
             raise _UsageError(f"--pmax must be at least {MIN_PMAX}, the least P of a sphere")
-        if getattr(ns, "nmax", MIN_NMAX) < MIN_NMAX:
-            raise _UsageError(f"--nmax must be at least {MIN_NMAX}, the least level")
-        if getattr(ns, "order", 8) < 0:
-            raise _UsageError("--order must be non-negative")
-        if getattr(ns, "k_max", 4) < 0:
-            raise _UsageError("--K must be non-negative")
+        if not MIN_NMAX <= getattr(ns, "nmax", MIN_NMAX) <= MAX_NMAX:
+            raise _UsageError(
+                f"--nmax must be between {MIN_NMAX} (the least level) and {MAX_NMAX}"
+            )
+        if not 0 <= getattr(ns, "order", 8) <= MAX_ORDER:
+            raise _UsageError(f"--order must be between 0 and {MAX_ORDER}")
+        if not 0 <= getattr(ns, "k_max", 4) <= MAX_K:
+            raise _UsageError(f"--K must be between 0 and {MAX_K}")
         return Command(
             verb=ns.verb,
             p=p,

@@ -1,6 +1,6 @@
 """Exact rational number theory and the precision context for numeric work.
 
-Everything exact (Dedekind sums, Bernoulli polynomials, Seifert surgery
+Everything exact (Dedekind sums, Bernoulli numbers, Seifert surgery
 coefficients) is computed over arbitrary-precision integers and
 ``fractions.Fraction``.  Floating computations elsewhere in the package run
 with mpmath at a precision carried explicitly by a :class:`PrecisionContext`,
@@ -104,17 +104,6 @@ def bernoulli_number(n: int) -> Fraction:
     for k in range(n):
         acc += math.comb(n + 1, k) * bernoulli_number(k)
     return -acc / (n + 1)
-
-
-def bernoulli_polynomial(n: int, x) -> Fraction:
-    """Bernoulli polynomial B_n(x), exact: sum_k C(n,k) B_k x^(n-k)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    x = Fraction(x)
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += math.comb(n, k) * bernoulli_number(k) * x ** (n - k)
-    return total
 
 
 def _egcd(a: int, b: int):

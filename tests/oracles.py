@@ -6,9 +6,12 @@ check the root-of-unity and error-function arithmetic, ``generating_series``
 and ``chi_value`` read chi off independently of its eight-point support,
 ``phi_hat`` approaches the Eichler limits from the lower half plane,
 ``eichler_limit_per_term`` sums them one ``expjpi`` per term,
+``l_function_value_bernoulli`` evaluates L(-2k, chi) from eight Bernoulli
+polynomials instead of the integer power moments,
 ``eichler_integer_data`` is the closed form behind the ``ell_condition``
 filter of the nearly modular expansion, and ``lambda_stirling`` is the
-Stirling-number closed form of the perturbative coefficients lambda_n.
+Stirling-number closed form of the perturbative coefficients lambda_n,
+read off those Bernoulli-polynomial L-values.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from brieskorn_wrt import (
     OhtsukiSeries,
     PeriodicChi,
     PrecisionContext,
+    bernoulli_number,
     build_chi,
     canonicalize,
     dedekind_sum,
-    l_function_value,
     phi_invariant,
     t_exponent,
 )
@@ -233,6 +236,32 @@ def eichler_limit_per_term(
         return ensure_finite(total / pn)
 
 
+def bernoulli_polynomial(n: int, x) -> Fraction:
+    """Bernoulli polynomial B_n(x), exact: sum_k C(n,k) B_k x^(n-k)."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    x = Fraction(x)
+    total = Fraction(0)
+    for k in range(n + 1):
+        total += math.comb(n, k) * bernoulli_number(k) * x ** (n - k)
+    return total
+
+
+def l_function_value_bernoulli(chi: PeriodicChi, k: int) -> Fraction:
+    """L(-2k, chi) = -(2P)^(2k)/(2k+1) * sum_j chi(j) B_{2k+1}(j / 2P), exact.
+
+    One Bernoulli polynomial per support residue; ``l_function_value``
+    reaches the same value through the integer power moments of chi.
+    """
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    two_p = chi.modulus
+    total = Fraction(0)
+    for r, sign in chi.signed_support:
+        total += sign * bernoulli_polynomial(2 * k + 1, Fraction(r, two_p))
+    return -Fraction(two_p ** (2 * k), 2 * k + 1) * total
+
+
 def phi_hat(
     p: BrieskornTriple,
     ell: EllTriple,
@@ -313,7 +342,7 @@ def lambda_stirling(p: BrieskornTriple, order: int) -> OhtsukiSeries:
     a = (2 - phi) / 4
     b = Fraction(1, p.P * (2 - phi))
     chi = build_chi(p, EllTriple(1, 1, 1))
-    l_values = [l_function_value(chi, k) for k in range(order + 2)]
+    l_values = [l_function_value_bernoulli(chi, k) for k in range(order + 2)]
     lambdas = []
     for n in range(order + 1):
         total = Fraction(0)

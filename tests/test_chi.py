@@ -21,7 +21,7 @@ from brieskorn_wrt import (
     orbit,
 )
 from conftest import coprime_triples
-from oracles import chi_value, generating_series, weighted_sum
+from oracles import chi_value, generating_series, l_function_value_bernoulli, weighted_sum
 
 SMALL_TRIPLES = coprime_triples(400)
 triple_strategy = st.sampled_from(SMALL_TRIPLES)
@@ -309,6 +309,16 @@ def test_l_zero_equals_weighted_sum_ratio():
     for ell in enumerate_triples(p):
         chi = build_chi(p, ell)
         assert l_function_value(chi, 0) == -Fraction(weighted_sum(chi), 2 * p.P)
+
+
+@pytest.mark.parametrize("ps", [(2, 3, 5), (2, 3, 7), (3, 4, 5), (5, 7, 9)])
+def test_l_values_match_bernoulli_polynomial_form(ps):
+    # the moment route against eight Bernoulli polynomials, every canonical ell
+    p = BrieskornTriple(*ps)
+    for ell in enumerate_triples(p):
+        chi = build_chi(p, ell)
+        for k in range(31):
+            assert l_function_value(chi, k) == l_function_value_bernoulli(chi, k), (ell, k)
 
 
 # --------------------------- generating function oracle for the L-values

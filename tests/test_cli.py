@@ -7,9 +7,13 @@ from brieskorn_wrt.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_K,
     MAX_LEVEL,
+    MAX_NMAX,
+    MAX_ORDER,
     MAX_PRECISION,
     Command,
+    _build_parser,
     execute,
     main,
     parse,
@@ -97,6 +101,46 @@ def test_parse_rejects_negative_tail_order(capsys):
     assert excinfo.value.code == EXIT_USAGE
     assert "--K" in capsys.readouterr().err
     assert parse(["asymptotic", "--p", "2,3,5", "--N", "10", "--K", "0"]).k_max == 0
+
+
+def test_parse_caps_order_tail_order_and_nmax(capsys):
+    # lambda_n costs O(order^3) and theorem51 runs the surgery sum at every
+    # level up to --nmax, so all three are capped from above
+    for argv, flag in (
+        (["ohtsuki", "--p", "2,3,7", "--order", str(MAX_ORDER + 1)], "--order"),
+        (["asymptotic", "--p", "2,3,7", "--N", "10", "--K", str(MAX_K + 1)], "--K"),
+        (["verify", "--suite", "theorem51", "--nmax", str(MAX_NMAX + 1)], "--nmax"),
+        (["verify", "--suite", "theorem51", "--nmax", "2000"], "--nmax"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            parse(argv)
+        assert excinfo.value.code == EXIT_USAGE, argv
+        assert flag in capsys.readouterr().err, argv
+    assert parse(["ohtsuki", "--p", "2,3,7", "--order", str(MAX_ORDER)]).order == MAX_ORDER
+    assert parse(["asymptotic", "--p", "2,3,7", "--N", "10", "--K", str(MAX_K)]).k_max == MAX_K
+    assert parse(["verify", "--suite", "theorem51", "--nmax", str(MAX_NMAX)]).nmax == MAX_NMAX
+
+
+def test_parse_builds_the_parser_once():
+    parse(["cs", "--p", "2,3,7"])
+    first = _build_parser()
+    parse(["flat", "--p", "2,3,5"])
+    assert _build_parser() is first
+
+
+def test_parse_after_a_usage_error_is_unaffected(capsys):
+    # the shared parser keeps no state from a rejected argv
+    with pytest.raises(SystemExit) as excinfo:
+        parse(["asymptotic", "--p", "2,3,5", "--N", "2", "--K", "7", "--precision", "30"])
+    assert excinfo.value.code == EXIT_USAGE
+    with pytest.raises(SystemExit) as excinfo:
+        parse(["invariant", "--p", "2,3,7", "--bogus", "1"])
+    assert excinfo.value.code == EXIT_USAGE
+    capsys.readouterr()
+    assert parse(["asymptotic", "--p", "3,4,5", "--N", "12"]) == Command(
+        verb="asymptotic", p=(3, 4, 5), n_level=12
+    )
+    assert parse(["verify", "--suite", "gamma"]) == Command(verb="verify", suite="gamma")
 
 
 # --------------------------------------------------------------------- execute

@@ -9,12 +9,12 @@ from mpmath import mp
 from brieskorn_wrt import (
     PrecisionContext,
     bernoulli_number,
-    bernoulli_polynomial,
     dedekind_sum,
     solve_seifert_q,
 )
 from oracles import (
     UnimodularMatrix,
+    bernoulli_polynomial,
     dedekind_sum_cotangent,
     erfc,
     gauss_reciprocity_sides,

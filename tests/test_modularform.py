@@ -24,6 +24,7 @@ from conftest import vertical_limit
 from oracles import (
     eichler_integer_data,
     eichler_limit_per_term,
+    l_function_value_bernoulli,
     modular_index,
     phi_hat,
     weighted_sum,
@@ -388,11 +389,9 @@ def test_nearly_modular_inadmissible_rows_drop_out(ctx50):
 def test_eichler_tail_coefficients_exact():
     tail = eichler_tail(P235, EllTriple(1, 1, 1), 3)
     chi = build_chi(P235, EllTriple(1, 1, 1))
-    from brieskorn_wrt import l_function_value
-
     for k in range(4):
-        assert tail.coefficients[k] == l_function_value(chi, k) / math.factorial(k)
-    assert tail.coefficients[0] == l_function_value(chi, 0)
+        assert tail.coefficients[k] == l_function_value_bernoulli(chi, k) / math.factorial(k)
+    assert tail.coefficients[0] == l_function_value_bernoulli(chi, 0)
 
 
 def test_eichler_tail_rejects_orders_out_of_range(ctx50):
