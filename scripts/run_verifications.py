@@ -2,7 +2,7 @@
 """Run every named verification suite through the CLI and summarize.
 
 Usage:
-    python scripts/run_verifications.py [--pmax 5000] [--nmax 25] [--precision 50]
+    python scripts/run_verifications.py [--pmax 20000] [--nmax 25] [--precision 50]
 """
 
 import argparse
@@ -14,7 +14,7 @@ from brieskorn_wrt.cli import execute, parse
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--pmax", type=int, default=5000)
+    parser.add_argument("--pmax", type=int, default=20000)
     parser.add_argument("--nmax", type=int, default=25)
     parser.add_argument("--precision", type=int, default=50)
     args = parser.parse_args()

@@ -15,6 +15,7 @@ from .chi import (
     BrieskornTriple,
     EllTriple,
     PeriodicChi,
+    admissible_count,
     admissible_triples,
     build_chi,
     canonicalize,
@@ -86,6 +87,7 @@ __all__ = [
     "Rational",
     "Table1Report",
     "WrtResult",
+    "admissible_count",
     "admissible_triples",
     "asymptotic_approx",
     "bernoulli_number",

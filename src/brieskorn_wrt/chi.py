@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product, starmap
+from itertools import chain, product, repeat
 
 from .exactmath import Rational, bernoulli_number, dedekind_sum, solve_seifert_q
 
@@ -120,8 +120,8 @@ def canonicalize(p: BrieskornTriple, ell: EllTriple) -> EllTriple:
     return min(orbit(p, ell))
 
 
-def _canonical_ells(p: BrieskornTriple):
-    """Yield (l1, l2, l3) of every canonical representative, lexicographically.
+def _canonical_pairs(p: BrieskornTriple):
+    """Yield (l1, l2, top): canonical representatives are (l1, l2, l3), 1 <= l3 < top.
 
     The orbit least member has 2*l1 <= p1 and 2*l2 <= p2.  A tie 2*l1 = p1
     (p1 even) leaves both later coordinates free to flip, and a tie 2*l2 = p2
@@ -131,15 +131,23 @@ def _canonical_ells(p: BrieskornTriple):
     p1, p2, p3 = p.p
     for l1 in range(1, p1 // 2 + 1):
         for l2 in range(1, p2 // 2 + 1):
-            top = p3 // 2 + 1 if 2 * l1 == p1 or 2 * l2 == p2 else p3
-            for l3 in range(1, top):
-                yield l1, l2, l3
+            yield l1, l2, (p3 // 2 + 1 if 2 * l1 == p1 or 2 * l2 == p2 else p3)
+
+
+def _ell_runs(runs) -> tuple:
+    """EllTriples (l1, l2, l3) for first <= l3 <= last of each (l1, l2, first, last)."""
+    return tuple(
+        chain.from_iterable(
+            map(EllTriple, repeat(l1), repeat(l2), range(first, last + 1))
+            for l1, l2, first, last in runs
+        )
+    )
 
 
 @lru_cache(maxsize=128)
 def enumerate_triples(p: BrieskornTriple) -> tuple:
     """All canonical representatives, sorted; exactly D of them."""
-    result = tuple(starmap(EllTriple, _canonical_ells(p)))
+    result = _ell_runs((l1, l2, 1, top - 1) for l1, l2, top in _canonical_pairs(p))
     if len(result) != p.D:
         raise ArithmeticError(f"{len(result)} canonical triples for {p}, expected D={p.D}")
     return result
@@ -184,7 +192,12 @@ def build_chi(p: BrieskornTriple, ell: EllTriple) -> PeriodicChi:
     return PeriodicChi(two_p, tuple(sorted(values.items())))
 
 
-def _in_open_tetrahedron(big: int, a1: int, a2: int, a3: int) -> bool:
+def ell_condition(p: BrieskornTriple, ell: EllTriple) -> bool:
+    """Open-tetrahedron inequalities marking non-vanishing integer limits."""
+    _check_range(p, ell)
+    big = p.P
+    c1, c2, c3 = p.cofactors
+    a1, a2, a3 = ell.l1 * c1, ell.l2 * c2, ell.l3 * c3
     # a_k = l_k * P/p_k is l_k/p_k scaled by big = P, so with S = sum a_k the
     # inequalities 1 < sum l_k/p_k < 3 and |sum l_j/p_j - 2 l_k/p_k| < 1 read:
     s = a1 + a2 + a3
@@ -196,23 +209,41 @@ def _in_open_tetrahedron(big: int, a1: int, a2: int, a3: int) -> bool:
     )
 
 
-def ell_condition(p: BrieskornTriple, ell: EllTriple) -> bool:
-    """Open-tetrahedron inequalities marking non-vanishing integer limits."""
-    _check_range(p, ell)
+def _admissible_runs(p: BrieskornTriple):
+    """Yield (l1, l2, first, last): the admissible l3 of each canonical (l1, l2).
+
+    With a_k = l_k * P/p_k, s = a1 + a2 and gap = |a1 - a2| the inequalities
+    read P < s + a3 < 3P, |gap +- a3| < P and |s - a3| < P, each linear in
+    a3 = l3 * p1 * p2, so the admissible l3 form one interval, cut to the
+    canonical range 1 <= l3 < top of ``_canonical_pairs``.  A canonical pair
+    has 2 l1 <= p1 and 2 l2 <= p2, never both tied, so s < P; then only
+    P - s < a3 < P - gap can bind.  Only non-empty runs are yielded.  The
+    canonical range lengths must add up to D, or ArithmeticError is raised
+    once the runs are exhausted.
+    """
+    big = p.P
     c1, c2, c3 = p.cofactors
-    return _in_open_tetrahedron(p.P, ell.l1 * c1, ell.l2 * c2, ell.l3 * c3)
+    canonical = 0
+    for l1, l2, top in _canonical_pairs(p):
+        canonical += top - 1
+        a1, a2 = l1 * c1, l2 * c2
+        first = max(1, (big - a1 - a2) // c3 + 1)
+        last = min(top - 1, (big - abs(a1 - a2) - 1) // c3)
+        if first <= last:
+            yield l1, l2, first, last
+    if canonical != p.D:
+        raise ArithmeticError(f"{canonical} canonical triples for {p}, expected D={p.D}")
 
 
 def admissible_triples(p: BrieskornTriple) -> tuple:
     """(canonical triples satisfying the open inequalities, their count gamma)."""
-    big = p.P
-    c1, c2, c3 = p.cofactors
-    triples = tuple(
-        t
-        for t in enumerate_triples(p)
-        if _in_open_tetrahedron(big, t.l1 * c1, t.l2 * c2, t.l3 * c3)
-    )
+    triples = _ell_runs(_admissible_runs(p))
     return triples, len(triples)
+
+
+def admissible_count(p: BrieskornTriple) -> int:
+    """gamma, the number of admissible canonical triples, counted run by run."""
+    return sum(last - first + 1 for _, _, first, last in _admissible_runs(p))
 
 
 def _dedekind_triple_sum(p: BrieskornTriple) -> Rational:

@@ -4,7 +4,7 @@ Verbs: invariant, ohtsuki, cs, flat, asymptotic, verify, table.  Output is
 JSON (default), CSV or text, written to stdout or --out.  Exit codes:
 0 success, 1 verification failure (including a suite that ran no checks),
 2 usage error (among them --N above 10^6, --precision above 10^4, --order
-or --K above 100, --pmax below 30 and --nmax outside 3..50).
+or --K above 100, --pmax outside 30..10^5 and --nmax outside 3..50).
 Rationals are serialized as {"num", "den"} strings and complex values as
 {"re", "im"} decimal strings so arbitrarily large results survive any JSON
 consumer.
@@ -26,7 +26,7 @@ from mpmath import mp
 from . import __version__
 from .chi import (
     BrieskornTriple,
-    admissible_triples,
+    admissible_count,
     gamma_closed_form,
     mordell_count,
 )
@@ -47,13 +47,17 @@ EXIT_USAGE = 2
 # re-expansion is O(order^3) and the L-values behind --order and --K fill
 # the unbounded Bernoulli-number cache, so both are capped; the theorem51
 # suite runs the O(PN) surgery sum at every level up to --nmax, so that is
-# capped too.  No Brieskorn sphere has P below 2*3*5 and no level is below
-# 3, so smaller --pmax and --nmax would select nothing.
+# capped too; the gamma suite checks every sphere with P <= --pmax, each
+# with O(log P) Dedekind sums and O(p1 p2) lattice counts, so --pmax is
+# capped (10^5 takes about a minute).  No Brieskorn sphere has P below
+# 2*3*5 and no level is below 3, so smaller --pmax and --nmax would select
+# nothing.
 MAX_LEVEL = 10**6
 MAX_PRECISION = 10**4
 MAX_ORDER = 100
 MAX_K = 100
 MIN_PMAX = 30
+MAX_PMAX = 10**5
 MIN_NMAX = 3
 MAX_NMAX = 50
 
@@ -179,8 +183,10 @@ def parse(argv: list) -> Command:
             raise _UsageError(f"--N must be between 3 and {MAX_LEVEL}")
         if not 15 <= ns.precision <= MAX_PRECISION:
             raise _UsageError(f"--precision must be between 15 and {MAX_PRECISION}")
-        if getattr(ns, "pmax", MIN_PMAX) < MIN_PMAX:
-            raise _UsageError(f"--pmax must be at least {MIN_PMAX}, the least P of a sphere")
+        if not MIN_PMAX <= getattr(ns, "pmax", MIN_PMAX) <= MAX_PMAX:
+            raise _UsageError(
+                f"--pmax must be between {MIN_PMAX} (the least P of a sphere) and {MAX_PMAX}"
+            )
         if not MIN_NMAX <= getattr(ns, "nmax", MIN_NMAX) <= MAX_NMAX:
             raise _UsageError(
                 f"--nmax must be between {MIN_NMAX} (the least level) and {MAX_NMAX}"
@@ -379,7 +385,7 @@ def _suite_gamma(cmd: Command, ctx: PrecisionContext):
     failures = []
     checks = 0
     for p in coprime_triples(cmd.pmax):
-        _, gamma = admissible_triples(p)
+        gamma = admissible_count(p)
         closed = gamma_closed_form(p)
         direct = p.D - mordell_count(p)
         lam = casson(p)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from brieskorn_wrt import (
     BrieskornTriple,
     EllTriple,
+    admissible_count,
     admissible_triples,
     build_chi,
     canonicalize,
@@ -273,6 +274,43 @@ def test_ell_condition_matches_fraction_form():
         expected = tuple(t for t in triples if _ell_condition_fractions(p, t))
         assert tuple(t for t in triples if ell_condition(p, t)) == expected
         assert admissible_triples(p) == (expected, len(expected))
+        assert admissible_count(p) == len(expected)
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [
+        (2, 3, 7),  # 2 l1 = p1 on every row
+        (3, 4, 5),  # 2 l2 = p2 at l2 = 2
+        (4, 5, 7),  # 2 l1 = p1 at l1 = 2
+        (3, 5, 8),  # p3 even: no tie, l3 unrestricted
+    ],
+)
+def test_admissible_runs_respect_the_tie_rules(ps):
+    # against the canonicalised full lattice, not enumerate_triples
+    p = BrieskornTriple(*ps)
+    expected = tuple(
+        EllTriple(*ell) for ell in _orbit_minima(ps) if _ell_condition_fractions(p, EllTriple(*ell))
+    )
+    assert admissible_triples(p) == (expected, len(expected))
+    assert admissible_count(p) == len(expected)
+
+
+def test_admissible_routes_keep_the_d_count_check():
+    wrong_d = BrieskornTriple(2, 3, 7)
+    object.__setattr__(wrong_d, "D", 4)  # shadows the cached property
+    with pytest.raises(ArithmeticError):
+        admissible_triples(wrong_d)
+    with pytest.raises(ArithmeticError):
+        admissible_count(wrong_d)
+
+
+def test_admissible_routes_never_enumerate_the_lattice():
+    before = enumerate_triples.cache_info()
+    for ps in [(2, 3, 7), (3, 4, 5), (7, 11, 13), (3, 4, 14999)]:
+        p = BrieskornTriple(*ps)
+        assert admissible_count(p) == admissible_triples(p)[1]
+    assert enumerate_triples.cache_info() == before
 
 
 def test_mordell_count_matches_brute_force():
@@ -293,6 +331,26 @@ def test_gamma_three_ways(ps):
     _, gamma = admissible_triples(p)
     assert gamma_closed_form(p) == gamma
     assert p.D - mordell_count(p) == gamma
+
+
+def _coprime(*ps):
+    return all(math.gcd(a, b) == 1 for i, a in enumerate(ps) for b in ps[i + 1 :])
+
+
+thin_strategy = st.tuples(
+    st.sampled_from([(2, 3), (2, 5), (3, 4)]), st.integers(7, 10**5)
+).map(lambda fp: (*fp[0], fp[1])).filter(lambda ps: _coprime(*ps))
+fat_strategy = st.tuples(
+    st.integers(7, 30), st.integers(31, 60), st.integers(61, 400)
+).filter(lambda ps: _coprime(*ps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(thin_strategy, fat_strategy))
+def test_gamma_count_matches_closed_form_and_mordell(ps):
+    p = BrieskornTriple(*ps)
+    gamma = admissible_count(p)
+    assert gamma == gamma_closed_form(p) == p.D - mordell_count(p)
 
 
 # --------------------------------------------------------------------- L-values

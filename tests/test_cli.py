@@ -11,6 +11,7 @@ from brieskorn_wrt.cli import (
     MAX_LEVEL,
     MAX_NMAX,
     MAX_ORDER,
+    MAX_PMAX,
     MAX_PRECISION,
     Command,
     _build_parser,
@@ -104,13 +105,16 @@ def test_parse_rejects_negative_tail_order(capsys):
 
 
 def test_parse_caps_order_tail_order_and_nmax(capsys):
-    # lambda_n costs O(order^3) and theorem51 runs the surgery sum at every
-    # level up to --nmax, so all three are capped from above
+    # lambda_n costs O(order^3), theorem51 runs the surgery sum at every
+    # level up to --nmax and gamma checks every sphere with P <= --pmax, so
+    # all four are capped from above
     for argv, flag in (
         (["ohtsuki", "--p", "2,3,7", "--order", str(MAX_ORDER + 1)], "--order"),
         (["asymptotic", "--p", "2,3,7", "--N", "10", "--K", str(MAX_K + 1)], "--K"),
         (["verify", "--suite", "theorem51", "--nmax", str(MAX_NMAX + 1)], "--nmax"),
         (["verify", "--suite", "theorem51", "--nmax", "2000"], "--nmax"),
+        (["verify", "--suite", "gamma", "--pmax", str(MAX_PMAX + 1)], "--pmax"),
+        (["verify", "--suite", "theorem51", "--pmax", "10000000000"], "--pmax"),
     ):
         with pytest.raises(SystemExit) as excinfo:
             parse(argv)
@@ -119,6 +123,7 @@ def test_parse_caps_order_tail_order_and_nmax(capsys):
     assert parse(["ohtsuki", "--p", "2,3,7", "--order", str(MAX_ORDER)]).order == MAX_ORDER
     assert parse(["asymptotic", "--p", "2,3,7", "--N", "10", "--K", str(MAX_K)]).k_max == MAX_K
     assert parse(["verify", "--suite", "theorem51", "--nmax", str(MAX_NMAX)]).nmax == MAX_NMAX
+    assert parse(["verify", "--suite", "gamma", "--pmax", str(MAX_PMAX)]).pmax == MAX_PMAX
 
 
 def test_parse_builds_the_parser_once():
@@ -209,11 +214,19 @@ def test_verify_gamma_pmax_2000_keeps_caches_bounded():
     assert code == EXIT_OK
     assert report.status == "ok"
     assert report.results["checks"] == 1113
-    # 1113 manifolds pass through enumerate_triples, more than its bound
+    # the suite counts gamma without filling either cache; both stay bounded
     for cached in (enumerate_triples, build_chi):
         info = cached.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize
+
+
+def test_verify_gamma_never_enumerates_the_lattice():
+    # gamma is counted run by run; enumerate_triples is neither hit nor missed
+    before = enumerate_triples.cache_info()
+    report, code = execute(parse(["verify", "--suite", "gamma", "--pmax", "500"]))
+    assert (report.status, code) == ("ok", EXIT_OK)
+    assert enumerate_triples.cache_info() == before
 
 
 def test_verify_theorem51_trimmed():
