@@ -32,7 +32,6 @@ from .exactmath import (
     Rational,
     bernoulli_number,
     dedekind_sum,
-    solve_seifert_q,
 )
 from .modularform import (
     AsymptoticApprox,
@@ -113,7 +112,6 @@ __all__ = [
     "orbit",
     "phi_invariant",
     "rozansky_normalized",
-    "solve_seifert_q",
     "spectral_flow",
     "t_exponent",
     "table1_path",

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat
 
-from .exactmath import Rational, bernoulli_number, dedekind_sum, solve_seifert_q
+from .exactmath import Rational, bernoulli_number, dedekind_sum
 
 COPRIMALITY_ERROR = "p must be pairwise coprime"
 
@@ -24,9 +24,9 @@ class BrieskornTriple:
     """Validated Seifert parameters of a Brieskorn homology sphere.
 
     Components are sorted ascending on construction.  Derived data: the
-    product P, the representation count D = (p1-1)(p2-1)(p3-1)/4, surgery
-    coefficients q_k with P * sum(q_k / p_k) = 1, and the flag marking the
-    unique triple (2, 3, 5) whose reciprocals sum above 1.
+    product P, the representation count D = (p1-1)(p2-1)(p3-1)/4, the
+    cofactors P/p_k, and the flag marking the unique triple (2, 3, 5) whose
+    reciprocals sum above 1.
     """
 
     p1: int
@@ -65,10 +65,6 @@ class BrieskornTriple:
     @cached_property
     def cofactors(self) -> tuple:
         return (self.P // self.p1, self.P // self.p2, self.P // self.p3)
-
-    @cached_property
-    def seifert_q(self) -> tuple:
-        return solve_seifert_q(self.p1, self.p2, self.p3)
 
     @property
     def is_poincare(self) -> bool:

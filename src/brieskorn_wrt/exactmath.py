@@ -1,11 +1,10 @@
 """Exact rational number theory and the precision context for numeric work.
 
-Everything exact (Dedekind sums, Bernoulli numbers, Seifert surgery
-coefficients) is computed over arbitrary-precision integers and
-``fractions.Fraction``.  Floating computations elsewhere in the package run
-with mpmath at a precision carried explicitly by a :class:`PrecisionContext`,
-so results never depend on ambient mpmath state beyond the scope of a single
-call.
+Everything exact (Dedekind sums, Bernoulli numbers) is computed over
+arbitrary-precision integers and ``fractions.Fraction``.  Floating
+computations elsewhere in the package run with mpmath at a precision
+carried explicitly by a :class:`PrecisionContext`, so results never depend
+on ambient mpmath state beyond the scope of a single call.
 """
 
 from __future__ import annotations
@@ -104,38 +103,3 @@ def bernoulli_number(n: int) -> Fraction:
     for k in range(n):
         acc += math.comb(n + 1, k) * bernoulli_number(k)
     return -acc / (n + 1)
-
-
-def _egcd(a: int, b: int):
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def solve_seifert_q(p1: int, p2: int, p3: int) -> tuple:
-    """Surgery coefficients (q1, q2, q3) with q1 p2 p3 + q2 p1 p3 + q3 p1 p2 = 1.
-
-    The solution is not unique; this canonical choice runs extended Euclid on
-    (p2*p3, p1*p3), lifts through gcd(p3, p1*p2) = 1, then reduces so that
-    0 <= q1 < p1 and 0 <= q2 < p2 with q3 absorbing the remainder.
-    """
-    g, x, y = _egcd(p2 * p3, p1 * p3)
-    if g != p3:
-        raise ValueError("p must be pairwise coprime")
-    g2, u, v = _egcd(p3, p1 * p2)
-    if g2 != 1:
-        raise ValueError("p must be pairwise coprime")
-    q1, q2, q3 = x * u, y * u, v
-    shift = q1 // p1
-    q1 -= shift * p1
-    q3 += shift * p3
-    shift = q2 // p2
-    q2 -= shift * p2
-    q3 += shift * p3
-    if q1 * p2 * p3 + q2 * p1 * p3 + q3 * p1 * p2 != 1:
-        raise ArithmeticError(f"surgery coefficients fail to solve for p={(p1, p2, p3)}")
-    return q1, q2, q3

@@ -3,7 +3,8 @@
 The theta series attached to each periodic sign function is modular of
 weight 3/2 under an explicit D x D transformation matrix S.  S is kept in
 factored form, a scale, three per-fibre sine tables and an integer parity
-sign, and is read one row at a time.  Its Eichler integral is only nearly
+sign, and is read one row at a time; T is kept as the integer numerators
+A^2 mod 4P of its exponents.  Its Eichler integral is only nearly
 modular: at rationals it has finite limiting values (computable as finite
 sums) and a divergent asymptotic tail built from L-values, both of which are
 exposed here.  ``eichler_limit`` evaluates a limit at m/n as four exact
@@ -11,6 +12,9 @@ integer weight vectors over the n-th roots of unity, read against one
 fixed-point table of those roots, so its rounding is bounded by the weights
 it sums.  ``nearly_modular_expansion`` is the one implementation of the
 dominant/tail split; ``wrt.asymptotic_approx`` normalizes its (1, 1, 1) row.
+Its dominant part reads only the gamma admissible columns, each as a power
+of i times three entries of per-fibre tables of sines times phases, so it
+calls no transcendental function per column and builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -20,15 +24,17 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from mpmath import mp
 
 from .chi import (
     BrieskornTriple,
     EllTriple,
+    _admissible_runs,
+    _canonical_pairs,
     build_chi,
     canonicalize,
-    ell_condition,
     enumerate_triples,
     l_function_value,
 )
@@ -61,14 +67,26 @@ class ModularData:
     the rest of the sign is an integer parity.  ``scale`` = sqrt(32/P) and the
     tables hold ``ctx``-precision values, and entries are multiplied out at
     that precision whatever the caller's.
+
+    The T-entry of triple j is exp(pi i a_j / 2P) with the integer
+    ``t_numerators[j]`` = A^2 mod 4P, A = P + sum_k l_k c_k.  ``admissible``
+    lists, in order, the indices of the triples passing the open-tetrahedron
+    condition, the columns that carry a non-zero integer-point limit.
     """
 
     triple: BrieskornTriple
     triples: tuple
-    t_exponents: tuple
+    t_numerators: tuple
+    admissible: tuple
     ctx: PrecisionContext
     scale: object
     sine_tables: tuple
+
+    @property
+    def t_exponents(self) -> tuple:
+        """Exact T-exponents r_j = a_j / 2P, those of ``t_exponent``."""
+        two_p = 2 * self.triple.P
+        return tuple(Fraction(a, two_p) for a in self.t_numerators)
 
     def s_row(self, ell: EllTriple) -> tuple:
         """The D entries S[ell][l'] over the canonical triples l', in O(D)."""
@@ -96,17 +114,38 @@ def _signed_sines(pk: int) -> tuple:
     return tuple(half + [-v for v in half])
 
 
+def _admissible_columns(p: BrieskornTriple) -> tuple:
+    # each canonical (l1, l2) owns the next top - 1 columns, l3 = 1..top-1,
+    # and its admissible l3 are one run inside that block
+    starts = {}
+    start = 0
+    for l1, l2, top in _canonical_pairs(p):
+        starts[l1, l2] = start - 1
+        start += top - 1
+    return tuple(
+        chain.from_iterable(
+            range(starts[l1, l2] + first, starts[l1, l2] + last + 1)
+            for l1, l2, first, last in _admissible_runs(p)
+        )
+    )
+
+
 @lru_cache(maxsize=64)
 def _modular_data_cached(p: BrieskornTriple, digits: int) -> ModularData:
     ctx = PrecisionContext(digits)
     triples = enumerate_triples(p)
+    four_p = 4 * p.P
+    c1, c2, c3 = p.cofactors
     with ctx.workdps():
         scale = ensure_finite(mp.sqrt(mp.mpf(32) / p.P))
         sine_tables = tuple(_signed_sines(pk) for pk in p.p)
     return ModularData(
         triple=p,
         triples=triples,
-        t_exponents=tuple(t_exponent(p, ell) for ell in triples),
+        t_numerators=tuple(
+            (p.P + t.l1 * c1 + t.l2 * c2 + t.l3 * c3) ** 2 % four_p for t in triples
+        ),
+        admissible=_admissible_columns(p),
         ctx=ctx,
         scale=scale,
         sine_tables=sine_tables,
@@ -118,6 +157,12 @@ def modular_data(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
     return _modular_data_cached(p, ctx.decimal_digits)
 
 
+# theta_eval sums about 4 n_max / P terms.  A tau whose cutoff n_max lies
+# beyond this many terms (Im tau below about 3e-11 for Sigma(2,3,7) at 50
+# digits) is rejected with ValueError before any summing.
+THETA_MAX_TERMS = 10**6
+
+
 def _theta_cutoff(p: BrieskornTriple, im_tau: float, tol_log10: float) -> int:
     # least n with exp(-pi*im_tau*n^2/(2P)) * n < tol / (4P), in the monotone range
     target = tol_log10 - math.log10(4 * p.P)
@@ -126,6 +171,13 @@ def _theta_cutoff(p: BrieskornTriple, im_tau: float, tol_log10: float) -> int:
     def small_enough(n: int) -> bool:
         return -decay * n * n + math.log10(n) < target
 
+    # small_enough fails up to the peak sqrt(P / (pi im_tau)) of n exp(...),
+    # so a failure at the cap puts the cutoff beyond it
+    cap = THETA_MAX_TERMS * p.P // 4
+    if not small_enough(cap):
+        raise ValueError(
+            f"Im(tau) = {im_tau:.3g} needs more than {THETA_MAX_TERMS} theta terms"
+        )
     n = max(2, math.isqrt(int(p.P / (math.pi * im_tau))) + 2)
     while not small_enough(n):
         n *= 2
@@ -312,12 +364,6 @@ class EichlerTail:
                 power *= scale
             return ensure_finite(+total)
 
-    def term(self, n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-        self._check_order(k)
-        with ctx.workdps():
-            scale = mp.mpc(0, 1) * mp.pi / (self.two_p * n)
-            return ensure_finite(+(to_mpf(self.coefficients[k]) * scale**k))
-
 
 def eichler_tail(p: BrieskornTriple, ell: EllTriple, order: int) -> EichlerTail:
     """Tail coefficients L(-2k, chi)/k! for k = 0..order, exact."""
@@ -340,6 +386,49 @@ class AsymptoticApprox:
     abs_error: object
 
 
+def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
+    """(sum, q): sum_l' S[ell][l'] e^{-pi i r(l') n} = i^-q sqrt(32/P) sum.
+
+    The sum runs over the admissible columns l' only.  With A = P + sum l'_k c_k,
+
+        A^2 / 2P = P/2 + J + sum_k c_k l'_k^2 / 2p_k,
+        J = sum_k l'_k c_k + l'_1 l'_2 p_3 + l'_1 l'_3 p_2 + l'_2 l'_3 p_1,
+
+    an integer J, so e^{-pi i r n} = i^{-nP} (-1)^{nJ} prod_k e^{-pi i n c_k l'_k^2 / 2p_k}.
+    The parity sign of S[ell][l'] is a constant plus a part linear in l'.
+    So each fibre k gets a table over 1 <= l'_k < p_k: its sine of S times its
+    phase, signed by the parts of both parities that are linear in l'_k.
+    A column is then three table entries, signed by the parity of n times the
+    cross terms of J; the constant signs and i^{-nP} make up i^-q.
+    """
+    p = md.triple
+    l = canonicalize(p, ell).ell
+    p1, p2, p3 = p.p
+    # the coefficient of l'_k in the cross part of the S parity, mod 2
+    cross = (l[2] * p2 + l[1] * p3, l[2] * p1 + l[0] * p3, l[1] * p1 + l[0] * p2)
+    factors = []
+    for table, c, pk, lk, w in zip(md.sine_tables, p.cofactors, p.p, l, cross):
+        two_pk, four_pk = 2 * pk, 4 * pk
+        flip = (w + (n + 1) * c) & 1
+        row = [None]
+        for b in range(1, pk):
+            value = table[c * lk * b % two_pk] * mp.expjpi(
+                mp.mpf(-n * c * b * b % four_pk) / two_pk
+            )
+            row.append(-value if flip & b else value)
+        factors.append(row)
+    f1, f2, f3 = factors
+    odd = n & 1
+    sums = [mp.mpc(0), mp.mpc(0)]
+    triples = md.triples
+    for j in md.admissible:
+        t = triples[j]
+        a, b, c = t.l1, t.l2, t.l3
+        sums[(a * b * p3 + (a * p2 + b * p1) * c) & odd] += f1[a] * f2[b] * f3[c]
+    constant = 1 + p.P + sum(x * y for x, y in zip(l, p.cofactors))
+    return (sums[0] - sums[1]) * md.scale, (n * p.P + 2 * constant) % 4
+
+
 def nearly_modular_expansion(
     p: BrieskornTriple,
     ell: EllTriple,
@@ -350,8 +439,11 @@ def nearly_modular_expansion(
     """Dominant S-transformed part plus order-k_max tail of the limit at 1/n.
 
     dominant = -sqrt(n/i) sum_l' S[ell][l'] (integer-point limit of l' at -n),
-    that limit being -2 e^{-pi i r(l') n} where ``ell_condition`` holds and 0
-    elsewhere; exact is ``eichler_limit`` at 1/n.
+    that limit being -2 e^{-pi i r(l') n} on the admissible columns
+    ``md.admissible`` and 0 elsewhere; exact is ``eichler_limit`` at 1/n.
+    The sum reads only those gamma columns, each as three entries of
+    per-fibre tables of sines times phases built once per call, so no
+    transcendental function is called per column (see ``_dominant_sum``).
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
@@ -359,12 +451,9 @@ def nearly_modular_expansion(
         raise ValueError("n must be positive")
     md = modular_data(p, ctx)
     with ctx.workdps():
-        dominant = mp.mpc(0)
-        for s, r, ellp in zip(md.s_row(ell), md.t_exponents, md.triples):
-            if ell_condition(p, ellp):
-                dominant += s * mp.expjpi(to_mpf((r * -n) % 2))
-        # -sqrt(n/i) times the amplitude -2
-        dominant *= 2 * mp.sqrt(mp.mpf(n)) * mp.expjpi(mp.mpf(-0.25))
+        total, quarter = _dominant_sum(md, ell, n)
+        # -sqrt(n/i) i^-q times the amplitude -2
+        dominant = 2 * mp.sqrt(mp.mpf(n)) * mp.expjpi(mp.mpf(-1 - 2 * quarter) / 4) * total
         tail = eichler_tail(p, ell, k_max).evaluate(n, k_max, ctx)
         exact = eichler_limit(p, ell, 1, n, ctx)
         abs_error = ensure_finite(abs(exact - dominant - tail))

@@ -5,10 +5,13 @@ triple passing the open-tetrahedron condition), carrying its Chern-Simons
 value, Reidemeister torsion amplitude, spectral flow mod 8 and conjugacy
 angles, plus the identity tying sqrt(2) times an S-matrix entry to torsion
 and spectral flow.  Chern-Simons values, conjugacy angles and spectral flows
-are exact rationals and integers; the spectral flow comes from an integer
-sawtooth convolution plus Dedekind sums, so no floating sum is rounded to
-an integer anywhere.  Only the torsion amplitude is evaluated at the
-context precision.
+are exact rationals and integers: the Chern-Simons value is an integer
+numerator over 4P, and the spectral flow comes from Dedekind sums plus a
+per-manifold table of integer sawtooth convolutions, one entry per residue
+mod p_j, so no floating sum is rounded to an integer anywhere.  Only the
+torsion amplitude is evaluated at the context precision, as products of
+entries of a per-fibre table of sin(pi k / p_j) that this module builds
+itself, apart from the S-matrix tables it is checked against.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .exactmath import (
     ensure_finite,
     to_mpf,
 )
-from .modularform import modular_data, t_exponent
+from .modularform import modular_data
 
 
 @dataclass(frozen=True)
@@ -62,11 +65,16 @@ def casson(p: BrieskornTriple) -> Rational:
 
 
 def chern_simons(p: BrieskornTriple, ell: EllTriple) -> Rational:
-    """CS value -(P/4)(1 + sum l_j/p_j)^2 mod 1, reported in (-1/2, 1/2]."""
-    cs = (-t_exponent(p, ell) / 2) % 1
-    if cs > Fraction(1, 2):
-        cs -= 1
-    return cs
+    """CS value -(P/4)(1 + sum l_j/p_j)^2 mod 1, reported in (-1/2, 1/2].
+
+    With A = P + sum l_j c_j that is -A^2 / 4P mod 1, reduced in integers.
+    """
+    four_p = 4 * p.P
+    a = p.P + sum(l * c for l, c in zip(ell.ell, p.cofactors))
+    numerator = -a * a % four_p
+    if 2 * numerator > four_p:
+        numerator -= four_p
+    return Fraction(numerator, four_p)
 
 
 def conjugacy_angles(p: BrieskornTriple, ell: EllTriple) -> tuple:
@@ -79,14 +87,26 @@ def euler_number(p: BrieskornTriple, ell: EllTriple) -> int:
     return sum((pk - l) * c for l, pk, c in zip(ell.ell, p.p, p.cofactors))
 
 
+@lru_cache(maxsize=192)
+def _torsion_sines(pk: int, digits: int) -> tuple:
+    """sin(pi k / pk) for 0 <= k < pk, at the working precision of ``digits``."""
+    with PrecisionContext(digits).workdps():
+        return tuple(mp.sinpi(mp.mpf(k) / pk) for k in range(pk))
+
+
 def torsion_sqrt(
     p: BrieskornTriple, ell: EllTriple, ctx: PrecisionContext = DEFAULT_CONTEXT
 ):
-    """Reidemeister torsion amplitude (8/sqrt(P)) prod |sin(P l_j pi / p_j^2)|."""
+    """Reidemeister torsion amplitude (8/sqrt(P)) prod |sin(P l_j pi / p_j^2)|.
+
+    P l_j / p_j^2 = c_j l_j / p_j, and |sin(pi x)| has period 1, so the j-th
+    factor is entry c_j l_j mod p_j of the table of sin(pi k / p_j).
+    """
+    digits = ctx.decimal_digits
     with ctx.workdps():
         value = 8 / mp.sqrt(mp.mpf(p.P))
-        for l, pk in zip(ell.ell, p.p):
-            value *= abs(mp.sinpi(to_mpf(Fraction(p.P * l, pk * pk) % 2)))
+        for l, pk, c in zip(ell.ell, p.p, p.cofactors):
+            value *= _torsion_sines(pk, digits)[c * l % pk]
         return ensure_finite(+value)
 
 
@@ -94,6 +114,32 @@ def torsion_sqrt(
 def _spectral_flow_offset(p: BrieskornTriple) -> Rational:
     """-3 - 4 sum_j s(c_j, p_j), the part of the spectral flow shared by all ell."""
     return -3 - 4 * _dedekind_triple_sum(p)
+
+
+def _sawtooth_kernel(c: int, pk: int) -> tuple:
+    """K(e) for every residue e mod pk, in O(pk) integers.
+
+    K(e) = sum_i f(i) g(e - i) over i mod pk, with f(x) = 2x - pk for
+    0 < x < pk, f(0) = 0 and g(x) = f(c^{-1} x mod pk).  Then
+    K(e + 1) - K(e) = sum_i (f(i + 1) - f(i)) g(e - i), where f(i + 1) - f(i)
+    is 2, less pk at i = 0 and at i = pk - 1; g sums to 0 like f, so
+    K(e + 1) = K(e) - pk (g(e) + g(e + 1)).
+    """
+    c_inv = pow(c, -1, pk)
+    g = [2 * (c_inv * x % pk) - pk if x % pk else 0 for x in range(pk + 1)]
+    kernel = [sum((2 * i - pk) * g[-i % pk] for i in range(1, pk))]
+    for e in range(pk - 1):
+        kernel.append(kernel[-1] - pk * (g[e] + g[e + 1]))
+    return tuple(kernel)
+
+
+@lru_cache(maxsize=128)
+def _spectral_flow_kernels(p: BrieskornTriple) -> tuple:
+    """Per fibre j, K_j(e mod p_j) c_j^2 for every residue: K_j / p_j^2 over P^2."""
+    return tuple(
+        tuple(k * c * c for k in _sawtooth_kernel(c, pk))
+        for c, pk in zip(p.cofactors, p.p)
+    )
 
 
 def spectral_flow(p: BrieskornTriple, ell: EllTriple) -> int:
@@ -108,26 +154,28 @@ def spectral_flow(p: BrieskornTriple, ell: EllTriple) -> int:
         SF = -3 - 2e^2/P - 4 sum_j s(c_j, p_j) - sum_j K_j(e)/p_j^2,
         K_j(e) = sum_{i=1}^{p_j-1} (2i - p_j)(2r_i - p_j) [r_i != 0],
 
-    where r_i = c_j^{-1}(e - i) mod p_j.  Each K_j is an O(p_j) integer sum;
-    the Dedekind sums, O(log p_j) each, are shared by every ell of a manifold.
-    The total must be an integer: a fraction is a structural fault and
-    raises, nothing is rounded.
+    where r_i = c_j^{-1}(e - i) mod p_j.  K_j depends on e only through
+    e mod p_j, and a per-manifold table holds it for every residue, built in
+    O(p_j) integers; the Dedekind sums, O(log p_j) each, are shared by every
+    ell of a manifold too, so each ell costs three table reads.  Over the
+    common denominator P^2 the total must be an integer: a fraction is a
+    structural fault and raises, nothing is rounded.
     """
     e = euler_number(p, ell)
-    total = _spectral_flow_offset(p) - Fraction(2 * e * e, p.P)
-    for c, pk in zip(p.cofactors, p.p):
-        c_inv = pow(c, -1, pk)
-        kernel = 0
-        for i in range(1, pk):
-            r = c_inv * (e - i) % pk
-            if r:
-                kernel += (2 * i - pk) * (2 * r - pk)
-        total -= Fraction(kernel, pk * pk)
-    if total.denominator != 1:
+    offset = _spectral_flow_offset(p)
+    square = p.P * p.P
+    scaled = 2 * e * e * p.P + sum(
+        table[e % pk] for table, pk in zip(_spectral_flow_kernels(p), p.p)
+    )
+    # offset - scaled / P^2 over the denominator offset.denominator * P^2
+    denominator = offset.denominator * square
+    numerator = offset.numerator * square - offset.denominator * scaled
+    if numerator % denominator:
+        total = Fraction(numerator, denominator)
         raise ArithmeticError(
             f"spectral flow {total} is not an integer for p={p.p}, ell={ell.ell}"
         )
-    return total.numerator % 8
+    return numerator // denominator % 8
 
 
 def flat_connections(

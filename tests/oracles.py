@@ -8,10 +8,18 @@ and ``chi_value`` read chi off independently of its eight-point support,
 ``eichler_limit_per_term`` sums them one ``expjpi`` per term,
 ``l_function_value_bernoulli`` evaluates L(-2k, chi) from eight Bernoulli
 polynomials instead of the integer power moments,
-``eichler_integer_data`` is the closed form behind the ``ell_condition``
-filter of the nearly modular expansion, and ``lambda_stirling`` is the
+``eichler_integer_data`` is the closed form behind the admissible columns
+of the nearly modular expansion, and ``lambda_stirling`` is the
 Stirling-number closed form of the perturbative coefficients lambda_n,
 read off those Bernoulli-polynomial L-values.
+
+Retired production forms kept to check their replacements:
+``dominant_per_column`` reads the full S-row with one ``expjpi`` of a
+``Fraction`` T-exponent per ``ell_condition`` column,
+``spectral_flow_per_record`` runs the O(p_j) sawtooth loop for each
+connection, ``chern_simons_fraction`` halves the ``Fraction`` T-exponent,
+and ``eichler_tail_term`` evaluates one tail term.  ``solve_seifert_q``
+finds surgery coefficients, which the library does not use.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from mpmath import mp
 from brieskorn_wrt import (
     DEFAULT_CONTEXT,
     BrieskornTriple,
+    EichlerTail,
     EllTriple,
     ModularData,
     OhtsukiSeries,
@@ -35,10 +44,14 @@ from brieskorn_wrt import (
     build_chi,
     canonicalize,
     dedekind_sum,
+    ell_condition,
+    euler_number,
+    modular_data,
     phi_invariant,
     t_exponent,
 )
 from brieskorn_wrt.exactmath import ensure_finite, to_mpf
+from brieskorn_wrt.topology import _spectral_flow_offset
 
 
 @dataclass(frozen=True)
@@ -356,3 +369,90 @@ def lambda_stirling(p: BrieskornTriple, order: int) -> OhtsukiSeries:
             lam += (-1) ** (n + 1)
         lambdas.append(lam)
     return OhtsukiSeries(manifold=p, order=order, lambdas=tuple(lambdas))
+
+
+def egcd(a: int, b: int):
+    """Extended Euclid: returns (g, x, y) with a*x + b*y = g."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def solve_seifert_q(p1: int, p2: int, p3: int) -> tuple:
+    """Surgery coefficients (q1, q2, q3) with q1 p2 p3 + q2 p1 p3 + q3 p1 p2 = 1.
+
+    The solution is not unique; this canonical choice runs extended Euclid on
+    (p2*p3, p1*p3), lifts through gcd(p3, p1*p2) = 1, then reduces so that
+    0 <= q1 < p1 and 0 <= q2 < p2 with q3 absorbing the remainder.
+    """
+    g, x, y = egcd(p2 * p3, p1 * p3)
+    if g != p3:
+        raise ValueError("p must be pairwise coprime")
+    g2, u, v = egcd(p3, p1 * p2)
+    if g2 != 1:
+        raise ValueError("p must be pairwise coprime")
+    q1, q2, q3 = x * u, y * u, v
+    shift = q1 // p1
+    q1 -= shift * p1
+    q3 += shift * p3
+    shift = q2 // p2
+    q2 -= shift * p2
+    q3 += shift * p3
+    if q1 * p2 * p3 + q2 * p1 * p3 + q3 * p1 * p2 != 1:
+        raise ArithmeticError(f"surgery coefficients fail to solve for p={(p1, p2, p3)}")
+    return q1, q2, q3
+
+
+def eichler_tail_term(tail: EichlerTail, n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """Term k of the tail at 1/n: L(-2k, chi)/k! (pi i / (2 P n))^k."""
+    tail._check_order(k)
+    with ctx.workdps():
+        scale = mp.mpc(0, 1) * mp.pi / (tail.two_p * n)
+        return ensure_finite(+(to_mpf(tail.coefficients[k]) * scale**k))
+
+
+def dominant_per_column(
+    p: BrieskornTriple, ell: EllTriple, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT
+):
+    """The dominant part of the nearly modular expansion, column by column.
+
+    -sqrt(n/i) sum_l' S[ell][l'] (-2 e^{-pi i r(l') n}) over the full S-row,
+    kept where ``ell_condition`` holds, one ``expjpi`` of the ``Fraction``
+    T-exponent per kept column.
+    """
+    md = modular_data(p, ctx)
+    with ctx.workdps():
+        dominant = mp.mpc(0)
+        for s, ellp in zip(md.s_row(ell), md.triples):
+            if ell_condition(p, ellp):
+                dominant += s * mp.expjpi(to_mpf((t_exponent(p, ellp) * -n) % 2))
+        dominant *= 2 * mp.sqrt(mp.mpf(n)) * mp.expjpi(mp.mpf(-0.25))
+        return ensure_finite(+dominant)
+
+
+def spectral_flow_per_record(p: BrieskornTriple, ell: EllTriple) -> int:
+    """Spectral flow mod 8 with each K_j(e) summed over its p_j - 1 terms."""
+    e = euler_number(p, ell)
+    total = _spectral_flow_offset(p) - Fraction(2 * e * e, p.P)
+    for c, pk in zip(p.cofactors, p.p):
+        c_inv = pow(c, -1, pk)
+        kernel = 0
+        for i in range(1, pk):
+            r = c_inv * (e - i) % pk
+            if r:
+                kernel += (2 * i - pk) * (2 * r - pk)
+        total -= Fraction(kernel, pk * pk)
+    if total.denominator != 1:
+        raise ArithmeticError(f"spectral flow {total} is not an integer")
+    return total.numerator % 8
+
+
+def chern_simons_fraction(p: BrieskornTriple, ell: EllTriple) -> Fraction:
+    """-r/2 mod 1 for the ``Fraction`` T-exponent r, reported in (-1/2, 1/2]."""
+    cs = (-t_exponent(p, ell) / 2) % 1
+    if cs > Fraction(1, 2):
+        cs -= 1
+    return cs

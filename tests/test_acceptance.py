@@ -36,7 +36,7 @@ from brieskorn_wrt import (
 )
 from brieskorn_wrt.exactmath import to_mpf
 from conftest import coprime_triples
-from oracles import gauss_reciprocity_sides, gauss_sum, lambda_stirling
+from oracles import eichler_tail_term, gauss_reciprocity_sides, gauss_sum, lambda_stirling
 from test_chi import l_values_from_hyperbolic_quotient
 
 CTX = PrecisionContext(50)
@@ -204,7 +204,8 @@ def test_criterion_09_asymptotic_quality():
                 ok = ok and 4 < ratio < 16
                 detail.append(f"{ps} {a}->{b}: x{mp.nstr(ratio, 3)}")
             at200 = asymptotic_approx(p, 200, 2, CTX)
-            last_term = abs(eichler_tail(p, EllTriple(1, 1, 1), 2).term(200, 2, CTX)) / 2
+            tail = eichler_tail(p, EllTriple(1, 1, 1), 2)
+            last_term = abs(eichler_tail_term(tail, 200, 2, CTX)) / 2
             ok = ok and at200.abs_error < last_term
         _report(9, ok, "error halves ~8x per doubling and sits below the last kept term; " + "; ".join(detail))
 

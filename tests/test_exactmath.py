@@ -10,17 +10,18 @@ from brieskorn_wrt import (
     PrecisionContext,
     bernoulli_number,
     dedekind_sum,
-    solve_seifert_q,
 )
 from oracles import (
     UnimodularMatrix,
     bernoulli_polynomial,
     dedekind_sum_cotangent,
+    egcd,
     erfc,
     gauss_reciprocity_sides,
     gauss_sum,
     rademacher_phi,
     sawtooth,
+    solve_seifert_q,
     stirling_first,
 )
 
@@ -138,22 +139,13 @@ def _random_unimodular(rng):
         if q != 0 and p != 0 and math.gcd(p, q) == 1:
             break
     # solve p*s - q*r = 1
-    g, s, neg_r = _egcd(p, q)
+    g, s, neg_r = egcd(p, q)
     if g < 0:
         g, s, neg_r = -g, -s, -neg_r
     assert g == 1
     r = -neg_r
     shift = rng.randint(-5, 5)  # (r, s) -> (r + shift*p, s + shift*q)
     return UnimodularMatrix(p, r + shift * p, q, s + shift * q)
-
-
-def _egcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
 
 
 def test_rademacher_s_multiplication_rule():

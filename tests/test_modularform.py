@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from mpmath import mp
 from brieskorn_wrt import (
     BrieskornTriple,
     EllTriple,
+    admissible_triples,
     build_chi,
     eichler_limit,
     eichler_tail,
@@ -19,11 +21,13 @@ from brieskorn_wrt import (
     theta_eval,
 )
 from brieskorn_wrt.exactmath import PrecisionContext, to_mpf
-from brieskorn_wrt.modularform import _modular_data_cached
-from conftest import vertical_limit
+from brieskorn_wrt.modularform import THETA_MAX_TERMS, _modular_data_cached, _theta_cutoff
+from conftest import coprime_triples, vertical_limit
 from oracles import (
+    dominant_per_column,
     eichler_integer_data,
     eichler_limit_per_term,
+    eichler_tail_term,
     l_function_value_bernoulli,
     modular_index,
     phi_hat,
@@ -131,6 +135,22 @@ def test_modular_data_cache_is_bounded():
     assert info.currsize <= info.maxsize
 
 
+def test_modular_data_t_numerators_and_admissible_columns():
+    # a_j / 2P is the Fraction T-exponent, and the admissible columns are
+    # exactly the positions of admissible_triples among the canonical ones
+    for ps in coprime_triples(3000):
+        p = BrieskornTriple(*ps)
+        md = modular_data(p, PrecisionContext(15))
+        position = {t: i for i, t in enumerate(md.triples)}
+        assert md.admissible == tuple(position[t] for t in admissible_triples(p)[0])
+        if p.P <= 400:
+            assert md.t_exponents == tuple(t_exponent(p, t) for t in md.triples)
+    for p in (P237, P345, P579):
+        md = modular_data(p)
+        assert all(0 <= a < 4 * p.P for a in md.t_numerators)
+        assert md.t_exponents == tuple(t_exponent(p, t) for t in md.triples)
+
+
 def test_s_matrix_is_symmetric_involution(ctx50):
     # S^2 = 1 and S = S^T, entry by entry, within the context tolerance
     for p in (P235, P237, P345):
@@ -160,6 +180,19 @@ def test_s_matrix_is_symmetric_involution(ctx50):
 def test_theta_rejects_lower_half_plane(ctx50):
     with pytest.raises(ValueError):
         theta_eval(P237, EllTriple(1, 1, 1), mp.mpc(0, -1), ctx50)
+
+
+def test_theta_rejects_tiny_imaginary_part(ctx50):
+    # the cutoff is checked against THETA_MAX_TERMS before any term is summed;
+    # 1e-320 used to overflow and 1e-300 to ask for about 1e151 terms
+    start = time.perf_counter()
+    for im in ("1e-320", "1e-300", "1e-13"):
+        with pytest.raises(ValueError, match="theta terms"):
+            theta_eval(P237, EllTriple(1, 1, 1), mp.mpc(0, mp.mpf(im)), ctx50)
+    assert time.perf_counter() - start < 0.5
+    # just inside the cap the cutoff stays within twice its term count
+    n_max = _theta_cutoff(P237, 1e-10, -40)
+    assert 4 * n_max / P237.P <= 2 * THETA_MAX_TERMS
 
 
 def test_theta_t_transformation(ctx50):
@@ -351,7 +384,7 @@ def test_nearly_modular_residual_below_last_term(ctx50):
     for p, ell in NEARLY_MODULAR_ROWS:
         nm = nearly_modular_expansion(p, ell, 100, 4, ctx50)
         with ctx50.workdps():
-            last = abs(eichler_tail(p, ell, 4).term(100, 4, ctx50))
+            last = abs(eichler_tail_term(eichler_tail(p, ell, 4), 100, 4, ctx50))
             assert nm.abs_error < last, (p, ell)
 
 
@@ -386,6 +419,26 @@ def test_nearly_modular_inadmissible_rows_drop_out(ctx50):
         assert abs(nm.dominant - manual) < ctx50.tolerance
 
 
+DOMINANT_MANIFOLDS = (
+    (2, 3, 5), (2, 3, 7), (3, 4, 5), (2, 5, 7), (3, 5, 8), (4, 5, 7), (5, 7, 9), (2, 3, 13),
+    (7, 10, 11),
+)
+
+
+@pytest.mark.parametrize("ps", DOMINANT_MANIFOLDS)
+def test_dominant_matches_per_column_form(ps, ctx50):
+    # per-fibre phase tables over the admissible columns against the full
+    # S-row filtered by ell_condition with one expjpi per column
+    p = BrieskornTriple(*ps)
+    triples = enumerate_triples(p)
+    for ell in (EllTriple(1, 1, 1), triples[len(triples) // 2]):
+        for n in (3, 4, 5, 6, 7, 50):
+            got = nearly_modular_expansion(p, ell, n, 0, ctx50).dominant
+            want = dominant_per_column(p, ell, n, ctx50)
+            with ctx50.workdps():
+                assert abs(got - want) < ctx50.tolerance, (ps, ell, n)
+
+
 def test_eichler_tail_coefficients_exact():
     tail = eichler_tail(P235, EllTriple(1, 1, 1), 3)
     chi = build_chi(P235, EllTriple(1, 1, 1))
@@ -405,4 +458,4 @@ def test_eichler_tail_rejects_orders_out_of_range(ctx50):
         with pytest.raises(ValueError):
             tail.evaluate(10, k, ctx50)
         with pytest.raises(ValueError):
-            tail.term(10, k, ctx50)
+            eichler_tail_term(tail, 10, k, ctx50)

@@ -27,6 +27,26 @@ def test_library_has_no_assert_statements():
     assert not found, found
 
 
+def test_spectrum_modules_never_call_t_exponent_or_ell_condition():
+    # the spectrum path reads integer T-numerators and the admissible columns;
+    # a D-wide Fraction or ell_condition scan must not come back.  Only the
+    # definition of t_exponent may name it.  Torsion keeps its own sine table,
+    # so the torsion suite never checks the S-matrix tables against themselves.
+    banned = {
+        "modularform.py": {"t_exponent", "ell_condition"},
+        "topology.py": {"t_exponent", "ell_condition", "sine_tables", "_signed_sines"},
+    }
+    found = [
+        f"{name}:{getattr(node, 'lineno', '?')}"
+        for name, node in _package_nodes()
+        if any(
+            getattr(node, f, None) in banned.get(name, ()) for f in ("id", "attr", "name", "value")
+        )
+        and not (isinstance(node, ast.FunctionDef) and node.name == "t_exponent")
+    ]
+    assert not found, found
+
+
 def test_library_never_references_bernoulli_polynomial():
     # L-values come from the integer power moments of chi; the O(k^2)-Fraction
     # Bernoulli-polynomial route is a test oracle only.  Names, attributes,

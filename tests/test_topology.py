@@ -24,7 +24,7 @@ from brieskorn_wrt import (
 )
 from brieskorn_wrt.exactmath import to_mpf
 from conftest import coprime_triples
-from oracles import dedekind_sum_cotangent
+from oracles import chern_simons_fraction, dedekind_sum_cotangent, spectral_flow_per_record
 
 P235 = BrieskornTriple(2, 3, 5)
 P237 = BrieskornTriple(2, 3, 7)
@@ -228,6 +228,19 @@ def test_spectral_flow_matches_cotangent_sum_above_bound(ps, data):
     p = BrieskornTriple(*ps)
     ell = data.draw(st.sampled_from(admissible_triples(p)[0]))
     assert spectral_flow(p, ell) == spectral_flow_cotangent(p, ell, PrecisionContext(30))
+
+
+def test_table_forms_match_retired_per_record_forms():
+    # the kernel tables against the O(p_j) loop, and the integer CS numerator
+    # against the Fraction T-exponent, on every admissible triple with P <= 3000
+    count = 0
+    for ps in coprime_triples(3000):
+        p = BrieskornTriple(*ps)
+        for ell in admissible_triples(p)[0]:
+            assert spectral_flow(p, ell) == spectral_flow_per_record(p, ell), (ps, ell)
+            assert chern_simons(p, ell) == chern_simons_fraction(p, ell), (ps, ell)
+            count += 1
+    assert count > 200_000
 
 
 def test_spectral_flow_raises_on_a_fraction(monkeypatch):
