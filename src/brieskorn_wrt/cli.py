@@ -31,7 +31,7 @@ from .chi import (
     mordell_count,
 )
 from .exactmath import PrecisionContext, to_mpf
-from .modularform import modular_data, theta_eval
+from .modularform import modular_data, t_exponent, theta_eval
 from .ohtsuki import lambda_coefficients, table1_verify
 from .topology import casson, flat_connections, verify_s_torsion
 from .wrt import asymptotic_approx, rozansky_normalized, tau_n
@@ -349,11 +349,11 @@ def _suite_modular(cmd: Command, ctx: PrecisionContext):
             for tau in taus:
                 values = [theta_eval(p, ell, -1 / tau, ctx) for ell in md.triples]
                 front = (mp.mpc(0, 1) / tau) ** mp.mpf(1.5)
-                for ell, row, r in zip(md.triples, s_rows, md.t_exponents):
+                for ell, row in zip(md.triples, s_rows):
                     lhs = theta_eval(p, ell, tau, ctx)
                     rhs = front * sum(s * v for s, v in zip(row, values))
                     t_lhs = theta_eval(p, ell, tau + 1, ctx)
-                    t_rhs = mp.expjpi(to_mpf(r)) * lhs
+                    t_rhs = mp.expjpi(to_mpf(t_exponent(p, ell))) * lhs
                     checks += 2
                     for name, res in (("S", abs(lhs - rhs)), ("T", abs(t_lhs - t_rhs))):
                         if res > threshold:

@@ -3,8 +3,7 @@
 The theta series attached to each periodic sign function is modular of
 weight 3/2 under an explicit D x D transformation matrix S.  S is kept in
 factored form, a scale, three per-fibre sine tables and an integer parity
-sign, and is read one row at a time; T is kept as the integer numerators
-A^2 mod 4P of its exponents.  Its Eichler integral is only nearly
+sign, and is read one row at a time.  Its Eichler integral is only nearly
 modular: at rationals it has finite limiting values (computable as finite
 sums) and a divergent asymptotic tail built from L-values, both of which are
 exposed here.  ``eichler_limit`` evaluates a limit at m/n as four exact
@@ -12,9 +11,10 @@ integer weight vectors over the n-th roots of unity, read against one
 fixed-point table of those roots, so its rounding is bounded by the weights
 it sums.  ``nearly_modular_expansion`` is the one implementation of the
 dominant/tail split; ``wrt.asymptotic_approx`` normalizes its (1, 1, 1) row.
-Its dominant part reads only the gamma admissible columns, each as a power
-of i times three entries of per-fibre tables of sines times phases, so it
-calls no transcendental function per column and builds no ``Fraction``.
+Its dominant part reads only the gamma admissible columns, run by run of
+``chi._admissible_runs``, through per-fibre tables of sines times phases,
+so it calls no transcendental function per column and builds no
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 from mpmath import mp
 
@@ -32,7 +31,6 @@ from .chi import (
     BrieskornTriple,
     EllTriple,
     _admissible_runs,
-    _canonical_pairs,
     build_chi,
     canonicalize,
     enumerate_triples,
@@ -59,34 +57,22 @@ def _s_parity(p: BrieskornTriple, l: tuple, lp: tuple) -> int:
 
 @dataclass(frozen=True)
 class ModularData:
-    """Factored S-matrix and T-exponents over the canonical triples of one manifold.
+    """Factored S-matrix over the canonical triples of one manifold.
 
     S[l][l'] = sign * sqrt(32/P) * prod_j sin(pi P l_j l'_j / p_j^2).  With
     c_j = P/p_j the j-th sine is ``sine_tables[j][c_j l_j l'_j mod 2 p_j]``,
     where ``sine_tables[j][k] = sin(pi k / p_j)`` carries the sine's own sign;
     the rest of the sign is an integer parity.  ``scale`` = sqrt(32/P) and the
     tables hold ``ctx``-precision values, and entries are multiplied out at
-    that precision whatever the caller's.
-
-    The T-entry of triple j is exp(pi i a_j / 2P) with the integer
-    ``t_numerators[j]`` = A^2 mod 4P, A = P + sum_k l_k c_k.  ``admissible``
-    lists, in order, the indices of the triples passing the open-tetrahedron
-    condition, the columns that carry a non-zero integer-point limit.
+    that precision whatever the caller's.  The T-entries are not stored:
+    ``t_exponent`` gives one exactly.
     """
 
     triple: BrieskornTriple
     triples: tuple
-    t_numerators: tuple
-    admissible: tuple
     ctx: PrecisionContext
     scale: object
     sine_tables: tuple
-
-    @property
-    def t_exponents(self) -> tuple:
-        """Exact T-exponents r_j = a_j / 2P, those of ``t_exponent``."""
-        two_p = 2 * self.triple.P
-        return tuple(Fraction(a, two_p) for a in self.t_numerators)
 
     def s_row(self, ell: EllTriple) -> tuple:
         """The D entries S[ell][l'] over the canonical triples l', in O(D)."""
@@ -114,38 +100,15 @@ def _signed_sines(pk: int) -> tuple:
     return tuple(half + [-v for v in half])
 
 
-def _admissible_columns(p: BrieskornTriple) -> tuple:
-    # each canonical (l1, l2) owns the next top - 1 columns, l3 = 1..top-1,
-    # and its admissible l3 are one run inside that block
-    starts = {}
-    start = 0
-    for l1, l2, top in _canonical_pairs(p):
-        starts[l1, l2] = start - 1
-        start += top - 1
-    return tuple(
-        chain.from_iterable(
-            range(starts[l1, l2] + first, starts[l1, l2] + last + 1)
-            for l1, l2, first, last in _admissible_runs(p)
-        )
-    )
-
-
 @lru_cache(maxsize=64)
 def _modular_data_cached(p: BrieskornTriple, digits: int) -> ModularData:
     ctx = PrecisionContext(digits)
-    triples = enumerate_triples(p)
-    four_p = 4 * p.P
-    c1, c2, c3 = p.cofactors
     with ctx.workdps():
         scale = ensure_finite(mp.sqrt(mp.mpf(32) / p.P))
         sine_tables = tuple(_signed_sines(pk) for pk in p.p)
     return ModularData(
         triple=p,
-        triples=triples,
-        t_numerators=tuple(
-            (p.P + t.l1 * c1 + t.l2 * c2 + t.l3 * c3) ** 2 % four_p for t in triples
-        ),
-        admissible=_admissible_columns(p),
+        triples=enumerate_triples(p),
         ctx=ctx,
         scale=scale,
         sine_tables=sine_tables,
@@ -153,7 +116,7 @@ def _modular_data_cached(p: BrieskornTriple, digits: int) -> ModularData:
 
 
 def modular_data(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> ModularData:
-    """Factored S-matrix (read by ``s_row``/``s_value``) and exact T-exponents."""
+    """Factored S-matrix, read by ``s_row``/``s_value``, cached per precision."""
     return _modular_data_cached(p, ctx.decimal_digits)
 
 
@@ -386,6 +349,17 @@ class AsymptoticApprox:
     abs_error: object
 
 
+def _fibre_row(md: ModularData, k: int, lk: int, n: int, flip: int, lo: int, hi: int) -> list:
+    # entry b, lo <= b <= hi: (-1)^(flip b) sin(pi c l_k b / p_k) e^{-pi i n c b^2 / 2p_k}
+    table, c, pk = md.sine_tables[k], md.triple.cofactors[k], md.triple.p[k]
+    two_pk, four_pk = 2 * pk, 4 * pk
+    row = [None] * lo
+    for b in range(lo, hi + 1):
+        value = table[c * lk * b % two_pk] * mp.expjpi(mp.mpf(-n * c * b * b % four_pk) / two_pk)
+        row.append(-value if flip & b else value)
+    return row
+
+
 def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
     """(sum, q): sum_l' S[ell][l'] e^{-pi i r(l') n} = i^-q sqrt(32/P) sum.
 
@@ -396,37 +370,43 @@ def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
 
     an integer J, so e^{-pi i r n} = i^{-nP} (-1)^{nJ} prod_k e^{-pi i n c_k l'_k^2 / 2p_k}.
     The parity sign of S[ell][l'] is a constant plus a part linear in l'.
-    So each fibre k gets a table over 1 <= l'_k < p_k: its sine of S times its
-    phase, signed by the parts of both parities that are linear in l'_k.
-    A column is then three table entries, signed by the parity of n times the
-    cross terms of J; the constant signs and i^{-nP} make up i^-q.
+    So each fibre k gets a table of its sine of S times its phase, signed
+    by the parts of both parities that are linear in l'_k, over the l'_k
+    the admissible runs reach.  A column is three table entries, signed by
+    the parity of n times the cross terms of J; the constant signs and
+    i^{-nP} make up i^-q.  In one run of ``_admissible_runs`` l'_1 and l'_2
+    are fixed and the sign changes with l'_3 at most as (-1)^l'_3, so the
+    run costs one difference of prefix sums of the third table, plain or
+    alternating, and two products.  The third table spans the least first
+    to the greatest last l'_3 of the runs, so a call makes at most
+    p_1/2 + p_2/2 + p_3 exponentials; on a thin (2, 3, p_3), whose one run
+    is that span, that is gamma + 2.
     """
     p = md.triple
     l = canonicalize(p, ell).ell
     p1, p2, p3 = p.p
+    runs = tuple(_admissible_runs(p))
     # the coefficient of l'_k in the cross part of the S parity, mod 2
     cross = (l[2] * p2 + l[1] * p3, l[2] * p1 + l[0] * p3, l[1] * p1 + l[0] * p2)
-    factors = []
-    for table, c, pk, lk, w in zip(md.sine_tables, p.cofactors, p.p, l, cross):
-        two_pk, four_pk = 2 * pk, 4 * pk
-        flip = (w + (n + 1) * c) & 1
-        row = [None]
-        for b in range(1, pk):
-            value = table[c * lk * b % two_pk] * mp.expjpi(
-                mp.mpf(-n * c * b * b % four_pk) / two_pk
-            )
-            row.append(-value if flip & b else value)
-        factors.append(row)
-    f1, f2, f3 = factors
+    flips = [(w + (n + 1) * c) & 1 for w, c in zip(cross, p.cofactors)]
+    f1 = _fibre_row(md, 0, l[0], n, flips[0], runs[0][0], runs[-1][0])
+    f2 = _fibre_row(md, 1, l[1], n, flips[1], min(r[1] for r in runs), max(r[1] for r in runs))
+    lo = min(r[2] for r in runs)
+    f3 = _fibre_row(md, 2, l[2], n, 0, lo, max(r[3] for r in runs))
+    # prefix sums of the third table, plain and times (-1)^l'_3
+    plain = [None] * lo + [mp.mpc(0)]
+    alternating = list(plain)
+    for b in range(lo, len(f3)):
+        plain.append(plain[-1] + f3[b])
+        alternating.append(alternating[-1] - f3[b] if b & 1 else alternating[-1] + f3[b])
     odd = n & 1
-    sums = [mp.mpc(0), mp.mpc(0)]
-    triples = md.triples
-    for j in md.admissible:
-        t = triples[j]
-        a, b, c = t.l1, t.l2, t.l3
-        sums[(a * b * p3 + (a * p2 + b * p1) * c) & odd] += f1[a] * f2[b] * f3[c]
+    total = mp.mpc(0)
+    for a, b, first, last in runs:
+        sums = alternating if (flips[2] + odd * (a * p2 + b * p1)) & 1 else plain
+        term = f1[a] * f2[b] * (sums[last + 1] - sums[first])
+        total += -term if odd & a * b * p3 else term
     constant = 1 + p.P + sum(x * y for x, y in zip(l, p.cofactors))
-    return (sums[0] - sums[1]) * md.scale, (n * p.P + 2 * constant) % 4
+    return total * md.scale, (n * p.P + 2 * constant) % 4
 
 
 def nearly_modular_expansion(
@@ -439,11 +419,11 @@ def nearly_modular_expansion(
     """Dominant S-transformed part plus order-k_max tail of the limit at 1/n.
 
     dominant = -sqrt(n/i) sum_l' S[ell][l'] (integer-point limit of l' at -n),
-    that limit being -2 e^{-pi i r(l') n} on the admissible columns
-    ``md.admissible`` and 0 elsewhere; exact is ``eichler_limit`` at 1/n.
-    The sum reads only those gamma columns, each as three entries of
-    per-fibre tables of sines times phases built once per call, so no
-    transcendental function is called per column (see ``_dominant_sum``).
+    that limit being -2 e^{-pi i r(l') n} on the admissible columns and 0
+    elsewhere; exact is ``eichler_limit`` at 1/n.  The sum reads only those
+    gamma columns, one admissible run at a time, through per-fibre tables
+    of sines times phases built once per call, so no transcendental
+    function is called per column (see ``_dominant_sum``).
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")

@@ -1,6 +1,5 @@
 import math
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from mpmath import mp
 from brieskorn_wrt import (
     BrieskornTriple,
     EllTriple,
-    admissible_triples,
     build_chi,
     eichler_limit,
     eichler_tail,
@@ -22,7 +20,7 @@ from brieskorn_wrt import (
 )
 from brieskorn_wrt.exactmath import PrecisionContext, to_mpf
 from brieskorn_wrt.modularform import THETA_MAX_TERMS, _modular_data_cached, _theta_cutoff
-from conftest import coprime_triples, vertical_limit
+from conftest import vertical_limit
 from oracles import (
     dominant_per_column,
     eichler_integer_data,
@@ -135,22 +133,6 @@ def test_modular_data_cache_is_bounded():
     assert info.currsize <= info.maxsize
 
 
-def test_modular_data_t_numerators_and_admissible_columns():
-    # a_j / 2P is the Fraction T-exponent, and the admissible columns are
-    # exactly the positions of admissible_triples among the canonical ones
-    for ps in coprime_triples(3000):
-        p = BrieskornTriple(*ps)
-        md = modular_data(p, PrecisionContext(15))
-        position = {t: i for i, t in enumerate(md.triples)}
-        assert md.admissible == tuple(position[t] for t in admissible_triples(p)[0])
-        if p.P <= 400:
-            assert md.t_exponents == tuple(t_exponent(p, t) for t in md.triples)
-    for p in (P237, P345, P579):
-        md = modular_data(p)
-        assert all(0 <= a < 4 * p.P for a in md.t_numerators)
-        assert md.t_exponents == tuple(t_exponent(p, t) for t in md.triples)
-
-
 def test_s_matrix_is_symmetric_involution(ctx50):
     # S^2 = 1 and S = S^T, entry by entry, within the context tolerance
     for p in (P235, P237, P345):
@@ -182,14 +164,17 @@ def test_theta_rejects_lower_half_plane(ctx50):
         theta_eval(P237, EllTriple(1, 1, 1), mp.mpc(0, -1), ctx50)
 
 
-def test_theta_rejects_tiny_imaginary_part(ctx50):
+def test_theta_rejects_tiny_imaginary_part(ctx50, monkeypatch):
     # the cutoff is checked against THETA_MAX_TERMS before any term is summed;
-    # 1e-320 used to overflow and 1e-300 to ask for about 1e151 terms
-    start = time.perf_counter()
+    # 1e-320 used to overflow and 1e-300 to ask for about 1e151 terms.  Each
+    # term is one expjpi, so an expjpi that fails shows a summed term.
+    def no_term(*args):
+        raise AssertionError("theta_eval summed a term before rejecting tau")
+
+    monkeypatch.setattr(mp, "expjpi", no_term)
     for im in ("1e-320", "1e-300", "1e-13"):
         with pytest.raises(ValueError, match="theta terms"):
             theta_eval(P237, EllTriple(1, 1, 1), mp.mpc(0, mp.mpf(im)), ctx50)
-    assert time.perf_counter() - start < 0.5
     # just inside the cap the cutoff stays within twice its term count
     n_max = _theta_cutoff(P237, 1e-10, -40)
     assert 4 * n_max / P237.P <= 2 * THETA_MAX_TERMS
@@ -427,11 +412,14 @@ DOMINANT_MANIFOLDS = (
 
 @pytest.mark.parametrize("ps", DOMINANT_MANIFOLDS)
 def test_dominant_matches_per_column_form(ps, ctx50):
-    # per-fibre phase tables over the admissible columns against the full
-    # S-row filtered by ell_condition with one expjpi per column
+    # per-fibre phase tables summed run by run against the full S-row
+    # filtered by ell_condition with one expjpi per column.  The row fixes
+    # the per-fibre signs, so every row is checked where D <= 18, (1,1,1)
+    # and a middle row elsewhere.
     p = BrieskornTriple(*ps)
     triples = enumerate_triples(p)
-    for ell in (EllTriple(1, 1, 1), triples[len(triples) // 2]):
+    rows = triples if p.D <= 18 else (EllTriple(1, 1, 1), triples[len(triples) // 2])
+    for ell in rows:
         for n in (3, 4, 5, 6, 7, 50):
             got = nearly_modular_expansion(p, ell, n, 0, ctx50).dominant
             want = dominant_per_column(p, ell, n, ctx50)

@@ -28,8 +28,8 @@ def test_library_has_no_assert_statements():
 
 
 def test_spectrum_modules_never_call_t_exponent_or_ell_condition():
-    # the spectrum path reads integer T-numerators and the admissible columns;
-    # a D-wide Fraction or ell_condition scan must not come back.  Only the
+    # the spectrum path reduces A = P + sum l_k c_k in integers and reads the
+    # admissible runs; a D-wide Fraction or ell_condition scan must not come back.  Only the
     # definition of t_exponent may name it.  Torsion keeps its own sine table,
     # so the torsion suite never checks the S-matrix tables against themselves.
     banned = {
