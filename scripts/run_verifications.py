@@ -2,38 +2,24 @@
 """Run every named verification suite through the CLI and summarize.
 
 Usage:
-    python scripts/run_verifications.py [--pmax 20000] [--nmax 25] [--precision 50]
+    python scripts/run_verifications.py [bwrt verify flags, e.g. --pmax 200 --nmax 4]
+
+The flags go to ``bwrt verify`` after a leading ``--pmax 20000``, so a given
+--pmax overrides that default; the others keep the CLI's defaults.
 """
 
-import argparse
 import sys
 import time
 
-from brieskorn_wrt.cli import execute, parse
+from brieskorn_wrt import cli
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--pmax", type=int, default=20000)
-    parser.add_argument("--nmax", type=int, default=25)
-    parser.add_argument("--precision", type=int, default=50)
-    args = parser.parse_args()
-
+def main(argv: list) -> int:
     overall = 0
-    for suite in ("table1", "gamma", "modular", "torsion", "theorem51"):
-        argv = [
-            "verify",
-            "--suite",
-            suite,
-            "--pmax",
-            str(args.pmax),
-            "--nmax",
-            str(args.nmax),
-            "--precision",
-            str(args.precision),
-        ]
+    for suite in cli.SUITES:
         started = time.monotonic()
-        report, code = execute(parse(argv))
+        argv_suite = ["verify", "--suite", suite, "--pmax", "20000", *argv]
+        report, code = cli.execute(cli.parse(argv_suite))
         elapsed = time.monotonic() - started
         print(
             f"{suite:>10}: {report.status:>4}  checks={report.results.get('checks', '?'):>5}"
@@ -46,4 +32,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

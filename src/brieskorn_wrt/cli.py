@@ -4,7 +4,9 @@ Verbs: invariant, ohtsuki, cs, flat, asymptotic, verify, table.  Output is
 JSON (default), CSV or text, written to stdout or --out.  Exit codes:
 0 success, 1 verification failure (including a suite that ran no checks),
 2 usage error (among them --N above 10^6, --precision above 10^4, --order
-or --K above 100, --pmax outside 30..10^5 and --nmax outside 3..50).
+or --K above 100, --pmax outside 30..10^5, --nmax outside 3..50, a --p with
+more than 10^6 canonical triples on cs, flat or asymptotic, and an --out
+that cannot be written).
 Rationals are serialized as {"num", "den"} strings and complex values as
 {"re", "im"} decimal strings so arbitrarily large results survive any JSON
 consumer.
@@ -18,8 +20,10 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from mpmath import mp
 
@@ -36,34 +40,39 @@ from .ohtsuki import lambda_coefficients, table1_verify
 from .topology import casson, flat_connections, verify_s_torsion
 from .wrt import asymptotic_approx, rozansky_normalized, tau_n
 
-VERBS = ("invariant", "ohtsuki", "cs", "flat", "asymptotic", "verify", "table")
-SUITES = ("theorem51", "table1", "modular", "torsion", "gamma")
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# Input bounds: the Eichler limit holds O(N) integers and the surgery sum an
-# O(PN) phase cache, so N and the precision are capped; the lambda_n
-# re-expansion is O(order^3) and the L-values behind --order and --K fill
-# the unbounded Bernoulli-number cache, so both are capped; the theorem51
-# suite runs the O(PN) surgery sum at every level up to --nmax, so that is
-# capped too; the gamma suite checks every sphere with P <= --pmax, each
-# with O(log P) Dedekind sums and O(p1 p2) lattice counts, so --pmax is
-# capped (10^5 takes about a minute).  No Brieskorn sphere has P below
-# 2*3*5 and no level is below 3, so smaller --pmax and --nmax would select
-# nothing.
-MAX_LEVEL = 10**6
-MAX_PRECISION = 10**4
-MAX_ORDER = 100
-MAX_K = 100
-MIN_PMAX = 30
-MAX_PMAX = 10**5
-MIN_NMAX = 3
-MAX_NMAX = 50
+# Bounded flags: Command field, least and greatest value, and the note the
+# usage message puts after the least.  The Eichler limit holds O(N) integers
+# and the surgery sum an O(PN) phase cache; the lambda_n re-expansion is
+# O(order^3) and --order and --K fill the unbounded Bernoulli cache; the
+# theorem51 suite runs the surgery sum at every level up to --nmax; gamma
+# checks every sphere with P <= --pmax (10^5 takes about a minute).  No
+# sphere has P below 2*3*5 and no level is below 3, so smaller --pmax and
+# --nmax would select nothing.
+_Bound = namedtuple("_Bound", "field least greatest note")
+_BOUNDS = {
+    "--N": _Bound("n_level", 3, 10**6, ""),
+    "--precision": _Bound("precision", 15, 10**4, ""),
+    "--pmax": _Bound("pmax", 30, 10**5, " (the least P of a sphere)"),
+    "--nmax": _Bound("nmax", 3, 50, " (the least level)"),
+    "--order": _Bound("order", 0, 100, ""),
+    "--K": _Bound("k_max", 0, 100, ""),
+}
+MAX_LEVEL, MAX_PRECISION, MAX_PMAX, MAX_NMAX, MAX_ORDER, MAX_K = (
+    bound.greatest for bound in _BOUNDS.values()
+)
+# cs and flat print one record per canonical triple and asymptotic's cost
+# grows with p1 p2, so on those verbs --p is capped at D canonical triples.
+MAX_D = 10**6
 
 
 @dataclass(frozen=True)
 class Command:
+    """A validated command; the only place the flags' defaults live."""
+
     verb: str
     p: tuple | None = None
     n_level: int | None = None
@@ -110,7 +119,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_triple(text: str) -> tuple:
+def _parse_triple(text: str, verb: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
         raise _UsageError(f"--p expects three comma-separated integers, got {text!r}")
@@ -118,7 +127,13 @@ def _parse_triple(text: str) -> tuple:
         ps = tuple(int(t) for t in parts)
     except ValueError:
         raise _UsageError(f"--p expects integers, got {text!r}") from None
-    return ps
+    try:
+        p = BrieskornTriple(*ps)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    if _VERBS[verb].d_bounded and p.D > MAX_D:  # D is O(1); nothing is enumerated
+        raise _UsageError(f"--p has D = {p.D} canonical triples; {verb} takes at most {MAX_D}")
+    return p.p
 
 
 @functools.lru_cache(maxsize=1)
@@ -126,88 +141,35 @@ def _build_parser() -> _Parser:
     """The argparse tree, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="bwrt", description=__doc__)
     sub = parser.add_subparsers(dest="verb", metavar="|".join(VERBS))
-
-    def add_common(sp, with_p=True):
-        if with_p:
+    for verb, spec in _VERBS.items():
+        sp = sub.add_parser(verb, help=spec.help)
+        if spec.takes_p:
             sp.add_argument("--p", required=True, help="p1,p2,p3 (pairwise coprime, each >= 2)")
-        sp.add_argument("--precision", type=int, default=50, help="decimal digits (default 50)")
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        sp.add_argument("--out", default=None, help="write output to FILE instead of stdout")
-
-    sp = sub.add_parser("invariant", help="quantum invariant tau_N and friends")
-    add_common(sp)
-    sp.add_argument("--N", dest="n_level", type=int, required=True)
-
-    sp = sub.add_parser("ohtsuki", help="perturbative coefficients lambda_0..lambda_order")
-    add_common(sp)
-    sp.add_argument("--order", type=int, default=8)
-
-    sp = sub.add_parser("cs", help="Chern-Simons spectrum of flat connections")
-    add_common(sp)
-
-    sp = sub.add_parser("flat", help="full flat-connection records")
-    add_common(sp)
-
-    sp = sub.add_parser("asymptotic", help="stationary-phase approximation quality")
-    add_common(sp)
-    sp.add_argument("--N", dest="n_level", type=int, required=True)
-    sp.add_argument("--K", dest="k_max", type=int, default=4)
-
-    sp = sub.add_parser("verify", help="named verification suites")
-    add_common(sp, with_p=False)
-    sp.add_argument("--suite", choices=SUITES, required=True)
-    sp.add_argument("--pmax", type=int, default=1000)
-    sp.add_argument("--nmax", type=int, default=25)
-
-    sp = sub.add_parser("table", help="emit the bundled reference table as CSV")
-    add_common(sp, with_p=False)
+        digits_help = f"decimal digits (default {Command.precision})"
+        sp.add_argument("--precision", type=int, help=digits_help)
+        sp.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))
+        sp.add_argument("--out", help="write output to FILE instead of stdout")
+        for flag in spec.flags:
+            if flag == "--suite":
+                sp.add_argument(flag, choices=SUITES, required=True)
+            else:
+                sp.add_argument(flag, dest=_BOUNDS[flag].field, type=int, required=flag == "--N")
     return parser
 
 
 def parse(argv: list) -> Command:
     """Parse and validate argv into a Command; raises SystemExit on errors."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
         if ns.verb is None:
             raise _UsageError(f"missing verb; expected one of {', '.join(VERBS)}")
-        p = None
-        if getattr(ns, "p", None) is not None:
-            ps = _parse_triple(ns.p)
-            try:
-                p = BrieskornTriple(*ps).p
-            except ValueError as exc:
-                raise _UsageError(str(exc)) from None
-        n_level = getattr(ns, "n_level", None)
-        if n_level is not None and not 3 <= n_level <= MAX_LEVEL:
-            raise _UsageError(f"--N must be between 3 and {MAX_LEVEL}")
-        if not 15 <= ns.precision <= MAX_PRECISION:
-            raise _UsageError(f"--precision must be between 15 and {MAX_PRECISION}")
-        if not MIN_PMAX <= getattr(ns, "pmax", MIN_PMAX) <= MAX_PMAX:
-            raise _UsageError(
-                f"--pmax must be between {MIN_PMAX} (the least P of a sphere) and {MAX_PMAX}"
-            )
-        if not MIN_NMAX <= getattr(ns, "nmax", MIN_NMAX) <= MAX_NMAX:
-            raise _UsageError(
-                f"--nmax must be between {MIN_NMAX} (the least level) and {MAX_NMAX}"
-            )
-        if not 0 <= getattr(ns, "order", 8) <= MAX_ORDER:
-            raise _UsageError(f"--order must be between 0 and {MAX_ORDER}")
-        if not 0 <= getattr(ns, "k_max", 4) <= MAX_K:
-            raise _UsageError(f"--K must be between 0 and {MAX_K}")
-        return Command(
-            verb=ns.verb,
-            p=p,
-            n_level=n_level,
-            order=getattr(ns, "order", 8),
-            k_max=getattr(ns, "k_max", 4),
-            precision=ns.precision,
-            fmt=ns.format,
-            out=ns.out,
-            suite=getattr(ns, "suite", None),
-            pmax=getattr(ns, "pmax", 1000),
-            nmax=getattr(ns, "nmax", 25),
-        )
+        given = {key: value for key, value in vars(ns).items() if value is not None}
+        if "p" in given:
+            given["p"] = _parse_triple(given["p"], ns.verb)
+        for flag, (name, least, greatest, note) in _BOUNDS.items():
+            if not least <= given.get(name, least) <= greatest:
+                raise _UsageError(f"{flag} must be between {least}{note} and {greatest}")
+        return Command(**given)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
@@ -217,7 +179,7 @@ def parse(argv: list) -> Command:
 # verb implementations
 
 
-def _run_invariant(cmd: Command, ctx: PrecisionContext) -> dict:
+def _run_invariant(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
     result = tau_n(p, cmd.n_level, ctx)
     d = ctx.decimal_digits
@@ -229,10 +191,10 @@ def _run_invariant(cmd: Command, ctx: PrecisionContext) -> dict:
         "z_witten": complex_json(result.z_witten, d),
         "term_count": result.term_count,
         "error_budget": real_json(result.error_budget, 5),
-    }
+    }, []
 
 
-def _run_ohtsuki(cmd: Command, ctx: PrecisionContext) -> dict:
+def _run_ohtsuki(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
     series = lambda_coefficients(p, cmd.order)
     return {
@@ -240,10 +202,10 @@ def _run_ohtsuki(cmd: Command, ctx: PrecisionContext) -> dict:
         "order": series.order,
         "lambdas": [rational_json(lam) for lam in series.lambdas],
         "all_integer": series.all_integer,
-    }
+    }, []
 
 
-def _run_cs(cmd: Command, ctx: PrecisionContext) -> dict:
+def _run_cs(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
     records = flat_connections(p, ctx)
     return {
@@ -251,10 +213,10 @@ def _run_cs(cmd: Command, ctx: PrecisionContext) -> dict:
         "cs_spectrum": [
             {"ell": list(r.triple.ell), "cs": rational_json(r.cs)} for r in records
         ],
-    }
+    }, []
 
 
-def _run_flat(cmd: Command, ctx: PrecisionContext) -> dict:
+def _run_flat(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
     d = ctx.decimal_digits
     records = flat_connections(p, ctx)
@@ -270,10 +232,10 @@ def _run_flat(cmd: Command, ctx: PrecisionContext) -> dict:
             }
             for r in records
         ],
-    }
+    }, []
 
 
-def _run_asymptotic(cmd: Command, ctx: PrecisionContext) -> dict:
+def _run_asymptotic(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
     approx = asymptotic_approx(p, cmd.n_level, cmd.k_max, ctx)
     d = ctx.decimal_digits
@@ -285,7 +247,7 @@ def _run_asymptotic(cmd: Command, ctx: PrecisionContext) -> dict:
         "tail": complex_json(approx.tail, d),
         "exact": complex_json(approx.exact, d),
         "abs_error": real_json(approx.abs_error, 10),
-    }
+    }, []
 
 
 def coprime_triples(pmax: int):
@@ -390,13 +352,7 @@ def _suite_gamma(cmd: Command, ctx: PrecisionContext):
         direct = p.D - mordell_count(p)
         lam = casson(p)
         checks += 1
-        ok = (
-            closed == gamma
-            and direct == gamma
-            and lam == Fraction(-gamma, 2)
-            and lam.denominator == 1
-        )
-        if not ok:
+        if not (closed == direct == gamma == -2 * lam and lam.denominator == 1):
             failures.append(
                 {
                     "p": list(p.p),
@@ -416,35 +372,52 @@ _SUITE_RUNNERS = {
     "torsion": _suite_torsion,
     "gamma": _suite_gamma,
 }
+SUITES = tuple(_SUITE_RUNNERS)
 
 
-def _run_table_csv() -> str:
-    report = table1_verify()
-    lines = ["p1,p2,p3," + ",".join(f"lambda_{n}" for n in range(9))]
-    for ps, values in report.rows:
-        lines.append(",".join(str(x) for x in (*ps, *values)))
-    return "\n".join(lines) + "\n"
+def _run_verify(cmd: Command, ctx: PrecisionContext) -> tuple:
+    results, failures = _SUITE_RUNNERS[cmd.suite](cmd, ctx)
+    if results["checks"] == 0:  # a suite that checked nothing proves nothing
+        failures.append({"error": "suite ran no checks"})
+    return results, failures
+
+
+def _run_table(cmd: Command, ctx: PrecisionContext) -> tuple:
+    return {"csv": _lambda_csv(table1_verify().rows, 9)}, []
 
 
 # ---------------------------------------------------------------------------
 # formatting
 
 
+def _lambda_csv(rows, count: int) -> str:
+    """One CSV line per (p, lambda values) row under a lambda_0.. header."""
+    lines = ["p1,p2,p3," + ",".join(f"lambda_{n}" for n in range(count))]
+    lines += [",".join(str(x) for x in (*ps, *values)) for ps, values in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _ohtsuki_csv(results: dict) -> str:
+    lams = [str(Fraction(int(x["num"]), int(x["den"]))) for x in results["lambdas"]]
+    return _lambda_csv([(results["p"], lams)], len(lams))
+
+
+def _cs_csv(results: dict) -> str:
+    lines = ["ell1,ell2,ell3,cs_num,cs_den"]
+    for e in results["cs_spectrum"]:
+        lines.append(",".join(map(str, (*e["ell"], e["cs"]["num"], e["cs"]["den"]))))
+    return "\n".join(lines) + "\n"
+
+
 def _format_text(report: Report) -> str:
     lines = [f"status: {report.status}"]
 
     def walk(prefix, value):
-        if isinstance(value, dict):
-            for k, v in value.items():
-                walk(f"{prefix}{k}.", v) if isinstance(v, (dict, list)) else lines.append(
-                    f"{prefix}{k} = {v}"
-                )
-        elif isinstance(value, list):
-            for i, v in enumerate(value):
-                if isinstance(v, (dict, list)):
-                    walk(f"{prefix}{i}.", v)
-                else:
-                    lines.append(f"{prefix}{i} = {v}")
+        for k, v in value.items() if isinstance(value, dict) else enumerate(value):
+            if isinstance(v, (dict, list)):
+                walk(f"{prefix}{k}.", v)
+            else:
+                lines.append(f"{prefix}{k} = {v}")
 
     walk("", report.results)
     for key, value in report.metadata.items():
@@ -452,51 +425,62 @@ def _format_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format_csv(cmd: Command, report: Report) -> str:
-    if cmd.verb == "table":
-        return report.results["csv"]
-    if cmd.verb == "ohtsuki":
-        lams = report.results["lambdas"]
-        header = "p1,p2,p3," + ",".join(f"lambda_{n}" for n in range(len(lams)))
-        row = ",".join(
-            str(x)
-            for x in (
-                *report.results["p"],
-                *(
-                    lam["num"] if lam["den"] == "1" else f'{lam["num"]}/{lam["den"]}'
-                    for lam in lams
-                ),
-            )
-        )
-        return header + "\n" + row + "\n"
-    if cmd.verb == "cs":
-        lines = ["ell1,ell2,ell3,cs_num,cs_den"]
-        for entry in report.results["cs_spectrum"]:
-            lines.append(
-                ",".join(
-                    str(x)
-                    for x in (*entry["ell"], entry["cs"]["num"], entry["cs"]["den"])
-                )
-            )
-        return "\n".join(lines) + "\n"
-    # fall back to JSON for verbs without a natural tabular form
-    return json.dumps(_report_dict(report), indent=2) + "\n"
-
-
 def _report_dict(report: Report) -> dict:
-    out = {
-        "command": report.command,
-        "results": report.results,
-        "metadata": report.metadata,
-        "status": report.status,
-    }
+    out = {key: getattr(report, key) for key in ("command", "results", "metadata", "status")}
     if report.failure:
         out["failure"] = report.failure
     return out
 
 
+# ---------------------------------------------------------------------------
+# the verb table: parser, validation and dispatch are all derived from it
+
+
+class _Verb(NamedTuple):
+    help: str
+    run: Callable  # (Command, PrecisionContext) -> (results, failures)
+    flags: tuple = ()  # beyond --p, --precision, --format and --out
+    takes_p: bool = True
+    d_bounded: bool = False  # --p capped at MAX_D canonical triples
+    csv: Callable | None = None  # results -> CSV text; None means JSON
+    route: str | None = None  # metadata["route"]: what computed tau_N
+
+
+_VERBS = {
+    "invariant": _Verb(
+        "quantum invariant tau_N and friends", _run_invariant, ("--N",), route="eichler_limit"
+    ),
+    "ohtsuki": _Verb(
+        "perturbative coefficients lambda_0..lambda_order",
+        _run_ohtsuki,
+        ("--order",),
+        csv=_ohtsuki_csv,
+    ),
+    "cs": _Verb("Chern-Simons spectrum of flat connections", _run_cs, d_bounded=True, csv=_cs_csv),
+    "flat": _Verb("full flat-connection records", _run_flat, d_bounded=True),
+    "asymptotic": _Verb(
+        "stationary-phase approximation quality",
+        _run_asymptotic,
+        ("--N", "--K"),
+        d_bounded=True,
+        route="eichler_limit",
+    ),
+    "verify": _Verb(
+        "named verification suites", _run_verify, ("--suite", "--pmax", "--nmax"), takes_p=False
+    ),
+    "table": _Verb(
+        "emit the bundled reference table as CSV",
+        _run_table,
+        takes_p=False,
+        csv=lambda results: results["csv"],
+    ),
+}
+VERBS = tuple(_VERBS)
+
+
 def execute(cmd: Command) -> tuple:
     """Run a validated command; returns (Report, exit_code)."""
+    spec = _VERBS[cmd.verb]
     ctx = PrecisionContext(cmd.precision)
     started = time.monotonic()
     report = Report(
@@ -509,50 +493,30 @@ def execute(cmd: Command) -> tuple:
             "precision": cmd.precision,
             "format": cmd.fmt,
             "suite": cmd.suite,
-            "pmax": cmd.pmax if cmd.verb == "verify" else None,
+            "pmax": cmd.pmax if "--pmax" in spec.flags else None,
         }
     )
-    exit_code = EXIT_OK
-    if cmd.verb == "invariant":
-        report.results = _run_invariant(cmd, ctx)
-    elif cmd.verb == "ohtsuki":
-        report.results = _run_ohtsuki(cmd, ctx)
-    elif cmd.verb == "cs":
-        report.results = _run_cs(cmd, ctx)
-    elif cmd.verb == "flat":
-        report.results = _run_flat(cmd, ctx)
-    elif cmd.verb == "asymptotic":
-        report.results = _run_asymptotic(cmd, ctx)
-    elif cmd.verb == "verify":
-        results, failures = _SUITE_RUNNERS[cmd.suite](cmd, ctx)
-        if results["checks"] == 0:  # a suite that checked nothing proves nothing
-            failures.append({"error": "suite ran no checks"})
-        report.results = results
-        if failures:
-            report.status = "fail"
-            report.failure = failures
-            exit_code = EXIT_FAIL
-    elif cmd.verb == "table":
-        report.results = {"csv": _run_table_csv()}
-    else:  # unreachable after parse()
-        raise ValueError(f"unknown verb {cmd.verb!r}")
+    report.results, report.failure = spec.run(cmd, ctx)
+    if report.failure:
+        report.status = "fail"
     report.metadata = {
         "precision_digits": cmd.precision,
         "tolerance": f"1e-{cmd.precision - 10}",
         "wall_time_seconds": round(time.monotonic() - started, 3),
         "version": __version__,
     }
-    if cmd.verb in ("invariant", "asymptotic"):  # the route that computed tau_N
-        report.metadata["route"] = "eichler_limit"
-    return report, exit_code
+    if spec.route:
+        report.metadata["route"] = spec.route
+    return report, EXIT_FAIL if report.failure else EXIT_OK
 
 
 def render(cmd: Command, report: Report) -> str:
-    if cmd.fmt == "json":
-        return json.dumps(_report_dict(report), indent=2) + "\n"
-    if cmd.fmt == "csv":
-        return _format_csv(cmd, report)
-    return _format_text(report)
+    csv = _VERBS[cmd.verb].csv
+    if cmd.fmt == "csv" and csv:
+        return csv(report.results)
+    if cmd.fmt == "text":
+        return _format_text(report)
+    return json.dumps(_report_dict(report), indent=2) + "\n"
 
 
 def main(argv: list | None = None) -> int:
@@ -560,8 +524,12 @@ def main(argv: list | None = None) -> int:
     report, exit_code = execute(cmd)
     text = render(cmd, report)
     if cmd.out:
-        with open(cmd.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(cmd.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {cmd.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return exit_code

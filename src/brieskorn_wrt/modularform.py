@@ -69,10 +69,14 @@ class ModularData:
     """
 
     triple: BrieskornTriple
-    triples: tuple
     ctx: PrecisionContext
     scale: object
     sine_tables: tuple
+
+    @property
+    def triples(self) -> tuple:
+        """The D canonical triples, enumerated (and cached) only when read."""
+        return enumerate_triples(self.triple)
 
     def s_row(self, ell: EllTriple) -> tuple:
         """The D entries S[ell][l'] over the canonical triples l', in O(D)."""
@@ -106,13 +110,7 @@ def _modular_data_cached(p: BrieskornTriple, digits: int) -> ModularData:
     with ctx.workdps():
         scale = ensure_finite(mp.sqrt(mp.mpf(32) / p.P))
         sine_tables = tuple(_signed_sines(pk) for pk in p.p)
-    return ModularData(
-        triple=p,
-        triples=enumerate_triples(p),
-        ctx=ctx,
-        scale=scale,
-        sine_tables=sine_tables,
-    )
+    return ModularData(triple=p, ctx=ctx, scale=scale, sine_tables=sine_tables)
 
 
 def modular_data(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> ModularData:

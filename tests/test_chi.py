@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from brieskorn_wrt import (
     BrieskornTriple,
     EllTriple,
+    PrecisionContext,
     admissible_count,
     admissible_triples,
+    asymptotic_approx,
     build_chi,
     canonicalize,
     ell_condition,
@@ -316,6 +318,8 @@ def test_admissible_routes_never_enumerate_the_lattice():
     for ps in [(2, 3, 7), (3, 4, 5), (7, 11, 13), (3, 4, 14999)]:
         p = BrieskornTriple(*ps)
         assert admissible_count(p) == admissible_triples(p)[1]
+    # the dominant sum reads the admissible runs, not modular_data's triples
+    asymptotic_approx(BrieskornTriple(13, 17, 19), 20, 2, PrecisionContext(23))
     assert enumerate_triples.cache_info() == before
 
 

@@ -2,17 +2,21 @@ import json
 
 import pytest
 
-from brieskorn_wrt import build_chi, enumerate_triples
+from brieskorn_wrt import BrieskornTriple, build_chi, enumerate_triples
 from brieskorn_wrt.cli import (
+    _BOUNDS,
+    _VERBS,
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_D,
     MAX_K,
     MAX_LEVEL,
     MAX_NMAX,
     MAX_ORDER,
     MAX_PMAX,
     MAX_PRECISION,
+    VERBS,
     Command,
     _build_parser,
     execute,
@@ -24,6 +28,23 @@ from brieskorn_wrt.ohtsuki import TABLE_ENV_VAR, table1_path
 
 
 # ----------------------------------------------------------------------- parse
+
+# each verb's shortest valid argv and the Command it parses to
+MINIMAL = {
+    "invariant": (
+        ["invariant", "--p", "2,3,7", "--N", "5"],
+        Command(verb="invariant", p=(2, 3, 7), n_level=5),
+    ),
+    "ohtsuki": (["ohtsuki", "--p", "2,3,5"], Command(verb="ohtsuki", p=(2, 3, 5))),
+    "cs": (["cs", "--p", "3,4,5"], Command(verb="cs", p=(3, 4, 5))),
+    "flat": (["flat", "--p", "5,3,2"], Command(verb="flat", p=(2, 3, 5))),
+    "asymptotic": (
+        ["asymptotic", "--p", "3,4,5", "--N", "12"],
+        Command(verb="asymptotic", p=(3, 4, 5), n_level=12),
+    ),
+    "verify": (["verify", "--suite", "gamma"], Command(verb="verify", suite="gamma")),
+    "table": (["table"], Command(verb="table")),
+}
 
 
 def test_parse_invariant_round_trip():
@@ -146,6 +167,54 @@ def test_parse_after_a_usage_error_is_unaffected(capsys):
         verb="asymptotic", p=(3, 4, 5), n_level=12
     )
     assert parse(["verify", "--suite", "gamma"]) == Command(verb="verify", suite="gamma")
+    assert set(MINIMAL) == set(VERBS)
+    for verb, (argv, expected) in MINIMAL.items():
+        assert parse(argv) == expected, verb
+    cmd = Command(verb="verify")
+    assert (cmd.order, cmd.k_max, cmd.precision, cmd.pmax, cmd.nmax) == (8, 4, 50, 1000, 25)
+
+
+# the ranges README.md documents
+RANGES = {
+    "--N": (3, 10**6),
+    "--precision": (15, 10**4),
+    "--pmax": (30, 10**5),
+    "--nmax": (3, 50),
+    "--order": (0, 100),
+    "--K": (0, 100),
+}
+
+
+@pytest.mark.parametrize("flag", list(_BOUNDS))
+def test_each_bound_is_enforced_at_both_ends(flag, capsys):
+    field, least, greatest, _ = _BOUNDS[flag]
+    assert (least, greatest) == RANGES[flag]
+    verb = next(v for v, spec in _VERBS.items() if flag in (*spec.flags, "--precision"))
+    argv = MINIMAL[verb][0]
+    for value in (least - 1, greatest + 1):
+        with pytest.raises(SystemExit) as excinfo:
+            parse([*argv, flag, str(value)])
+        assert excinfo.value.code == EXIT_USAGE, value
+        assert flag in capsys.readouterr().err, value
+    for value in (least, greatest):
+        assert getattr(parse([*argv, flag, str(value)]), field) == value
+
+
+def test_d_cap_applies_where_cost_grows_with_d(capsys):
+    # cs and flat print D records and asymptotic costs O(p1 p2); invariant
+    # and ohtsuki never look at D
+    above, below = "157,163,167", "151,157,163"
+    assert BrieskornTriple(157, 163, 167).D == 1_048_788 > MAX_D
+    assert BrieskornTriple(151, 157, 163).D == 947_700 <= MAX_D
+    for verb, extra in (("cs", []), ("flat", []), ("asymptotic", ["--N", "10"])):
+        with pytest.raises(SystemExit) as excinfo:
+            parse([verb, "--p", above, *extra])
+        assert excinfo.value.code == EXIT_USAGE, verb
+        assert "--p" in capsys.readouterr().err, verb
+        assert parse([verb, "--p", below, *extra]).p == (151, 157, 163)
+    for verb, extra in (("invariant", ["--N", "10"]), ("ohtsuki", [])):
+        for text in (above, below):
+            assert parse([verb, "--p", text, *extra]).p == tuple(map(int, text.split(",")))
 
 
 # --------------------------------------------------------------------- execute
@@ -307,6 +376,15 @@ def test_out_file_written(tmp_path):
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["status"] == "ok"
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["cs", "--p", "2,3,7", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write --out {out}")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_deterministic_output_modulo_wall_time():
