@@ -188,6 +188,12 @@ def build_chi(p: BrieskornTriple, ell: EllTriple) -> PeriodicChi:
     return PeriodicChi(two_p, tuple(sorted(values.items())))
 
 
+def t_numerator(p: BrieskornTriple, ell: EllTriple) -> int:
+    """A^2 mod 4P, A = P + sum l_k c_k: the T-exponent over 2P, minus the CS value over 4P."""
+    a = p.P + sum(l * c for l, c in zip(ell.ell, p.cofactors))
+    return a * a % (4 * p.P)
+
+
 def ell_condition(p: BrieskornTriple, ell: EllTriple) -> bool:
     """Open-tetrahedron inequalities marking non-vanishing integer limits."""
     _check_range(p, ell)

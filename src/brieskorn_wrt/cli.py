@@ -6,7 +6,7 @@ JSON (default), CSV or text, written to stdout or --out.  Exit codes:
 2 usage error (among them --N above 10^6, --precision above 10^4, --order
 or --K above 100, --pmax outside 30..10^5, --nmax outside 3..50, a --p with
 more than 10^6 canonical triples on cs, flat or asymptotic, and an --out
-that cannot be written).
+that cannot be written, found before any work).
 Rationals are serialized as {"num", "den"} strings and complex values as
 {"re", "im"} decimal strings so arbitrarily large results survive any JSON
 consumer.
@@ -15,9 +15,11 @@ consumer.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
 import sys
 import time
 from collections import namedtuple
@@ -36,7 +38,7 @@ from .chi import (
 )
 from .exactmath import PrecisionContext, to_mpf
 from .modularform import modular_data, t_exponent, theta_eval
-from .ohtsuki import lambda_coefficients, table1_verify
+from .ohtsuki import lambda_coefficients, load_table1, table1_verify
 from .topology import casson, flat_connections, verify_s_torsion
 from .wrt import asymptotic_approx, rozansky_normalized, tau_n
 
@@ -96,7 +98,6 @@ class Report:
 
 
 def rational_json(x: Fraction) -> dict:
-    x = Fraction(x)
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
@@ -331,16 +332,14 @@ def _suite_modular(cmd: Command, ctx: PrecisionContext):
 
 
 def _suite_torsion(cmd: Command, ctx: PrecisionContext):
-    failures = []
-    checks = 0
+    manifolds = [(2, 3, 5), (2, 3, 7), (3, 4, 5), (3, 5, 8), (5, 7, 9), (7, 11, 13)]
     with ctx.workdps():
         threshold = mp.mpf(10) ** (-(ctx.decimal_digits - 15))
-        for ps in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (3, 5, 8), (5, 7, 9), (7, 11, 13)]:
-            residual = verify_s_torsion(BrieskornTriple(*ps), ctx)
-            checks += 1
-            if residual > threshold:
-                failures.append({"p": list(ps), "residual": real_json(residual, 5)})
-    return {"suite": "torsion", "checks": checks}, failures
+        residuals = [(ps, verify_s_torsion(BrieskornTriple(*ps), ctx)) for ps in manifolds]
+        failures = [
+            {"p": list(ps), "residual": real_json(r, 5)} for ps, r in residuals if r > threshold
+        ]
+    return {"suite": "torsion", "checks": len(residuals)}, failures
 
 
 def _suite_gamma(cmd: Command, ctx: PrecisionContext):
@@ -383,7 +382,7 @@ def _run_verify(cmd: Command, ctx: PrecisionContext) -> tuple:
 
 
 def _run_table(cmd: Command, ctx: PrecisionContext) -> tuple:
-    return {"csv": _lambda_csv(table1_verify().rows, 9)}, []
+    return {"csv": _lambda_csv(load_table1(), 9)}, []
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +518,19 @@ def render(cmd: Command, report: Report) -> str:
     return json.dumps(_report_dict(report), indent=2) + "\n"
 
 
+def _out_error(path: str) -> str | None:
+    """Why --out cannot be written, found before any work and creating nothing; else None."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(parent):
+        return os.strerror(errno.EISDIR if os.path.isdir(path) else errno.ENOENT)
+    return None if os.access(parent, os.W_OK) else os.strerror(errno.EACCES)
+
+
 def main(argv: list | None = None) -> int:
     cmd = parse(sys.argv[1:] if argv is None else argv)
+    if cmd.out and (reason := _out_error(cmd.out)):
+        print(f"error: cannot write --out {cmd.out}: {reason}", file=sys.stderr)
+        return EXIT_USAGE
     report, exit_code = execute(cmd)
     text = render(cmd, report)
     if cmd.out:

@@ -2,19 +2,19 @@
 
 The theta series attached to each periodic sign function is modular of
 weight 3/2 under an explicit D x D transformation matrix S.  S is kept in
-factored form, a scale, three per-fibre sine tables and an integer parity
-sign, and is read one row at a time.  Its Eichler integral is only nearly
-modular: at rationals it has finite limiting values (computable as finite
-sums) and a divergent asymptotic tail built from L-values, both of which are
-exposed here.  ``eichler_limit`` evaluates a limit at m/n as four exact
-integer weight vectors over the n-th roots of unity, read against one
+factored form, a scale, three per-fibre sine tables and the sign form
+``_s_sign`` that the dominant sum reads too, and is read one row at a time;
+diagonal T has exponent ``chi.t_numerator`` / 2P.  Its Eichler integral is
+only nearly modular: at rationals it has finite limiting values (computable
+as finite sums) and a divergent asymptotic tail built from L-values, both of
+which are exposed here.  ``eichler_limit`` evaluates a limit at m/n as four
+exact integer weight vectors over the n-th roots of unity, read against one
 fixed-point table of those roots, so its rounding is bounded by the weights
 it sums.  ``nearly_modular_expansion`` is the one implementation of the
 dominant/tail split; ``wrt.asymptotic_approx`` normalizes its (1, 1, 1) row.
 Its dominant part reads only the gamma admissible columns, run by run of
-``chi._admissible_runs``, through per-fibre tables of sines times phases,
-so it calls no transcendental function per column and builds no
-``Fraction``.
+``chi._admissible_runs``, through per-fibre tables of sines times phases, so
+it calls no transcendental function per column and builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -35,24 +35,24 @@ from .chi import (
     canonicalize,
     enumerate_triples,
     l_function_value,
+    t_numerator,
 )
 from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, to_mpf
 
 
 def t_exponent(p: BrieskornTriple, ell: EllTriple) -> Fraction:
-    """Exponent r with diagonal T-entry exp(pi i r): (P/2)(1 + sum l/p)^2 mod 2."""
-    s = 1 + sum(Fraction(l, pk) for l, pk in zip(ell.ell, p.p))
-    return (Fraction(p.P, 2) * s * s) % 2
+    """Exponent r with diagonal T-entry exp(pi i r): (P/2)(1 + sum l/p)^2 mod 2 = A^2/2P mod 2."""
+    return Fraction(t_numerator(p, ell), 2 * p.P)
 
 
-def _s_parity(p: BrieskornTriple, l: tuple, lp: tuple) -> int:
-    # 1 when the integer parity part of the sign of S[l][l'] is negative
-    cross = (
-        (l[1] * lp[2] - l[2] * lp[1]) * p.p1
-        + (l[2] * lp[0] - l[0] * lp[2]) * p.p2
-        + (l[0] * lp[1] - l[1] * lp[0]) * p.p3
-    )
-    return (1 + p.P + sum((a + b) * c for a, b, c in zip(l, lp, p.cofactors)) + cross) % 2
+def _s_sign(p: BrieskornTriple, l: tuple) -> tuple:
+    """Bits (constant, weights): S[l][l'] is its sines times (-1)^(constant + w.l'),
+    w.l' = sum_k weights_k l'_k, from the exponent 1 + P + sum_k (l_k + l'_k) c_k
+    plus the sum over cyclic (i, j, k) of (l_i l'_j - l_j l'_i) p_k, linear mod 2."""
+    p1, p2, p3 = p.p
+    cross = (l[2] * p2 + l[1] * p3, l[2] * p1 + l[0] * p3, l[1] * p1 + l[0] * p2)
+    constant = 1 + p.P + sum(a * c for a, c in zip(l, p.cofactors))
+    return constant & 1, tuple((w + c) & 1 for w, c in zip(cross, p.cofactors))
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,10 @@ class ModularData:
     S[l][l'] = sign * sqrt(32/P) * prod_j sin(pi P l_j l'_j / p_j^2).  With
     c_j = P/p_j the j-th sine is ``sine_tables[j][c_j l_j l'_j mod 2 p_j]``,
     where ``sine_tables[j][k] = sin(pi k / p_j)`` carries the sine's own sign;
-    the rest of the sign is an integer parity.  ``scale`` = sqrt(32/P) and the
+    ``_s_sign`` gives the rest of the sign.  ``scale`` = sqrt(32/P) and the
     tables hold ``ctx``-precision values, and entries are multiplied out at
     that precision whatever the caller's.  The T-entries are not stored:
-    ``t_exponent`` gives one exactly.
+    ``t_exponent`` reads one off ``chi.t_numerator`` exactly.
     """
 
     triple: BrieskornTriple
@@ -92,7 +92,8 @@ class ModularData:
 
     def _entry(self, l: tuple, lp: tuple):
         p = self.triple
-        value = -self.scale if _s_parity(p, l, lp) else self.scale
+        constant, weights = _s_sign(p, l)
+        value = -self.scale if (constant + sum(map(operator.mul, weights, lp))) & 1 else self.scale
         for table, c, a, b in zip(self.sine_tables, p.cofactors, l, lp):
             value *= table[c * a * b % len(table)]
         return value
@@ -367,8 +368,8 @@ def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
         J = sum_k l'_k c_k + l'_1 l'_2 p_3 + l'_1 l'_3 p_2 + l'_2 l'_3 p_1,
 
     an integer J, so e^{-pi i r n} = i^{-nP} (-1)^{nJ} prod_k e^{-pi i n c_k l'_k^2 / 2p_k}.
-    The parity sign of S[ell][l'] is a constant plus a part linear in l'.
-    So each fibre k gets a table of its sine of S times its phase, signed
+    ``_s_sign`` gives the sign of S[ell][l'] as a constant and a part linear
+    in l'.  So each fibre k gets a table of its sine of S times its phase, signed
     by the parts of both parities that are linear in l'_k, over the l'_k
     the admissible runs reach.  A column is three table entries, signed by
     the parity of n times the cross terms of J; the constant signs and
@@ -384,9 +385,8 @@ def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
     l = canonicalize(p, ell).ell
     p1, p2, p3 = p.p
     runs = tuple(_admissible_runs(p))
-    # the coefficient of l'_k in the cross part of the S parity, mod 2
-    cross = (l[2] * p2 + l[1] * p3, l[2] * p1 + l[0] * p3, l[1] * p1 + l[0] * p2)
-    flips = [(w + (n + 1) * c) & 1 for w, c in zip(cross, p.cofactors)]
+    constant, weights = _s_sign(p, l)
+    flips = [(w + n * c) & 1 for w, c in zip(weights, p.cofactors)]
     f1 = _fibre_row(md, 0, l[0], n, flips[0], runs[0][0], runs[-1][0])
     f2 = _fibre_row(md, 1, l[1], n, flips[1], min(r[1] for r in runs), max(r[1] for r in runs))
     lo = min(r[2] for r in runs)
@@ -403,7 +403,6 @@ def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
         sums = alternating if (flips[2] + odd * (a * p2 + b * p1)) & 1 else plain
         term = f1[a] * f2[b] * (sums[last + 1] - sums[first])
         total += -term if odd & a * b * p3 else term
-    constant = 1 + p.P + sum(x * y for x, y in zip(l, p.cofactors))
     return total * md.scale, (n * p.P + 2 * constant) % 4
 
 

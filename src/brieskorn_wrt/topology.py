@@ -6,12 +6,13 @@ value, Reidemeister torsion amplitude, spectral flow mod 8 and conjugacy
 angles, plus the identity tying sqrt(2) times an S-matrix entry to torsion
 and spectral flow.  Chern-Simons values, conjugacy angles and spectral flows
 are exact rationals and integers: the Chern-Simons value is an integer
-numerator over 4P, and the spectral flow comes from Dedekind sums plus a
-per-manifold table of integer sawtooth convolutions, one entry per residue
-mod p_j, so no floating sum is rounded to an integer anywhere.  Only the
-torsion amplitude is evaluated at the context precision, as products of
-entries of a per-fibre table of sin(pi k / p_j) that this module builds
-itself, apart from the S-matrix tables it is checked against.
+numerator over 4P (``chi.t_numerator``, which gives the T-exponent too),
+and the spectral flow comes from Dedekind sums plus a per-manifold table of
+integer sawtooth convolutions, so no floating sum is rounded to an integer
+anywhere.  Only the torsion amplitude is evaluated at the context precision,
+as 8/sqrt(P) times entries of per-fibre tables of sin(pi k / p_j), built
+once per manifold by this module apart from the S-matrix tables it is
+checked against.  So each record is a few table reads.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .chi import (
     _dedekind_triple_sum,
     admissible_triples,
     gamma_closed_form,
+    t_numerator,
 )
 from .exactmath import (
     DEFAULT_CONTEXT,
@@ -67,14 +69,10 @@ def casson(p: BrieskornTriple) -> Rational:
 def chern_simons(p: BrieskornTriple, ell: EllTriple) -> Rational:
     """CS value -(P/4)(1 + sum l_j/p_j)^2 mod 1, reported in (-1/2, 1/2].
 
-    With A = P + sum l_j c_j that is -A^2 / 4P mod 1, reduced in integers.
+    With A = P + sum l_j c_j that is -(A^2 mod 4P) / 4P mod 1, read off ``t_numerator``.
     """
-    four_p = 4 * p.P
-    a = p.P + sum(l * c for l, c in zip(ell.ell, p.cofactors))
-    numerator = -a * a % four_p
-    if 2 * numerator > four_p:
-        numerator -= four_p
-    return Fraction(numerator, four_p)
+    t, four_p = t_numerator(p, ell), 4 * p.P
+    return Fraction(-t if 2 * t < four_p else four_p - t, four_p)
 
 
 def conjugacy_angles(p: BrieskornTriple, ell: EllTriple) -> tuple:
@@ -87,33 +85,26 @@ def euler_number(p: BrieskornTriple, ell: EllTriple) -> int:
     return sum((pk - l) * c for l, pk, c in zip(ell.ell, p.p, p.cofactors))
 
 
-@lru_cache(maxsize=192)
-def _torsion_sines(pk: int, digits: int) -> tuple:
-    """sin(pi k / pk) for 0 <= k < pk, at the working precision of ``digits``."""
+@lru_cache(maxsize=64)
+def _torsion_tables(p: BrieskornTriple, digits: int) -> tuple:
+    """(8/sqrt(P), per fibre j sin(pi k / p_j) for 0 <= k < p_j), at ``digits``."""
     with PrecisionContext(digits).workdps():
-        return tuple(mp.sinpi(mp.mpf(k) / pk) for k in range(pk))
+        sines = tuple(tuple(mp.sinpi(mp.mpf(k) / pk) for k in range(pk)) for pk in p.p)
+        return 8 / mp.sqrt(mp.mpf(p.P)), sines
 
 
-def torsion_sqrt(
-    p: BrieskornTriple, ell: EllTriple, ctx: PrecisionContext = DEFAULT_CONTEXT
-):
+def torsion_sqrt(p: BrieskornTriple, ell: EllTriple, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Reidemeister torsion amplitude (8/sqrt(P)) prod |sin(P l_j pi / p_j^2)|.
 
     P l_j / p_j^2 = c_j l_j / p_j, and |sin(pi x)| has period 1, so the j-th
     factor is entry c_j l_j mod p_j of the table of sin(pi k / p_j).
     """
-    digits = ctx.decimal_digits
+    scale, tables = _torsion_tables(p, ctx.decimal_digits)
     with ctx.workdps():
-        value = 8 / mp.sqrt(mp.mpf(p.P))
-        for l, pk, c in zip(ell.ell, p.p, p.cofactors):
-            value *= _torsion_sines(pk, digits)[c * l % pk]
+        value = scale
+        for table, l, pk, c in zip(tables, ell.ell, p.p, p.cofactors):
+            value *= table[c * l % pk]
         return ensure_finite(+value)
-
-
-@lru_cache(maxsize=128)
-def _spectral_flow_offset(p: BrieskornTriple) -> Rational:
-    """-3 - 4 sum_j s(c_j, p_j), the part of the spectral flow shared by all ell."""
-    return -3 - 4 * _dedekind_triple_sum(p)
 
 
 def _sawtooth_kernel(c: int, pk: int) -> tuple:
@@ -134,12 +125,12 @@ def _sawtooth_kernel(c: int, pk: int) -> tuple:
 
 
 @lru_cache(maxsize=128)
-def _spectral_flow_kernels(p: BrieskornTriple) -> tuple:
-    """Per fibre j, K_j(e mod p_j) c_j^2 for every residue: K_j / p_j^2 over P^2."""
-    return tuple(
-        tuple(k * c * c for k in _sawtooth_kernel(c, pk))
-        for c, pk in zip(p.cofactors, p.p)
+def _spectral_flow_tables(p: BrieskornTriple) -> tuple:
+    """(-3 - 4 sum_j s(c_j, p_j), per fibre j K_j(e mod p_j) c_j^2 for every residue)."""
+    kernels = tuple(
+        tuple(k * c * c for k in _sawtooth_kernel(c, pk)) for c, pk in zip(p.cofactors, p.p)
     )
+    return -3 - 4 * _dedekind_triple_sum(p), kernels
 
 
 def spectral_flow(p: BrieskornTriple, ell: EllTriple) -> int:
@@ -155,18 +146,15 @@ def spectral_flow(p: BrieskornTriple, ell: EllTriple) -> int:
         K_j(e) = sum_{i=1}^{p_j-1} (2i - p_j)(2r_i - p_j) [r_i != 0],
 
     where r_i = c_j^{-1}(e - i) mod p_j.  K_j depends on e only through
-    e mod p_j, and a per-manifold table holds it for every residue, built in
-    O(p_j) integers; the Dedekind sums, O(log p_j) each, are shared by every
-    ell of a manifold too, so each ell costs three table reads.  Over the
-    common denominator P^2 the total must be an integer: a fraction is a
-    structural fault and raises, nothing is rounded.
+    e mod p_j; ``_spectral_flow_tables`` holds it for every residue, built in
+    O(p_j) integers, beside the Dedekind part, so each ell costs three table
+    reads.  Over the common denominator P^2 the total must be an integer: a
+    fraction is a structural fault and raises, nothing is rounded.
     """
     e = euler_number(p, ell)
-    offset = _spectral_flow_offset(p)
+    offset, kernels = _spectral_flow_tables(p)
     square = p.P * p.P
-    scaled = 2 * e * e * p.P + sum(
-        table[e % pk] for table, pk in zip(_spectral_flow_kernels(p), p.p)
-    )
+    scaled = 2 * e * e * p.P + sum(table[e % pk] for table, pk in zip(kernels, p.p))
     # offset - scaled / P^2 over the denominator offset.denominator * P^2
     denominator = offset.denominator * square
     numerator = offset.numerator * square - offset.denominator * scaled
@@ -178,22 +166,18 @@ def spectral_flow(p: BrieskornTriple, ell: EllTriple) -> int:
     return numerator // denominator % 8
 
 
-def flat_connections(
-    p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT
-) -> list:
+def flat_connections(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list:
     """One record per admissible triple, in canonical enumeration order."""
-    records = []
-    for ell in admissible_triples(p)[0]:
-        records.append(
-            FlatConnectionRecord(
-                triple=ell,
-                cs=chern_simons(p, ell),
-                torsion_sqrt=torsion_sqrt(p, ell, ctx),
-                spectral_flow=spectral_flow(p, ell),
-                conjugacy_angles=conjugacy_angles(p, ell),
-            )
+    return [
+        FlatConnectionRecord(
+            triple=ell,
+            cs=chern_simons(p, ell),
+            torsion_sqrt=torsion_sqrt(p, ell, ctx),
+            spectral_flow=spectral_flow(p, ell),
+            conjugacy_angles=conjugacy_angles(p, ell),
         )
-    return records
+        for ell in admissible_triples(p)[0]
+    ]
 
 
 def verify_s_torsion(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT):

@@ -14,11 +14,15 @@ Stirling-number closed form of the perturbative coefficients lambda_n,
 read off those Bernoulli-polynomial L-values.
 
 Retired production forms kept to check their replacements:
-``dominant_per_column`` reads the full S-row with one ``expjpi`` of a
-``Fraction`` T-exponent per ``ell_condition`` column,
-``spectral_flow_per_record`` runs the O(p_j) sawtooth loop for each
-connection, ``chern_simons_fraction`` halves the ``Fraction`` T-exponent,
-and ``eichler_tail_term`` evaluates one tail term.  ``solve_seifert_q``
+``t_exponent_fraction`` is the T-exponent summed in ``Fraction``s and
+``s_parity_reference`` the sign of an S-entry written out with its cross
+terms, both independent of the integer numerator and sign form the library
+shares between S, T and Chern-Simons; ``dominant_per_column`` reads the
+full S-row with one ``expjpi`` of that ``Fraction`` T-exponent per
+``ell_condition`` column, ``spectral_flow_per_record`` runs the O(p_j)
+sawtooth loop for each connection with its own Dedekind offset,
+``chern_simons_fraction`` halves the ``Fraction`` T-exponent, and
+``eichler_tail_term`` evaluates one tail term.  ``solve_seifert_q``
 finds surgery coefficients, which the library does not use.
 """
 
@@ -48,10 +52,8 @@ from brieskorn_wrt import (
     euler_number,
     modular_data,
     phi_invariant,
-    t_exponent,
 )
 from brieskorn_wrt.exactmath import ensure_finite, to_mpf
-from brieskorn_wrt.topology import _spectral_flow_offset
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,7 @@ def eichler_integer_data(p: BrieskornTriple, ell: EllTriple):
     """
     chi = build_chi(p, ell)
     amplitude = -Fraction(weighted_sum(chi), 2 * p.P)
-    return amplitude, t_exponent(p, ell)
+    return amplitude, t_exponent_fraction(p, ell)
 
 
 def eichler_limit_per_term(
@@ -428,9 +430,15 @@ def dominant_per_column(
         dominant = mp.mpc(0)
         for s, ellp in zip(md.s_row(ell), md.triples):
             if ell_condition(p, ellp):
-                dominant += s * mp.expjpi(to_mpf((t_exponent(p, ellp) * -n) % 2))
+                dominant += s * mp.expjpi(to_mpf((t_exponent_fraction(p, ellp) * -n) % 2))
         dominant *= 2 * mp.sqrt(mp.mpf(n)) * mp.expjpi(mp.mpf(-0.25))
         return ensure_finite(+dominant)
+
+
+@lru_cache(maxsize=None)
+def _spectral_flow_offset(p: BrieskornTriple) -> Fraction:
+    # -3 - 4 sum_j s(c_j, p_j), once per manifold
+    return -3 - 4 * sum(dedekind_sum(c, pk) for c, pk in zip(p.cofactors, p.p))
 
 
 def spectral_flow_per_record(p: BrieskornTriple, ell: EllTriple) -> int:
@@ -452,7 +460,27 @@ def spectral_flow_per_record(p: BrieskornTriple, ell: EllTriple) -> int:
 
 def chern_simons_fraction(p: BrieskornTriple, ell: EllTriple) -> Fraction:
     """-r/2 mod 1 for the ``Fraction`` T-exponent r, reported in (-1/2, 1/2]."""
-    cs = (-t_exponent(p, ell) / 2) % 1
+    cs = (-t_exponent_fraction(p, ell) / 2) % 1
     if cs > Fraction(1, 2):
         cs -= 1
     return cs
+
+
+def t_exponent_fraction(p: BrieskornTriple, ell: EllTriple) -> Fraction:
+    """T-exponent (P/2)(1 + sum l/p)^2 mod 2, summed in ``Fraction``s."""
+    s = 1 + sum(Fraction(l, pk) for l, pk in zip(ell.ell, p.p))
+    return (Fraction(p.P, 2) * s * s) % 2
+
+
+def s_parity_reference(p: BrieskornTriple, l: tuple, lp: tuple) -> int:
+    """1 when S[l][l'] has the opposite sign to the product of its sines.
+
+    The parity 1 + P + sum_k (l_k + l'_k) c_k plus the cross terms
+    (l_2 l'_3 - l_3 l'_2) p_1 + (l_3 l'_1 - l_1 l'_3) p_2 + (l_1 l'_2 - l_2 l'_1) p_3.
+    """
+    cross = (
+        (l[1] * lp[2] - l[2] * lp[1]) * p.p1
+        + (l[2] * lp[0] - l[0] * lp[2]) * p.p2
+        + (l[0] * lp[1] - l[1] * lp[0]) * p.p3
+    )
+    return (1 + p.P + sum((a + b) * c for a, b, c in zip(l, lp, p.cofactors)) + cross) % 2

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
-from brieskorn_wrt import BrieskornTriple, build_chi, enumerate_triples
+import brieskorn_wrt.chi as chi
+import brieskorn_wrt.cli as cli
+import brieskorn_wrt.modularform as modularform
+import brieskorn_wrt.topology as topology
+from brieskorn_wrt import BrieskornTriple, EllTriple, build_chi, chern_simons, enumerate_triples
 from brieskorn_wrt.cli import (
     _BOUNDS,
     _VERBS,
@@ -315,6 +319,37 @@ def test_verify_torsion_and_modular_and_table():
             assert report.results["checks"] == 6
 
 
+def _suite_failures(suite: str) -> list:
+    cmd = parse(["verify", "--suite", suite])
+    return cli._SUITE_RUNNERS[suite](cmd, cli.PrecisionContext(cmd.precision))[1]
+
+
+def test_suites_fail_on_a_wrong_s_sign_weight(monkeypatch):
+    # the modular and torsion suites read the sign form that the S entries
+    # and the asymptotic dominant sum share, so a wrong weight cannot pass
+    real = modularform._s_sign
+
+    def flipped(p, l):
+        constant, weights = real(p, l)
+        return constant, (1 - weights[0], *weights[1:])
+
+    monkeypatch.setattr(modularform, "_s_sign", flipped)
+    assert _suite_failures("modular")
+    assert _suite_failures("torsion")
+
+
+def test_suites_and_cs_move_with_the_t_numerator(monkeypatch):
+    # T-exponents and Chern-Simons values read one integer numerator; patch
+    # every module that imported it by name
+    real = chi.t_numerator
+    p, ell = BrieskornTriple(2, 3, 7), EllTriple(1, 1, 3)
+    before = chern_simons(p, ell)
+    for module in (chi, modularform, topology):
+        monkeypatch.setattr(module, "t_numerator", lambda p, ell: (real(p, ell) + 2) % (4 * p.P))
+    assert _suite_failures("modular")
+    assert chern_simons(p, ell) != before
+
+
 def test_verify_failure_exit_code(monkeypatch, tmp_path):
     lines = []
     with open(table1_path(), "r", encoding="utf-8") as handle:
@@ -385,6 +420,23 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write --out {out}")
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_unwritable_out_fails_before_any_work(monkeypatch, tmp_path, capsys):
+    # --out is checked before the command runs, and nothing is created
+    def never(cmd, ctx):
+        raise AssertionError("the suite ran before --out was checked")
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "gamma", never)
+    for out, reason in (
+        (tmp_path / "missing" / "r.json", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+    ):
+        assert main(["verify", "--suite", "gamma", "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write --out {out}: {reason}\n"
+        assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deterministic_output_modulo_wall_time():

@@ -20,7 +20,7 @@ from brieskorn_wrt import (
 )
 from brieskorn_wrt.exactmath import PrecisionContext, to_mpf
 from brieskorn_wrt.modularform import THETA_MAX_TERMS, _modular_data_cached, _theta_cutoff
-from conftest import vertical_limit
+from conftest import coprime_triples, vertical_limit
 from oracles import (
     dominant_per_column,
     eichler_integer_data,
@@ -29,6 +29,7 @@ from oracles import (
     l_function_value_bernoulli,
     modular_index,
     phi_hat,
+    s_parity_reference,
     weighted_sum,
 )
 
@@ -87,13 +88,7 @@ def _s_entry_oracle(p, ell, ellp):
     # the per-entry formula: integer parity, then the reduced Fraction angles
     # r_j = P l_j l'_j / p_j^2 mod 1 with the sign of each sin(pi x_j)
     l, lp = ell.ell, ellp.ell
-    cross = (
-        (l[1] * lp[2] - l[2] * lp[1]) * p.p1
-        + (l[2] * lp[0] - l[0] * lp[2]) * p.p2
-        + (l[0] * lp[1] - l[1] * lp[0]) * p.p3
-    )
-    parity = 1 + p.P + sum((a + b) * c for a, b, c in zip(l, lp, p.cofactors)) + cross
-    value = (-1 if parity % 2 else 1) * mp.sqrt(mp.mpf(32) / p.P)
+    value = (-1 if s_parity_reference(p, l, lp) else 1) * mp.sqrt(mp.mpf(32) / p.P)
     for j in range(3):
         x = Fraction(p.P * l[j] * lp[j], p.p[j] ** 2)
         angle = x % 1
@@ -122,6 +117,36 @@ def test_s_row_matches_per_entry_oracle(p, ctx50):
                 for member in orbit(p, ellp)[1:]:
                     assert md.s_value(ell, member) == s
                     assert abs(s - _s_entry_oracle(p, ell, member)) < ctx50.tolerance
+
+
+def test_s_value_matches_reference_sign_and_sines():
+    # every pair of canonical triples on every sphere with D <= 60 (P <= 32 D
+    # bounds the search): the sign form that S entries and the dominant sum
+    # share, against the parity written out with its cross terms, times
+    # sin(pi x / p_j^2) for x = P l_j l'_j mod 2 p_j^2, not the tables' index
+    ctx = PrecisionContext(20)
+    spheres = [BrieskornTriple(*ps) for ps in coprime_triples(32 * 60)]
+    spheres = [p for p in spheres if p.D <= 60]
+    assert len(spheres) == 157
+    pairs = 0
+    with ctx.workdps():
+        tol = ctx.tolerance
+        for p in spheres:
+            md = modular_data(p, ctx)
+            scale = mp.sqrt(mp.mpf(32) / p.P)
+            sines = {}
+            triples = enumerate_triples(p)
+            for ell in triples:
+                for ellp in triples:
+                    want = -scale if s_parity_reference(p, ell.ell, ellp.ell) else scale
+                    for a, b, pk in zip(ell.ell, ellp.ell, p.p):
+                        key = (pk, p.P * a * b % (2 * pk * pk))
+                        if key not in sines:
+                            sines[key] = mp.sinpi(mp.mpf(key[1]) / (pk * pk))
+                        want *= sines[key]
+                    assert abs(md.s_value(ell, ellp) - want) < tol, (p.p, ell.ell, ellp.ell)
+                    pairs += 1
+    assert pairs == sum(p.D**2 for p in spheres)
 
 
 def test_modular_data_cache_is_bounded():

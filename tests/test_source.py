@@ -28,13 +28,12 @@ def test_library_has_no_assert_statements():
 
 
 def test_spectrum_modules_never_call_t_exponent_or_ell_condition():
-    # the spectrum path reduces A = P + sum l_k c_k in integers and reads the
-    # admissible runs; a D-wide Fraction or ell_condition scan must not come back.  Only the
-    # definition of t_exponent may name it.  Torsion keeps its own sine table,
-    # so the torsion suite never checks the S-matrix tables against themselves.
+    # the spectrum path reads the integer chi.t_numerator (T-exponent and CS
+    # value alike) and the admissible runs; a D-wide Fraction or ell_condition
+    # scan must not come back.  Only the definition of t_exponent may name it.
     banned = {
         "modularform.py": {"t_exponent", "ell_condition"},
-        "topology.py": {"t_exponent", "ell_condition", "sine_tables", "_signed_sines"},
+        "topology.py": {"t_exponent", "ell_condition"},
     }
     found = [
         f"{name}:{getattr(node, 'lineno', '?')}"
@@ -45,6 +44,23 @@ def test_spectrum_modules_never_call_t_exponent_or_ell_condition():
         and not (isinstance(node, ast.FunctionDef) and node.name == "t_exponent")
     ]
     assert not found, found
+
+
+def test_topology_imports_only_modular_data_from_modularform():
+    # torsion, CS and spectral flow keep their own tables and read chi's
+    # integer numerator, so the torsion suite never checks the S-matrix
+    # tables against themselves; only verify_s_torsion reads the S side
+    imported = set()
+    for name, node in _package_nodes():
+        if name != "topology.py" or not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        module = getattr(node, "module", None) or ""
+        for alias in node.names:
+            if module.endswith("modularform"):
+                imported.add(alias.name)
+            elif "modularform" in alias.name:
+                imported.add(f"the module {alias.name}")
+    assert imported == {"modular_data"}, imported
 
 
 def test_library_never_references_bernoulli_polynomial():
