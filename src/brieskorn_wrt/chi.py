@@ -248,21 +248,23 @@ def admissible_count(p: BrieskornTriple) -> int:
     return sum(last - first + 1 for _, _, first, last in _admissible_runs(p))
 
 
-def _dedekind_triple_sum(p: BrieskornTriple) -> Rational:
-    """s(p2 p3, p1) + s(p1 p3, p2) + s(p1 p2, p3), shared by gamma, Casson and phi."""
-    return sum((dedekind_sum(c, pk) for c, pk in zip(p.cofactors, p.p)), Fraction(0))
+def dedekind_triple_numerator(p: BrieskornTriple) -> int:
+    """T = 12P sum_k s(c_k, p_k), c_k = P/p_k: the Dedekind datum of gamma, Casson, phi and SF.
+
+    Each 12 p_k s(c_k, p_k) is an integer, read exactly off the reduced sum.
+    """
+    sums = ((c, pk, dedekind_sum(c, pk)) for c, pk in zip(p.cofactors, p.p))
+    return sum(c * (12 * pk * s.numerator // s.denominator) for c, pk, s in sums)
 
 
 def gamma_closed_form(p: BrieskornTriple) -> Rational:
-    """Dedekind-sum expression for the count of non-vanishing limits."""
-    p1, p2, p3 = p.p
-    return (
-        _dedekind_triple_sum(p)
-        + Fraction(p.P, 12)
-        * (1 - Fraction(1, p1**2) - Fraction(1, p2**2) - Fraction(1, p3**2))
-        - Fraction(1, 12 * p.P)
-        + Fraction(1, 4)
-    )
+    """Dedekind-sum expression for the count of non-vanishing limits.
+
+    gamma = sum_k s(c_k, p_k) + (P/12)(1 - sum_k 1/p_k^2) - 1/(12P) + 1/4, which
+    over 12P is the integer T + P^2 - sum_k c_k^2 + 3P - 1.
+    """
+    squares = sum(c * c for c in p.cofactors)
+    return Fraction(dedekind_triple_numerator(p) + p.P * p.P + 3 * p.P - 1 - squares, 12 * p.P)
 
 
 def mordell_count(p: BrieskornTriple) -> int:

@@ -33,13 +33,14 @@ from . import __version__
 from .chi import (
     BrieskornTriple,
     admissible_count,
+    admissible_triples,
     gamma_closed_form,
     mordell_count,
 )
 from .exactmath import PrecisionContext, to_mpf
 from .modularform import modular_data, t_exponent, theta_eval
 from .ohtsuki import lambda_coefficients, load_table1, table1_verify
-from .topology import casson, flat_connections, verify_s_torsion
+from .topology import casson, chern_simons, flat_connections, verify_s_torsion
 from .wrt import asymptotic_approx, rozansky_normalized, tau_n
 
 EXIT_OK = 0
@@ -208,11 +209,11 @@ def _run_ohtsuki(cmd: Command, ctx: PrecisionContext) -> tuple:
 
 def _run_cs(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
-    records = flat_connections(p, ctx)
     return {
         "p": list(p.p),
         "cs_spectrum": [
-            {"ell": list(r.triple.ell), "cs": rational_json(r.cs)} for r in records
+            {"ell": list(ell.ell), "cs": rational_json(chern_simons(p, ell))}
+            for ell in admissible_triples(p)[0]
         ],
     }, []
 

@@ -1,7 +1,8 @@
 """Exact rational number theory and the precision context for numeric work.
 
-Everything exact (Dedekind sums, Bernoulli numbers) is computed over
-arbitrary-precision integers and ``fractions.Fraction``.  Floating
+Everything exact is computed over arbitrary-precision integers: a Dedekind
+sum as the integer 12k s(h, k) along Euclid's algorithm, returned as one
+``fractions.Fraction``, and Bernoulli numbers as Fractions.  Floating
 computations elsewhere in the package run with mpmath at a precision
 carried explicitly by a :class:`PrecisionContext`, so results never depend
 on ambient mpmath state beyond the scope of a single call.
@@ -72,24 +73,25 @@ def ensure_finite(z):
 def dedekind_sum(b: int, a: int) -> Fraction:
     """Dedekind sum s(b, a) = sign(a) * sum_k ((k/a))((kb/a)), k = 1..|a|-1.
 
-    Evaluated in O(log |a|) steps by the reciprocity law
-    s(h, k) + s(k, h) = (h^2 + k^2 + 1)/(12hk) - 1/4 for coprime h, k > 0,
-    run along Euclid's algorithm on (b mod |a|, |a|) after dividing out the
-    gcd (s(dh, dk) = s(h, k)).
+    O(log |a|) integer steps on F(h, k) = 12k s(h, k), an integer for coprime
+    h, k, with reciprocity h F(h, k) + k F(k mod h, h) = h^2 + k^2 + 1 - 3hk and
+    F(0, 1) = 0: Euclid's algorithm runs down (b mod |a|, |a|) with the gcd
+    divided out (s(dh, dk) = s(h, k)), F comes back up by exact division, and
+    one ``Fraction`` is built at the end.
     """
     if a == 0:
         raise ValueError("dedekind_sum requires a != 0")
-    k = abs(a)
-    h = b % k
-    g = math.gcd(h, k)
-    h, k = h // g, k // g
-    # s(h, k) = (h^2 + k^2 + 1 - 3hk)/(12hk) - s(k mod h, h)
-    total, sign = Fraction(0), 1
+    g = math.gcd(b, a)
+    h, k = b % abs(a) // g, abs(a) // g
+    steps = []
     while h:
-        total += sign * Fraction(h * h + k * k + 1 - 3 * h * k, 12 * h * k)
+        steps.append((h, k))
         h, k = k % h, h
-        sign = -sign
-    return total if a > 0 else -total
+    scaled = 0  # F(0, 1)
+    for h, k in reversed(steps):
+        scaled = (h * h + k * k + 1 - 3 * h * k - k * scaled) // h
+    value = Fraction(scaled, 12 * abs(a) // g)
+    return value if a > 0 else -value
 
 
 @lru_cache(maxsize=None)

@@ -125,10 +125,10 @@ def table1_path() -> str:
     return str(resources.files("brieskorn_wrt").joinpath("data/table1.txt"))
 
 
-def load_table1(path: str | None = None) -> list:
+def load_table1() -> list:
     """Parse the reference table: list of ((p1, p2, p3), [lambda_0..lambda_8])."""
     rows = []
-    with open(path or table1_path(), "r", encoding="utf-8") as handle:
+    with open(table1_path(), "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -142,10 +142,10 @@ def load_table1(path: str | None = None) -> list:
     return rows
 
 
-def table1_verify(path: str | None = None) -> Table1Report:
+def table1_verify() -> Table1Report:
     """Recompute every reference-table cell and report per-cell mismatches."""
     report = Table1Report()
-    for ps, values in load_table1(path):
+    for ps, values in load_table1():
         report.rows.append((ps, values))
         series = lambda_coefficients(BrieskornTriple(*ps), len(values) - 1)
         for n, expected in enumerate(values):

@@ -5,14 +5,14 @@ triple passing the open-tetrahedron condition), carrying its Chern-Simons
 value, Reidemeister torsion amplitude, spectral flow mod 8 and conjugacy
 angles, plus the identity tying sqrt(2) times an S-matrix entry to torsion
 and spectral flow.  Chern-Simons values, conjugacy angles and spectral flows
-are exact rationals and integers: the Chern-Simons value is an integer
-numerator over 4P (``chi.t_numerator``, which gives the T-exponent too),
-and the spectral flow comes from Dedekind sums plus a per-manifold table of
-integer sawtooth convolutions, so no floating sum is rounded to an integer
-anywhere.  Only the torsion amplitude is evaluated at the context precision,
-as 8/sqrt(P) times entries of per-fibre tables of sin(pi k / p_j), built
-once per manifold by this module apart from the S-matrix tables it is
-checked against.  So each record is a few table reads.
+are exact: the Chern-Simons value is an integer numerator over 4P
+(``chi.t_numerator``), the spectral flow an integer over 12P^2 made of the
+Dedekind numerator T = 12P sum_j s(c_j, p_j) (``chi.dedekind_triple_numerator``,
+read by gamma, Casson and phi too) and per-manifold tables of integer sawtooth
+convolutions, so no floating sum is rounded to an integer.  Only the torsion
+amplitude is evaluated at the context precision, as 8/sqrt(P) times entries
+of per-fibre tables of sin(pi k / p_j), built apart from the S-matrix tables
+it is checked against.  So each record is a few table reads.
 """
 
 from __future__ import annotations
@@ -26,18 +26,12 @@ from mpmath import mp
 from .chi import (
     BrieskornTriple,
     EllTriple,
-    _dedekind_triple_sum,
     admissible_triples,
+    dedekind_triple_numerator,
     gamma_closed_form,
     t_numerator,
 )
-from .exactmath import (
-    DEFAULT_CONTEXT,
-    PrecisionContext,
-    Rational,
-    ensure_finite,
-    to_mpf,
-)
+from .exactmath import DEFAULT_CONTEXT, PrecisionContext, Rational, ensure_finite
 from .modularform import modular_data
 
 
@@ -53,8 +47,8 @@ class FlatConnectionRecord:
 
 
 def phi_invariant(p: BrieskornTriple) -> Rational:
-    """Framing correction 3 - 1/P + 12(s(p2 p3, p1) + s(p1 p3, p2) + s(p1 p2, p3))."""
-    return 3 - Fraction(1, p.P) + 12 * _dedekind_triple_sum(p)
+    """Framing correction 3 - 1/P + 12 sum_k s(c_k, p_k) = (3P - 1 + T)/P."""
+    return Fraction(3 * p.P - 1 + dedekind_triple_numerator(p), p.P)
 
 
 def casson(p: BrieskornTriple) -> Rational:
@@ -126,11 +120,11 @@ def _sawtooth_kernel(c: int, pk: int) -> tuple:
 
 @lru_cache(maxsize=128)
 def _spectral_flow_tables(p: BrieskornTriple) -> tuple:
-    """(-3 - 4 sum_j s(c_j, p_j), per fibre j K_j(e mod p_j) c_j^2 for every residue)."""
+    """(12P (-3 - 4 sum_j s(c_j, p_j)) = -36P - 4T, per fibre j K_j(e mod p_j) c_j^2 by residue)."""
     kernels = tuple(
         tuple(k * c * c for k in _sawtooth_kernel(c, pk)) for c, pk in zip(p.cofactors, p.p)
     )
-    return -3 - 4 * _dedekind_triple_sum(p), kernels
+    return -36 * p.P - 4 * dedekind_triple_numerator(p), kernels
 
 
 def spectral_flow(p: BrieskornTriple, ell: EllTriple) -> int:
@@ -147,22 +141,23 @@ def spectral_flow(p: BrieskornTriple, ell: EllTriple) -> int:
 
     where r_i = c_j^{-1}(e - i) mod p_j.  K_j depends on e only through
     e mod p_j; ``_spectral_flow_tables`` holds it for every residue, built in
-    O(p_j) integers, beside the Dedekind part, so each ell costs three table
-    reads.  Over the common denominator P^2 the total must be an integer: a
-    fraction is a structural fault and raises, nothing is rounded.
+    O(p_j) integers, beside the integer offset 12P(-3 - 4 sum_j s(c_j, p_j)) =
+    -36P - 4T, so each ell costs three table reads and
+
+        SF = ((-36P - 4T) P - 12 (2e^2 P + sum_j c_j^2 K_j(e))) / 12P^2.
+
+    That must be an integer: a fraction is a structural fault and raises,
+    nothing is rounded.
     """
     e = euler_number(p, ell)
     offset, kernels = _spectral_flow_tables(p)
-    square = p.P * p.P
     scaled = 2 * e * e * p.P + sum(table[e % pk] for table, pk in zip(kernels, p.p))
-    # offset - scaled / P^2 over the denominator offset.denominator * P^2
-    denominator = offset.denominator * square
-    numerator = offset.numerator * square - offset.denominator * scaled
+    # offset / 12P - scaled / P^2 over the denominator 12P^2
+    denominator = 12 * p.P * p.P
+    numerator = offset * p.P - 12 * scaled
     if numerator % denominator:
         total = Fraction(numerator, denominator)
-        raise ArithmeticError(
-            f"spectral flow {total} is not an integer for p={p.p}, ell={ell.ell}"
-        )
+        raise ArithmeticError(f"spectral flow {total} is not an integer for p={p.p}, ell={ell.ell}")
     return numerator // denominator % 8
 
 
@@ -185,10 +180,10 @@ def verify_s_torsion(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT
     md = modular_data(p, ctx)
     base = EllTriple(1, 1, 1)
     with ctx.workdps():
-        worst = mp.mpf(0)
+        root2, worst = mp.sqrt(2), mp.mpf(0)
+        phases = (mp.mpc(1), mp.mpc(0, -1), mp.mpc(-1), mp.mpc(0, 1))  # e^{-pi i SF/2}
         for record in flat_connections(p, ctx):
             s_val = md.s_value(base, record.triple)
-            phase = mp.expjpi(to_mpf(Fraction(-record.spectral_flow, 2) % 2))
-            residual = abs(mp.sqrt(mp.mpf(2)) * s_val - record.torsion_sqrt * phase)
-            worst = max(worst, residual)
+            phase = phases[record.spectral_flow % 4]
+            worst = max(worst, abs(root2 * s_val - record.torsion_sqrt * phase))
         return ensure_finite(+worst)

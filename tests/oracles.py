@@ -14,6 +14,9 @@ Stirling-number closed form of the perturbative coefficients lambda_n,
 read off those Bernoulli-polynomial L-values.
 
 Retired production forms kept to check their replacements:
+``dedekind_sum_fraction`` is the reciprocity law summed in ``Fraction``s
+along Euclid's algorithm, which ``rademacher_phi`` and the spectral-flow
+offset read instead of the integer ``dedekind_sum`` under test;
 ``t_exponent_fraction`` is the T-exponent summed in ``Fraction``s and
 ``s_parity_reference`` the sign of an S-entry written out with its cross
 terms, both independent of the integer numerator and sign form the library
@@ -47,7 +50,6 @@ from brieskorn_wrt import (
     bernoulli_number,
     build_chi,
     canonicalize,
-    dedekind_sum,
     ell_condition,
     euler_number,
     modular_data,
@@ -82,10 +84,26 @@ def sawtooth(x) -> Fraction:
     return x - math.floor(x) - Fraction(1, 2)
 
 
+def dedekind_sum_fraction(b: int, a: int) -> Fraction:
+    """s(b, a) by s(h, k) = (h^2 + k^2 + 1 - 3hk)/(12hk) - s(k mod h, h), one Fraction per step."""
+    if a == 0:
+        raise ValueError("dedekind_sum requires a != 0")
+    k = abs(a)
+    h = b % k
+    g = math.gcd(h, k)
+    h, k = h // g, k // g
+    total, sign = Fraction(0), 1
+    while h:
+        total += sign * Fraction(h * h + k * k + 1 - 3 * h * k, 12 * h * k)
+        h, k = k % h, h
+        sign = -sign
+    return total if a > 0 else -total
+
+
 def dedekind_sum_cotangent(b: int, a: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Cotangent form (1/4a) * sum_k cot(k pi/a) cot(k b pi/a), gcd(b, a) = 1.
 
-    Numeric cross-check of :func:`dedekind_sum`; requires coprimality so no
+    Numeric cross-check of ``dedekind_sum``; requires coprimality so no
     cotangent pole is hit.
     """
     if a <= 1:
@@ -106,7 +124,7 @@ def dedekind_sum_cotangent(b: int, a: int, ctx: PrecisionContext = DEFAULT_CONTE
 def rademacher_phi(u: UnimodularMatrix) -> Fraction:
     """Rademacher Phi of [[p, r], [q, s]]: (p+s)/q - 12 s(p, q), or r/s if q = 0."""
     if u.q != 0:
-        return Fraction(u.p + u.s, u.q) - 12 * dedekind_sum(u.p, u.q)
+        return Fraction(u.p + u.s, u.q) - 12 * dedekind_sum_fraction(u.p, u.q)
     return Fraction(u.r, u.s)
 
 
@@ -438,7 +456,7 @@ def dominant_per_column(
 @lru_cache(maxsize=None)
 def _spectral_flow_offset(p: BrieskornTriple) -> Fraction:
     # -3 - 4 sum_j s(c_j, p_j), once per manifold
-    return -3 - 4 * sum(dedekind_sum(c, pk) for c, pk in zip(p.cofactors, p.p))
+    return -3 - 4 * sum(dedekind_sum_fraction(c, pk) for c, pk in zip(p.cofactors, p.p))
 
 
 def spectral_flow_per_record(p: BrieskornTriple, ell: EllTriple) -> int:

@@ -6,7 +6,17 @@ import brieskorn_wrt.chi as chi
 import brieskorn_wrt.cli as cli
 import brieskorn_wrt.modularform as modularform
 import brieskorn_wrt.topology as topology
-from brieskorn_wrt import BrieskornTriple, EllTriple, build_chi, chern_simons, enumerate_triples
+from brieskorn_wrt import (
+    BrieskornTriple,
+    EllTriple,
+    admissible_triples,
+    build_chi,
+    chern_simons,
+    enumerate_triples,
+    flat_connections,
+    phi_invariant,
+    spectral_flow,
+)
 from brieskorn_wrt.cli import (
     _BOUNDS,
     _VERBS,
@@ -236,6 +246,24 @@ def test_cs_spectrum_json():
         ((1, 2, 1), "-1", "60"),
         ((1, 2, 2), "11", "60"),
     ]
+
+
+def test_cs_reads_chern_simons_without_flat_connection_records(monkeypatch):
+    # cs prints CS values only: no torsion amplitude or spectral flow is built
+    records = flat_connections(BrieskornTriple(7, 11, 13))
+    expected = [{"ell": list(r.triple.ell), "cs": cli.rational_json(r.cs)} for r in records]
+    rows = [",".join(map(str, (*r.triple.ell, r.cs.numerator, r.cs.denominator))) for r in records]
+
+    def never(*args):
+        raise AssertionError("cs must not build flat-connection records")
+
+    monkeypatch.setattr(cli, "flat_connections", never)
+    for fmt in ("json", "csv"):
+        cmd = parse(["cs", "--p", "7,11,13", "--format", fmt])
+        report, code = execute(cmd)
+        assert (code, report.status) == (EXIT_OK, "ok")
+        assert report.results["cs_spectrum"] == expected
+    assert render(cmd, report) == "\n".join(["ell1,ell2,ell3,cs_num,cs_den", *rows]) + "\n"
 
 
 def test_ohtsuki_csv_row():
@@ -470,3 +498,23 @@ def test_flat_is_precision_independent():
         )
     assert records[0] == records[1]
     assert len(records[0]) == 24
+
+
+def test_gamma_spectral_flow_and_phi_move_with_the_dedekind_numerator(monkeypatch):
+    # gamma, Casson, phi and the spectral-flow offset read one integer
+    # T = 12P sum s(c_k, p_k); patch every module that imported it by name
+    real = chi.dedekind_triple_numerator
+    p = BrieskornTriple(2, 3, 7)
+    ell, before = admissible_triples(p)[0][0], phi_invariant(p)
+    for module in (chi, topology):
+        monkeypatch.setattr(module, "dedekind_triple_numerator", lambda p: real(p) + 12)
+    topology._spectral_flow_tables.cache_clear()
+    try:
+        report, code = execute(parse(["verify", "--suite", "gamma", "--pmax", "1000"]))
+        assert (code, report.status) == (EXIT_FAIL, "fail")
+        assert len(report.failure) == report.results["checks"] > 0
+        with pytest.raises(ArithmeticError):
+            spectral_flow(p, ell)
+        assert phi_invariant(p) != before
+    finally:
+        topology._spectral_flow_tables.cache_clear()

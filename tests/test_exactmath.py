@@ -68,6 +68,8 @@ def dedekind_sum_sawtooth(b, a):
 @example(-25, 35)
 def test_dedekind_matches_sawtooth_sum(b, a):
     assert dedekind_sum(b, a) == dedekind_sum_sawtooth(b, a)
+    # the integer the reciprocity recursion carries, 12|a| s(b, a)
+    assert (12 * abs(a) * dedekind_sum(b, a)).denominator == 1
 
 
 @given(st.integers(1, 10**12), st.integers(1, 10**12))

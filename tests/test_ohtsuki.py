@@ -178,8 +178,9 @@ def test_env_var_controls_table_path(monkeypatch, tmp_path):
     assert len(report.rows) == 1
 
 
-def test_malformed_table_rejected(tmp_path):
+def test_malformed_table_rejected(monkeypatch, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 3 : 1 2 3\n")
+    monkeypatch.setenv(TABLE_ENV_VAR, str(bad))
     with pytest.raises(ValueError):
-        load_table1(str(bad))
+        load_table1()

@@ -74,3 +74,25 @@ def test_library_never_references_bernoulli_polynomial():
         if any(getattr(node, f, None) == banned for f in ("id", "attr", "name", "value"))
     ]
     assert not found, found
+
+
+def test_only_the_dedekind_numerator_calls_dedekind_sum():
+    # gamma, Casson, phi and the spectral-flow offset read the one integer
+    # chi.dedekind_triple_numerator; no Fraction sum over the fibres may return
+    callers = {
+        (name, node.name)
+        for name, node in _package_nodes()
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and "dedekind_sum" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    }
+    assert callers == {("chi.py", "dedekind_triple_numerator")}, callers
+    found = [
+        f"{name}:{getattr(node, 'lineno', '?')}"
+        for name, node in _package_nodes()
+        if any(
+            getattr(node, f, None) == "_dedekind_triple_sum" for f in ("id", "attr", "name", "value")
+        )
+    ]
+    assert not found, found

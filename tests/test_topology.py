@@ -247,8 +247,8 @@ def test_spectral_flow_raises_on_a_fraction(monkeypatch):
     # a non-integer total is a structural fault, never rounded
     import brieskorn_wrt.topology as topology
 
-    kernels = topology._spectral_flow_tables(P235)[1]
-    monkeypatch.setattr(topology, "_spectral_flow_tables", lambda p: (Fraction(-7, 2), kernels))
+    offset, kernels = topology._spectral_flow_tables(P235)
+    monkeypatch.setattr(topology, "_spectral_flow_tables", lambda p: (offset + 1, kernels))
     with pytest.raises(ArithmeticError, match=r"p=\(2, 3, 5\), ell=\(1, 1, 1\)"):
         spectral_flow(P235, EllTriple(1, 1, 1))
 
