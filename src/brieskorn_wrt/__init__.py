@@ -46,11 +46,9 @@ from .modularform import (
 )
 from .ohtsuki import (
     OhtsukiSeries,
-    Table1Report,
     lambda_coefficients,
     load_table1,
     table1_path,
-    table1_verify,
 )
 from .topology import (
     FlatConnectionRecord,
@@ -84,7 +82,6 @@ __all__ = [
     "PeriodicChi",
     "PrecisionContext",
     "Rational",
-    "Table1Report",
     "WrtResult",
     "admissible_count",
     "admissible_triples",
@@ -115,7 +112,6 @@ __all__ = [
     "spectral_flow",
     "t_exponent",
     "table1_path",
-    "table1_verify",
     "tau_n",
     "tau_prefactor",
     "theta_eval",

@@ -7,9 +7,11 @@ JSON (default), CSV or text, written to stdout or --out.  Exit codes:
 or --K above 100, --pmax outside 30..10^5, --nmax outside 3..50, a --p with
 more than 10^6 canonical triples on cs, flat or asymptotic, and an --out
 that cannot be written, found before any work).
-Rationals are serialized as {"num", "den"} strings and complex values as
-{"re", "im"} decimal strings so arbitrarily large results survive any JSON
-consumer.
+Verb runners return library values, and one encoder serializes results and
+failures: rationals as {"num", "den"} strings and complex values as
+{"re", "im"} decimal strings, so arbitrarily large results survive any JSON
+consumer.  Each verify suite yields one (failure, passed) pair per check to
+one loop, which counts the checks and keeps the failures.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from mpmath import mp
 from . import __version__
 from .chi import (
     BrieskornTriple,
+    EllTriple,
     admissible_count,
     admissible_triples,
     gamma_closed_form,
@@ -39,7 +42,7 @@ from .chi import (
 )
 from .exactmath import PrecisionContext, to_mpf
 from .modularform import modular_data, t_exponent, theta_eval
-from .ohtsuki import lambda_coefficients, load_table1, table1_verify
+from .ohtsuki import lambda_coefficients, load_table1
 from .topology import casson, chern_simons, flat_connections, verify_s_torsion
 from .wrt import asymptotic_approx, rozansky_normalized, tau_n
 
@@ -49,7 +52,7 @@ EXIT_USAGE = 2
 
 # Bounded flags: Command field, least and greatest value, and the note the
 # usage message puts after the least.  The Eichler limit holds O(N) integers
-# and the surgery sum an O(PN) phase cache; the lambda_n re-expansion is
+# and the surgery sum takes O(PN) time; the lambda_n re-expansion is
 # O(order^3) and --order and --K fill the unbounded Bernoulli cache; the
 # theorem51 suite runs the surgery sum at every level up to --nmax; gamma
 # checks every sphere with P <= --pmax (10^5 takes about a minute).  No
@@ -110,6 +113,23 @@ def complex_json(z, digits: int) -> dict:
 def real_json(x, digits: int) -> str:
     with mp.workdps(digits):
         return mp.nstr(mp.mpf(x), digits)
+
+
+def _json(value, digits: int):
+    """A library value in JSON terms; mpmath numbers at ``digits`` digits."""
+    if isinstance(value, Fraction):
+        return rational_json(value)
+    if isinstance(value, mp.mpc):
+        return complex_json(value, digits)
+    if isinstance(value, mp.mpf):
+        return real_json(value, digits)
+    if isinstance(value, EllTriple):
+        return list(value.ell)
+    if isinstance(value, dict):
+        return {key: _json(item, digits) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(item, digits) for item in value]
+    return value
 
 
 class _UsageError(Exception):
@@ -181,75 +201,43 @@ def parse(argv: list) -> Command:
 # verb implementations
 
 
+def _fields(record, names: str) -> dict:
+    """The named fields of a library record, in order, as result entries."""
+    return {name: getattr(record, name) for name in names.split()}
+
+
 def _run_invariant(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
     result = tau_n(p, cmd.n_level, ctx)
-    d = ctx.decimal_digits
-    return {
-        "p": list(p.p),
-        "N": result.level,
-        "normalized": complex_json(result.normalized, d),
-        "tau": complex_json(result.tau, d),
-        "z_witten": complex_json(result.z_witten, d),
-        "term_count": result.term_count,
-        "error_budget": real_json(result.error_budget, 5),
-    }, []
+    fields = _fields(result, "normalized tau z_witten term_count")
+    budget = real_json(result.error_budget, 5)
+    return {"p": p.p, "N": result.level, **fields, "error_budget": budget}, []
 
 
 def _run_ohtsuki(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
-    series = lambda_coefficients(p, cmd.order)
-    return {
-        "p": list(p.p),
-        "order": series.order,
-        "lambdas": [rational_json(lam) for lam in series.lambdas],
-        "all_integer": series.all_integer,
-    }, []
+    return {"p": p.p, **_fields(lambda_coefficients(p, cmd.order), "order lambdas all_integer")}, []
 
 
 def _run_cs(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
-    return {
-        "p": list(p.p),
-        "cs_spectrum": [
-            {"ell": list(ell.ell), "cs": rational_json(chern_simons(p, ell))}
-            for ell in admissible_triples(p)[0]
-        ],
-    }, []
+    spectrum = [{"ell": ell, "cs": chern_simons(p, ell)} for ell in admissible_triples(p)[0]]
+    return {"p": p.p, "cs_spectrum": spectrum}, []
 
 
 def _run_flat(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
-    d = ctx.decimal_digits
-    records = flat_connections(p, ctx)
-    return {
-        "p": list(p.p),
-        "flat_connections": [
-            {
-                "ell": list(r.triple.ell),
-                "cs": rational_json(r.cs),
-                "torsion_sqrt": real_json(r.torsion_sqrt, d),
-                "spectral_flow": r.spectral_flow,
-                "conjugacy_angles": [rational_json(a) for a in r.conjugacy_angles],
-            }
-            for r in records
-        ],
-    }, []
+    names = "cs torsion_sqrt spectral_flow conjugacy_angles"
+    records = [{"ell": r.triple, **_fields(r, names)} for r in flat_connections(p, ctx)]
+    return {"p": p.p, "flat_connections": records}, []
 
 
 def _run_asymptotic(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
     approx = asymptotic_approx(p, cmd.n_level, cmd.k_max, ctx)
-    d = ctx.decimal_digits
-    return {
-        "p": list(p.p),
-        "N": cmd.n_level,
-        "K": cmd.k_max,
-        "dominant": complex_json(approx.dominant, d),
-        "tail": complex_json(approx.tail, d),
-        "exact": complex_json(approx.exact, d),
-        "abs_error": real_json(approx.abs_error, 10),
-    }, []
+    fields = _fields(approx, "dominant tail exact")
+    error = real_json(approx.abs_error, 10)
+    return {"p": p.p, "N": cmd.n_level, "K": cmd.k_max, **fields, "abs_error": error}, []
 
 
 def coprime_triples(pmax: int):
@@ -265,118 +253,84 @@ def coprime_triples(pmax: int):
                     yield BrieskornTriple(p1, p2, p3)
 
 
-def _suite_theorem51(cmd: Command, ctx: PrecisionContext):
-    """The surgery sum against tau_N's Eichler-limit route (Theorem 5.1)."""
+def _suite_theorem51(cmd: Command, ctx: PrecisionContext, results: dict):
     manifolds = [(2, 3, 7), (2, 5, 7), (3, 4, 5), (2, 3, 11), (2, 3, 5)]
-    manifolds = [m for m in manifolds if m[0] * m[1] * m[2] <= cmd.pmax]
-    failures = []
-    checks = 0
-    with ctx.workdps():
-        for ps in manifolds:
-            p = BrieskornTriple(*ps)
-            for n in range(3, cmd.nmax + 1):
-                lhs = rozansky_normalized(p, n, ctx)
-                rhs = tau_n(p, n, ctx).normalized
-                residual = abs(lhs - rhs)
-                checks += 1
-                if residual > ctx.tolerance:
-                    failures.append(
-                        {"p": list(ps), "N": n, "residual": real_json(residual, 5)}
-                    )
-    return {"suite": "theorem51", "checks": checks, "manifolds": [list(m) for m in manifolds]}, failures
+    results["manifolds"] = manifolds = [m for m in manifolds if math.prod(m) <= cmd.pmax]
+    for ps in manifolds:
+        p = BrieskornTriple(*ps)
+        for n in range(3, cmd.nmax + 1):
+            residual = abs(rozansky_normalized(p, n, ctx) - tau_n(p, n, ctx).normalized)
+            yield {"p": ps, "N": n, "residual": real_json(residual, 5)}, residual <= ctx.tolerance
 
 
-def _suite_table1(cmd: Command, ctx: PrecisionContext):
-    report = table1_verify()
-    failures = [
-        {
-            "p": list(m.manifold),
-            "order": m.order,
-            "expected": str(m.expected),
-            "got": rational_json(m.got),
-        }
-        for m in report.mismatches
-    ]
-    return {"suite": "table1", "checks": report.cells_checked}, failures
+def _suite_table1(cmd: Command, ctx: PrecisionContext, results: dict):
+    for ps, values in load_table1():
+        lambdas = lambda_coefficients(BrieskornTriple(*ps), len(values) - 1).lambdas
+        for n, (expected, got) in enumerate(zip(values, lambdas)):
+            yield {"p": ps, "order": n, "expected": str(expected), "got": got}, got == expected
 
 
-def _suite_modular(cmd: Command, ctx: PrecisionContext):
-    failures = []
-    checks = 0
-    with ctx.workdps():
-        taus = [mp.mpc(0, 1), (1 + 2j) / mp.mpf(3), mp.mpc(0, 1) / 5]
-        threshold = mp.mpf(10) ** (-(ctx.decimal_digits - 15))
-        for ps in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (3, 5, 8)]:
-            p = BrieskornTriple(*ps)
-            md = modular_data(p, ctx)
-            s_rows = [md.s_row(ell) for ell in md.triples]
-            for tau in taus:
-                values = [theta_eval(p, ell, -1 / tau, ctx) for ell in md.triples]
-                front = (mp.mpc(0, 1) / tau) ** mp.mpf(1.5)
-                for ell, row in zip(md.triples, s_rows):
-                    lhs = theta_eval(p, ell, tau, ctx)
-                    rhs = front * sum(s * v for s, v in zip(row, values))
-                    t_lhs = theta_eval(p, ell, tau + 1, ctx)
-                    t_rhs = mp.expjpi(to_mpf(t_exponent(p, ell))) * lhs
-                    checks += 2
-                    for name, res in (("S", abs(lhs - rhs)), ("T", abs(t_lhs - t_rhs))):
-                        if res > threshold:
-                            failures.append(
-                                {
-                                    "p": list(ps),
-                                    "transform": name,
-                                    "tau": complex_json(tau, 10),
-                                    "residual": real_json(res, 5),
-                                }
-                            )
-    return {"suite": "modular", "checks": checks}, failures
+def _suite_modular(cmd: Command, ctx: PrecisionContext, results: dict):
+    taus = [mp.mpc(0, 1), (1 + 2j) / mp.mpf(3), mp.mpc(0, 1) / 5]
+    threshold = mp.mpf(10) ** (-(ctx.decimal_digits - 15))
+    for ps in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (3, 5, 8)]:
+        p = BrieskornTriple(*ps)
+        md = modular_data(p, ctx)
+        s_rows = [md.s_row(ell) for ell in md.triples]
+        for tau in taus:
+            tau_text = complex_json(tau, 10)
+            values = [theta_eval(p, ell, -1 / tau, ctx) for ell in md.triples]
+            front = (mp.mpc(0, 1) / tau) ** mp.mpf(1.5)
+            for ell, row in zip(md.triples, s_rows):
+                lhs = theta_eval(p, ell, tau, ctx)
+                rhs = front * sum(s * v for s, v in zip(row, values))
+                t_lhs = theta_eval(p, ell, tau + 1, ctx)
+                t_rhs = mp.expjpi(to_mpf(t_exponent(p, ell))) * lhs
+                for name, res in (("S", abs(lhs - rhs)), ("T", abs(t_lhs - t_rhs))):
+                    failure = dict(p=ps, transform=name, tau=tau_text, residual=real_json(res, 5))
+                    yield failure, res <= threshold
 
 
-def _suite_torsion(cmd: Command, ctx: PrecisionContext):
-    manifolds = [(2, 3, 5), (2, 3, 7), (3, 4, 5), (3, 5, 8), (5, 7, 9), (7, 11, 13)]
-    with ctx.workdps():
-        threshold = mp.mpf(10) ** (-(ctx.decimal_digits - 15))
-        residuals = [(ps, verify_s_torsion(BrieskornTriple(*ps), ctx)) for ps in manifolds]
-        failures = [
-            {"p": list(ps), "residual": real_json(r, 5)} for ps, r in residuals if r > threshold
-        ]
-    return {"suite": "torsion", "checks": len(residuals)}, failures
+def _suite_torsion(cmd: Command, ctx: PrecisionContext, results: dict):
+    threshold = mp.mpf(10) ** (-(ctx.decimal_digits - 15))
+    for ps in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (3, 5, 8), (5, 7, 9), (7, 11, 13)]:
+        residual = verify_s_torsion(BrieskornTriple(*ps), ctx)
+        yield {"p": ps, "residual": real_json(residual, 5)}, residual <= threshold
 
 
-def _suite_gamma(cmd: Command, ctx: PrecisionContext):
-    failures = []
-    checks = 0
+def _suite_gamma(cmd: Command, ctx: PrecisionContext, results: dict):
+    results["pmax"] = cmd.pmax
     for p in coprime_triples(cmd.pmax):
-        gamma = admissible_count(p)
-        closed = gamma_closed_form(p)
-        direct = p.D - mordell_count(p)
-        lam = casson(p)
-        checks += 1
-        if not (closed == direct == gamma == -2 * lam and lam.denominator == 1):
-            failures.append(
-                {
-                    "p": list(p.p),
-                    "gamma_enumerated": gamma,
-                    "gamma_closed_form": rational_json(closed),
-                    "gamma_lattice": direct,
-                    "casson": rational_json(lam),
-                }
-            )
-    return {"suite": "gamma", "checks": checks, "pmax": cmd.pmax}, failures
+        failure = {
+            "p": p.p,
+            "gamma_enumerated": admissible_count(p),
+            "gamma_closed_form": gamma_closed_form(p),
+            "gamma_lattice": p.D - mordell_count(p),
+            "casson": casson(p),
+        }
+        _, gamma, closed, direct, lam = failure.values()
+        yield failure, closed == direct == gamma == -2 * lam and lam.denominator == 1
 
 
 _SUITE_RUNNERS = {
-    "theorem51": _suite_theorem51,
-    "table1": _suite_table1,
-    "modular": _suite_modular,
-    "torsion": _suite_torsion,
-    "gamma": _suite_gamma,
+    "theorem51": _suite_theorem51,  # the surgery sum against tau_N's route (Theorem 5.1)
+    "table1": _suite_table1,  # every reference-table cell against lambda_coefficients
+    "modular": _suite_modular,  # S and T laws of the weight-3/2 theta vector
+    "torsion": _suite_torsion,  # the S row of (1, 1, 1) against the Reidemeister torsion
+    "gamma": _suite_gamma,  # gamma three ways against -2 Casson
 }
 SUITES = tuple(_SUITE_RUNNERS)
 
 
 def _run_verify(cmd: Command, ctx: PrecisionContext) -> tuple:
-    results, failures = _SUITE_RUNNERS[cmd.suite](cmd, ctx)
+    """Drive one suite: it yields a (failure, passed) pair per check and may add result keys."""
+    results = {"suite": cmd.suite, "checks": 0}
+    failures = []
+    with ctx.workdps():
+        for failure, passed in _SUITE_RUNNERS[cmd.suite](cmd, ctx, results):
+            results["checks"] += 1
+            if not passed:
+                failures.append(failure)
     if results["checks"] == 0:  # a suite that checked nothing proves nothing
         failures.append({"error": "suite ran no checks"})
     return results, failures
@@ -438,7 +392,7 @@ def _report_dict(report: Report) -> dict:
 
 class _Verb(NamedTuple):
     help: str
-    run: Callable  # (Command, PrecisionContext) -> (results, failures)
+    run: Callable  # (Command, PrecisionContext) -> (results, failures) as library values
     flags: tuple = ()  # beyond --p, --precision, --format and --out
     takes_p: bool = True
     d_bounded: bool = False  # --p capped at MAX_D canonical triples
@@ -496,7 +450,7 @@ def execute(cmd: Command) -> tuple:
             "pmax": cmd.pmax if "--pmax" in spec.flags else None,
         }
     )
-    report.results, report.failure = spec.run(cmd, ctx)
+    report.results, report.failure = (_json(x, ctx.decimal_digits) for x in spec.run(cmd, ctx))
     if report.failure:
         report.status = "fail"
     report.metadata = {

@@ -313,9 +313,7 @@ class EichlerTail:
         if not 0 <= k < len(self.coefficients):
             raise ValueError(f"tail order {k} outside [0, {len(self.coefficients)})")
 
-    def evaluate(self, n: int, k_max: int | None = None, ctx: PrecisionContext = DEFAULT_CONTEXT):
-        if k_max is None:
-            k_max = len(self.coefficients) - 1
+    def evaluate(self, n: int, k_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
         self._check_order(k_max)
         with ctx.workdps():
             scale = mp.mpc(0, 1) * mp.pi / (self.two_p * n)

@@ -13,12 +13,11 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
 from .chi import BrieskornTriple, EllTriple
-from .exactmath import Rational
 from .modularform import eichler_tail
 from .topology import phi_invariant
 
@@ -96,28 +95,6 @@ def lambda_coefficients(p: BrieskornTriple, order: int) -> OhtsukiSeries:
 # bundled reference table
 
 
-@dataclass
-class TableMismatch:
-    manifold: tuple
-    order: int
-    expected: int
-    got: Rational
-
-
-@dataclass
-class Table1Report:
-    rows: list = field(default_factory=list)
-    mismatches: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    @property
-    def cells_checked(self) -> int:
-        return sum(len(values) for _, values in self.rows)
-
-
 def table1_path() -> str:
     override = os.environ.get(TABLE_ENV_VAR)
     if override:
@@ -141,17 +118,3 @@ def load_table1() -> list:
             rows.append((ps, values))
     return rows
 
-
-def table1_verify() -> Table1Report:
-    """Recompute every reference-table cell and report per-cell mismatches."""
-    report = Table1Report()
-    for ps, values in load_table1():
-        report.rows.append((ps, values))
-        series = lambda_coefficients(BrieskornTriple(*ps), len(values) - 1)
-        for n, expected in enumerate(values):
-            got = series.lambdas[n]
-            if got != expected:
-                report.mismatches.append(
-                    TableMismatch(manifold=ps, order=n, expected=expected, got=got)
-                )
-    return report

@@ -4,14 +4,15 @@ The level-N invariant is computed through the paper's Theorem 5.1: the
 normalized tau_N equals half the Eichler-integral limit of the (1, 1, 1)
 false theta series at 1/N, plus e^{pi i/60N} for the Poincare sphere.  That
 finite sum has 4N terms whatever the triple.  The closed cyclotomic surgery
-sum over 0 <= n < 2PN (2PN - 2P terms, multiples of N excluded by index
-arithmetic) is kept as ``rozansky_normalized``, the independent route that
-the ``theorem51`` suite and the tests compare against; the asymptotics
-normalize the (1, 1, 1) nearly modular expansion the same way.  The Eichler
-limit sums exact integer weights against a fixed-point table of N-th roots
-of unity (its rounding bound is in ``modularform.eichler_limit``); the
-surgery sum runs in high-precision floating point with exact integer
-argument reduction.  ``WrtResult.error_budget`` is still term_count * ulp.
+sum, whose summand is even under n -> 2PN - n, runs over 0 < n < PN (PN - P
+terms, multiples of N excluded by index arithmetic) and is kept as
+``rozansky_normalized``, the independent route that the ``theorem51`` suite
+and the tests compare against; the asymptotics normalize the (1, 1, 1)
+nearly modular expansion the same way.  The Eichler limit sums exact integer
+weights against a fixed-point table of N-th roots of unity (its rounding
+bound is in ``modularform.eichler_limit``); the surgery sum runs in
+high-precision floating point with exact integer argument reduction.
+``WrtResult.error_budget`` is still term_count * ulp.
 """
 
 from __future__ import annotations
@@ -66,22 +67,18 @@ def rozansky_normalized(
         sin_den = _sinpi_table(n_level)
         four_pn = 4 * p.P * n_level
         two_pn = 2 * p.P * n_level
-        exp_cache: dict = {}
         total = mp.mpc(0)
-        for n in range(two_pn):
+        for n in range(1, p.P * n_level):
             if n % n_level == 0:
                 continue
-            m = n * n % four_pn
-            phase = exp_cache.get(m)
-            if phase is None:
-                phase = mp.expjpi(mp.mpf(-m) / two_pn)
-                exp_cache[m] = phase
-            value = phase
+            value = mp.expjpi(mp.mpf(-(n * n % four_pn)) / two_pn)
             for j, pk in enumerate(p.p):
                 value *= sin_num[j][n % (2 * n_level * pk)]
             total += value / sin_den[n % (2 * n_level)]
-        # prod of three (2i sin) over one (2i sin) contributes (2i)^2 = -4
-        total *= -4
+        # prod of three (2i sin) over one (2i sin) contributes (2i)^2 = -4, and
+        # the summand is even under n -> 2PN - n (three sines over one change
+        # sign, the phase does not), so the half 0 < n < PN counts twice
+        total *= -8
         prefactor = mp.expjpi(mp.mpf(1) / 4) / (2 * mp.sqrt(mp.mpf(2) * p.P * n_level))
         return ensure_finite(+(prefactor * total))
 

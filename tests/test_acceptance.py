@@ -30,10 +30,10 @@ from brieskorn_wrt import (
     mordell_count,
     rozansky_normalized,
     t_exponent,
-    table1_verify,
     theta_eval,
     verify_s_torsion,
 )
+from brieskorn_wrt.cli import execute, parse
 from brieskorn_wrt.exactmath import to_mpf
 from conftest import coprime_triples
 from oracles import eichler_tail_term, gauss_reciprocity_sides, gauss_sum, lambda_stirling
@@ -49,9 +49,10 @@ def _report(criterion: int, passed: bool, detail: str) -> None:
 
 
 def test_criterion_01_reference_table_exact():
-    report = table1_verify()
-    ok = report.ok and report.cells_checked == 234
-    _report(1, ok, f"reference table {report.cells_checked} cells, mismatches={len(report.mismatches)}")
+    report, _ = execute(parse(["verify", "--suite", "table1"]))
+    checks = report.results["checks"]
+    ok = report.status == "ok" and not report.failure and checks == 234
+    _report(1, ok, f"reference table {checks} cells, mismatches={len(report.failure)}")
 
 
 def test_criterion_02_surgery_sum_equals_false_theta_limit():

@@ -1,6 +1,8 @@
 import json
+from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 import brieskorn_wrt.chi as chi
 import brieskorn_wrt.cli as cli
@@ -348,8 +350,57 @@ def test_verify_torsion_and_modular_and_table():
 
 
 def _suite_failures(suite: str) -> list:
-    cmd = parse(["verify", "--suite", suite])
-    return cli._SUITE_RUNNERS[suite](cmd, cli.PrecisionContext(cmd.precision))[1]
+    return execute(parse(["verify", "--suite", suite]))[0].failure
+
+
+def _mantissa_digits(text: str) -> int:
+    return len(text.lstrip("-").partition("e")[0].replace(".", "").lstrip("0"))
+
+
+def test_encodings_pin_digit_counts_and_failure_field_types(monkeypatch, tmp_path):
+    # execute encodes every library value one way; error_budget, residual, abs_error
+    # and the modular tau keep the digit counts their runners fix
+    invariant = execute(parse(["invariant", "--p", "2,3,7", "--N", "5"]))[0].results
+    asymptotic = execute(parse(["asymptotic", "--p", "2,3,5", "--N", "64", "--K", "2"]))[0].results
+    assert _mantissa_digits(invariant["error_budget"]) == 5
+    assert _mantissa_digits(asymptotic["abs_error"]) == 10
+    assert _mantissa_digits(invariant["tau"]["re"]) == 50  # --precision digits
+    tiny = mp.mpf(10) ** -20 / 7  # a residual with no trailing zeros
+    for name, fault in (
+        ("rozansky_normalized", lambda real: lambda p, n, ctx: real(p, n, ctx) + tiny),
+        ("t_exponent", lambda real: lambda p, ell: real(p, ell) + Fraction(1, 7)),
+        ("verify_s_torsion", lambda real: lambda p, ctx: real(p, ctx) + tiny),
+        ("mordell_count", lambda real: lambda p: real(p) + 1),
+    ):
+        monkeypatch.setattr(cli, name, fault(getattr(cli, name)))
+    table = tmp_path / "table1.txt"
+    table.write_text("2 3 5 : 1 -6 45 -464 6224 -102816 2015237 -45679349 1175123731\n")
+    monkeypatch.setenv(TABLE_ENV_VAR, str(table))
+    argv = {"theorem51": ["--nmax", "3", "--pmax", "42"], "gamma": ["--pmax", "30"]}
+    failures = {}
+    for suite in cli.SUITES:
+        report, code = execute(parse(["verify", "--suite", suite, *argv.get(suite, [])]))
+        assert (code, report.status) == (EXIT_FAIL, "fail"), suite
+        failures[suite] = report.failure
+        assert all(isinstance(f["p"], list) for f in report.failure), suite
+    first = {suite: found[0] for suite, found in failures.items()}
+    for suite in ("theorem51", "modular", "torsion"):
+        assert _mantissa_digits(first[suite]["residual"]) == 5, suite
+    assert first["modular"]["tau"] == {"re": "0.0", "im": "1.0"}
+    assert {"re": "0.3333333333", "im": "0.6666666667"} in [f["tau"] for f in failures["modular"]]
+    assert first["gamma"] == {
+        "p": [2, 3, 5],
+        "gamma_enumerated": 2,
+        "gamma_closed_form": {"num": "2", "den": "1"},
+        "gamma_lattice": 1,
+        "casson": {"num": "-1", "den": "1"},
+    }
+    assert first["table1"] == {
+        "p": [2, 3, 5],
+        "order": 8,
+        "expected": "1175123731",
+        "got": {"num": "1175123730", "den": "1"},
+    }
 
 
 def test_suites_fail_on_a_wrong_s_sign_weight(monkeypatch):
@@ -452,7 +503,7 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
 
 def test_unwritable_out_fails_before_any_work(monkeypatch, tmp_path, capsys):
     # --out is checked before the command runs, and nothing is created
-    def never(cmd, ctx):
+    def never(*args):
         raise AssertionError("the suite ran before --out was checked")
 
     monkeypatch.setitem(cli._SUITE_RUNNERS, "gamma", never)

@@ -10,9 +10,9 @@ from brieskorn_wrt import (
     load_table1,
     phi_invariant,
     table1_path,
-    table1_verify,
 )
 from brieskorn_wrt import ohtsuki
+from brieskorn_wrt.cli import EXIT_FAIL, EXIT_OK, execute, parse
 from brieskorn_wrt.ohtsuki import TABLE_ENV_VAR
 from conftest import coprime_triples
 from oracles import lambda_stirling
@@ -137,11 +137,15 @@ def test_nonzero_tail_constant_term_raises(monkeypatch):
 # -------------------------------------------------------------- golden table
 
 
+def _verify_table1():
+    return execute(parse(["verify", "--suite", "table1"]))
+
+
 def test_reference_table_reproduces():
-    report = table1_verify()
-    assert report.ok
-    assert len(report.rows) == 26
-    assert report.cells_checked == 26 * 9
+    report, code = _verify_table1()
+    assert (code, report.status, report.failure) == (EXIT_OK, "ok", [])
+    assert len(load_table1()) == 26
+    assert report.results["checks"] == 26 * 9
 
 
 def test_reference_table_big_cell():
@@ -159,23 +163,21 @@ def test_corrupted_cell_reports_single_mismatch(tmp_path, monkeypatch):
     corrupted = tmp_path / "table1.txt"
     corrupted.write_text("".join(lines), encoding="utf-8")
     monkeypatch.setenv(TABLE_ENV_VAR, str(corrupted))
-    report = table1_verify()
-    assert not report.ok
-    assert len(report.mismatches) == 1
-    mismatch = report.mismatches[0]
-    assert mismatch.manifold == (2, 3, 7)
-    assert mismatch.order == 2
-    assert mismatch.expected == 70
-    assert mismatch.got == 69
+    report, code = _verify_table1()
+    assert (code, report.status) == (EXIT_FAIL, "fail")
+    assert report.failure == [
+        {"p": [2, 3, 7], "order": 2, "expected": "70", "got": {"num": "69", "den": "1"}}
+    ]
 
 
 def test_env_var_controls_table_path(monkeypatch, tmp_path):
     alt = tmp_path / "alt.txt"
     alt.write_text("2 3 5 : 1 -6 45 -464 6224 -102816 2015237 -45679349 1175123730\n")
     monkeypatch.setenv(TABLE_ENV_VAR, str(alt))
-    report = table1_verify()
-    assert report.ok
-    assert len(report.rows) == 1
+    report, code = _verify_table1()
+    assert (code, report.status, report.failure) == (EXIT_OK, "ok", [])
+    assert len(load_table1()) == 1
+    assert report.results["checks"] == 9
 
 
 def test_malformed_table_rejected(monkeypatch, tmp_path):

@@ -96,3 +96,23 @@ def test_only_the_dedekind_numerator_calls_dedekind_sum():
         )
     ]
     assert not found, found
+
+
+def test_cli_encodes_rationals_and_complex_values_in_one_place():
+    # verb runners return library values and execute encodes them through
+    # _json; only the fields with a fixed digit count are encoded early
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+
+    def callers(name):
+        return {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
+        }
+
+    assert callers("rational_json") == {"_json"}
+    runners = {name for name in callers("complex_json") if name.startswith("_run_")}
+    assert not runners, runners
+    assert callers("_json") == {"_json", "execute"}
