@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat
+from typing import NamedTuple
 
 from .exactmath import Rational, bernoulli_number, dedekind_sum
 
@@ -79,9 +80,8 @@ class BrieskornTriple:
         return f"Sigma({self.p1},{self.p2},{self.p3})"
 
 
-@dataclass(frozen=True, order=True)
-class EllTriple:
-    """Lattice triple (l1, l2, l3) with 1 <= l_j <= p_j - 1."""
+class EllTriple(NamedTuple):
+    """Lattice triple (l1, l2, l3) with 1 <= l_j <= p_j - 1, equal to that plain tuple."""
 
     l1: int
     l2: int
@@ -89,19 +89,19 @@ class EllTriple:
 
     @property
     def ell(self) -> tuple:
-        return (self.l1, self.l2, self.l3)
+        return tuple(self)
 
 
 def _check_range(p: BrieskornTriple, ell: EllTriple) -> None:
-    for l, pk in zip(ell.ell, p.p):
+    for l, pk in zip(ell, p.p):
         if not 1 <= l <= pk - 1:
-            raise ValueError(f"ell out of range for {p}: {ell.ell}")
+            raise ValueError(f"ell out of range for {p}: {tuple(ell)}")
 
 
 def orbit(p: BrieskornTriple, ell: EllTriple) -> tuple:
     """The four sign-flip companions sharing one periodic function."""
     _check_range(p, ell)
-    l1, l2, l3 = ell.ell
+    l1, l2, l3 = ell
     p1, p2, p3 = p.p
     return (
         EllTriple(l1, l2, l3),
@@ -131,11 +131,13 @@ def _canonical_pairs(p: BrieskornTriple):
 
 
 def _ell_runs(runs) -> tuple:
-    """EllTriples (l1, l2, l3) for first <= l3 <= last of each (l1, l2, first, last)."""
+    """EllTriples (l1, l2, l3) for lo <= l3 <= hi of each run (l1, l2, lo, hi), built in C."""
+    # EllTriple(...) and EllTriple._make each run one Python frame per triple;
+    # tuple.__new__ over zipped entries builds the same EllTriple without one
     return tuple(
         chain.from_iterable(
-            map(EllTriple, repeat(l1), repeat(l2), range(first, last + 1))
-            for l1, l2, first, last in runs
+            map(tuple.__new__, repeat(EllTriple), zip(repeat(l1), repeat(l2), range(lo, hi + 1)))
+            for l1, l2, lo, hi in runs
         )
     )
 
@@ -173,24 +175,24 @@ def build_chi(p: BrieskornTriple, ell: EllTriple) -> PeriodicChi:
     two_p = 2 * p.P
     values = {}
     for eps in product((1, -1), repeat=3):
-        residue = (p.P + sum(e * l * c for e, l, c in zip(eps, ell.ell, p.cofactors))) % two_p
+        residue = (p.P + sum(e * l * c for e, l, c in zip(eps, ell, p.cofactors))) % two_p
         sign = -eps[0] * eps[1] * eps[2]
         if residue in values:
             raise ArithmeticError(
-                f"epsilon residues collide for p={p.p}, ell={ell.ell} at {residue}"
+                f"epsilon residues collide for p={p.p}, ell={tuple(ell)} at {residue}"
             )
         values[residue] = sign
     # oddness and zero mean are structural; verify once at construction
     if any(values.get(-r % two_p) != -sign for r, sign in values.items()):
-        raise ArithmeticError(f"chi is not odd for p={p.p}, ell={ell.ell}")
+        raise ArithmeticError(f"chi is not odd for p={p.p}, ell={tuple(ell)}")
     if sum(values.values()):
-        raise ArithmeticError(f"chi has non-zero mean for p={p.p}, ell={ell.ell}")
+        raise ArithmeticError(f"chi has non-zero mean for p={p.p}, ell={tuple(ell)}")
     return PeriodicChi(two_p, tuple(sorted(values.items())))
 
 
 def t_numerator(p: BrieskornTriple, ell: EllTriple) -> int:
     """A^2 mod 4P, A = P + sum l_k c_k: the T-exponent over 2P, minus the CS value over 4P."""
-    a = p.P + sum(l * c for l, c in zip(ell.ell, p.cofactors))
+    a = p.P + sum(l * c for l, c in zip(ell, p.cofactors))
     return a * a % (4 * p.P)
 
 

@@ -34,7 +34,6 @@ from mpmath import mp
 from . import __version__
 from .chi import (
     BrieskornTriple,
-    EllTriple,
     admissible_count,
     admissible_triples,
     gamma_closed_form,
@@ -123,8 +122,6 @@ def _json(value, digits: int):
         return complex_json(value, digits)
     if isinstance(value, mp.mpf):
         return real_json(value, digits)
-    if isinstance(value, EllTriple):
-        return list(value.ell)
     if isinstance(value, dict):
         return {key: _json(item, digits) for key, item in value.items()}
     if isinstance(value, (list, tuple)):

@@ -64,7 +64,7 @@ def to_mpf(x):
 
 
 def ensure_finite(z):
-    """Assert a numeric result has finite components and return it."""
+    """Return a numeric result with finite components; raise ArithmeticError otherwise."""
     if not mp.isfinite(z):
         raise ArithmeticError(f"non-finite value escaped a computation: {z!r}")
     return z

@@ -80,15 +80,15 @@ class ModularData:
 
     def s_row(self, ell: EllTriple) -> tuple:
         """The D entries S[ell][l'] over the canonical triples l', in O(D)."""
-        l = canonicalize(self.triple, ell).ell
+        l = canonicalize(self.triple, ell)
         with self.ctx.workdps():
-            return tuple(self._entry(l, ellp.ell) for ellp in self.triples)
+            return tuple(self._entry(l, ellp) for ellp in self.triples)
 
     def s_value(self, ell: EllTriple, ellp: EllTriple):
         """One entry S[ell][ellp]; each argument stands for its orbit."""
         p = self.triple
         with self.ctx.workdps():
-            return self._entry(canonicalize(p, ell).ell, canonicalize(p, ellp).ell)
+            return self._entry(canonicalize(p, ell), canonicalize(p, ellp))
 
     def _entry(self, l: tuple, lp: tuple):
         p = self.triple
@@ -380,7 +380,7 @@ def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
     is that span, that is gamma + 2.
     """
     p = md.triple
-    l = canonicalize(p, ell).ell
+    l = canonicalize(p, ell)
     p1, p2, p3 = p.p
     runs = tuple(_admissible_runs(p))
     constant, weights = _s_sign(p, l)

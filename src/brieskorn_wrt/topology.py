@@ -71,12 +71,12 @@ def chern_simons(p: BrieskornTriple, ell: EllTriple) -> Rational:
 
 def conjugacy_angles(p: BrieskornTriple, ell: EllTriple) -> tuple:
     """Rotation numbers (p_k - l_k)/p_k of the three generator images."""
-    return tuple(Fraction(pk - l, pk) for l, pk in zip(ell.ell, p.p))
+    return tuple(Fraction(pk - l, pk) for l, pk in zip(ell, p.p))
 
 
 def euler_number(p: BrieskornTriple, ell: EllTriple) -> int:
     """The integer e = P * sum (p_j - l_j)/p_j entering the spectral flow."""
-    return sum((pk - l) * c for l, pk, c in zip(ell.ell, p.p, p.cofactors))
+    return sum((pk - l) * c for l, pk, c in zip(ell, p.p, p.cofactors))
 
 
 @lru_cache(maxsize=64)
@@ -96,7 +96,7 @@ def torsion_sqrt(p: BrieskornTriple, ell: EllTriple, ctx: PrecisionContext = DEF
     scale, tables = _torsion_tables(p, ctx.decimal_digits)
     with ctx.workdps():
         value = scale
-        for table, l, pk, c in zip(tables, ell.ell, p.p, p.cofactors):
+        for table, l, pk, c in zip(tables, ell, p.p, p.cofactors):
             value *= table[c * l % pk]
         return ensure_finite(+value)
 

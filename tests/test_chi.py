@@ -1,4 +1,6 @@
+import gc
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -321,6 +323,55 @@ def test_admissible_routes_never_enumerate_the_lattice():
     # the dominant sum reads the admissible runs, not modular_data's triples
     asymptotic_approx(BrieskornTriple(13, 17, 19), 20, 2, PrecisionContext(23))
     assert enumerate_triples.cache_info() == before
+
+
+def test_ell_triple_is_the_plain_tuple_with_names():
+    ell = EllTriple(1, 2, 3)
+    assert ell == (1, 2, 3) and hash(ell) == hash((1, 2, 3))
+    triples = [EllTriple(2, 1, 1), EllTriple(1, 3, 2), EllTriple(1, 2, 4)]
+    assert sorted(triples) == sorted(map(tuple, triples)) == [(1, 2, 4), (1, 3, 2), (2, 1, 1)]
+    assert EllTriple(1, 2, 3) < (1, 3, 1) < EllTriple(2, 1, 1)
+    assert repr(ell) == "EllTriple(l1=1, l2=2, l3=3)"
+    with pytest.raises(AttributeError):
+        ell.l1 = 5
+    assert type(ell.ell) is tuple and ell.ell == (1, 2, 3)
+    for ps in [(2, 3, 7), (3, 4, 5), (4, 5, 7), (7, 11, 13)]:
+        p = BrieskornTriple(*ps)
+        for t in admissible_triples(p)[0] + enumerate_triples(p):
+            assert type(t) is EllTriple
+            assert (t.l1, t.l2, t.l3) == t.ell
+
+
+def _profiled_calls(fn, *args):
+    """Python-level calls (sys.setprofile "call" events) made while running fn(*args).
+
+    The collector is run first and held off meanwhile, so finalizers of other
+    tests' garbage are not counted.
+    """
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return count
+
+
+@pytest.mark.parametrize("fn", [admissible_triples, enumerate_triples.__wrapped__])
+def test_triple_lists_run_no_python_code_per_triple(fn):
+    # (2, 3, p3) has one canonical pair and one admissible run whatever p3, so
+    # the Python calls must not grow with gamma (336 -> 3336) or D (504 -> 5003)
+    small, large = BrieskornTriple(2, 3, 1009), BrieskornTriple(2, 3, 10007)
+    assert _profiled_calls(fn, small) == _profiled_calls(fn, large)
+    assert (admissible_count(small), admissible_count(large)) == (336, 3336)
 
 
 def test_mordell_count_matches_brute_force():

@@ -116,3 +116,37 @@ def test_cli_encodes_rationals_and_complex_values_in_one_place():
     runners = {name for name in callers("complex_json") if name.startswith("_run_")}
     assert not runners, runners
     assert callers("_json") == {"_json", "execute"}
+
+
+def test_library_lines_fit_in_100_columns():
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert not found, found
+
+
+def test_library_modules_have_no_unused_imports():
+    # a name counts as used if the module reads it or lists it in __all__
+    found, checked = [], 0
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        checked += len(imported)
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert checked > 0
+    assert not found, found
