@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -527,6 +529,34 @@ def test_deterministic_output_modulo_wall_time():
     assert first.results == second.results
     assert first.command == second.command
     assert first_meta == second_meta
+
+
+# sha256 of stdout less its wall_time_seconds line; a change to any printed
+# digit, field or layout fails here
+GOLDEN_STDOUT = {
+    ("invariant", "--p", "2,3,7", "--N", "100", "--precision", "50"): (
+        "33eac9bf88eeb396782f5deb9504dc3c7e28a695dd4c8640b8ffb2aad6fdd3e4"
+    ),
+    ("invariant", "--p", "2,3,7", "--N", "100", "--precision", "100"): (
+        "5606b63d32a11a7361f096664b76b70424aa5267af6918d3799c0f6eeb7419b1"
+    ),
+    ("invariant", "--p", "2,3,5", "--N", "100", "--precision", "30"): (
+        "1515a0a50a03cef3ddac9dd7372a74c22de5a73a9c3ffc460e6e8a77a404c0fe"
+    ),
+    ("asymptotic", "--p", "7,11,13", "--N", "200", "--K", "3"): (
+        "752a0048ad46e0ac4ab903dc7f9fd024ebdd08382fd98a337971f9a22dd97e1c"
+    ),
+    ("flat", "--p", "5,7,9"): (
+        "ef51c7a5d664e16c5ce958b4267c391de4b65c9d07ffea41e688c928e11ae4c4"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_STDOUT, ids=" ".join)
+def test_stdout_matches_golden_digest(argv, capsys):
+    assert main(list(argv)) == EXIT_OK
+    out = re.sub(r".*wall_time_seconds.*\n", "", capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
 
 def test_text_format_renders():
