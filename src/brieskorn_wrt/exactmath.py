@@ -94,6 +94,40 @@ def dedekind_sum(b: int, a: int) -> Fraction:
     return value if a > 0 else -value
 
 
+def root_table(order: int, bits: int) -> tuple:
+    """Integer lists (cos, sin) over 2^bits, entry e within 2 units of 2^-bits of
+    (cos, sin)(2 pi e / order), 0 <= e <= order/2, from one ``mp.expjpi``.
+
+    z = e^{2 pi i / order} is taken at w = bits + g bits.  Entry a + b s is the giant
+    step (z^s)^b times the baby step z^a, a < s = isqrt(order/2) + 1, each step a
+    product rounded to 2^-w.  In units of 2^-w, z is within 5 and a product adds its
+    factors' errors plus 1 (while bits > 2 order.bit_length()), so entry e is within
+    6e + b < 4 order before its one rounding to 2^-bits, which adds 1/2;
+    g = order.bit_length() + 2 puts 4 order under one unit of 2^-bits.
+    """
+    half, step, wide = order // 2, math.isqrt(order // 2) + 1, bits + order.bit_length() + 2
+    with mp.workprec(wide):
+        z = mp.expjpi(mp.mpf(2) / order)
+    baby = [(1 << wide, 0), (int(mp.ldexp(z.real, wide)), int(mp.ldexp(z.imag, wide)))]
+
+    def times(x: tuple, y: tuple, shift: int = wide) -> tuple:
+        (a, b), (c, d), unit = x, y, 1 << (shift - 1)
+        return (a * c - b * d + unit) >> shift, (a * d + b * c + unit) >> shift
+
+    while len(baby) <= step:
+        baby.append(times(baby[-1], baby[1]))
+    giant = [baby[0]]
+    while len(giant) * step <= half:
+        giant.append(times(giant[-1], baby[step]))
+    shift, cos, sin = 2 * wide - bits, [], []
+    unit = 1 << (shift - 1)
+    for gx, gy in giant:
+        for bx, by in baby[: min(step, half + 1 - len(cos))]:
+            cos.append((gx * bx - gy * by + unit) >> shift)
+            sin.append((gx * by + gy * bx + unit) >> shift)
+    return cos, sin
+
+
 @lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
     """Bernoulli number B_n in the convention B_1 = -1/2."""

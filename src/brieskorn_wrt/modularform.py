@@ -13,8 +13,8 @@ fixed-point table of those roots, so its rounding is bounded by the weights
 it sums.  ``nearly_modular_expansion`` is the one implementation of the
 dominant/tail split; ``wrt.asymptotic_approx`` normalizes its (1, 1, 1) row.
 Its dominant part reads only the gamma admissible columns, run by run of
-``chi._admissible_runs``, through per-fibre tables of sines times phases, so
-it calls no transcendental function per column and builds no ``Fraction``.
+``chi._admissible_runs``, through per-fibre tables of sines times phases.
+Each table is one ``exactmath.root_table``: one exponential, however long.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .chi import (
     l_function_value,
     t_numerator,
 )
-from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, to_mpf
+from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, root_table, to_mpf
 
 
 def t_exponent(p: BrieskornTriple, ell: EllTriple) -> Fraction:
@@ -99,9 +99,11 @@ class ModularData:
         return value
 
 
-def _signed_sines(pk: int) -> tuple:
-    # sin(pi k / pk) for 0 <= k < 2 pk: the second half negates the first
-    half = [mp.sinpi(mp.mpf(k) / pk) for k in range(pk)]
+def _signed_sines(order: int) -> tuple:
+    # sin(2 pi k / order), 0 <= k < order even, off one root table whose extra bits
+    # keep the least sine, over 4/order, exact; the second half negates the first
+    bits = mp.prec + order.bit_length()
+    half = [mp.mpf((s, -bits)) for s in root_table(order, bits)[1][: order // 2]]
     return tuple(half + [-v for v in half])
 
 
@@ -110,7 +112,7 @@ def _modular_data_cached(p: BrieskornTriple, digits: int) -> ModularData:
     ctx = PrecisionContext(digits)
     with ctx.workdps():
         scale = ensure_finite(mp.sqrt(mp.mpf(32) / p.P))
-        sine_tables = tuple(_signed_sines(pk) for pk in p.p)
+        sine_tables = tuple(_signed_sines(2 * pk) for pk in p.p)
     return ModularData(triple=p, ctx=ctx, scale=scale, sine_tables=sine_tables)
 
 
@@ -175,38 +177,10 @@ def theta_eval(
         return ensure_finite(+total)
 
 
-# Fixed-point roots of unity carry this many bits beyond the working
-# precision, and the exponentials behind them (baby and giant steps, and the
-# per-class phases of eichler_limit) this many more.
+# The root table of eichler_limit carries this many bits beyond the working
+# precision, and its four class phases are taken at this many more.
 _TABLE_EXTRA_BITS = 10
-_STEP_GUARD_BITS = 18
-
-
-def _root_table(n: int, bits: int) -> tuple:
-    # round(cos, sin(2 pi e/n) * 2^bits) for 0 <= e <= n/2.  e = a + b*step is
-    # a baby step a < step times a giant step b*step, both exp(2 pi i k/n)
-    # taken at bits + _STEP_GUARD_BITS and truncated to integers, so each
-    # entry is one integer complex product rounded to within 2 units of 2^-bits.
-    half = n // 2
-    step = math.isqrt(half) + 1
-    wide = bits + _STEP_GUARD_BITS
-
-    def root(k: int) -> tuple:
-        z = mp.expjpi(mp.mpf(2 * k) / n)
-        return int(mp.ldexp(z.real, wide)), int(mp.ldexp(z.imag, wide))
-
-    with mp.workprec(wide):
-        one = (1 << wide, 0)
-        baby = [one] + [root(a) for a in range(1, step)]
-        giant = [one] + [root(b) for b in range(step, half + 1, step)]
-    shift = 2 * wide - bits
-    rounding = 1 << (shift - 1)
-    cos, sin = [], []
-    for gx, gy in giant:
-        for bx, by in baby[: half + 1 - len(cos)]:
-            cos.append((gx * bx - gy * by + rounding) >> shift)
-            sin.append((gx * by + gy * bx + rounding) >> shift)
-    return cos, sin
+_PHASE_GUARD_BITS = 18
 
 
 def _class_weights(p: BrieskornTriple, r: int, sign: int, m: int, n: int) -> list:
@@ -254,16 +228,15 @@ def eichler_limit(
     are built and consumed one at a time.
 
     Table.  W[e] + W[n - e] meets the even cosines and W[e] - W[n - e] the
-    odd sines, so n/2 + 1 entries round(cos, sin(2 pi e / n) 2^F) suffice,
-    F = mp.prec + 10.  Baby and giant steps build them from about
-    2 sqrt(n/2) ``expjpi`` calls at F + 18 bits; each entry is within
+    odd sines, so the n/2 + 1 entries of ``exactmath.root_table(n, F)``,
+    F = mp.prec + 10, suffice: one ``expjpi`` builds them, each within
     2 units of 2^-F.  The dot products are exact integers.
 
     Bound.  With u = 2^-mp.prec and |W| = sum_r sum_e |W_r[e]|, which is at
     most sum_j (P n - j), the result is within
     (4 |W| 2^-F + 8 |W| u) / (P n) of the exact limit: the table entries,
     then a few roundings in the four complex products (phases taken at
-    F + 18 bits), their sum and the one division by P n.
+    F + 18 bits, one ``expjpi`` each), their sum and the one division by P n.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -275,7 +248,7 @@ def eichler_limit(
     half = n // 2
     with ctx.workdps():
         bits = mp.prec + _TABLE_EXTRA_BITS
-        cos, sin = _root_table(n, bits)
+        cos, sin = root_table(n, bits)
         total = mp.mpc(0)
         for r, sign in chi.signed_support:
             if r > p.P:
@@ -290,7 +263,7 @@ def eichler_limit(
                 mp.ldexp(sum(map(operator.mul, even, cos)), -bits),
                 mp.ldexp(sum(map(operator.mul, odd, sin)), -bits),
             )
-            with mp.workprec(bits + _STEP_GUARD_BITS):
+            with mp.workprec(bits + _PHASE_GUARD_BITS):
                 phase = mp.expjpi(mp.mpf(m * r * r % four_pn) / (2 * pn))
             total += phase * inner
         return ensure_finite(total / pn)
@@ -346,14 +319,18 @@ class AsymptoticApprox:
     abs_error: object
 
 
-def _fibre_row(md: ModularData, k: int, lk: int, n: int, flip: int, lo: int, hi: int) -> list:
-    # entry b, lo <= b <= hi: (-1)^(flip b) sin(pi c l_k b / p_k) e^{-pi i n c b^2 / 2p_k}
-    table, c, pk = md.sine_tables[k], md.triple.cofactors[k], md.triple.p[k]
-    two_pk, four_pk = 2 * pk, 4 * pk
-    row = [None] * lo
+def _fibre_row(p: BrieskornTriple, k: int, lk: int, n: int, flip: int, lo: int, hi: int) -> list:
+    # entry b, lo <= b <= hi: (-1)^(flip b) sin(pi c l_k b / p_k) e^{-pi i n c b^2 / 2p_k},
+    # all read off one signed table of sin(2 pi e / 4p_k), cos(t) = sin(t + pi/2), in integers
+    c, pk, row = p.cofactors[k], p.p[k], [None] * lo
+    bits = mp.prec + (4 * pk).bit_length()
+    half = root_table(4 * pk, bits)[1][: 2 * pk]
+    sin, scale = half + [-s for s in half], -2 * bits
     for b in range(lo, hi + 1):
-        value = table[c * lk * b % two_pk] * mp.expjpi(mp.mpf(-n * c * b * b % four_pk) / two_pk)
-        row.append(-value if flip & b else value)
+        sine = -sin[2 * c * lk * b % (4 * pk)] if flip & b else sin[2 * c * lk * b % (4 * pk)]
+        e = -n * c * b * b % (4 * pk)
+        cos = sin[(e + pk) % (4 * pk)]
+        row.append(mp.mpc((sine * cos, scale), (sine * sin[e], scale)))  # (man, exp) pairs
     return row
 
 
@@ -375,9 +352,9 @@ def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
     are fixed and the sign changes with l'_3 at most as (-1)^l'_3, so the
     run costs one difference of prefix sums of the third table, plain or
     alternating, and two products.  The third table spans the least first
-    to the greatest last l'_3 of the runs, so a call makes at most
-    p_1/2 + p_2/2 + p_3 exponentials; on a thin (2, 3, p_3), whose one run
-    is that span, that is gamma + 2.
+    to the greatest last l'_3 of the runs.  Each fibre's entries are read
+    off its own ``exactmath.root_table`` of 4 p_k-th roots, so a call makes
+    three exponentials whatever the triple.
     """
     p = md.triple
     l = canonicalize(p, ell)
@@ -385,10 +362,10 @@ def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
     runs = tuple(_admissible_runs(p))
     constant, weights = _s_sign(p, l)
     flips = [(w + n * c) & 1 for w, c in zip(weights, p.cofactors)]
-    f1 = _fibre_row(md, 0, l[0], n, flips[0], runs[0][0], runs[-1][0])
-    f2 = _fibre_row(md, 1, l[1], n, flips[1], min(r[1] for r in runs), max(r[1] for r in runs))
+    f1 = _fibre_row(p, 0, l[0], n, flips[0], runs[0][0], runs[-1][0])
+    f2 = _fibre_row(p, 1, l[1], n, flips[1], min(r[1] for r in runs), max(r[1] for r in runs))
     lo = min(r[2] for r in runs)
-    f3 = _fibre_row(md, 2, l[2], n, 0, lo, max(r[3] for r in runs))
+    f3 = _fibre_row(p, 2, l[2], n, 0, lo, max(r[3] for r in runs))
     # prefix sums of the third table, plain and times (-1)^l'_3
     plain = [None] * lo + [mp.mpc(0)]
     alternating = list(plain)

@@ -11,8 +11,8 @@ Dedekind numerator T = 12P sum_j s(c_j, p_j) (``chi.dedekind_triple_numerator``,
 read by gamma, Casson and phi too) and per-manifold tables of integer sawtooth
 convolutions, so no floating sum is rounded to an integer.  Only the torsion
 amplitude is evaluated at the context precision, as 8/sqrt(P) times entries
-of per-fibre tables of sin(pi k / p_j), built apart from the S-matrix tables
-it is checked against.  So each record is a few table reads.
+of per-fibre ``exactmath.root_table`` rows of sin(pi k / p_j), built apart
+from the S-matrix tables it is checked against: a few table reads a record.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .chi import (
     gamma_closed_form,
     t_numerator,
 )
-from .exactmath import DEFAULT_CONTEXT, PrecisionContext, Rational, ensure_finite
+from .exactmath import DEFAULT_CONTEXT, PrecisionContext, Rational, ensure_finite, root_table
 from .modularform import modular_data
 
 
@@ -81,9 +81,12 @@ def euler_number(p: BrieskornTriple, ell: EllTriple) -> int:
 
 @lru_cache(maxsize=64)
 def _torsion_tables(p: BrieskornTriple, digits: int) -> tuple:
-    """(8/sqrt(P), per fibre j sin(pi k / p_j) for 0 <= k < p_j), at ``digits``."""
+    """(8/sqrt(P), per fibre j sin(pi k / p_j) for 0 <= k < p_j), at ``digits``;
+    P.bit_length() extra bits keep the least sine, over 2/p_j, exact."""
     with PrecisionContext(digits).workdps():
-        sines = tuple(tuple(mp.sinpi(mp.mpf(k) / pk) for k in range(pk)) for pk in p.p)
+        bits = mp.prec + p.P.bit_length()
+        rows = (root_table(2 * pk, bits)[1][:pk] for pk in p.p)
+        sines = tuple(tuple(mp.mpf((s, -bits)) for s in row) for row in rows)
         return 8 / mp.sqrt(mp.mpf(p.P)), sines
 
 

@@ -10,8 +10,8 @@ terms, multiples of N excluded by index arithmetic) and is kept as
 and the tests compare against; the asymptotics normalize the (1, 1, 1)
 nearly modular expansion the same way.  The Eichler limit sums exact integer
 weights against a fixed-point table of N-th roots of unity (its rounding
-bound is in ``modularform.eichler_limit``); the surgery sum runs in
-high-precision floating point with exact integer argument reduction.
+bound is in ``modularform.eichler_limit``); the surgery sum reads its sines
+and phases off such tables and sums in high-precision floating point.
 ``WrtResult.error_budget`` is still term_count * ulp.
 """
 
@@ -24,7 +24,7 @@ from mpmath import mp
 
 from .chi import BrieskornTriple, EllTriple
 from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, to_mpf
-from .modularform import AsymptoticApprox, eichler_limit, nearly_modular_expansion
+from .modularform import AsymptoticApprox, _signed_sines, eichler_limit, nearly_modular_expansion
 from .topology import phi_invariant
 
 
@@ -38,11 +38,6 @@ class WrtResult:
     z_witten: object
     term_count: int
     error_budget: object
-
-
-def _sinpi_table(num_den: int):
-    # table[m] = sin(pi * m / num_den) for m in [0, 2*num_den)
-    return [mp.sinpi(mp.mpf(m) / num_den) for m in range(2 * num_den)]
 
 
 def rozansky_normalized(
@@ -63,22 +58,23 @@ def rozansky_normalized(
     if n_level < 2:
         raise ValueError("level must be at least 2")
     with ctx.workdps():
-        sin_num = [_sinpi_table(n_level * pk) for pk in p.p]
-        sin_den = _sinpi_table(n_level)
+        sin_num = [_signed_sines(2 * n_level * pk) for pk in p.p]
+        sin_den = _signed_sines(2 * n_level)
         four_pn = 4 * p.P * n_level
-        two_pn = 2 * p.P * n_level
-        total = mp.mpc(0)
+        sin = _signed_sines(four_pn)
+        real = imag = mp.mpf(0)
         for n in range(1, p.P * n_level):
             if n % n_level == 0:
                 continue
-            value = mp.expjpi(mp.mpf(-(n * n % four_pn)) / two_pn)
-            for j, pk in enumerate(p.p):
-                value *= sin_num[j][n % (2 * n_level * pk)]
-            total += value / sin_den[n % (2 * n_level)]
+            s1, s2, s3 = (table[n % len(table)] for table in sin_num)
+            value = s1 * s2 * s3 / sin_den[n % (2 * n_level)]
+            e = n * n % four_pn  # e^{-pi i n^2 / 2PN} = cos - i sin(2 pi e / 4PN)
+            real += value * sin[(e + four_pn // 4) % four_pn]  # cos t = sin(t + pi / 2)
+            imag -= value * sin[e]
         # prod of three (2i sin) over one (2i sin) contributes (2i)^2 = -4, and
         # the summand is even under n -> 2PN - n (three sines over one change
         # sign, the phase does not), so the half 0 < n < PN counts twice
-        total *= -8
+        total = -8 * mp.mpc(real, imag)
         prefactor = mp.expjpi(mp.mpf(1) / 4) / (2 * mp.sqrt(mp.mpf(2) * p.P * n_level))
         return ensure_finite(+(prefactor * total))
 

@@ -6,6 +6,8 @@ check the root-of-unity and error-function arithmetic, ``generating_series``
 and ``chi_value`` read chi off independently of its eight-point support,
 ``phi_hat`` approaches the Eichler limits from the lower half plane,
 ``eichler_limit_per_term`` sums them one ``expjpi`` per term,
+``root_table_per_entry`` gives each entry of ``exactmath.root_table`` from
+its own ``cospi`` and ``sinpi``,
 ``l_function_value_bernoulli`` evaluates L(-2k, chi) from eight Bernoulli
 polynomials instead of the integer power moments,
 ``eichler_integer_data`` is the closed form behind the admissible columns
@@ -268,6 +270,16 @@ def eichler_limit_per_term(
                 total += sign * (pn - j) * mp.expjpi(m * j * j % four_pn / two_pn)
         return ensure_finite(total / pn)
 
+
+def root_table_per_entry(order: int, bits: int, entries) -> list:
+    """2^bits (cos, sin)(2 pi e / order) for each e, one ``mp.cospi`` and one
+    ``mp.sinpi`` per entry at bits + 64 bits; compare under that precision."""
+    with mp.workprec(bits + 64):
+        return [
+            (mp.ldexp(mp.cospi(mp.mpf(2 * e) / order), bits),
+             mp.ldexp(mp.sinpi(mp.mpf(2 * e) / order), bits))
+            for e in entries
+        ]
 
 def bernoulli_polynomial(n: int, x) -> Fraction:
     """Bernoulli polynomial B_n(x), exact: sum_k C(n,k) B_k x^(n-k)."""

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,20 +7,33 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import brieskorn_wrt.modularform as modularform
+import brieskorn_wrt.topology as topology
 from brieskorn_wrt import (
+    BrieskornTriple,
+    EllTriple,
     PrecisionContext,
     bernoulli_number,
+    build_chi,
     dedekind_sum,
+    eichler_limit,
+    modular_data,
+    nearly_modular_expansion,
+    rozansky_normalized,
+    torsion_sqrt,
 )
+from brieskorn_wrt.exactmath import root_table
 from oracles import (
     UnimodularMatrix,
     bernoulli_polynomial,
     dedekind_sum_cotangent,
     egcd,
+    eichler_limit_per_term,
     erfc,
     gauss_reciprocity_sides,
     gauss_sum,
     rademacher_phi,
+    root_table_per_entry,
     sawtooth,
     solve_seifert_q,
     stirling_first,
@@ -304,6 +318,104 @@ def test_erfc_against_quadrature(ctx30):
         for x in (mp.mpf(1), mp.mpf("0.25"), mp.mpf(2)):
             oracle = 2 / mp.sqrt(mp.pi) * mp.quad(lambda t: mp.exp(-t * t), [x, mp.inf])
             assert abs(erfc(x, ctx30) - oracle) < mp.mpf("1e-28")
+
+
+# ------------------------------------------------------------------- root tables
+
+
+def _assert_root_table_within_bound(order: int, bits: int, entries) -> None:
+    # the docstring bound: every entry within 2 units of 2^-bits, each part
+    cos, sin = root_table(order, bits)
+    assert len(cos) == len(sin) == order // 2 + 1
+    reference = root_table_per_entry(order, bits, entries)
+    with mp.workprec(bits + 64):
+        for e, (c, s) in zip(entries, reference):
+            assert abs(cos[e] - c) < 2 and abs(sin[e] - s) < 2, (order, bits, e)
+
+
+@pytest.mark.parametrize("order", (*range(1, 9), 100, 139, 4099))
+@pytest.mark.parametrize("bits", (64, 226))
+def test_root_table_matches_cospi_sinpi_entry_by_entry(order, bits):
+    _assert_root_table_within_bound(order, bits, range(order // 2 + 1))
+
+
+@pytest.mark.parametrize("order", (10**5, 10**6))
+def test_root_table_matches_cospi_sinpi_on_seeded_samples(order):
+    # both ends and the quarter turn, then random entries, at the widest giant steps
+    half = order // 2
+    sample = random.Random(order).sample(range(half), 200)
+    entries = sorted({0, 1, order // 4, half - 1, half, *sample})
+    _assert_root_table_within_bound(order, 100, entries)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_eichler_limit_at_the_smallest_tables_within_stated_bound(n, ctx50):
+    # tables of one to three entries and no giant step; bound as in
+    # test_eichler_limit_error_within_stated_bound, per-term sum at 100 digits
+    for p in (BrieskornTriple(2, 3, 7), BrieskornTriple(5, 7, 9)):
+        for m in (1, -1, 3):
+            if math.gcd(m, n) > 1:
+                continue
+            value = eichler_limit(p, EllTriple(1, 1, 1), m, n, ctx50)
+            reference = eichler_limit_per_term(p, EllTriple(1, 1, 1), m, n, PrecisionContext(100))
+            pn = p.P * n
+            support = build_chi(p, EllTriple(1, 1, 1)).signed_support
+            weight = sum(pn - j for r, _ in support for j in range(r, pn, 2 * p.P))
+            with ctx50.workdps():
+                u = mp.mpf(2) ** -mp.prec
+                bound = (4 * u / 2**10 + 8 * u) * weight / pn
+            with mp.workdps(115):
+                assert abs(value - reference) < bound, (p, m, n)
+
+
+def _cold_modular_data(p, ctx):
+    modularform._modular_data_cached.cache_clear()
+    return modular_data(p, ctx)
+
+
+def _cold_torsion_sqrt(p, ctx):
+    topology._torsion_tables.cache_clear()
+    return torsion_sqrt(p, EllTriple(1, 1, 1), ctx)
+
+
+def _nearly_modular_expansion(p, ctx):
+    modularform._modular_data_cached.cache_clear()
+    return nearly_modular_expansion(p, EllTriple(1, 1, 1), 5, 2, ctx)
+
+
+THIN = (BrieskornTriple(2, 3, 1009), BrieskornTriple(2, 3, 10007))
+ROOT_TABLE_SITES = {
+    "eichler_limit": (
+        lambda n, ctx: eichler_limit(BrieskornTriple(2, 3, 7), EllTriple(1, 1, 1), 1, n, ctx),
+        (2000, 20000),
+    ),
+    "modular_data": (_cold_modular_data, THIN),
+    "torsion_sqrt": (_cold_torsion_sqrt, THIN),
+    "nearly_modular_expansion": (_nearly_modular_expansion, THIN),
+    "rozansky_normalized": (lambda p, ctx: rozansky_normalized(p, 2, ctx), THIN),
+}
+
+
+@pytest.mark.parametrize("site", ROOT_TABLE_SITES)
+def test_root_tables_cost_a_fixed_number_of_exponentials(site, monkeypatch):
+    # every table of roots of unity is one exponential, whatever its order;
+    # one call per entry would grow about tenfold between the two inputs
+    run, inputs = ROOT_TABLE_SITES[site]
+    calls = []
+    for name in ("expjpi", "cospi", "sinpi"):
+        real = getattr(mp, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mp, name, counted)
+    counts = []
+    for value in inputs:
+        calls.clear()
+        run(value, PrecisionContext(20))
+        counts.append(len(calls))
+    assert 0 < counts[0] == counts[1], counts
 
 
 # -------------------------------------------------------------- surgery integers
