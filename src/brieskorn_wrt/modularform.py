@@ -2,19 +2,19 @@
 
 The theta series attached to each periodic sign function is modular of
 weight 3/2 under an explicit D x D transformation matrix S.  S is kept in
-factored form, a scale, three per-fibre sine tables and the sign form
-``_s_sign`` that the dominant sum reads too, and is read one row at a time;
-diagonal T has exponent ``chi.t_numerator`` / 2P.  Its Eichler integral is
-only nearly modular: at rationals it has finite limiting values (computable
-as finite sums) and a divergent asymptotic tail built from L-values, both of
-which are exposed here.  ``eichler_limit`` evaluates a limit at m/n as four
-exact integer weight vectors over the n-th roots of unity, read against one
-fixed-point table of those roots, so its rounding is bounded by the weights
-it sums.  ``nearly_modular_expansion`` is the one implementation of the
-dominant/tail split; ``wrt.asymptotic_approx`` normalizes its (1, 1, 1) row.
-Its dominant part reads only the gamma admissible columns, run by run of
-``chi._admissible_runs``, through per-fibre tables of sines times phases.
-Each table is one ``exactmath.root_table``: one exponential, however long.
+factored form, a scale, per-fibre integer rows of 4p_k-th root sines and the
+sign form ``_s_sign``, all shared with the dominant sum, and is read one row
+at a time; diagonal T has exponent ``chi.t_numerator`` / 2P.  Its Eichler
+integral is only nearly modular: at rationals it has finite limiting values
+(computable as finite sums) and a divergent asymptotic tail built from
+L-values, both of which are exposed here.  ``eichler_limit`` evaluates a
+limit at m/n as four exact integer weight vectors over the n-th roots of
+unity, read against one fixed-point table of those roots, so its rounding is
+bounded by the weights it sums.  ``nearly_modular_expansion`` is the one
+implementation of the dominant/tail split; ``wrt.asymptotic_approx``
+normalizes its (1, 1, 1) row.  Its dominant part reads only the gamma
+admissible columns, run by run of ``chi._admissible_runs``, through sines
+and phases off those same rows, so a warm call builds no table but the limit's.
 """
 
 from __future__ import annotations
@@ -59,19 +59,23 @@ def _s_sign(p: BrieskornTriple, l: tuple) -> tuple:
 class ModularData:
     """Factored S-matrix over the canonical triples of one manifold.
 
-    S[l][l'] = sign * sqrt(32/P) * prod_j sin(pi P l_j l'_j / p_j^2).  With
-    c_j = P/p_j the j-th sine is ``sine_tables[j][c_j l_j l'_j mod 2 p_j]``,
-    where ``sine_tables[j][k] = sin(pi k / p_j)`` carries the sine's own sign;
-    ``_s_sign`` gives the rest of the sign.  ``scale`` = sqrt(32/P) and the
-    tables hold ``ctx``-precision values, and entries are multiplied out at
-    that precision whatever the caller's.  The T-entries are not stored:
-    ``t_exponent`` reads one off ``chi.t_numerator`` exactly.
+    S[l][l'] = sign * sqrt(32/P) * prod_j sin(pi P l_j l'_j / p_j^2), and with
+    c_j = P/p_j the j-th sine is entry 2 c_j l_j l'_j mod 4p_j of ``rows[j]``,
+    the integers round(2^bits sin(2 pi e / 4p_j)), 0 <= e < 4p_j: one
+    ``exactmath.root_table`` with its second half negated, which the dominant
+    sum reads too.  ``_s_sign`` gives the rest of the sign.  ``scale`` =
+    sqrt(32/P) and bits = prec + (4 p_3).bit_length() are set at the ``ctx``
+    working precision of prec bits, where entries are multiplied out: the
+    exact product of three row entries, each within 2 units of 2^-bits, is
+    within 0.2 units of 2^-prec, rounded once and multiplied by ``scale``, so
+    an entry is within 4 scale 2^-prec of S.  T is not stored (``t_exponent``).
     """
 
     triple: BrieskornTriple
     ctx: PrecisionContext
     scale: object
-    sine_tables: tuple
+    bits: int
+    rows: tuple
 
     @property
     def triples(self) -> tuple:
@@ -86,25 +90,15 @@ class ModularData:
 
     def s_value(self, ell: EllTriple, ellp: EllTriple):
         """One entry S[ell][ellp]; each argument stands for its orbit."""
-        p = self.triple
         with self.ctx.workdps():
-            return self._entry(canonicalize(p, ell), canonicalize(p, ellp))
+            return self._entry(canonicalize(self.triple, ell), canonicalize(self.triple, ellp))
 
     def _entry(self, l: tuple, lp: tuple):
-        p = self.triple
-        constant, weights = _s_sign(p, l)
-        value = -self.scale if (constant + sum(map(operator.mul, weights, lp))) & 1 else self.scale
-        for table, c, a, b in zip(self.sine_tables, p.cofactors, l, lp):
-            value *= table[c * a * b % len(table)]
-        return value
-
-
-def _signed_sines(order: int) -> tuple:
-    # sin(2 pi k / order), 0 <= k < order even, off one root table whose extra bits
-    # keep the least sine, over 4/order, exact; the second half negates the first
-    bits = mp.prec + order.bit_length()
-    half = [mp.mpf((s, -bits)) for s in root_table(order, bits)[1][: order // 2]]
-    return tuple(half + [-v for v in half])
+        constant, weights = _s_sign(self.triple, l)
+        sign = -1 if (constant + sum(map(operator.mul, weights, lp))) & 1 else 1
+        factors = zip(self.rows, self.triple.cofactors, l, lp)
+        product = math.prod((row[2 * c * a * b % len(row)] for row, c, a, b in factors), start=sign)
+        return self.scale * mp.mpf((product, -3 * self.bits))
 
 
 @lru_cache(maxsize=64)
@@ -112,8 +106,10 @@ def _modular_data_cached(p: BrieskornTriple, digits: int) -> ModularData:
     ctx = PrecisionContext(digits)
     with ctx.workdps():
         scale = ensure_finite(mp.sqrt(mp.mpf(32) / p.P))
-        sine_tables = tuple(_signed_sines(2 * pk) for pk in p.p)
-    return ModularData(triple=p, ctx=ctx, scale=scale, sine_tables=sine_tables)
+        bits = mp.prec + (4 * p.p3).bit_length()
+    halves = (root_table(4 * pk, bits)[1][: 2 * pk] for pk in p.p)
+    rows = tuple(tuple(half + [-s for s in half]) for half in halves)
+    return ModularData(triple=p, ctx=ctx, scale=scale, bits=bits, rows=rows)
 
 
 def modular_data(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> ModularData:
@@ -319,13 +315,11 @@ class AsymptoticApprox:
     abs_error: object
 
 
-def _fibre_row(p: BrieskornTriple, k: int, lk: int, n: int, flip: int, lo: int, hi: int) -> list:
+def _fibre_row(md: ModularData, k: int, lk: int, n: int, flip: int, lo: int, hi: int) -> list:
     # entry b, lo <= b <= hi: (-1)^(flip b) sin(pi c l_k b / p_k) e^{-pi i n c b^2 / 2p_k},
-    # all read off one signed table of sin(2 pi e / 4p_k), cos(t) = sin(t + pi/2), in integers
-    c, pk, row = p.cofactors[k], p.p[k], [None] * lo
-    bits = mp.prec + (4 * pk).bit_length()
-    half = root_table(4 * pk, bits)[1][: 2 * pk]
-    sin, scale = half + [-s for s in half], -2 * bits
+    # read off the fibre's row of sin(2 pi e / 4p_k), cos(t) = sin(t + pi/2), in integers
+    c, pk, sin, row = md.triple.cofactors[k], md.triple.p[k], md.rows[k], [None] * lo
+    scale = -2 * md.bits
     for b in range(lo, hi + 1):
         sine = -sin[2 * c * lk * b % (4 * pk)] if flip & b else sin[2 * c * lk * b % (4 * pk)]
         e = -n * c * b * b % (4 * pk)
@@ -352,9 +346,8 @@ def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
     are fixed and the sign changes with l'_3 at most as (-1)^l'_3, so the
     run costs one difference of prefix sums of the third table, plain or
     alternating, and two products.  The third table spans the least first
-    to the greatest last l'_3 of the runs.  Each fibre's entries are read
-    off its own ``exactmath.root_table`` of 4 p_k-th roots, so a call makes
-    three exponentials whatever the triple.
+    to the greatest last l'_3 of the runs.  Sines and phases are entries of
+    the S entries' own rows ``md.rows``, so a call builds no root table.
     """
     p = md.triple
     l = canonicalize(p, ell)
@@ -362,10 +355,10 @@ def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
     runs = tuple(_admissible_runs(p))
     constant, weights = _s_sign(p, l)
     flips = [(w + n * c) & 1 for w, c in zip(weights, p.cofactors)]
-    f1 = _fibre_row(p, 0, l[0], n, flips[0], runs[0][0], runs[-1][0])
-    f2 = _fibre_row(p, 1, l[1], n, flips[1], min(r[1] for r in runs), max(r[1] for r in runs))
+    f1 = _fibre_row(md, 0, l[0], n, flips[0], runs[0][0], runs[-1][0])
+    f2 = _fibre_row(md, 1, l[1], n, flips[1], min(r[1] for r in runs), max(r[1] for r in runs))
     lo = min(r[2] for r in runs)
-    f3 = _fibre_row(p, 2, l[2], n, 0, lo, max(r[3] for r in runs))
+    f3 = _fibre_row(md, 2, l[2], n, 0, lo, max(r[3] for r in runs))
     # prefix sums of the third table, plain and times (-1)^l'_3
     plain = [None] * lo + [mp.mpc(0)]
     alternating = list(plain)
@@ -393,9 +386,8 @@ def nearly_modular_expansion(
     dominant = -sqrt(n/i) sum_l' S[ell][l'] (integer-point limit of l' at -n),
     that limit being -2 e^{-pi i r(l') n} on the admissible columns and 0
     elsewhere; exact is ``eichler_limit`` at 1/n.  The sum reads only those
-    gamma columns, one admissible run at a time, through per-fibre tables
-    of sines times phases built once per call, so no transcendental
-    function is called per column (see ``_dominant_sum``).
+    gamma columns, one admissible run at a time, through per-fibre tables of
+    sines times phases off the rows of ``modular_data`` (see ``_dominant_sum``).
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")

@@ -159,8 +159,8 @@ def spectral_flow(p: BrieskornTriple, ell: EllTriple) -> int:
     denominator = 12 * p.P * p.P
     numerator = offset * p.P - 12 * scaled
     if numerator % denominator:
-        total = Fraction(numerator, denominator)
-        raise ArithmeticError(f"spectral flow {total} is not an integer for p={p.p}, ell={ell.ell}")
+        total, ell = Fraction(numerator, denominator), tuple(ell)
+        raise ArithmeticError(f"spectral flow {total} is not an integer for p={p.p}, ell={ell}")
     return numerator // denominator % 8
 
 

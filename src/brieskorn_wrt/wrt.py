@@ -23,8 +23,8 @@ from fractions import Fraction
 from mpmath import mp
 
 from .chi import BrieskornTriple, EllTriple
-from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, to_mpf
-from .modularform import AsymptoticApprox, _signed_sines, eichler_limit, nearly_modular_expansion
+from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, root_table, to_mpf
+from .modularform import AsymptoticApprox, eichler_limit, nearly_modular_expansion
 from .topology import phi_invariant
 
 
@@ -38,6 +38,14 @@ class WrtResult:
     z_witten: object
     term_count: int
     error_budget: object
+
+
+def _signed_sines(order: int) -> tuple:
+    # sin(2 pi k / order), 0 <= k < order even, off one root table whose extra bits
+    # keep the least sine, over 4/order, exact; the second half negates the first
+    bits = mp.prec + order.bit_length()
+    half = [mp.mpf((s, -bits)) for s in root_table(order, bits)[1][: order // 2]]
+    return tuple(half + [-v for v in half])
 
 
 def rozansky_normalized(

@@ -546,6 +546,9 @@ GOLDEN_STDOUT = {
     ("asymptotic", "--p", "7,11,13", "--N", "200", "--K", "3"): (
         "752a0048ad46e0ac4ab903dc7f9fd024ebdd08382fd98a337971f9a22dd97e1c"
     ),
+    ("asymptotic", "--p", "2,3,1009", "--N", "50", "--K", "3"): (
+        "be5e18549fa0d68656abb2c6deb8a1140d1442075604294585bfb65ce95f8530"
+    ),
     ("flat", "--p", "5,7,9"): (
         "ef51c7a5d664e16c5ce958b4267c391de4b65c9d07ffea41e688c928e11ae4c4"
     ),

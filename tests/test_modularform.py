@@ -8,6 +8,7 @@ from mpmath import mp
 from brieskorn_wrt import (
     BrieskornTriple,
     EllTriple,
+    asymptotic_approx,
     build_chi,
     eichler_limit,
     eichler_tail,
@@ -18,6 +19,7 @@ from brieskorn_wrt import (
     t_exponent,
     theta_eval,
 )
+from brieskorn_wrt import modularform
 from brieskorn_wrt.exactmath import PrecisionContext, to_mpf
 from brieskorn_wrt.modularform import THETA_MAX_TERMS, _modular_data_cached, _theta_cutoff
 from conftest import coprime_triples, vertical_limit
@@ -147,6 +149,57 @@ def test_s_value_matches_reference_sign_and_sines():
                     assert abs(md.s_value(ell, ellp) - want) < tol, (p.p, ell.ell, ellp.ell)
                     pairs += 1
     assert pairs == sum(p.D**2 for p in spheres)
+
+
+@pytest.mark.parametrize("ps", [(2, 3, 5), (7, 11, 13), (2, 3, 1009)])
+def test_s_value_within_stated_bound(ps):
+    # the ModularData docstring bound, 4 sqrt(32/P) 2^-prec at the working
+    # precision, against sinpi of P l_j l'_j / p_j^2 taken 20 digits wider;
+    # every pair on the first two spheres, a seeded sample on the thin one
+    ctx = PrecisionContext(30)
+    p = BrieskornTriple(*ps)
+    md = modular_data(p, ctx)
+    triples = enumerate_triples(p)
+    pairs = [(a, b) for a in triples for b in triples]
+    if len(pairs) > 40000:
+        pairs = random.Random(1009).sample(pairs, 400)
+    with ctx.workdps():
+        prec = mp.prec
+    with mp.workdps(ctx.working_digits + 20):
+        scale = mp.sqrt(mp.mpf(32) / p.P)
+        bound, sines = 4 * scale * mp.mpf(2) ** -prec, {}
+        for ell, ellp in pairs:
+            want = -scale if s_parity_reference(p, ell, ellp) else scale
+            for a, b, pk in zip(ell, ellp, p.p):
+                key = (pk, p.P * a * b % (2 * pk * pk))
+                if key not in sines:
+                    sines[key] = mp.sinpi(mp.mpf(key[1]) / (pk * pk))
+                want *= sines[key]
+            assert abs(md.s_value(ell, ellp) - want) <= bound, (ps, ell, ellp)
+
+
+@pytest.mark.parametrize("ps", [(7, 11, 13), (2, 3, 1009)])
+def test_modular_data_owns_the_only_warm_root_tables(ps, monkeypatch):
+    # a cold modular_data builds one row per fibre; a warm expansion or
+    # asymptotic call reads those rows and builds only eichler_limit's table
+    p, ctx, built = BrieskornTriple(*ps), PrecisionContext(20), []
+    real = modularform.root_table
+
+    def counted(order, bits):
+        built.append(order)
+        return real(order, bits)
+
+    monkeypatch.setattr(modularform, "root_table", counted)
+    _modular_data_cached.cache_clear()
+    modular_data(p, ctx)
+    assert sorted(built) == [4 * pk for pk in p.p]
+    for call in (
+        lambda: nearly_modular_expansion(p, (1, 1, 1), 50, 3, ctx),
+        lambda: asymptotic_approx(p, 50, 3, ctx),
+    ):
+        built.clear()
+        call()
+        assert built == [50], built
 
 
 def test_modular_data_cache_is_bounded():

@@ -98,6 +98,25 @@ def test_only_the_dedekind_numerator_calls_dedekind_sum():
     assert not found, found
 
 
+def test_root_tables_are_built_only_where_each_is_owned():
+    # the S entries and the dominant sum read the rows of _modular_data_cached;
+    # eichler_limit, the torsion rows and the surgery sum keep their own
+    callers = {
+        (name, node.name)
+        for name, node in _package_nodes()
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and "root_table" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    }
+    assert callers == {
+        ("modularform.py", "_modular_data_cached"),
+        ("modularform.py", "eichler_limit"),
+        ("topology.py", "_torsion_tables"),
+        ("wrt.py", "_signed_sines"),
+    }, callers
+
+
 def test_cli_encodes_rationals_and_complex_values_in_one_place():
     # verb runners return library values and execute encodes them through
     # _json; only the fields with a fixed digit count are encoded early

@@ -244,13 +244,15 @@ def test_table_forms_match_retired_per_record_forms():
 
 
 def test_spectral_flow_raises_on_a_fraction(monkeypatch):
-    # a non-integer total is a structural fault, never rounded
+    # a non-integer total is a structural fault, never rounded; a plain
+    # tuple ell is named in the message like an EllTriple
     import brieskorn_wrt.topology as topology
 
     offset, kernels = topology._spectral_flow_tables(P235)
     monkeypatch.setattr(topology, "_spectral_flow_tables", lambda p: (offset + 1, kernels))
-    with pytest.raises(ArithmeticError, match=r"p=\(2, 3, 5\), ell=\(1, 1, 1\)"):
-        spectral_flow(P235, EllTriple(1, 1, 1))
+    for ell in (EllTriple(1, 1, 1), (1, 1, 1)):
+        with pytest.raises(ArithmeticError, match=r"p=\(2, 3, 5\), ell=\(1, 1, 1\)"):
+            spectral_flow(P235, ell)
 
 
 def test_spectral_phase_is_fourth_root_of_unity():
