@@ -8,13 +8,15 @@ at a time; diagonal T has exponent ``chi.t_numerator`` / 2P.  Its Eichler
 integral is only nearly modular: at rationals it has finite limiting values
 (computable as finite sums) and a divergent asymptotic tail built from
 L-values, both of which are exposed here.  ``eichler_limit`` evaluates a
-limit at m/n as four exact integer weight vectors over the n-th roots of
-unity, read against one fixed-point table of those roots, so its rounding is
-bounded by the weights it sums.  ``nearly_modular_expansion`` is the one
-implementation of the dominant/tail split; ``wrt.asymptotic_approx``
-normalizes its (1, 1, 1) row.  Its dominant part reads only the gamma
-admissible columns, run by run of ``chi._admissible_runs``, through sines
-and phases off those same rows, so a warm call builds no table but the limit's.
+limit at m/n as one T-phase times one exact integer weight vector over the
+n-th roots of unity, read against one fixed-point table of those roots, so
+it takes two exponentials and its rounding is bounded by the weights it
+sums.  ``nearly_modular_expansion`` is the one implementation of the
+dominant/tail split; ``wrt.asymptotic_approx`` normalizes its (1, 1, 1) row.
+Its dominant part reads only the gamma admissible columns, run by run of
+``chi._admissible_runs``, through sines and phases off those same rows,
+summed as Gaussian integers and rounded once, so a warm call builds no
+table but the limit's.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, cycle, islice
 
 from mpmath import mp
 
@@ -85,16 +88,19 @@ class ModularData:
     def s_row(self, ell: EllTriple) -> tuple:
         """The D entries S[ell][l'] over the canonical triples l', in O(D)."""
         l = canonicalize(self.triple, ell)
+        form = _s_sign(self.triple, l)
         with self.ctx.workdps():
-            return tuple(self._entry(l, ellp) for ellp in self.triples)
+            return tuple(self._entry(form, l, ellp) for ellp in self.triples)
 
     def s_value(self, ell: EllTriple, ellp: EllTriple):
         """One entry S[ell][ellp]; each argument stands for its orbit."""
+        l = canonicalize(self.triple, ell)
         with self.ctx.workdps():
-            return self._entry(canonicalize(self.triple, ell), canonicalize(self.triple, ellp))
+            return self._entry(_s_sign(self.triple, l), l, canonicalize(self.triple, ellp))
 
-    def _entry(self, l: tuple, lp: tuple):
-        constant, weights = _s_sign(self.triple, l)
+    def _entry(self, form: tuple, l: tuple, lp: tuple):
+        # form = _s_sign(triple, l), computed once per row
+        constant, weights = form
         sign = -1 if (constant + sum(map(operator.mul, weights, lp))) & 1 else 1
         factors = zip(self.rows, self.triple.cofactors, l, lp)
         product = math.prod((row[2 * c * a * b % len(row)] for row, c, a, b in factors), start=sign)
@@ -174,28 +180,31 @@ def theta_eval(
 
 
 # The root table of eichler_limit carries this many bits beyond the working
-# precision, and its four class phases are taken at this many more.
+# precision, and its one T-phase is taken at this many more.
 _TABLE_EXTRA_BITS = 10
 _PHASE_GUARD_BITS = 18
 
 
-def _class_weights(p: BrieskornTriple, r: int, sign: int, m: int, n: int) -> list:
-    # W[e] = sum of chi(j) (P n - j) over the j = r and j = 2P - r (mod 2P)
-    # in [0, P n) whose phase is exp(pi i m r^2 / 2Pn) exp(2 pi i e / n)
+def _limit_weights(p: BrieskornTriple, ell: EllTriple, t: int, m: int, n: int) -> list:
+    # V[e] = sum of chi(j) (P n - j) over the support j in [0, P n) whose
+    # phase is exp(pi i m t / 2Pn) exp(2 pi i e / n), t = j^2 mod 4P
     big_p, pn = p.P, p.P * n
     weights = [0] * n
-    for start, offset, weight in ((r, 0, sign), (2 * big_p - r, big_p - r, -sign)):
-        # e_k = m (offset + start k + P k^2) mod n, stepped by its differences
+    for r, sign in build_chi(p, ell).signed_support:
+        offset, rest = divmod(r * r - t, 4 * big_p)
+        if rest:
+            raise ArithmeticError(
+                f"support residue {r} of p={p.p}, ell={tuple(ell)} has square {r * r % (4 * big_p)}"
+                f" mod 4P, not the T numerator {t}"
+            )
+        # e_k = m (offset + r k + P k^2) mod n for j = r + 2Pk, stepped by its differences
         e = m * offset % n
-        de = m * (start + big_p) % n
+        de = m * (r + big_p) % n
         dde = 2 * m * big_p % n
-        w = weight * (pn - start)
-        dw = -2 * big_p * weight
-        for _ in range(len(range(start, pn, 2 * big_p))):
+        for w in range(sign * (pn - r), 0, -2 * big_p * sign):  # w = chi(j) (P n - j)
             weights[e] += w
             e = (e + de) % n
             de = (de + dde) % n
-            w += dw
     return weights
 
 
@@ -210,59 +219,55 @@ def eichler_limit(
 
     The limit is the finite sum over 0 <= j < P n of
     chi(j) (1 - j/(P n)) exp(pi i m j^2 / (2 P n)).  It has 4n non-zero
-    terms: chi has eight support residues mod 2P, four of them r < P, and
-    chi(2P - r) = -chi(r).
+    terms: chi has eight support residues r mod 2P.
 
-    Identity.  For j = r + 2Pk, m j^2 = m r^2 + 4P m (r k + P k^2), and for
-    j = 2P - r + 2Pk, m j^2 = m r^2 + 4P m ((P - r) + (2P - r) k + P k^2).
-    So, with zeta = exp(2 pi i / n), the limit is exactly
+    Identity.  T is diagonal: every support j has j^2 = t mod 4P, with
+    t = ``chi.t_numerator(p, ell)`` (ArithmeticError otherwise), and for
+    j = r + 2Pk, (j^2 - t) / 4P = (r^2 - t) / 4P + r k + P k^2.  So, with
+    zeta = exp(2 pi i / n), the limit is exactly
 
-        (1 / P n) sum_{r < P} exp(pi i (m r^2 mod 4Pn) / 2Pn) sum_e W_r[e] zeta^e
+        (1 / P n) exp(pi i (m t mod 4Pn) / 2Pn) sum_e V[e] zeta^e
 
-    over four integer vectors W_r[e] = sum chi(j) (P n - j), taken over the
-    j of both progressions whose bracket above, times m, is e mod n.  They
-    are built and consumed one at a time.
+    over one integer vector V[e] = sum chi(j) (P n - j), taken over the
+    support j whose m (j^2 - t) / 4P is e mod n.
 
-    Table.  W[e] + W[n - e] meets the even cosines and W[e] - W[n - e] the
+    Table.  V[e] + V[n - e] meets the even cosines and V[e] - V[n - e] the
     odd sines, so the n/2 + 1 entries of ``exactmath.root_table(n, F)``,
     F = mp.prec + 10, suffice: one ``expjpi`` builds them, each within
-    2 units of 2^-F.  The dot products are exact integers.
+    2 units of 2^-F.  The dot products are exact integers, and a second
+    ``expjpi`` gives the phase, so a call takes two exponentials whatever n.
 
-    Bound.  With u = 2^-mp.prec and |W| = sum_r sum_e |W_r[e]|, which is at
-    most sum_j (P n - j), the result is within
-    (4 |W| 2^-F + 8 |W| u) / (P n) of the exact limit: the table entries,
-    then a few roundings in the four complex products (phases taken at
-    F + 18 bits, one ``expjpi`` each), their sum and the one division by P n.
+    Bound.  With u = 2^-mp.prec and |V| = sum_e |V[e]|, which is at most
+    sum_j (P n - j), the result is within (4 |V| 2^-F + 8 |V| u) / (P n)
+    of the exact limit: the table entries, then the roundings of the two
+    dot products, of the one complex product (phase taken at F + 18 bits)
+    and of the one division by P n.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if math.gcd(m, n) != 1:
         raise ValueError("m and n must be coprime")
-    chi = build_chi(p, ell)
+    t = t_numerator(p, ell)
+    weights = _limit_weights(p, ell, t, m, n)
     pn = p.P * n
-    four_pn = 4 * pn
     half = n // 2
     with ctx.workdps():
         bits = mp.prec + _TABLE_EXTRA_BITS
         cos, sin = root_table(n, bits)
-        total = mp.mpc(0)
-        for r, sign in chi.signed_support:
-            if r > p.P:
-                continue  # 2P - r joins the class of r
-            weights = _class_weights(p, r, sign, m, n)
-            low = weights[1 : half + 1]
-            even = [weights[0], *map(operator.add, low, reversed(weights))]
-            odd = [0, *map(operator.sub, low, reversed(weights))]
-            if n % 2 == 0:
-                even[half] = weights[half]  # e = n - e = n/2 counts once
-            inner = mp.mpc(
-                mp.ldexp(sum(map(operator.mul, even, cos)), -bits),
-                mp.ldexp(sum(map(operator.mul, odd, sin)), -bits),
-            )
-            with mp.workprec(bits + _PHASE_GUARD_BITS):
-                phase = mp.expjpi(mp.mpf(m * r * r % four_pn) / (2 * pn))
-            total += phase * inner
-        return ensure_finite(total / pn)
+
+        def fold(op, table) -> int:
+            # sum over 0 < e <= n/2 of (V[e] op V[n - e]) table[e], no list built
+            pairs = map(op, islice(weights, 1, half + 1), reversed(weights))
+            return sum(map(operator.mul, pairs, islice(table, 1, None)))
+
+        real = weights[0] * cos[0] + fold(operator.add, cos)
+        if n % 2 == 0:
+            real -= weights[half] * cos[half]  # e = n - e = n/2 counts once
+        imag = fold(operator.sub, sin)
+        inner = mp.mpc(mp.ldexp(real, -bits), mp.ldexp(imag, -bits))
+        with mp.workprec(bits + _PHASE_GUARD_BITS):
+            phase = mp.expjpi(mp.mpf(m * t % (4 * pn)) / (2 * pn))
+        return ensure_finite(phase * inner / pn)
 
 
 @dataclass(frozen=True)
@@ -315,21 +320,22 @@ class AsymptoticApprox:
     abs_error: object
 
 
-def _fibre_row(md: ModularData, k: int, lk: int, n: int, flip: int, lo: int, hi: int) -> list:
-    # entry b, lo <= b <= hi: (-1)^(flip b) sin(pi c l_k b / p_k) e^{-pi i n c b^2 / 2p_k},
-    # read off the fibre's row of sin(2 pi e / 4p_k), cos(t) = sin(t + pi/2), in integers
-    c, pk, sin, row = md.triple.cofactors[k], md.triple.p[k], md.rows[k], [None] * lo
-    scale = -2 * md.bits
+def _fibre_row(md: ModularData, k: int, lk: int, n: int, flip: int, lo: int, hi: int) -> tuple:
+    # Gaussian integers (re, im) over 2^(2 bits), entry b for lo <= b <= hi:
+    # (-1)^(flip b) sin(pi c l_k b / p_k) e^{-pi i n c b^2 / 2p_k}, read off the fibre's
+    # row of sin(2 pi e / 4p_k), cos(t) = sin(t + pi/2)
+    c, pk, sin = md.triple.cofactors[k], md.triple.p[k], md.rows[k]
+    re, im = [0] * lo, [0] * lo
     for b in range(lo, hi + 1):
         sine = -sin[2 * c * lk * b % (4 * pk)] if flip & b else sin[2 * c * lk * b % (4 * pk)]
         e = -n * c * b * b % (4 * pk)
-        cos = sin[(e + pk) % (4 * pk)]
-        row.append(mp.mpc((sine * cos, scale), (sine * sin[e], scale)))  # (man, exp) pairs
-    return row
+        re.append(sine * sin[(e + pk) % (4 * pk)])
+        im.append(sine * sin[e])
+    return re, im
 
 
 def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
-    """(sum, q): sum_l' S[ell][l'] e^{-pi i r(l') n} = i^-q sqrt(32/P) sum.
+    """(value, q): sum_l' S[ell][l'] e^{-pi i r(l') n} = i^-q value.
 
     The sum runs over the admissible columns l' only.  With A = P + sum l'_k c_k,
 
@@ -346,8 +352,20 @@ def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
     are fixed and the sign changes with l'_3 at most as (-1)^l'_3, so the
     run costs one difference of prefix sums of the third table, plain or
     alternating, and two products.  The third table spans the least first
-    to the greatest last l'_3 of the runs.  Sines and phases are entries of
-    the S entries' own rows ``md.rows``, so a call builds no root table.
+    to the greatest last l'_3 of the runs.
+
+    Integers.  A table entry is the Gaussian integer (sine cos, sine sin)
+    of entries of the S entries' own rows ``md.rows``, so a call builds no
+    root table.  Prefix sums and each run's product of three entries are
+    exact, and the total, over 2^(6 bits), is rounded once to the working
+    precision and multiplied by ``md.scale`` = sqrt(32/P).
+
+    Bound.  Each row entry is within 2 units of 2^-bits, so a table entry,
+    of modulus at most 1, is within 5 units and a column within 16 units of
+    2^-bits; the exact sum over the gamma columns is within 16 gamma 2^-bits.
+    The rounding, ``scale`` and the product add 4 gamma u, u = 2^-mp.prec, and
+    2^-bits < u / 4p_3, so value is within 5 gamma sqrt(32/P) u of its exact
+    value.
     """
     p = md.triple
     l = canonicalize(p, ell)
@@ -355,22 +373,28 @@ def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
     runs = tuple(_admissible_runs(p))
     constant, weights = _s_sign(p, l)
     flips = [(w + n * c) & 1 for w, c in zip(weights, p.cofactors)]
-    f1 = _fibre_row(md, 0, l[0], n, flips[0], runs[0][0], runs[-1][0])
-    f2 = _fibre_row(md, 1, l[1], n, flips[1], min(r[1] for r in runs), max(r[1] for r in runs))
-    lo = min(r[2] for r in runs)
-    f3 = _fibre_row(md, 2, l[2], n, 0, lo, max(r[3] for r in runs))
-    # prefix sums of the third table, plain and times (-1)^l'_3
-    plain = [None] * lo + [mp.mpc(0)]
-    alternating = list(plain)
-    for b in range(lo, len(f3)):
-        plain.append(plain[-1] + f3[b])
-        alternating.append(alternating[-1] - f3[b] if b & 1 else alternating[-1] + f3[b])
+    re1, im1 = _fibre_row(md, 0, l[0], n, flips[0], runs[0][0], runs[-1][0])
+    re2, im2 = _fibre_row(
+        md, 1, l[1], n, flips[1], min(r[1] for r in runs), max(r[1] for r in runs)
+    )
+    third = _fibre_row(md, 2, l[2], n, 0, min(r[2] for r in runs), max(r[3] for r in runs))
+    # prefix sums of the third table (zero below its first l'_3), plain and times (-1)^l'_3
+    plain = [list(accumulate(part, initial=0)) for part in third]
+    alternating = [
+        list(accumulate(map(operator.mul, part, cycle((1, -1))), initial=0)) for part in third
+    ]
     odd = n & 1
-    total = mp.mpc(0)
+    real = imag = 0
     for a, b, first, last in runs:
-        sums = alternating if (flips[2] + odd * (a * p2 + b * p1)) & 1 else plain
-        term = f1[a] * f2[b] * (sums[last + 1] - sums[first])
-        total += -term if odd & a * b * p3 else term
+        re, im = alternating if (flips[2] + odd * (a * p2 + b * p1)) & 1 else plain
+        x, y = re[last + 1] - re[first], im[last + 1] - im[first]
+        x, y = re1[a] * x - im1[a] * y, re1[a] * y + im1[a] * x
+        x, y = re2[b] * x - im2[b] * y, re2[b] * y + im2[b] * x
+        if odd & a * b * p3:
+            real, imag = real - x, imag - y
+        else:
+            real, imag = real + x, imag + y
+    total = mp.mpc((real, -6 * md.bits), (imag, -6 * md.bits))
     return total * md.scale, (n * p.P + 2 * constant) % 4
 
 

@@ -8,9 +8,10 @@ sum, whose summand is even under n -> 2PN - n, runs over 0 < n < PN (PN - P
 terms, multiples of N excluded by index arithmetic) and is kept as
 ``rozansky_normalized``, the independent route that the ``theorem51`` suite
 and the tests compare against; the asymptotics normalize the (1, 1, 1)
-nearly modular expansion the same way.  The Eichler limit sums exact integer
-weights against a fixed-point table of N-th roots of unity (its rounding
-bound is in ``modularform.eichler_limit``); the surgery sum reads its sines
+nearly modular expansion the same way.  The Eichler limit is one T-phase
+times exact integer weights summed against a fixed-point table of N-th roots
+of unity (its rounding bound is in ``modularform.eichler_limit``), and
+``tau_prefactor`` is one sine and one phase; the surgery sum reads its sines
 and phases off such tables and sums in high-precision floating point.
 ``WrtResult.error_budget`` is still term_count * ulp.
 """
@@ -18,14 +19,12 @@ and phases off such tables and sums in high-precision floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp
 
-from .chi import BrieskornTriple, EllTriple
-from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, root_table, to_mpf
+from .chi import BrieskornTriple, EllTriple, dedekind_triple_numerator
+from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, root_table
 from .modularform import AsymptoticApprox, eichler_limit, nearly_modular_expansion
-from .topology import phi_invariant
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,17 @@ def _theorem51_normalized(p: BrieskornTriple, limit, n_level: int):
 
 
 def tau_prefactor(p: BrieskornTriple, n_level: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """The factor e^{2 pi i (phi/4 - 1/2)/N} (e^{2 pi i/N} - 1) dividing tau_N out."""
-    phi = phi_invariant(p)
+    """The factor e^{2 pi i (phi/4 - 1/2)/N} (e^{2 pi i/N} - 1) dividing tau_N out.
+
+    With phi = (3P - 1 + T)/P, T = ``chi.dedekind_triple_numerator``, and
+    e^{2 pi i/N} - 1 = 2i sin(pi/N) e^{pi i/N}, it is one sine and one phase:
+    2i sin(pi/N) e^{pi i (3P - 1 + T)/2PN}.
+    """
+    two_pn = 2 * p.P * n_level
+    numerator = (3 * p.P - 1 + dedekind_triple_numerator(p)) % (2 * two_pn)
     with ctx.workdps():
-        front = mp.expjpi(to_mpf(((phi / 2 - 1) * Fraction(1, n_level)) % 2))
-        return ensure_finite(+(front * (mp.expjpi(to_mpf(Fraction(2, n_level))) - 1)))
+        sine = mp.sinpi(mp.mpf(1) / n_level)
+        return ensure_finite(mp.mpc(0, 2 * sine) * mp.expjpi(mp.mpf(numerator) / two_pn))
 
 
 def tau_n(

@@ -549,6 +549,9 @@ GOLDEN_STDOUT = {
     ("asymptotic", "--p", "2,3,1009", "--N", "50", "--K", "3"): (
         "be5e18549fa0d68656abb2c6deb8a1140d1442075604294585bfb65ce95f8530"
     ),
+    ("asymptotic", "--p", "2,3,100003", "--N", "50", "--K", "3"): (
+        "94cde6c3f13086121ecf0071417bb39d61971c90692f50da84d508bcaee7c429"
+    ),
     ("flat", "--p", "5,7,9"): (
         "ef51c7a5d664e16c5ce958b4267c391de4b65c9d07ffea41e688c928e11ae4c4"
     ),

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from mpmath import mp
@@ -8,6 +9,8 @@ from mpmath import mp
 from brieskorn_wrt import (
     BrieskornTriple,
     EllTriple,
+    admissible_count,
+    admissible_triples,
     asymptotic_approx,
     build_chi,
     eichler_limit,
@@ -32,6 +35,7 @@ from oracles import (
     modular_index,
     phi_hat,
     s_parity_reference,
+    t_exponent_fraction,
     weighted_sum,
 )
 
@@ -378,6 +382,62 @@ def test_eichler_limit_root_calls_grow_as_sqrt_n(monkeypatch, ctx50):
     assert 0 < len(calls) <= 2 * math.ceil(math.sqrt(n / 2)) + 8
 
 
+
+def _count_exponentials(monkeypatch) -> list:
+    calls = []
+    for name in ("expjpi", "cospi", "sinpi"):
+        real = getattr(mp, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mp, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("ps", ((2, 3, 7), (7, 11, 13)))
+def test_eichler_limit_takes_two_exponentials(ps, monkeypatch, ctx50):
+    # one for the table of n-th roots, one for the single T-phase, whatever n
+    p, ell = BrieskornTriple(*ps), EllTriple(1, 1, 1)
+    calls = _count_exponentials(monkeypatch)
+    for n in (5, 1000, 20000):
+        calls.clear()
+        eichler_limit(p, ell, 1, n, ctx50)
+        assert len(calls) == 2, (n, calls)
+
+
+def _t_phase_cases():
+    # every canonical ell of the dominant manifolds, then seeded ells of
+    # fat triples and of thin (2,3,p)
+    for ps in DOMINANT_MANIFOLDS:
+        p = BrieskornTriple(*ps)
+        yield from ((p, ell) for ell in enumerate_triples(p))
+    rng = random.Random(20261018)
+    fat = [ps for ps in coprime_triples(3000) if ps[0] >= 5]
+    thin = [(2, 3, q) for q in range(1001, 200000, 2) if q % 3]
+    for ps in rng.sample(fat, 8) + rng.sample(thin, 8):
+        p = BrieskornTriple(*ps)
+        for _ in range(10):
+            yield p, EllTriple(*(rng.randrange(1, pk) for pk in p.p))
+
+
+def test_t_phase_identity_is_checked(monkeypatch, ctx50):
+    # every support residue j has j^2 = t_numerator mod 4P, which eichler_limit
+    # relies on for its one phase; a wrong numerator raises ArithmeticError
+    cases = list(_t_phase_cases())
+    for p, ell in cases:
+        t = modularform.t_numerator(p, ell)
+        for r, _ in build_chi(p, ell).signed_support:
+            assert (r * r - t) % (4 * p.P) == 0, (p, ell, r)
+        eichler_limit(p, ell, 1, 1, ctx50)
+    real = modularform.t_numerator
+    monkeypatch.setattr(modularform, "t_numerator", lambda p, ell: (real(p, ell) + 1) % (4 * p.P))
+    for p, ell in cases:
+        with pytest.raises(ArithmeticError):
+            eichler_limit(p, ell, 1, 1, ctx50)
+
+
 # ------------------------------------------------------------------- phi_hat
 
 
@@ -504,6 +564,50 @@ def test_dominant_matches_per_column_form(ps, ctx50):
             with ctx50.workdps():
                 assert abs(got - want) < ctx50.tolerance, (ps, ell, n)
 
+
+
+@lru_cache(maxsize=None)
+def _sinpi_ratio(num: int, den: int, digits: int):
+    with mp.workdps(digits):
+        return mp.sinpi(mp.mpf(num) / den)
+
+
+def _dominant_reference(p, ell, phases, digits):
+    # i^-q times the value of _dominant_sum, column by column: sines by sinpi,
+    # signs from the reference parity, phases given per admissible column
+    with mp.workdps(digits):
+        total = mp.mpc(0)
+        for lp, phase in zip(admissible_triples(p)[0], phases):
+            sines = mp.mpf(1)
+            for a, b, c, pk in zip(ell, lp, p.cofactors, p.p):
+                sines *= _sinpi_ratio(c * a * b % (2 * pk), pk, digits)
+            total += (-sines if s_parity_reference(p, ell, lp) else sines) * phase
+        return mp.sqrt(mp.mpf(32) / p.P) * total
+
+
+@pytest.mark.parametrize("ps, sample", (((2, 3, 5), None), ((7, 11, 13), 40), ((2, 3, 1009), 50)))
+def test_dominant_sum_within_stated_bound(ps, sample, ctx50):
+    # the docstring bound 5 gamma sqrt(32/P) 2^-prec against the columns at 20
+    # more digits, phases by expjpi of the Fraction T-exponent; the reference
+    # reads no row of modular_data
+    p, digits = BrieskornTriple(*ps), ctx50.working_digits + 20
+    rows = enumerate_triples(p)
+    rows = rows if sample is None else random.Random(sum(ps)).sample(rows, sample)
+    md = modular_data(p, ctx50)
+    gamma = admissible_count(p)
+    for n in (4, 5, 50):
+        with mp.workdps(digits):
+            phases = [
+                mp.expjpi(to_mpf((-n * t_exponent_fraction(p, lp)) % 2))
+                for lp in admissible_triples(p)[0]
+            ]
+        for ell in rows:
+            with ctx50.workdps():
+                value, q = modularform._dominant_sum(md, ell, n)
+                bound = 5 * gamma * mp.sqrt(mp.mpf(32) / p.P) * mp.mpf(2) ** -mp.prec
+            reference = _dominant_reference(p, ell, phases, digits)
+            with mp.workdps(digits):
+                assert abs(value - mp.mpc(0, 1) ** q * reference) < bound, (ell, n)
 
 def test_eichler_tail_coefficients_exact():
     tail = eichler_tail(P235, EllTriple(1, 1, 1), 3)
