@@ -555,6 +555,15 @@ GOLDEN_STDOUT = {
     ("flat", "--p", "5,7,9"): (
         "ef51c7a5d664e16c5ce958b4267c391de4b65c9d07ffea41e688c928e11ae4c4"
     ),
+    ("ohtsuki", "--p", "2,3,7", "--order", "40"): (
+        "c9272d3af846f3209005ddacb9b4cd3b6cf7498304e3dedfe429f6bb8f23ac43"
+    ),
+    ("asymptotic", "--p", "2,3,5", "--N", "200", "--K", "5"): (
+        "6d56a1c105c2130f61b73f46c5806c0be74d784bd02a709905debbdcb0fc3e4e"
+    ),
+    ("verify", "--suite", "theorem51", "--nmax", "8"): (
+        "277a1a6fa246dee6ef0bee2cf0731fc2dee11aecffcd3ce678d5bc5e95c9802a"
+    ),
 }
 
 
