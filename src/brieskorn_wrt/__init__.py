@@ -35,7 +35,6 @@ from .exactmath import (
 )
 from .modularform import (
     AsymptoticApprox,
-    EichlerTail,
     ModularData,
     eichler_limit,
     eichler_tail,
@@ -74,7 +73,6 @@ __all__ = [
     "AsymptoticApprox",
     "BrieskornTriple",
     "DEFAULT_CONTEXT",
-    "EichlerTail",
     "EllTriple",
     "FlatConnectionRecord",
     "ModularData",

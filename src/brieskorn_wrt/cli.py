@@ -473,19 +473,19 @@ def render(cmd: Command, report: Report) -> str:
 def _out_error(path: str) -> str | None:
     """Why --out cannot be written, found before any work and creating nothing; else None."""
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path) or not os.path.isdir(parent):
+    if not path or os.path.isdir(path) or not os.path.isdir(parent):
         return os.strerror(errno.EISDIR if os.path.isdir(path) else errno.ENOENT)
     return None if os.access(parent, os.W_OK) else os.strerror(errno.EACCES)
 
 
 def main(argv: list | None = None) -> int:
     cmd = parse(sys.argv[1:] if argv is None else argv)
-    if cmd.out and (reason := _out_error(cmd.out)):
+    if cmd.out is not None and (reason := _out_error(cmd.out)):
         print(f"error: cannot write --out {cmd.out}: {reason}", file=sys.stderr)
         return EXIT_USAGE
     report, exit_code = execute(cmd)
     text = render(cmd, report)
-    if cmd.out:
+    if cmd.out is not None:
         try:
             with open(cmd.out, "w", encoding="utf-8") as handle:
                 handle.write(text)

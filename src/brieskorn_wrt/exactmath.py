@@ -103,8 +103,11 @@ def root_table(order: int, bits: int) -> tuple:
     product rounded to 2^-w.  In units of 2^-w, z is within 5 and a product adds its
     factors' errors plus 1 (while bits > 2 order.bit_length()), so entry e is within
     6e + b < 4 order before its one rounding to 2^-bits, which adds 1/2;
-    g = order.bit_length() + 2 puts 4 order under one unit of 2^-bits.
+    g = order.bit_length() + 2 puts 4 order under one unit of 2^-bits.  An order
+    below 1, or bits <= 2 order.bit_length(), raises ValueError.
     """
+    if order < 1 or bits <= 2 * order.bit_length():
+        raise ValueError(f"root table ({order}, {bits}): need order >= 1, bits > 2 bit_length")
     half, step, wide = order // 2, math.isqrt(order // 2) + 1, bits + order.bit_length() + 2
     with mp.workprec(wide):
         z = mp.expjpi(mp.mpf(2) / order)

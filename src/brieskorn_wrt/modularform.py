@@ -7,13 +7,15 @@ sign form ``_s_sign``, all shared with the dominant sum, and is read one row
 at a time; diagonal T has exponent ``chi.t_numerator`` / 2P.  Its Eichler
 integral is only nearly modular: at rationals it has finite limiting values
 (computable as finite sums) and a divergent asymptotic tail built from
-L-values, both of which are exposed here.  ``eichler_limit`` evaluates a
-limit at m/n as one T-phase times one exact integer weight vector over the
-n-th roots of unity, read against one fixed-point table of those roots, so
-it takes two exponentials and its rounding is bounded by the weights it
-sums.  ``nearly_modular_expansion`` is the one implementation of the
-dominant/tail split; ``wrt.asymptotic_approx`` normalizes its (1, 1, 1) row.
-Its dominant part reads only the gamma admissible columns, run by run of
+L-values.  ``eichler_tail`` is that tail as its tuple of exact coefficients
+L(-2k, chi)/k!, which ``ohtsuki`` re-expands and ``nearly_modular_expansion``
+sums in powers of pi i / 2Pn.  ``eichler_limit`` evaluates a limit at m/n
+as one T-phase times one exact integer weight vector over the n-th roots of
+unity, read against one fixed-point table of those roots, so it takes two
+exponentials and its rounding is bounded by the weights it sums.
+``nearly_modular_expansion`` is the one implementation of the dominant/tail
+split; ``wrt.asymptotic_approx`` normalizes its (1, 1, 1) row.  Its dominant
+part reads only the gamma admissible columns, run by run of
 ``chi._admissible_runs``, through sines and phases off those same rows,
 summed as Gaussian integers and rounded once, so a warm call builds no
 table but the limit's.
@@ -270,44 +272,17 @@ def eichler_limit(
         return ensure_finite(phase * inner / pn)
 
 
-@dataclass(frozen=True)
-class EichlerTail:
-    """Asymptotic tail of the nearly modular expansion.
+def eichler_tail(p: BrieskornTriple, ell: EllTriple, order: int) -> tuple:
+    """The exact tail coefficients c_k = L(-2k, chi)/k!, k = 0..order.
 
-    ``coefficients[k]`` is L(-2k, chi)/k!; evaluation multiplies term k by
-    (pi i / (2 P N))^k.  The series is asymptotic, not convergent: K is the
-    caller's truncation choice.  An order outside the stored coefficients
-    raises ValueError.
+    The tail of the nearly modular expansion at 1/n is sum_k c_k (pi i / 2Pn)^k.
+    The series is asymptotic, not convergent: the order is the caller's
+    truncation.
     """
-
-    two_p: int
-    coefficients: tuple
-
-    def _check_order(self, k: int) -> None:
-        if not 0 <= k < len(self.coefficients):
-            raise ValueError(f"tail order {k} outside [0, {len(self.coefficients)})")
-
-    def evaluate(self, n: int, k_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-        self._check_order(k_max)
-        with ctx.workdps():
-            scale = mp.mpc(0, 1) * mp.pi / (self.two_p * n)
-            total = mp.mpc(0)
-            power = mp.mpc(1)
-            for k in range(k_max + 1):
-                total += to_mpf(self.coefficients[k]) * power
-                power *= scale
-            return ensure_finite(+total)
-
-
-def eichler_tail(p: BrieskornTriple, ell: EllTriple, order: int) -> EichlerTail:
-    """Tail coefficients L(-2k, chi)/k! for k = 0..order, exact."""
     if order < 0:
         raise ValueError("tail order must be non-negative")
     chi = build_chi(p, ell)
-    coeffs = tuple(
-        l_function_value(chi, k) / math.factorial(k) for k in range(order + 1)
-    )
-    return EichlerTail(two_p=2 * p.P, coefficients=coeffs)
+    return tuple(l_function_value(chi, k) / math.factorial(k) for k in range(order + 1))
 
 
 @dataclass(frozen=True)
@@ -412,6 +387,7 @@ def nearly_modular_expansion(
     elsewhere; exact is ``eichler_limit`` at 1/n.  The sum reads only those
     gamma columns, one admissible run at a time, through per-fibre tables of
     sines times phases off the rows of ``modular_data`` (see ``_dominant_sum``).
+    tail sums the ``eichler_tail`` coefficients c_k (pi i / 2Pn)^k, k <= k_max.
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
@@ -422,7 +398,12 @@ def nearly_modular_expansion(
         total, quarter = _dominant_sum(md, ell, n)
         # -sqrt(n/i) i^-q times the amplitude -2
         dominant = 2 * mp.sqrt(mp.mpf(n)) * mp.expjpi(mp.mpf(-1 - 2 * quarter) / 4) * total
-        tail = eichler_tail(p, ell, k_max).evaluate(n, k_max, ctx)
+        scale = mp.mpc(0, 1) * mp.pi / (2 * p.P * n)
+        tail, power = mp.mpc(0), mp.mpc(1)
+        for c in eichler_tail(p, ell, k_max):
+            tail += to_mpf(c) * power
+            power *= scale
+        tail = ensure_finite(+tail)
         exact = eichler_limit(p, ell, 1, n, ctx)
         abs_error = ensure_finite(abs(exact - dominant - tail))
         return AsymptoticApprox(ensure_finite(+dominant), tail, exact, abs_error)

@@ -66,7 +66,7 @@ def lambda_coefficients(p: BrieskornTriple, order: int) -> OhtsukiSeries:
     if order < 0:
         raise ValueError("order must be non-negative")
     top = order + 1
-    c = eichler_tail(p, EllTriple(1, 1, 1), top).coefficients
+    c = eichler_tail(p, EllTriple(1, 1, 1), top)
     # log(1 + u) = y(u)/lcm with integer y, so with s = 4P lcm the tail is
     # sum_k c_k (y/s)^k; Horner runs in integers on den c_k s^(top - k)
     lcm = math.lcm(*range(1, top + 1))

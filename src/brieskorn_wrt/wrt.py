@@ -11,8 +11,9 @@ and the tests compare against; the asymptotics normalize the (1, 1, 1)
 nearly modular expansion the same way.  The Eichler limit is one T-phase
 times exact integer weights summed against a fixed-point table of N-th roots
 of unity (its rounding bound is in ``modularform.eichler_limit``), and
-``tau_prefactor`` is one sine and one phase; the surgery sum reads its sines
-and phases off such tables and sums in high-precision floating point.
+``tau_prefactor`` is one sine and one phase; the surgery sum reads all its
+sines and phases off one table of 4PN-th roots of unity and sums in
+high-precision floating point.
 ``WrtResult.error_budget`` is still term_count * ulp.
 """
 
@@ -65,16 +66,16 @@ def rozansky_normalized(
     if n_level < 2:
         raise ValueError("level must be at least 2")
     with ctx.workdps():
-        sin_num = [_signed_sines(2 * n_level * pk) for pk in p.p]
-        sin_den = _signed_sines(2 * n_level)
         four_pn = 4 * p.P * n_level
-        sin = _signed_sines(four_pn)
+        sin = _signed_sines(four_pn)  # sin(2 pi e / 4PN)
+        # sin(pi n / N p_k) is entry 2 c_k n, and sin(pi n / N) entry 2 P n
+        doubled = [2 * c for c in (*p.cofactors, p.P)]
         real = imag = mp.mpf(0)
         for n in range(1, p.P * n_level):
             if n % n_level == 0:
                 continue
-            s1, s2, s3 = (table[n % len(table)] for table in sin_num)
-            value = s1 * s2 * s3 / sin_den[n % (2 * n_level)]
+            s1, s2, s3, den = (sin[d * n % four_pn] for d in doubled)
+            value = s1 * s2 * s3 / den
             e = n * n % four_pn  # e^{-pi i n^2 / 2PN} = cos - i sin(2 pi e / 4PN)
             real += value * sin[(e + four_pn // 4) % four_pn]  # cos t = sin(t + pi / 2)
             imag -= value * sin[e]

@@ -43,7 +43,6 @@ from mpmath import mp
 from brieskorn_wrt import (
     DEFAULT_CONTEXT,
     BrieskornTriple,
-    EichlerTail,
     EllTriple,
     ModularData,
     OhtsukiSeries,
@@ -438,12 +437,15 @@ def solve_seifert_q(p1: int, p2: int, p3: int) -> tuple:
     return q1, q2, q3
 
 
-def eichler_tail_term(tail: EichlerTail, n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Term k of the tail at 1/n: L(-2k, chi)/k! (pi i / (2 P n))^k."""
-    tail._check_order(k)
+def eichler_tail_term(
+    p: BrieskornTriple, coefficients: tuple, n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT
+):
+    """Term k of the tail at 1/n: c_k (pi i / (2 P n))^k, c_k = ``coefficients[k]``."""
+    if not 0 <= k < len(coefficients):
+        raise ValueError(f"tail order {k} outside [0, {len(coefficients)})")
     with ctx.workdps():
-        scale = mp.mpc(0, 1) * mp.pi / (tail.two_p * n)
-        return ensure_finite(+(to_mpf(tail.coefficients[k]) * scale**k))
+        scale = mp.mpc(0, 1) * mp.pi / (2 * p.P * n)
+        return ensure_finite(+(to_mpf(coefficients[k]) * scale**k))
 
 
 def dominant_per_column(

@@ -206,7 +206,7 @@ def test_criterion_09_asymptotic_quality():
                 detail.append(f"{ps} {a}->{b}: x{mp.nstr(ratio, 3)}")
             at200 = asymptotic_approx(p, 200, 2, CTX)
             tail = eichler_tail(p, EllTriple(1, 1, 1), 2)
-            last_term = abs(eichler_tail_term(tail, 200, 2, CTX)) / 2
+            last_term = abs(eichler_tail_term(p, tail, 200, 2, CTX)) / 2
             ok = ok and at200.abs_error < last_term
         _report(9, ok, "error halves ~8x per doubling and sits below the last kept term; " + "; ".join(detail))
 

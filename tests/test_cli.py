@@ -512,6 +512,7 @@ def test_unwritable_out_fails_before_any_work(monkeypatch, tmp_path, capsys):
     for out, reason in (
         (tmp_path / "missing" / "r.json", "No such file or directory"),
         (tmp_path, "Is a directory"),
+        ("", "No such file or directory"),
     ):
         assert main(["verify", "--suite", "gamma", "--out", str(out)]) == EXIT_USAGE
         captured = capsys.readouterr()

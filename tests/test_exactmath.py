@@ -339,6 +339,18 @@ def test_root_table_matches_cospi_sinpi_entry_by_entry(order, bits):
     _assert_root_table_within_bound(order, bits, range(order // 2 + 1))
 
 
+@pytest.mark.parametrize("order", (*range(1, 40), 4099))
+def test_root_table_within_bound_at_its_least_precision(order):
+    # bits = 2 order.bit_length() + 1, the least that the precondition admits
+    _assert_root_table_within_bound(order, 2 * order.bit_length() + 1, range(order // 2 + 1))
+
+
+@pytest.mark.parametrize("order, bits", [(0, 100), (-4, 100), (4099, 26)])
+def test_root_table_rejects_order_or_bits_below_its_bound(order, bits):
+    with pytest.raises(ValueError):
+        root_table(order, bits)
+
+
 @pytest.mark.parametrize("order", (10**5, 10**6))
 def test_root_table_matches_cospi_sinpi_on_seeded_samples(order):
     # both ends and the quarter turn, then random entries, at the widest giant steps

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+import brieskorn_wrt.wrt as wrt
 from brieskorn_wrt import (
     BrieskornTriple,
     EllTriple,
@@ -200,6 +201,23 @@ def test_eichler_route_matches_surgery_sum(ps, n_level, digits):
     assert result.term_count == 4 * n_level
 
 
+@pytest.mark.parametrize("ps", [(2, 3, 7), (3, 4, 5)])
+@pytest.mark.parametrize("n_level", [5, 12])
+def test_surgery_sum_builds_one_root_table(ps, n_level, monkeypatch, ctx50):
+    # every sine and phase of the surgery sum is an entry of one table of 4PN-th roots
+    real = wrt.root_table
+    orders = []
+
+    def counted(order, bits):
+        orders.append(order)
+        return real(order, bits)
+
+    monkeypatch.setattr(wrt, "root_table", counted)
+    p = BrieskornTriple(*ps)
+    rozansky_normalized(p, n_level, ctx50)
+    assert orders == [4 * p.P * n_level]
+
+
 def test_witten_normalization_quotient(ctx50):
     result = tau_n(P237, 9, ctx50)
     with ctx50.workdps():
@@ -234,7 +252,9 @@ def test_witten_large_level_tracks_flat_connection_sum(ctx50):
             * mp.sqrt(mp.mpf(2) / n_level)
             / tau_prefactor(P237, n_level, ctx50)
         )
-        tail_mag = abs(eichler_tail(P237, base, 4).evaluate(n_level, 4, ctx50)) / 2
+        tail = eichler_tail(P237, base, 4)
+        terms = (eichler_tail_term(P237, tail, n_level, k, ctx50) for k in range(5))
+        tail_mag = abs(sum(terms)) / 2
         assert abs(result.z_witten - dominant) < 2 * tail_mag * tail_scale
 
 
@@ -249,7 +269,8 @@ def test_asymptotic_validation(ctx50):
 def test_asymptotic_error_below_last_term(ctx50):
     approx = asymptotic_approx(P235, 200, 5, ctx50)
     with ctx50.workdps():
-        last = abs(eichler_tail_term(eichler_tail(P235, EllTriple(1, 1, 1), 5), 200, 5, ctx50)) / 2
+        tail = eichler_tail(P235, EllTriple(1, 1, 1), 5)
+        last = abs(eichler_tail_term(P235, tail, 200, 5, ctx50)) / 2
         assert approx.abs_error < last
 
 
