@@ -235,6 +235,65 @@ def test_d_cap_applies_where_cost_grows_with_d(capsys):
             assert parse([verb, "--p", text, *extra]).p == tuple(map(int, text.split(",")))
 
 
+# argv and its whole stderr; every one exits 2 and prints nothing to stdout
+USAGE_ERRORS = {
+    ("frobnicate", "--p", "2,3,7"): (
+        "error: argument invariant|ohtsuki|cs|flat|asymptotic|verify|table: invalid choice:"
+        " 'frobnicate' (choose from 'invariant', 'ohtsuki', 'cs', 'flat', 'asymptotic',"
+        " 'verify', 'table')\n"
+    ),
+    (): "error: missing verb; expected one of invariant, ohtsuki, cs, flat, asymptotic, verify,"
+    " table\n",
+    ("invariant", "--N", "5"): "error: the following arguments are required: --p\n",
+    ("invariant", "--p", "2,3,7"): "error: the following arguments are required: --N\n",
+    ("invariant", "--p", "2,3,7", "--N", "x"): "error: argument --N: invalid int value: 'x'\n",
+    ("cs", "--p", "2,3,7", "--format", "xml"): (
+        "error: argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'text')\n"
+    ),
+    ("verify", "--suite", "nope"): (
+        "error: argument --suite: invalid choice: 'nope' (choose from 'theorem51', 'table1',"
+        " 'modular', 'torsion', 'gamma')\n"
+    ),
+    ("cs", "--p", "2,3,7", "--bogus", "1"): "error: unrecognized arguments: --bogus 1\n",
+    ("cs", "--p"): "error: argument --p: expected one argument\n",
+    ("cs", "--p", "2,3,7", "--out", "-x"): "error: argument --out: expected one argument\n",
+    ("ohtsuki", "--p", "2,3,7", "--o", "3"): (
+        "error: ambiguous option: --o could match --out, --order\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_usage_error_messages(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        parse(list(argv))
+    assert excinfo.value.code == EXIT_USAGE
+    assert capsys.readouterr() == ("", USAGE_ERRORS[argv])
+
+
+def test_abbreviated_and_equals_forms_parse_as_the_plain_form():
+    plain = parse(["invariant", "--p", "2,3,7", "--N", "5", "--precision", "40"])
+    assert parse(["invariant", "--p", "2,3,7", "--N", "5", "--prec", "40"]) == plain
+    assert parse(["invariant", "--p=2,3,7", "--N", "5", "--precision", "40"]) == plain
+
+
+# sha256 of the help text at 80 columns
+HELP_STDOUT = {
+    ("--help",): "233e38cfa8a3cc2304f700676f9b15bc6cd287e6501f380b2a9d0091aea76ebb",
+    ("flat", "--help"): "83b957b691d3684ae19b01cd6b5159aaab76a93824dfaee48f88f4384d974b3a",
+}
+
+
+@pytest.mark.parametrize("argv", HELP_STDOUT, ids=" ".join)
+def test_help_matches_golden_digest(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_STDOUT[argv]
+
+
 # --------------------------------------------------------------------- execute
 
 
@@ -564,6 +623,15 @@ GOLDEN_STDOUT = {
     ),
     ("verify", "--suite", "theorem51", "--nmax", "8"): (
         "277a1a6fa246dee6ef0bee2cf0731fc2dee11aecffcd3ce678d5bc5e95c9802a"
+    ),
+    ("flat", "--p", "7,11,13", "--precision", "40"): (
+        "b2c7ff5aecaf56ae4b3c2ec02c53bcc788555035a3a77ff5a0f52601f7df0134"
+    ),
+    ("cs", "--p", "7,11,13", "--format", "csv"): (
+        "96c1294ad655bee248b667492e4b3e3e8b32a5d2a13e811ba3fc7f7d54278137"
+    ),
+    ("invariant", "--p", "2,3,7", "--N", "100", "--format", "text"): (
+        "5f956bc2c7f3f949fb9d4ff027067a1c60295a79b67616c0b5102e15fba8f5cd"
     ),
 }
 
