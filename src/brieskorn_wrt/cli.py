@@ -12,6 +12,12 @@ failures: rationals as {"num", "den"} strings and complex values as
 {"re", "im"} decimal strings, so arbitrarily large results survive any JSON
 consumer.  Each verify suite yields one (failure, passed) pair per check to
 one loop, which counts the checks and keeps the failures.
+
+Reading and writing (not part of --help): a plain argv, VERB (--FLAG VALUE)*,
+is read straight off the verb's option table, which _VERBS and _BOUNDS build;
+argparse, built from the same table, reads every other form and writes every
+usage and help message.  JSON reports are laid out by hand in json.dumps'
+indent=2 form, with every string quoted by the C encoder.
 """
 
 from __future__ import annotations
@@ -22,11 +28,13 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from mpmath import mp
@@ -115,13 +123,17 @@ def real_json(x, digits: int) -> str:
 
 
 def _json(value, digits: int):
-    """A library value in JSON terms; mpmath numbers at ``digits`` digits."""
+    """A library value in JSON terms; mpmath numbers at ``digits`` digits.
+
+    The caller holds ``mp.workdps(digits)``: one precision context per report,
+    where real_json and complex_json enter one per number.
+    """
     if isinstance(value, Fraction):
         return rational_json(value)
     if isinstance(value, mp.mpc):
-        return complex_json(value, digits)
+        return {"re": mp.nstr(value.real, digits), "im": mp.nstr(value.imag, digits)}
     if isinstance(value, mp.mpf):
-        return real_json(value, digits)
+        return mp.nstr(mp.mpf(value), digits)
     if isinstance(value, dict):
         return {key: _json(item, digits) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -155,36 +167,83 @@ def _parse_triple(text: str, verb: str) -> tuple:
     return p.p
 
 
+@functools.lru_cache(maxsize=None)
+def _options(verb: str) -> dict:
+    """The verb's flags, in help order, as {flag: add_argument keywords}."""
+    spec = _VERBS[verb]
+    options = {}
+    if spec.takes_p:
+        p_help = "p1,p2,p3 (pairwise coprime, each >= 2)"
+        options["--p"] = dict(dest="p", required=True, help=p_help)
+    digits_help = f"decimal digits (default {Command.precision})"
+    options["--precision"] = dict(dest="precision", type=int, help=digits_help)
+    options["--format"] = dict(dest="fmt", choices=("json", "csv", "text"))
+    options["--out"] = dict(dest="out", help="write output to FILE instead of stdout")
+    for flag in spec.flags:
+        if flag == "--suite":
+            options[flag] = dict(dest="suite", choices=SUITES, required=True)
+        else:
+            options[flag] = dict(dest=_BOUNDS[flag].field, type=int, required=flag == "--N")
+    return options
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     """The argparse tree, built once per process; parsing leaves it unchanged."""
-    parser = _Parser(prog="bwrt", description=__doc__)
+    parser = _Parser(prog="bwrt", description=__doc__.partition("\n\nReading and writing")[0])
     sub = parser.add_subparsers(dest="verb", metavar="|".join(VERBS))
     for verb, spec in _VERBS.items():
         sp = sub.add_parser(verb, help=spec.help)
-        if spec.takes_p:
-            sp.add_argument("--p", required=True, help="p1,p2,p3 (pairwise coprime, each >= 2)")
-        digits_help = f"decimal digits (default {Command.precision})"
-        sp.add_argument("--precision", type=int, help=digits_help)
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))
-        sp.add_argument("--out", help="write output to FILE instead of stdout")
-        for flag in spec.flags:
-            if flag == "--suite":
-                sp.add_argument(flag, choices=SUITES, required=True)
-            else:
-                sp.add_argument(flag, dest=_BOUNDS[flag].field, type=int, required=flag == "--N")
+        for flag, keywords in _options(verb).items():
+            sp.add_argument(flag, **keywords)
     return parser
+
+
+# argparse reads a token that starts with "-" as a flag unless it matches this
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+
+
+def _read_plain(argv: list) -> dict | None:
+    """The fields of a plain argv, VERB (--FLAG VALUE)*, read off the verb's options.
+
+    A plain argv names only exact flags of its verb, gives each a value that
+    argparse reads as a value and that int() or the choices accept, and names
+    every required flag; argparse would read the same fields from it.  Any
+    other argv (help, --flag=value, an abbreviation, a bad or missing value)
+    returns None, for argparse to read and report.
+    """
+    if not argv or argv[0] not in _VERBS or len(argv) % 2 == 0:
+        return None
+    options = _options(argv[0])
+    given = {"verb": argv[0]}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        option = options.get(flag)
+        if option is None or value[:1] == "-" and not re.match(_NEGATIVE_NUMBER, value):
+            return None
+        if value not in option.get("choices", (value,)):
+            return None
+        if "type" in option:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        given[option["dest"]] = value
+    if any(option.get("required") and option["dest"] not in given for option in options.values()):
+        return None
+    return given
 
 
 def parse(argv: list) -> Command:
     """Parse and validate argv into a Command; raises SystemExit on errors."""
     try:
-        ns = _build_parser().parse_args(argv)
-        if ns.verb is None:
-            raise _UsageError(f"missing verb; expected one of {', '.join(VERBS)}")
-        given = {key: value for key, value in vars(ns).items() if value is not None}
+        given = _read_plain(argv)
+        if given is None:
+            ns = _build_parser().parse_args(argv)
+            if ns.verb is None:
+                raise _UsageError(f"missing verb; expected one of {', '.join(VERBS)}")
+            given = {key: value for key, value in vars(ns).items() if value is not None}
         if "p" in given:
-            given["p"] = _parse_triple(given["p"], ns.verb)
+            given["p"] = _parse_triple(given["p"], given["verb"])
         for flag, (name, least, greatest, note) in _BOUNDS.items():
             if not least <= given.get(name, least) <= greatest:
                 raise _UsageError(f"{flag} must be between {least}{note} and {greatest}")
@@ -371,9 +430,37 @@ def _format_text(report: Report) -> str:
                 lines.append(f"{prefix}{k} = {v}")
 
     walk("", report.results)
+    walk("failure.", report.failure)
     for key, value in report.metadata.items():
         lines.append(f"metadata.{key} = {value}")
     return "\n".join(lines) + "\n"
+
+
+def _indented_json(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2), nested at ``newline``, with C quoting.
+
+    json.dumps runs its pure-Python encoder whenever indent is set, so the
+    layout is written here and each scalar goes to a C routine.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = [
+            f"{encode_basestring_ascii(key)}: {_indented_json(item, inner)}"
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        items = [_indented_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)  # a float, {} or []; TypeError for what JSON cannot hold
 
 
 def _report_dict(report: Report) -> dict:
@@ -384,7 +471,7 @@ def _report_dict(report: Report) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the verb table: parser, validation and dispatch are all derived from it
+# the verb table: both argv readers, validation and dispatch are derived from it
 
 
 class _Verb(NamedTuple):
@@ -447,7 +534,9 @@ def execute(cmd: Command) -> tuple:
             "pmax": cmd.pmax if "--pmax" in spec.flags else None,
         }
     )
-    report.results, report.failure = (_json(x, ctx.decimal_digits) for x in spec.run(cmd, ctx))
+    values = spec.run(cmd, ctx)
+    with mp.workdps(ctx.decimal_digits):
+        report.results, report.failure = _json(values, ctx.decimal_digits)
     if report.failure:
         report.status = "fail"
     report.metadata = {
@@ -467,7 +556,7 @@ def render(cmd: Command, report: Report) -> str:
         return csv(report.results)
     if cmd.fmt == "text":
         return _format_text(report)
-    return json.dumps(_report_dict(report), indent=2) + "\n"
+    return _indented_json(_report_dict(report)) + "\n"
 
 
 def _out_error(path: str) -> str | None:
@@ -476,6 +565,19 @@ def _out_error(path: str) -> str | None:
     if not path or os.path.isdir(path) or not os.path.isdir(parent):
         return os.strerror(errno.EISDIR if os.path.isdir(path) else errno.ENOENT)
     return None if os.access(parent, os.W_OK) else os.strerror(errno.EACCES)
+
+
+def _write_atomically(path: str, text: str) -> None:
+    """Write text to a new file beside path and rename it there, so a failure leaves nothing."""
+    temporary = f"{path}.{os.getpid()}.tmp"
+    handle = open(temporary, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def main(argv: list | None = None) -> int:
@@ -487,8 +589,7 @@ def main(argv: list | None = None) -> int:
     text = render(cmd, report)
     if cmd.out is not None:
         try:
-            with open(cmd.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _write_atomically(cmd.out, text)
         except OSError as exc:
             print(f"error: cannot write --out {cmd.out}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -1,9 +1,17 @@
+import argparse
+import contextlib
+import errno
 import hashlib
+import io
 import json
 import re
 from fractions import Fraction
+from itertools import chain
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import brieskorn_wrt.chi as chi
@@ -165,11 +173,132 @@ def test_parse_caps_order_tail_order_and_nmax(capsys):
     assert parse(["verify", "--suite", "gamma", "--pmax", str(MAX_PMAX)]).pmax == MAX_PMAX
 
 
-def test_parse_builds_the_parser_once():
-    parse(["cs", "--p", "2,3,7"])
-    first = _build_parser()
-    parse(["flat", "--p", "2,3,5"])
-    assert _build_parser() is first
+# every flag of each verb, with values the table reader accepts
+PLAIN_EXTRA = ["--precision", "30", "--format", "json", "--out", "r.json"]
+VERB_EXTRA = {
+    "ohtsuki": ["--order", "3"],
+    "asymptotic": ["--K", "2"],
+    "verify": ["--pmax", "30", "--nmax", "3"],
+}
+
+
+def test_plain_argv_builds_no_parser_and_render_runs_no_python_encoder(monkeypatch, capsys):
+    # plain argv are read off the option table, and JSON reports are laid out
+    # by hand: argparse and json's pure-Python encoder stay out of both
+    reports = {}
+    for verb, (argv, _) in MINIMAL.items():
+        argv = [*argv, "--pmax", "30"] if verb == "verify" else argv
+        cmd = parse(argv)
+        report, _ = execute(cmd)
+        reports[verb] = cmd, report, json.dumps(cli._report_dict(report), indent=2) + "\n"
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    def never(*args, **kwargs):
+        raise AssertionError("render ran json's pure-Python encoder")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", never)
+    _build_parser.cache_clear()
+    try:
+        for verb, (argv, expected) in MINIMAL.items():
+            assert parse(argv) == expected, verb
+            full = parse([*argv, *PLAIN_EXTRA, *VERB_EXTRA.get(verb, [])])
+            assert (full.precision, full.fmt, full.out) == (30, "json", "r.json"), verb
+        with pytest.raises(SystemExit) as excinfo:  # read plain, then out of range
+            parse(["asymptotic", "--p", "3,4,5", "--N", "12", "--K", "-1"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --K must be between 0 and 100\n"
+        for verb, (cmd, report, reference) in reports.items():
+            assert render(cmd, report) == reference, verb
+        assert built == []
+        assert parse(["cs", "--p=2,3,7"]) == Command(verb="cs", p=(2, 3, 7))
+        assert len(built) == 1 + len(VERBS)  # the counter sees argparse's tree
+        with pytest.raises(AssertionError, match="pure-Python"):
+            json.dumps({}, indent=2)
+    finally:
+        _build_parser.cache_clear()
+
+
+ARGV_FLAGS = [
+    *("--p", "--N", "--precision", "--format", "--out", "--order", "--K"),
+    *("--suite", "--pmax", "--nmax", "--prec", "--pm", "--o", "--n", "--f", "--s"),
+    *("--P", "--bogus", "--help", "-h", "--", "--p=2,3,7", "--N=5", "--format=csv"),
+]
+ARGV_VALUES = st.one_of(
+    st.integers(-10, 10**6).map(str),
+    st.sampled_from(
+        ["2,3,7", "5,3,2", "2,4,5", "1,2,3", "7", "2,3", "157,163,167", " 12 ", "1_0", "+7"]
+        + ["", "-", "-a b", "-5", "-.5", "-1.5", "-x", "--", "json", "csv", "text", "xml"]
+        + ["gamma", "theorem51", "nope", "r.json", "٣٠", "30\n", "-3\n", "1e3", "--p"]
+    ),
+)
+# values each flag accepts or rejects in the usual way
+FLAG_VALUES = {
+    "--p": ["2,3,7", "3,4,5", "5,3,2", "2,3,100003"],
+    "--N": ["5", "12", "2", "1000001"],
+    "--precision": ["30", "15", "14", "-5"],
+    "--format": ["json", "csv", "text"],
+    "--out": ["r.json", "-5", "dir/r.json"],
+    "--order": ["0", "3", "101"],
+    "--K": ["2", "-1", "100"],
+    "--suite": ["theorem51", "table1", "modular", "torsion", "gamma"],
+    "--pmax": ["30", "29", "100"],
+    "--nmax": ["3", "4", "51"],
+}
+
+
+@st.composite
+def argv_from_grammar(draw):
+    """A verb, then its flags (or others) with values, and lone tokens, in any order."""
+    verb = draw(st.sampled_from([*VERBS, *VERBS, *VERBS, None, "frob", "-h", "--help", "--p"]))
+    spec = _VERBS.get(verb)
+    own = ["--p"] if spec is None or spec.takes_p else []
+    own += ["--precision", "--format", "--out", *(spec.flags if spec else ())]
+    words = []
+    for kind in draw(st.lists(st.integers(0, 5), max_size=4)):
+        if kind < 4:  # mostly a flag of the verb with a usual value
+            flag = draw(st.sampled_from(own))
+            words.append((flag, draw(st.sampled_from(FLAG_VALUES[flag]))))
+        elif kind == 4:
+            words.append((draw(st.sampled_from(own + ARGV_FLAGS)), draw(ARGV_VALUES)))
+        else:
+            words.append((draw(st.sampled_from(ARGV_FLAGS) | ARGV_VALUES),))
+    if draw(st.integers(0, 3)):  # mostly name the required flags
+        required = [flag for flag in own if flag in ("--p", "--N", "--suite")]
+        words += [(flag, draw(st.sampled_from(FLAG_VALUES[flag]))) for flag in required]
+    words = draw(st.permutations(words))
+    return [verb] * (verb is not None) + list(chain.from_iterable(words))
+
+
+def _parse_outcome(argv):
+    """What parse makes of argv: the Command or the exit code, and stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv_from_grammar())
+@example(["invariant", "--p", "2,3,7", "--N", "-5"])
+@example(["verify", "--suite", "gamma", "--pmax", " 30 ", "--nmax", "1_0"])
+@example(["cs", "--p", "2,3,7", "--out", "-5", "--format", "csv", "--format", "xml"])
+@example(["flat", "--p", "2,3,5", "--precision", "-.5"])
+@example(["invariant", "--N", "5", "--p", "2,3,7", "--out", "-x"])
+def test_table_reader_matches_argparse(argv):
+    # the plain reader may only skip argparse, never change what argv means
+    with mock.patch.dict("os.environ", {"COLUMNS": "80"}):
+        got = _parse_outcome(argv)
+        with mock.patch.object(cli, "_read_plain", lambda argv: None):
+            assert got == _parse_outcome(argv)
 
 
 def test_parse_after_a_usage_error_is_unaffected(capsys):
@@ -545,6 +674,64 @@ def test_table_csv_emission():
     assert "2,11,21" in text and "3962937841176563555" in text
 
 
+def test_text_format_prints_the_failures(monkeypatch, tmp_path, capsys):
+    # the corrupted reference cell shows up after the results, before metadata
+    lines = []
+    with open(table1_path(), "r", encoding="utf-8") as handle:
+        for line in handle:
+            if line.startswith("3 4 5"):
+                line = line.replace("198", "199", 1)
+            lines.append(line)
+    corrupted = tmp_path / "table1.txt"
+    corrupted.write_text("".join(lines))
+    monkeypatch.setenv(TABLE_ENV_VAR, str(corrupted))
+    assert main(["verify", "--suite", "table1", "--format", "text"]) == EXIT_FAIL
+    text = capsys.readouterr().out
+    assert text.startswith("status: fail\nsuite = table1\nchecks = 234\n")
+    failure = [line for line in text.splitlines() if line.startswith("failure.")]
+    assert failure == [
+        "failure.0.p.0 = 3",
+        "failure.0.p.1 = 4",
+        "failure.0.p.2 = 5",
+        "failure.0.order = 2",
+        "failure.0.expected = 199",
+        "failure.0.got.num = 198",
+        "failure.0.got.den = 1",
+    ]
+    assert "\n".join(failure) + "\nmetadata.precision_digits = 50\n" in text
+
+
+@pytest.mark.parametrize("stage", ["write", "replace"])
+def test_failed_out_write_leaves_nothing(stage, monkeypatch, tmp_path, capsys):
+    # --out goes to a temporary file beside the target, renamed only once written
+    out = tmp_path / "r.json"
+
+    def full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    if stage == "replace":
+        monkeypatch.setattr(cli.os, "replace", full)
+    else:
+
+        def opening(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            real_write = handle.write
+
+            def write(text):
+                real_write(text[: len(text) // 2])
+                full()
+
+            handle.write = write
+            return handle
+
+        monkeypatch.setattr(cli, "open", opening, raising=False)
+    assert main(["cs", "--p", "2,3,7", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write --out {out}: No space left on device\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_file_written(tmp_path):
     out = tmp_path / "report.json"
     code = main(["cs", "--p", "2,3,7", "--out", str(out)])
@@ -641,6 +828,34 @@ def test_stdout_matches_golden_digest(argv, capsys):
     assert main(list(argv)) == EXIT_OK
     out = re.sub(r".*wall_time_seconds.*\n", "", capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=10**80).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(),
+    st.text(),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.recursive(
+        JSON_SCALARS,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        ),
+        max_leaves=25,
+    )
+)
+@example({"a": [], "b": {}, "c": [[], {}], "": "\u00e9\n\"\\\u2028\ud83d\ude00\x00", "d": -0.0})
+@example([1e300, float("nan"), float("-inf"), True, False, None, 10**40, -(2**64)])
+def test_indented_json_equals_json_dumps(value):
+    assert cli._indented_json(value) == json.dumps(value, indent=2)
 
 
 def test_text_format_renders():
