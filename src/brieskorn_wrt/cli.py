@@ -34,7 +34,7 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 from mpmath import mp
@@ -206,11 +206,9 @@ _NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 def _read_plain(argv: list) -> dict | None:
     """The fields of a plain argv, VERB (--FLAG VALUE)*, read off the verb's options.
 
-    A plain argv names only exact flags of its verb, gives each a value that
-    argparse reads as a value and that int() or the choices accept, and names
-    every required flag; argparse would read the same fields from it.  Any
-    other argv (help, --flag=value, an abbreviation, a bad or missing value)
-    returns None, for argparse to read and report.
+    Plain means exact flag names, values that argparse takes for values and
+    that int() or the choices accept, and every required flag: argparse would
+    read the same fields.  Any other argv returns None, for argparse to read.
     """
     if not argv or argv[0] not in _VERBS or len(argv) % 2 == 0:
         return None
@@ -443,19 +441,14 @@ def _indented_json(value, newline: str = "\n") -> str:
     layout is written here and each scalar goes to a C routine.
     """
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     inner = newline + "  "
     if isinstance(value, dict) and value:
-        items = [
-            f"{encode_basestring_ascii(key)}: {_indented_json(item, inner)}"
-            for key, item in value.items()
-        ]
+        items = [f"{_quote(key)}: {_indented_json(item, inner)}" for key, item in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)) and value:
         items = [_indented_json(item, inner) for item in value]
@@ -569,7 +562,8 @@ def _out_error(path: str) -> str | None:
 
 def _write_atomically(path: str, text: str) -> None:
     """Write text to a new file beside path and rename it there, so a failure leaves nothing."""
-    temporary = f"{path}.{os.getpid()}.tmp"
+    path = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
+    temporary = os.path.join(os.path.dirname(path), f".bwrt-{os.getpid()}.tmp")
     handle = open(temporary, "x", encoding="utf-8")
     try:
         with handle:

@@ -217,7 +217,8 @@ def test_plain_argv_builds_no_parser_and_render_runs_no_python_encoder(monkeypat
             assert render(cmd, report) == reference, verb
         assert built == []
         assert parse(["cs", "--p=2,3,7"]) == Command(verb="cs", p=(2, 3, 7))
-        assert len(built) == 1 + len(VERBS)  # the counter sees argparse's tree
+        assert parse(["flat", "--prec", "20", "--p", "2,3,5"]).precision == 20
+        assert len(built) == 1 + len(VERBS)  # argparse's tree, built once
         with pytest.raises(AssertionError, match="pure-Python"):
             json.dumps({}, indent=2)
     finally:
@@ -730,6 +731,16 @@ def test_failed_out_write_leaves_nothing(stage, monkeypatch, tmp_path, capsys):
     assert captured.err == f"error: cannot write --out {out}: No space left on device\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "real.json", tmp_path / "link.json"
+    target.write_text("old")
+    link.symlink_to(target)
+    assert main(["cs", "--p", "2,3,7", "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["status"] == "ok"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "real.json"]
 
 
 def test_out_file_written(tmp_path):
