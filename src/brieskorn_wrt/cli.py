@@ -218,7 +218,7 @@ def _read_plain(argv: list) -> dict | None:
         option = options.get(flag)
         if option is None or value[:1] == "-" and not re.match(_NEGATIVE_NUMBER, value):
             return None
-        if value not in option.get("choices", (value,)):
+        if "choices" in option and value not in option["choices"]:
             return None
         if "type" in option:
             try:
