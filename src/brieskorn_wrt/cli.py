@@ -12,12 +12,6 @@ failures: rationals as {"num", "den"} strings and complex values as
 {"re", "im"} decimal strings, so arbitrarily large results survive any JSON
 consumer.  Each verify suite yields one (failure, passed) pair per check to
 one loop, which counts the checks and keeps the failures.
-
-Reading and writing (not part of --help): a plain argv, VERB (--FLAG VALUE)*,
-is read straight off the verb's option table, which _VERBS and _BOUNDS build;
-argparse, built from the same table, reads every other form and writes every
-usage and help message.  JSON reports are laid out by hand in json.dumps'
-indent=2 form, with every string quoted by the C encoder.
 """
 
 from __future__ import annotations
@@ -28,7 +22,7 @@ import functools
 import json
 import math
 import os
-import re
+import stat
 import sys
 import time
 from collections import namedtuple
@@ -112,32 +106,40 @@ def rational_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def complex_json(z, digits: int) -> dict:
-    with mp.workdps(digits):
-        return {"re": mp.nstr(mp.re(z), digits), "im": mp.nstr(mp.im(z), digits)}
+def complex_json(z, digits: int, held: bool = False) -> dict:
+    """z as {"re", "im"} strings of ``digits`` digits; held: mp.workdps(digits) is entered."""
+    if not held:
+        with mp.workdps(digits):
+            return complex_json(z, digits, held=True)
+    return {"re": mp.nstr(mp.re(z), digits), "im": mp.nstr(mp.im(z), digits)}
 
 
-def real_json(x, digits: int) -> str:
-    with mp.workdps(digits):
-        return mp.nstr(mp.mpf(x), digits)
+def real_json(x, digits: int, held: bool = False) -> str:
+    """x as a string of ``digits`` digits; held: mp.workdps(digits) is entered."""
+    if not held:
+        with mp.workdps(digits):
+            return real_json(x, digits, held=True)
+    return mp.nstr(mp.mpf(x), digits)
 
 
-def _json(value, digits: int):
+def _json(value, digits: int, held: bool = False):
     """A library value in JSON terms; mpmath numbers at ``digits`` digits.
 
-    The caller holds ``mp.workdps(digits)``: one precision context per report,
-    where real_json and complex_json enter one per number.
+    One precision context covers the whole value, not one per number.
     """
+    if not held:
+        with mp.workdps(digits):
+            return _json(value, digits, held=True)
     if isinstance(value, Fraction):
         return rational_json(value)
     if isinstance(value, mp.mpc):
-        return {"re": mp.nstr(value.real, digits), "im": mp.nstr(value.imag, digits)}
+        return complex_json(value, digits, held=True)
     if isinstance(value, mp.mpf):
-        return mp.nstr(mp.mpf(value), digits)
+        return real_json(value, digits, held=True)
     if isinstance(value, dict):
-        return {key: _json(item, digits) for key, item in value.items()}
+        return {key: _json(item, digits, held=True) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_json(item, digits) for item in value]
+        return [_json(item, digits, held=True) for item in value]
     return value
 
 
@@ -167,6 +169,11 @@ def _parse_triple(text: str, verb: str) -> tuple:
     return p.p
 
 
+# Two readers of argv: a plain argv, VERB (--FLAG VALUE)*, is read straight off
+# the verb's option table, which _VERBS and _BOUNDS build; argparse, built from
+# the same table, reads every other form and writes every usage and help
+# message.  JSON reports are laid out by hand in json.dumps' indent=2 form, with
+# every string quoted by the C encoder (_indented_json).
 @functools.lru_cache(maxsize=None)
 def _options(verb: str) -> dict:
     """The verb's flags, in help order, as {flag: add_argument keywords}."""
@@ -190,7 +197,7 @@ def _options(verb: str) -> dict:
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     """The argparse tree, built once per process; parsing leaves it unchanged."""
-    parser = _Parser(prog="bwrt", description=__doc__.partition("\n\nReading and writing")[0])
+    parser = _Parser(prog="bwrt", description=__doc__)
     sub = parser.add_subparsers(dest="verb", metavar="|".join(VERBS))
     for verb, spec in _VERBS.items():
         sp = sub.add_parser(verb, help=spec.help)
@@ -199,16 +206,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# argparse reads a token that starts with "-" as a flag unless it matches this
-_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
-
-
 def _read_plain(argv: list) -> dict | None:
     """The fields of a plain argv, VERB (--FLAG VALUE)*, read off the verb's options.
 
-    Plain means exact flag names, values that argparse takes for values and
-    that int() or the choices accept, and every required flag: argparse would
-    read the same fields.  Any other argv returns None, for argparse to read.
+    Plain means exact flag names, no value that starts with "-", values that
+    int() or the choices accept, and every required flag: argparse would read
+    the same fields.  Any other argv returns None, for argparse to read.
     """
     if not argv or argv[0] not in _VERBS or len(argv) % 2 == 0:
         return None
@@ -216,7 +219,7 @@ def _read_plain(argv: list) -> dict | None:
     given = {"verb": argv[0]}
     for flag, value in zip(argv[1::2], argv[2::2]):
         option = options.get(flag)
-        if option is None or value[:1] == "-" and not re.match(_NEGATIVE_NUMBER, value):
+        if option is None or value[:1] == "-":
             return None
         if "choices" in option and value not in option["choices"]:
             return None
@@ -527,9 +530,7 @@ def execute(cmd: Command) -> tuple:
             "pmax": cmd.pmax if "--pmax" in spec.flags else None,
         }
     )
-    values = spec.run(cmd, ctx)
-    with mp.workdps(ctx.decimal_digits):
-        report.results, report.failure = _json(values, ctx.decimal_digits)
+    report.results, report.failure = _json(spec.run(cmd, ctx), ctx.decimal_digits)
     if report.failure:
         report.status = "fail"
     report.metadata = {
@@ -552,23 +553,58 @@ def render(cmd: Command, report: Report) -> str:
     return _indented_json(_report_dict(report)) + "\n"
 
 
+def _existing(path: str) -> os.stat_result | None:
+    """The status of the file --out names, through symlinks; None where there is none."""
+    try:
+        return os.stat(path)
+    except OSError:
+        return None
+
+
+def _replaceable(status: os.stat_result | None) -> bool:
+    """Whether --out is written by a rename: a new file or a regular file with one name.
+
+    A rename would swap a device or FIFO for a regular file and part a hard
+    link from its other names, so those are written in place.
+    """
+    return status is None or stat.S_ISREG(status.st_mode) and status.st_nlink == 1
+
+
 def _out_error(path: str) -> str | None:
     """Why --out cannot be written, found before any work and creating nothing; else None."""
-    parent = os.path.dirname(path) or "."
-    if not path or os.path.isdir(path) or not os.path.isdir(parent):
-        return os.strerror(errno.EISDIR if os.path.isdir(path) else errno.ENOENT)
+    if not path or os.path.isdir(path):
+        return os.strerror(errno.EISDIR if path else errno.ENOENT)
+    status = _existing(path)
+    if status is not None and not os.access(path, os.W_OK):
+        return os.strerror(errno.EACCES)
+    if not _replaceable(status):
+        return None
+    parent = os.path.dirname(os.path.realpath(path))  # where the rename happens
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOENT)
     return None if os.access(parent, os.W_OK) else os.strerror(errno.EACCES)
 
 
-def _write_atomically(path: str, text: str) -> None:
-    """Write text to a new file beside path and rename it there, so a failure leaves nothing."""
-    path = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
-    temporary = os.path.join(os.path.dirname(path), f".bwrt-{os.getpid()}.tmp")
+def _write_out(path: str, text: str) -> None:
+    """Write --out; a replaceable target is written beside itself and renamed into place.
+
+    A failed write then leaves neither the target nor the temporary file.  A
+    replaced target keeps its permission bits; a new one gets the umask's.
+    """
+    status = _existing(path)
+    if not _replaceable(status):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    target = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
+    temporary = os.path.join(os.path.dirname(target), f".bwrt-{os.urandom(8).hex()}.tmp")
     handle = open(temporary, "x", encoding="utf-8")
     try:
         with handle:
+            if status is not None:
+                os.fchmod(handle.fileno(), stat.S_IMODE(status.st_mode))
             handle.write(text)
-        os.replace(temporary, path)
+        os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)
         raise
@@ -583,7 +619,7 @@ def main(argv: list | None = None) -> int:
     text = render(cmd, report)
     if cmd.out is not None:
         try:
-            _write_atomically(cmd.out, text)
+            _write_out(cmd.out, text)
         except OSError as exc:
             print(f"error: cannot write --out {cmd.out}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE

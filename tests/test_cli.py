@@ -4,7 +4,10 @@ import errno
 import hashlib
 import io
 import json
+import os
 import re
+import stat
+import threading
 from fractions import Fraction
 from itertools import chain
 from unittest import mock
@@ -209,15 +212,15 @@ def test_plain_argv_builds_no_parser_and_render_runs_no_python_encoder(monkeypat
             assert parse(argv) == expected, verb
             full = parse([*argv, *PLAIN_EXTRA, *VERB_EXTRA.get(verb, [])])
             assert (full.precision, full.fmt, full.out) == (30, "json", "r.json"), verb
-        with pytest.raises(SystemExit) as excinfo:  # read plain, then out of range
-            parse(["asymptotic", "--p", "3,4,5", "--N", "12", "--K", "-1"])
-        assert excinfo.value.code == EXIT_USAGE
-        assert capsys.readouterr().err == "error: --K must be between 0 and 100\n"
         for verb, (cmd, report, reference) in reports.items():
             assert render(cmd, report) == reference, verb
         assert built == []
         assert parse(["cs", "--p=2,3,7"]) == Command(verb="cs", p=(2, 3, 7))
         assert parse(["flat", "--prec", "20", "--p", "2,3,5"]).precision == 20
+        with pytest.raises(SystemExit) as excinfo:  # a value with "-" goes to argparse
+            parse(["asymptotic", "--p", "3,4,5", "--N", "12", "--K", "-1"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --K must be between 0 and 100\n"
         assert len(built) == 1 + len(VERBS)  # argparse's tree, built once
         with pytest.raises(AssertionError, match="pure-Python"):
             json.dumps({}, indent=2)
@@ -741,6 +744,50 @@ def test_out_writes_through_a_symlink(tmp_path):
     assert link.is_symlink()
     assert json.loads(target.read_text())["status"] == "ok"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def test_out_writes_into_a_fifo_in_place(tmp_path):
+    # a rename would swap the FIFO for a regular file and leave its reader waiting
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["cs", "--p", "2,3,7", "--out", str(fifo)]) == EXIT_OK
+    reader.join(timeout=60)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert json.loads(received[0])["status"] == "ok"
+    assert [path.name for path in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_out_keeps_hard_links_and_permissions(tmp_path):
+    linked, other, single = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    linked.write_text("old")
+    os.link(linked, other)
+    single.write_text("old")
+    single.chmod(0o640)
+    for _ in range(2):  # a second call in the same process writes again
+        assert main(["cs", "--p", "2,3,7", "--out", str(linked)]) == EXIT_OK
+        assert main(["cs", "--p", "2,3,7", "--out", str(single)]) == EXIT_OK
+    assert os.path.samefile(linked, other)
+    assert json.loads(other.read_text())["status"] == "ok"
+    assert stat.S_IMODE(os.stat(single).st_mode) == 0o640
+    assert json.loads(single.read_text())["status"] == "ok"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json", "b.json", "c.json"]
+
+
+def test_out_checks_the_directory_behind_a_symlink(monkeypatch, tmp_path, capsys):
+    # the rename happens where the symlink points, so that directory is checked
+    def never(*args):
+        raise AssertionError("the suite ran before --out was checked")
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "gamma", never)
+    link = tmp_path / "link.json"
+    link.symlink_to(tmp_path / "missing" / "r.json")
+    assert main(["verify", "--suite", "gamma", "--out", str(link)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write --out {link}: No such file or directory\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["link.json"]
 
 
 def test_out_file_written(tmp_path):
