@@ -65,6 +65,7 @@ from .wrt import (
     WrtResult,
     asymptotic_approx,
     rozansky_normalized,
+    tau_coordinates,
     tau_n,
     tau_prefactor,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "spectral_flow",
     "t_exponent",
     "table1_path",
+    "tau_coordinates",
     "tau_n",
     "tau_prefactor",
     "theta_eval",

@@ -16,7 +16,6 @@ one loop, which counts the checks and keeps the failures.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import functools
 import json
@@ -147,11 +146,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # keep errors as exceptions so parse() is testable
-        raise _UsageError(message)
-
-
 def _parse_triple(text: str, verb: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
@@ -195,8 +189,17 @@ def _options(verb: str) -> dict:
 
 
 @functools.lru_cache(maxsize=1)
-def _build_parser() -> _Parser:
-    """The argparse tree, built once per process; parsing leaves it unchanged."""
+def _build_parser():
+    """The argparse tree, built once per process; parsing leaves it unchanged.
+
+    argparse is imported here, so a plain argv never loads it.
+    """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # keep errors as exceptions so parse() is testable
+            raise _UsageError(message)
+
     parser = _Parser(prog="bwrt", description=__doc__)
     sub = parser.add_subparsers(dest="verb", metavar="|".join(VERBS))
     for verb, spec in _VERBS.items():
@@ -570,6 +573,20 @@ def _replaceable(status: os.stat_result | None) -> bool:
     return status is None or stat.S_ISREG(status.st_mode) and status.st_nlink == 1
 
 
+def _names_stdout(path: str) -> bool:
+    """Whether --out is the file already open as stdout, as /dev/stdout is.
+
+    A rename over it would cut it off from the shell's later output, so the
+    report goes through sys.stdout instead.
+    """
+    status = _existing(path)
+    try:
+        out = os.fstat(sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):  # stdout with no file behind it
+        return False
+    return status is not None and (status.st_dev, status.st_ino) == (out.st_dev, out.st_ino)
+
+
 def _out_error(path: str) -> str | None:
     """Why --out cannot be written, found before any work and creating nothing; else None."""
     if not path or os.path.isdir(path):
@@ -612,12 +629,13 @@ def _write_out(path: str, text: str) -> None:
 
 def main(argv: list | None = None) -> int:
     cmd = parse(sys.argv[1:] if argv is None else argv)
-    if cmd.out is not None and (reason := _out_error(cmd.out)):
+    to_file = cmd.out is not None and not _names_stdout(cmd.out)
+    if to_file and (reason := _out_error(cmd.out)):
         print(f"error: cannot write --out {cmd.out}: {reason}", file=sys.stderr)
         return EXIT_USAGE
     report, exit_code = execute(cmd)
     text = render(cmd, report)
-    if cmd.out is not None:
+    if to_file:
         try:
             _write_out(cmd.out, text)
         except OSError as exc:

@@ -11,9 +11,10 @@ on ambient mpmath state beyond the scope of a single call.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from mpmath import mp
 
@@ -94,6 +95,19 @@ def dedekind_sum(b: int, a: int) -> Fraction:
     return value if a > 0 else -value
 
 
+def _fixed_product(x: tuple, y: tuple, shift: int) -> tuple:
+    """The Gaussian integer x y over 2^shift, rounded to the nearest unit."""
+    (a, b), (c, d), unit = x, y, 1 << (shift - 1)
+    return (a * c - b * d + unit) >> shift, (a * d + b * c + unit) >> shift
+
+
+def _unit_root(order: int, wide: int) -> tuple:
+    """e^{2 pi i / order} over 2^wide from one ``mp.expjpi``, within 5 units of 2^-wide."""
+    with mp.workprec(wide):
+        z = mp.expjpi(mp.mpf(2) / order)
+    return int(mp.ldexp(z.real, wide)), int(mp.ldexp(z.imag, wide))
+
+
 def root_table(order: int, bits: int) -> tuple:
     """Integer lists (cos, sin) over 2^bits, entry e within 2 units of 2^-bits of
     (cos, sin)(2 pi e / order), 0 <= e <= order/2, from one ``mp.expjpi``.
@@ -109,19 +123,12 @@ def root_table(order: int, bits: int) -> tuple:
     if order < 1 or bits <= 2 * order.bit_length():
         raise ValueError(f"root table ({order}, {bits}): need order >= 1, bits > 2 bit_length")
     half, step, wide = order // 2, math.isqrt(order // 2) + 1, bits + order.bit_length() + 2
-    with mp.workprec(wide):
-        z = mp.expjpi(mp.mpf(2) / order)
-    baby = [(1 << wide, 0), (int(mp.ldexp(z.real, wide)), int(mp.ldexp(z.imag, wide)))]
-
-    def times(x: tuple, y: tuple, shift: int = wide) -> tuple:
-        (a, b), (c, d), unit = x, y, 1 << (shift - 1)
-        return (a * c - b * d + unit) >> shift, (a * d + b * c + unit) >> shift
-
+    baby = [(1 << wide, 0), _unit_root(order, wide)]
     while len(baby) <= step:
-        baby.append(times(baby[-1], baby[1]))
+        baby.append(_fixed_product(baby[-1], baby[1], wide))
     giant = [baby[0]]
     while len(giant) * step <= half:
-        giant.append(times(giant[-1], baby[step]))
+        giant.append(_fixed_product(giant[-1], baby[step], wide))
     shift, cos, sin = 2 * wide - bits, [], []
     unit = 1 << (shift - 1)
     for gx, gy in giant:
@@ -129,6 +136,63 @@ def root_table(order: int, bits: int) -> tuple:
             cos.append((gx * bx - gy * by + unit) >> shift)
             sin.append((gx * by + gy * bx + unit) >> shift)
     return cos, sin
+
+
+def root_power_sum(coefficients: list, order: int, step: int, exponents: tuple, bits: int):
+    """Gaussian integers (re, im) over 2^bits for z = e^{2 pi i / order}, from one
+    ``mp.expjpi``: sum_k coefficients[k] z^(step k) first, then z^e for each e in
+    ``exponents``.  Each component is within 1 unit of 2^-bits.
+
+    Method.  z is taken at w bits, and every power of z is a chain of products
+    rounded to 2^-w (``_fixed_product``).  Binary powering squares z up to the top
+    bit of the order, and z^e (e mod order) and r = z^step multiply the squares of
+    their bits.  The baby steps r^a, a < m = isqrt(n) + 1 over n coefficients, take
+    one product each, and the giant step r^m one more.  Each block of m
+    coefficients meets the baby steps in two integer dot products, exact, and
+    Horner's rule runs over the blocks, one rounded product by the giant step each.
+
+    Bound.  In units of 2^-w: z is within 5, and a product adds its factors' errors
+    plus 2 (its rounding, and the product of the errors while both stay below
+    2^(w/2)), so a power z^e formed in at most e products is within 7e.  With
+    C = sum_k |coefficients[k]| and K = max(order, step n), the coefficient of
+    index k meets a product of powers within 7 step k < 7K in all, and the Horner
+    roundings add 2 per block, so the sum is within 7KC + 2n < 8K(C + 1).  The
+    guard g = (8K(C + 1)).bit_length() + 1 and w = max(bits, g) + g put every
+    value within half a unit of 2^-bits and every error below 2^(w/2); the one
+    rounding to 2^-bits adds the other half.  An order, step or bits below 1
+    raises ValueError.
+    """
+    if min(order, step, bits) < 1:
+        raise ValueError(f"root power sum ({order}, {step}, {bits}): each must be positive")
+    count = len(coefficients)
+    reach = max(order, step * count)
+    guard = (8 * reach * (sum(map(abs, coefficients)) + 1)).bit_length() + 1
+    wide = max(bits, guard) + guard
+    squares = [_unit_root(order, wide)]  # z^(2^j), 2^j < order
+    while 1 << len(squares) < order:
+        squares.append(_fixed_product(squares[-1], squares[-1], wide))
+
+    def power(e: int) -> tuple:  # 0 <= e < order: the squares of e's bits, multiplied
+        factors = [square for j, square in enumerate(squares) if e >> j & 1] or [(1 << wide, 0)]
+        return reduce(lambda x, y: _fixed_product(x, y, wide), factors)
+
+    ratio = power(step % order)
+    size = math.isqrt(count) + 1
+    baby = [(1 << wide, 0)]
+    while len(baby) < size:
+        baby.append(_fixed_product(baby[-1], ratio, wide))
+    giant = _fixed_product(baby[-1], ratio, wide)
+    cos, sin = [x for x, _ in baby], [y for _, y in baby]
+    real = imag = 0
+    for start in reversed(range(0, count, size)):
+        block = coefficients[start : start + size]
+        real, imag = _fixed_product((real, imag), giant, wide)
+        real += sum(map(operator.mul, block, cos))
+        imag += sum(map(operator.mul, block, sin))
+    values = [(real, imag)] + [power(e % order) for e in exponents]
+    shift = wide - bits
+    unit = 1 << (shift - 1)
+    return tuple(((x + unit) >> shift, (y + unit) >> shift) for x, y in values)
 
 
 @lru_cache(maxsize=None)

@@ -1,31 +1,43 @@
 """The quantum invariant: tau_N, its surgery-sum cross-check, and its asymptotics.
 
 The level-N invariant is computed through the paper's Theorem 5.1: the
-normalized tau_N equals half the Eichler-integral limit of the (1, 1, 1)
-false theta series at 1/N, plus e^{pi i/60N} for the Poincare sphere.  That
-finite sum has 4N terms whatever the triple.  The closed cyclotomic surgery
-sum, whose summand is even under n -> 2PN - n, runs over 0 < n < PN (PN - P
-terms, multiples of N excluded by index arithmetic) and is kept as
-``rozansky_normalized``, the independent route that the ``theorem51`` suite
-and the tests compare against; the asymptotics normalize the (1, 1, 1)
-nearly modular expansion the same way.  The Eichler limit is one T-phase
-times exact integer weights summed against a fixed-point table of N-th roots
-of unity (its rounding bound is in ``modularform.eichler_limit``), and
-``tau_prefactor`` is one sine and one phase; the surgery sum reads all its
-sines and phases off one table of 4PN-th roots of unity and sums in
-high-precision floating point.
-``WrtResult.error_budget`` is still term_count * ulp.
+normalized tau_N equals half the Eichler-integral limit of the (1, 1, 1) false
+theta series at 1/N, plus e^{pi i/60N} for the Poincare sphere.  That limit is
+one T-phase times one exact integer weight vector over the N-th roots of unity
+(``modularform._limit_weights``), so tau_N itself is an exact element of
+Z[zeta_N]: ``tau_coordinates`` turns the weights into the integers c_k with
+tau_N = sum_k c_k zeta_N^k by one shift, one exact division by 2PN and one
+prefix sum, each step's integrality checked.  ``tau_n`` evaluates the
+coordinates and its two normalizations in fixed point, every root a power of
+one exponential e^{pi i/2PN} (``exactmath.root_power_sum``), and bounds the
+result by the coordinates it sums.  The Eichler limit itself, ``tau_prefactor``
+(one sine and one phase) and ``rozansky_normalized``, the closed cyclotomic
+surgery sum, stay as independent routes that the ``theorem51`` suite and the
+tests compare against.  The surgery summand is even under n -> 2PN - n, so it
+runs over 0 < n < PN (PN - P terms, multiples of N excluded by index
+arithmetic) and reads every sine and phase off one table of 4PN-th roots of
+unity.  The asymptotics normalize the (1, 1, 1) nearly modular expansion as
+Theorem 5.1 does.  ``WrtResult.error_budget`` is still term_count * ulp.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat
 
 from mpmath import mp
 
-from .chi import BrieskornTriple, EllTriple, dedekind_triple_numerator
-from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, root_table
-from .modularform import AsymptoticApprox, eichler_limit, nearly_modular_expansion
+from .chi import BrieskornTriple, EllTriple, dedekind_triple_numerator, t_numerator
+from .exactmath import (
+    DEFAULT_CONTEXT,
+    PrecisionContext,
+    ensure_finite,
+    root_power_sum,
+    root_table,
+)
+from .modularform import AsymptoticApprox, _limit_weights, nearly_modular_expansion
 
 
 @dataclass(frozen=True)
@@ -60,7 +72,7 @@ def rozansky_normalized(
     * prod_j 2i sin(n pi/(N p_j)) / (2i sin(n pi/N)).
 
     This O(PN) sum is the cross-check route: ``tau_n`` computes the same
-    value through the 4N-term Eichler limit, and the ``theorem51`` suite
+    value from the exact coordinates of tau_N, and the ``theorem51`` suite
     and the tests compare the two.
     """
     if n_level < 2:
@@ -110,6 +122,56 @@ def tau_prefactor(p: BrieskornTriple, n_level: int, ctx: PrecisionContext = DEFA
         return ensure_finite(mp.mpc(0, 2 * sine) * mp.expjpi(mp.mpf(numerator) / two_pn))
 
 
+def tau_coordinates(p: BrieskornTriple, n_level: int) -> list:
+    """The integers c_0..c_{N-2} with tau_N = sum_k c_k zeta^k, zeta = e^{2 pi i/N}.
+
+    Identity.  By ``modularform.eichler_limit`` the (1, 1, 1) limit at 1/N is
+    e^{pi i t/2PN} V(zeta)/PN, V(x) = sum_e V[e] x^e the integer weights of
+    ``_limit_weights`` and t = ``chi.t_numerator``.  Theorem 5.1 makes
+    normalized = half of it (plus e^{pi i/60N} on Sigma(2,3,5)), and ``tau_prefactor``
+    is 2i sin(pi/N) e^{pi i (3P - 1 + T)/2PN} = (zeta - 1) e^{pi i (P - 1 + T)/2PN},
+    T = ``chi.dedekind_triple_numerator``.  So with t - P + 1 - T = 4Ps,
+
+        tau_N = f(zeta) / (zeta - 1),   f(x) = x^s V(x) / 2PN mod x^N - 1,
+
+    and on Sigma(2,3,5), where 1 - (P - 1 + T) = -4P, the Poincare term adds
+    zeta^-1 / (zeta - 1), that is x^{N-1} to f.  If f(1) = 0, then
+    g = -(prefix sums of f) solves (x - 1) g = f mod x^N - 1 with g_{N-1} = -f(1)
+    = 0, so tau_N = g(zeta) and c_k = g_k.  The x^{N-1} term moves only g_{N-1}.
+
+    Integrality.  f(1) = 0 is proved.  chi is odd of period 2P, so V(1), the sum
+    over the support j < PN of chi(j) (PN - j), is -(N/2) sum_r chi(r) r over its
+    eight residues r < 2P.  They are r = P + e_1 c_1 + e_2 c_2 + e_3 c_3 mod 2P,
+    e_k = +-1, with chi(r) = +-e_1 e_2 e_3, so the sum is 0 when sum_k 1/p_k < 1
+    (no r wraps) and 4P on Sigma(2,3,5) (two wrap): V(1)/2PN is 0, or -1.  That 4P
+    divides t - P + 1 - T (a Dedekind-sum congruence) and that 2PN divides every
+    V[e] (stronger than Habiro's tau_N in Z[zeta_N]) are checked, not proved.
+    Each failing invariant raises ArithmeticError; a level below 2, ValueError.
+    """
+    return _coordinates(p, n_level, dedekind_triple_numerator(p))
+
+
+def _coordinates(p: BrieskornTriple, n_level: int, big_t: int) -> list:
+    # tau_coordinates with T = dedekind_triple_numerator(p) given
+    if n_level < 2:
+        raise ValueError("level must be at least 2")
+    two_pn = 2 * p.P * n_level
+    t = t_numerator(p, EllTriple(1, 1, 1))
+    shift, rest = divmod(t - p.P + 1 - big_t, 4 * p.P)
+    if rest:
+        raise ArithmeticError(f"4P does not divide t - P + 1 - T on p={p.p}")
+    weights = _limit_weights(p, EllTriple(1, 1, 1), t, 1, n_level)
+    if any(map(operator.mod, weights, repeat(two_pn))):
+        raise ArithmeticError(f"2PN does not divide the limit weights of p={p.p}, N={n_level}")
+    cut = n_level - shift % n_level  # x^s V(x): f[k] = V[k - s mod N]
+    shifted = chain(islice(weights, cut, None), islice(weights, cut))
+    quotients = map(operator.floordiv, shifted, repeat(two_pn))
+    coordinates = list(map(operator.neg, accumulate(quotients)))
+    if coordinates.pop() != (1 if p.is_poincare else 0):  # g_{N-1} + 1 on Sigma(2,3,5)
+        raise ArithmeticError(f"f(1) is not 0 on p={p.p}, N={n_level}")
+    return coordinates
+
+
 def tau_n(
     p: BrieskornTriple,
     n_level: int,
@@ -117,28 +179,43 @@ def tau_n(
 ) -> WrtResult:
     """tau_N normalized to 1 on the three-sphere, plus the Witten quotient.
 
-    The normalized value comes from the Eichler limit (Theorem 5.1).
-    ``term_count`` is the 4N terms of that sum; the Poincare sphere's extra
-    exponential is not counted.  The Witten-invariant value divides by
-    sqrt(N/2)/sin(pi/N), the invariant of S^2 x S^1 at the same level
-    (path-integral level k = N - 2).
+    tau_N = sum_k c_k zeta^k over its exact coordinates (``tau_coordinates``).
+    normalized = tau_N 2i sin(pi/N) e^{pi i (3P - 1 + T)/2PN} (Theorem 5.1's
+    half Eichler limit, times ``tau_prefactor``), and the Witten-invariant value
+    z_witten = tau_N sin(pi/N) sqrt(2/N) divides by sqrt(N/2)/sin(pi/N), the
+    invariant of S^2 x S^1 at the same level (path-integral level k = N - 2).
+    Every root is a power of u = e^{pi i/2PN}: zeta = u^4P, e^{pi i/N} = u^2P
+    and the phase u^(3P - 1 + T), all from one ``exactmath.root_power_sum``,
+    so a call takes one exponential whatever N; sqrt(2/N) is ``math.isqrt``.
+
+    Bound.  With C = sum_k |c_k| >= |tau_N| and eps = 2^-mp.prec, the sum and
+    roots come at b = mp.prec + (C + 1).bit_length() + 3 bits, each part within
+    2^-b, and sqrt(2/N) within 2^-b too.  The three values are exact integer
+    products of at most three of them, within 5 (C + 1) 2^-b < eps, each rounded
+    once to mp.prec bits, so each is within (1 + |value|) eps of its exact value.
+    ``term_count`` is the 4N terms of the Eichler limit, the Poincare term not
+    counted, and ``error_budget`` is term_count * 4 eps.
     """
     if n_level < 3:
         raise ValueError("level must be at least 3")
+    big_t = dedekind_triple_numerator(p)
+    coordinates = _coordinates(p, n_level, big_t)
+    order = 4 * p.P * n_level
+    phase = 3 * p.P - 1 + big_t
     with ctx.workdps():
-        limit = eichler_limit(p, EllTriple(1, 1, 1), 1, n_level, ctx)
-        normalized = _theorem51_normalized(p, limit, n_level)
-        tau = normalized / tau_prefactor(p, n_level, ctx)
-        z = tau * mp.sinpi(mp.mpf(1) / n_level) / mp.sqrt(mp.mpf(n_level) / 2)
+        bits = mp.prec + (sum(map(abs, coordinates)) + 1).bit_length() + 3
+        roots = (2 * p.P, phase)
+        (x, y), (_, sine), (wx, wy) = root_power_sum(coordinates, order, 4 * p.P, roots, bits)
+        root = math.isqrt((2 << 2 * bits) // n_level)  # sqrt(2/N) over 2^bits
+        a, b = x * wx - y * wy, x * wy + y * wx  # tau_N e^{pi i (3P - 1 + T)/2PN}
         term_count = 4 * n_level
-        budget = mp.mpf(term_count) * mp.mpf(2) ** (-mp.prec + 2)
         return WrtResult(
             level=n_level,
-            normalized=normalized,
-            tau=ensure_finite(+tau),
-            z_witten=ensure_finite(+z),
+            normalized=mp.mpc((-2 * sine * b, -3 * bits), (2 * sine * a, -3 * bits)),
+            tau=mp.mpc((x, -bits), (y, -bits)),
+            z_witten=mp.mpc((x * sine * root, -3 * bits), (y * sine * root, -3 * bits)),
             term_count=term_count,
-            error_budget=+budget,
+            error_budget=mp.mpf(term_count) * mp.mpf(2) ** (-mp.prec + 2),
         )
 
 

@@ -6,7 +6,10 @@ import io
 import json
 import os
 import re
+import shlex
 import stat
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 from itertools import chain
@@ -788,6 +791,39 @@ def test_out_checks_the_directory_behind_a_symlink(monkeypatch, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.err == f"error: cannot write --out {link}: No such file or directory\n"
     assert [path.name for path in tmp_path.iterdir()] == ["link.json"]
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _run_python(args, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run(args, env=env, capture_output=True, text=True, timeout=120, **kwargs)
+
+
+def test_out_at_dev_stdout_keeps_the_later_output(tmp_path):
+    # --out naming the redirected stdout writes through it, not a new file over it
+    report = tmp_path / "f"
+    bwrt = f"{shlex.quote(sys.executable)} -m brieskorn_wrt.cli"
+    script = f"{{ {bwrt} cs --p 2,3,7 --format csv --out /dev/stdout; echo after; }} > f"
+    proc = _run_python(["sh", "-c", script], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    cmd = parse(["cs", "--p", "2,3,7", "--format", "csv"])
+    assert report.read_text() == render(cmd, execute(cmd)[0]) + "after\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["f"]
+
+
+def test_plain_argv_never_imports_argparse():
+    script = (
+        "import sys\n"
+        "from brieskorn_wrt import cli\n"
+        "assert cli.main(['cs', '--p', '2,3,7', '--format', 'csv']) == 0\n"
+        "print('argparse' in sys.modules, 'gettext' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = _run_python([sys.executable, "-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False False\n"
 
 
 def test_out_file_written(tmp_path):

@@ -22,7 +22,7 @@ from brieskorn_wrt import (
     rozansky_normalized,
     torsion_sqrt,
 )
-from brieskorn_wrt.exactmath import root_table
+from brieskorn_wrt.exactmath import root_power_sum, root_table
 from oracles import (
     UnimodularMatrix,
     bernoulli_polynomial,
@@ -358,6 +358,68 @@ def test_root_table_matches_cospi_sinpi_on_seeded_samples(order):
     sample = random.Random(order).sample(range(half), 200)
     entries = sorted({0, 1, order // 4, half - 1, half, *sample})
     _assert_root_table_within_bound(order, 100, entries)
+
+
+def _assert_root_power_sum_within_bound(coefficients, order, step, exponents, bits) -> None:
+    # the docstring bound: each component within 1 unit of 2^-bits, against
+    # one cospi and one sinpi per term at bits + 64 bits and beyond the sum's size
+    values = root_power_sum(coefficients, order, step, exponents, bits)
+    assert len(values) == 1 + len(exponents)
+    size = sum(map(abs, coefficients)) + 1
+    with mp.workprec(bits + 64 + size.bit_length()):
+        total = mp.mpc(0)
+        for k, c in enumerate(coefficients):
+            total += c * mp.expjpi(mp.mpf(2 * (step * k % order)) / order)
+        exact = [total] + [mp.expjpi(mp.mpf(2 * (e % order)) / order) for e in exponents]
+        for (x, y), z in zip(values, exact):
+            assert isinstance(x, int) and isinstance(y, int)
+            assert abs(x - mp.ldexp(z.real, bits)) <= 1, (order, step, bits, x, z)
+            assert abs(y - mp.ldexp(z.imag, bits)) <= 1, (order, step, bits, y, z)
+
+
+@pytest.mark.parametrize(
+    "order, step",
+    [(1, 1), (2, 1), (7, 3), (12, 4), (100, 4), (4 * 30 * 139, 120), (4099, 1), (5, 9)],
+)
+@pytest.mark.parametrize("bits", (1, 64, 226))
+def test_root_power_sum_within_bound(order, step, bits):
+    rng = random.Random(order * 1000 + step + bits)
+    exponents = (0, 1, order - 1, -1, 2 * order + 3, rng.randrange(order))
+    for count in (0, 1, 2, 3, 50, 1000):
+        coefficients = [rng.randint(-400, 400) for _ in range(count)]
+        _assert_root_power_sum_within_bound(coefficients, order, step, exponents, bits)
+
+
+def test_root_power_sum_with_large_and_cancelling_coefficients():
+    # big coefficients widen the guard; an exact cancellation still lands within a unit
+    rng = random.Random(7)
+    big = [rng.randint(-(10**30), 10**30) for _ in range(300)]
+    _assert_root_power_sum_within_bound(big, 4 * 42 * 101, 168, (2 * 42,), 100)
+    # 1 + zeta + ... + zeta^(n-1) = 0 for zeta = e^{2 pi i/n}, n > 1
+    assert root_power_sum([1] * 101, 4 * 101, 4, (), 80)[0] in {
+        (x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)
+    }
+
+
+def test_root_power_sum_takes_one_exponential(monkeypatch):
+    calls = []
+    real = mp.expjpi
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "expjpi", counted)
+    for count in (10, 10000):
+        calls.clear()
+        root_power_sum([1, -2, 3] * count, 4 * 7 * count, 28, (5, 6, 7), 200)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("order, step, bits", [(0, 1, 10), (5, 0, 10), (5, 1, 0), (-3, 1, 10)])
+def test_root_power_sum_rejects_non_positive_arguments(order, step, bits):
+    with pytest.raises(ValueError):
+        root_power_sum([1, 2], order, step, (), bits)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,17 +12,24 @@ from brieskorn_wrt import (
     admissible_triples,
     asymptotic_approx,
     build_chi,
+    casson,
     eichler_limit,
     eichler_tail,
+    lambda_coefficients,
     modular_data,
     phi_invariant,
     rozansky_normalized,
     t_exponent,
+    tau_coordinates,
     tau_n,
     tau_prefactor,
 )
+from brieskorn_wrt.chi import dedekind_triple_numerator, t_numerator
 from brieskorn_wrt.exactmath import PrecisionContext, to_mpf
+from brieskorn_wrt.modularform import _limit_weights
+from conftest import coprime_triples
 from oracles import chi_value, eichler_tail_term, gauss_sum
+from test_modularform import _count_exponentials
 
 P235 = BrieskornTriple(2, 3, 5)
 P237 = BrieskornTriple(2, 3, 7)
@@ -256,6 +265,146 @@ def test_witten_large_level_tracks_flat_connection_sum(ctx50):
         terms = (eichler_tail_term(P237, tail, n_level, k, ctx50) for k in range(5))
         tail_mag = abs(sum(terms)) / 2
         assert abs(result.z_witten - dominant) < 2 * tail_mag * tail_scale
+
+
+# ------------------------------------------------- exact coordinates in Z[zeta_N]
+
+LEVEL_MANIFOLDS = ((2, 3, 5), (2, 3, 7), (3, 4, 5), (2, 3, 11), (2, 5, 7), (2, 3, 13))
+
+
+def test_rotation_identity_on_every_triple_up_to_p_20000():
+    # 4P divides t - P + 1 - T, so the T-phase over tau_prefactor is a power of zeta_N
+    one = EllTriple(1, 1, 1)
+    triples = [BrieskornTriple(*ps) for ps in coprime_triples(20000)]
+    assert len(triples) == 24208
+    bad = [
+        p.p
+        for p in triples
+        if (t_numerator(p, one) - p.P + 1 - dedekind_triple_numerator(p)) % (4 * p.P)
+    ]
+    assert not bad, bad
+
+
+def test_limit_weights_are_multiples_of_2pn():
+    # 2PN divides every weight, and the weights over 2PN sum to 0, or to -1 on
+    # Sigma(2,3,5), where the Poincare term makes up the difference
+    rng = random.Random(20261018)
+    triples = [ps for ps in coprime_triples(3000) if ps[0] >= 3]
+    thin = [(2, 3, q) for q in range(7, 20000, 2) if q % 3]
+    sample = [*LEVEL_MANIFOLDS, (5, 7, 9), *rng.sample(triples, 200), *rng.sample(thin, 187)]
+    cases = 0
+    for ps in sample:
+        p = BrieskornTriple(*ps)
+        t = t_numerator(p, EllTriple(1, 1, 1))
+        for n in (*range(1, 10), 11, 12, 30, 64, 97, 210):
+            weights = _limit_weights(p, EllTriple(1, 1, 1), t, 1, n)
+            two_pn = 2 * p.P * n
+            assert all(w % two_pn == 0 for w in weights), (ps, n)
+            assert sum(weights) == (-two_pn if p.is_poincare else 0), (ps, n)
+            cases += 1
+    assert cases == 5910
+
+
+@pytest.mark.parametrize("ps", LEVEL_MANIFOLDS)
+def test_tau_is_the_sum_of_its_coordinates(ps, ctx50):
+    # sum_k c_k zeta^k, term by term, against tau_n and the surgery sum
+    p = BrieskornTriple(*ps)
+    for n_level in (3, 4, 7, 12, 30):
+        coordinates = tau_coordinates(p, n_level)
+        assert len(coordinates) == n_level - 1
+        assert all(isinstance(c, int) for c in coordinates)
+        result = tau_n(p, n_level, ctx50)
+        with ctx50.workdps():
+            zeta = mp.expjpi(mp.mpf(2) / n_level)
+            value = sum((c * zeta**k for k, c in enumerate(coordinates)), mp.mpc(0))
+            assert abs(value - result.tau) < ctx50.tolerance
+            surgery = rozansky_normalized(p, n_level, ctx50) / tau_prefactor(p, n_level, ctx50)
+            assert abs(value - surgery) < ctx50.tolerance
+
+
+def test_tau_coordinates_at_the_least_levels():
+    for ps in LEVEL_MANIFOLDS:
+        assert tau_coordinates(BrieskornTriple(*ps), 2) == [1]  # tau_2 = 1
+        with pytest.raises(ValueError):
+            tau_coordinates(BrieskornTriple(*ps), 1)
+
+
+def test_tau_coordinates_raise_on_each_broken_invariant(monkeypatch):
+    # the checks are exceptions: a wrong T, a weight off by one, a sum off by 2PN
+    with monkeypatch.context() as patch:
+        patch.setattr(wrt, "dedekind_triple_numerator", lambda p: dedekind_triple_numerator(p) + 1)
+        with pytest.raises(ArithmeticError, match="4P"):
+            tau_coordinates(P237, 11)
+
+    def shifted(amount):
+        def weights(p, ell, t, m, n):
+            values = _limit_weights(p, ell, t, m, n)
+            values[1] += amount(p, n)
+            return values
+
+        return weights
+
+    monkeypatch.setattr(wrt, "_limit_weights", shifted(lambda p, n: 1))
+    with pytest.raises(ArithmeticError, match="2PN"):
+        tau_coordinates(P237, 11)
+    monkeypatch.setattr(wrt, "_limit_weights", shifted(lambda p, n: 2 * p.P * n))
+    for p in (P235, P237):
+        with pytest.raises(ArithmeticError, match="f\\(1\\)"):
+            tau_coordinates(p, 11)
+
+
+@pytest.mark.parametrize("ps", [(2, 3, 5), (2, 3, 7), (2, 5, 7), (3, 4, 5), (5, 7, 9)])
+def test_coordinates_meet_the_ohtsuki_series_mod_n(ps):
+    # for prime N, Z[zeta]/(N) = (Z/N)[u]/(u^(N-1)) with zeta = 1 + u, and tau_N is
+    # sum_j lambda_j u^j there: sum_k c_k C(k, j) = lambda_j (mod N) for every j <= N - 2
+    p = BrieskornTriple(*ps)
+    for n_level in (11, 13, 17, 23, 29, 31):
+        coordinates = tau_coordinates(p, n_level)
+        series = lambda_coefficients(p, n_level - 2)
+        assert series.all_integer
+        for j, lam in enumerate(series.lambdas):
+            total = sum(c * math.comb(k, j) for k, c in enumerate(coordinates))
+            assert (total - lam) % n_level == 0, (ps, n_level, j)
+        assert (series.lambdas[1] - 6 * casson(p)) % n_level == 0, (ps, n_level)
+
+
+def test_tau_n_takes_one_exponential(monkeypatch, ctx50):
+    # every root is a power of e^{pi i/2PN}; sqrt(2/N) is an integer square root
+    calls = _count_exponentials(monkeypatch)
+    for ps in ((2, 3, 5), (2, 3, 7)):
+        for n_level in (3, 5, 1000, 20000):
+            calls.clear()
+            tau_n(BrieskornTriple(*ps), n_level, ctx50)
+            assert calls == ["expjpi"], (ps, n_level, calls)
+
+
+def _reference(p, n_level, ctx):
+    # the Eichler-limit route of Theorem 5.1, as tau_n took it before the coordinates
+    with ctx.workdps():
+        limit = eichler_limit(p, EllTriple(1, 1, 1), 1, n_level, ctx)
+        normalized = wrt._theorem51_normalized(p, limit, n_level)
+        tau = normalized / tau_prefactor(p, n_level, ctx)
+        z = tau * mp.sinpi(mp.mpf(1) / n_level) * mp.sqrt(mp.mpf(2) / n_level)
+        return {"normalized": normalized, "tau": tau, "z_witten": z}
+
+
+@pytest.mark.parametrize("ps", LEVEL_MANIFOLDS)
+@pytest.mark.parametrize("digits", (30, 50))
+def test_tau_n_within_stated_bound(ps, digits):
+    # each value within (1 + |value|) 2^-prec of a reference 30 digits higher
+    p = BrieskornTriple(*ps)
+    ctx = PrecisionContext(digits)
+    for n_level in (*range(3, 13), 100, 139, 1009, 10**5):
+        if digits == 50 and n_level == 10**5:
+            continue
+        result = tau_n(p, n_level, ctx)
+        reference = _reference(p, n_level, PrecisionContext(digits + 30))
+        with ctx.workdps():
+            u = mp.mpf(2) ** -mp.prec
+        with mp.workdps(digits + 45):
+            for name, exact in reference.items():
+                error = abs(getattr(result, name) - exact)
+                assert error <= (1 + abs(exact)) * u * (1 + mp.mpf(2) ** -20), (ps, n_level, name)
 
 
 # ------------------------------------------------------------------ asymptotics
