@@ -284,29 +284,49 @@ def mordell_count(p: BrieskornTriple) -> int:
     return count
 
 
+def _l_value_ratios(chi: PeriodicChi, ks) -> list:
+    """(numerator, denominator) with L(-2k, chi) = numerator / denominator, for each k in ks.
+
+    From the integer power moments M_j = sum_r chi(r) r^j of the eight-point
+    support.  With n = 2k + 1 and Q = 2P, expanding
+    B_n(x) = sum_i C(n, i) B_i x^(n-i) at x = r/Q gives
+    L(-2k, chi) = -(M_n/Q + sum_{i>=1} C(n, i) B_i Q^(i-1) M_(n-i)) / n,
+    and since B_i vanishes at odd i > 1 only i = 1 (B_1 = -1/2) and even i
+    contribute.  Over the common denominator E of the even B_i, i < 2 max(ks),
+    with B_i = beta_i / E, the bracket times 2QE is the integer
+    S_k = E (2 M_n - n Q M_(n-1)) + sum_i C(n, i) 2 beta_i Q^i M_(n-i),
+    so L(-2k, chi) = -S_k / 2QEn.  The moments up to 2 max(ks) + 1 and the
+    weights 2 beta_i Q^i are formed once for every k.
+    """
+    top = 2 * max(ks) + 1
+    two_p = chi.modulus
+    moments = [0] * (top + 1)
+    for r, sign in chi.signed_support:
+        power = sign
+        for j in range(top + 1):
+            moments[j] += power
+            power *= r
+    evens = [bernoulli_number(i) for i in range(2, top, 2)]
+    common = math.lcm(*(b.denominator for b in evens))
+    weights = [
+        2 * b.numerator * (common // b.denominator) * two_p ** (2 * half)
+        for half, b in enumerate(evens, 1)
+    ]
+    ratios = []
+    for k in ks:
+        n = 2 * k + 1
+        total = common * (2 * moments[n] - n * two_p * moments[n - 1])
+        for half, weight in enumerate(weights[:k], 1):  # i = 2 half < n
+            total += math.comb(n, 2 * half) * weight * moments[n - 2 * half]
+        ratios.append((-total, 2 * two_p * common * n))
+    return ratios
+
+
 def l_function_value(chi: PeriodicChi, k: int) -> Rational:
     """L(-2k, chi) = -(2P)^(2k)/(2k+1) * sum_j chi(j) B_{2k+1}(j / 2P), exact.
 
-    Evaluated from the integer power moments M_j = sum_r chi(r) r^j of the
-    eight-point support.  With n = 2k + 1 and Q = 2P, expanding
-    B_n(x) = sum_i C(n, i) B_i x^(n-i) at x = r/Q gives
-    L(-2k, chi) = -(M_n/Q + sum_{i>=1} C(n, i) B_i Q^(i-1) M_(n-i)) / n,
-    and since B_i vanishes at odd i > 1 only i = 1 and even i contribute.
+    One ``Fraction`` over the integers of ``_l_value_ratios``.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    n = 2 * k + 1
-    two_p = chi.modulus
-    moments = [0] * (n + 1)
-    for r, sign in chi.signed_support:
-        power = sign
-        for j in range(n + 1):
-            moments[j] += power
-            power *= r
-    # i = 0 and i = 1 (B_1 = -1/2), then the even i
-    total = Fraction(moments[n], two_p) - Fraction(n * moments[n - 1], 2)
-    scale = two_p
-    for i in range(2, n, 2):
-        total += math.comb(n, i) * scale * moments[n - i] * bernoulli_number(i)
-        scale *= two_p * two_p
-    return -total / n
+    return Fraction(*_l_value_ratios(chi, (k,))[0])

@@ -1,17 +1,11 @@
 """Command-line surface: compute, verify and export with explicit precision.
 
-Verbs: invariant, ohtsuki, cs, flat, asymptotic, verify, table.  Output is
-JSON (default), CSV or text, written to stdout or --out.  Exit codes:
-0 success, 1 verification failure (including a suite that ran no checks),
-2 usage error (among them --N above 10^6, --precision above 10^4, --order
-or --K above 100, --pmax outside 30..10^5, --nmax outside 3..50, a --p with
-more than 10^6 canonical triples on cs, flat or asymptotic, and an --out
-that cannot be written, found before any work).
-Verb runners return library values, and one encoder serializes results and
-failures: rationals as {"num", "den"} strings and complex values as
-{"re", "im"} decimal strings, so arbitrarily large results survive any JSON
-consumer.  Each verify suite yields one (failure, passed) pair per check to
-one loop, which counts the checks and keeps the failures.
+``DESCRIPTION``, the text of ``bwrt --help``, lists the verbs, the formats
+and the exit codes.  Verb runners return library values, and one encoder
+serializes results and failures: rationals as {"num", "den"} strings and
+complex values as {"re", "im"} decimal strings, so arbitrarily large results
+survive any JSON consumer.  Each verify suite yields one (failure, passed)
+pair per check to one loop, which counts the checks and keeps the failures.
 """
 
 from __future__ import annotations
@@ -45,6 +39,15 @@ from .modularform import modular_data, t_exponent, theta_eval
 from .ohtsuki import lambda_coefficients, load_table1
 from .topology import casson, chern_simons, flat_connections, verify_s_torsion
 from .wrt import asymptotic_approx, rozansky_normalized, tau_n
+
+DESCRIPTION = """Compute, verify and export with explicit precision.
+Verbs: invariant, ohtsuki, cs, flat, asymptotic, verify, table.  Output is
+JSON (default), CSV or text, written to stdout or --out.  Exit codes:
+0 success, 1 verification failure (including a suite that ran no checks),
+2 usage error (among them --N above 10^6, --precision above 10^4, --order
+or --K above 100, --pmax outside 30..10^5, --nmax outside 3..50, a --p with
+more than 10^6 canonical triples on cs, flat or asymptotic, and an --out
+that cannot be written, found before any work)."""
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -200,7 +203,7 @@ def _build_parser():
         def error(self, message):  # keep errors as exceptions so parse() is testable
             raise _UsageError(message)
 
-    parser = _Parser(prog="bwrt", description=__doc__)
+    parser = _Parser(prog="bwrt", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="verb", metavar="|".join(VERBS))
     for verb, spec in _VERBS.items():
         sp = sub.add_parser(verb, help=spec.help)
@@ -573,18 +576,24 @@ def _replaceable(status: os.stat_result | None) -> bool:
     return status is None or stat.S_ISREG(status.st_mode) and status.st_nlink == 1
 
 
-def _names_stdout(path: str) -> bool:
-    """Whether --out is the file already open as stdout, as /dev/stdout is.
+def _open_stream(path: str):
+    """The standard stream already open on the file --out names, as /dev/stdout or
+    /dev/stderr is, or None.
 
-    A rename over it would cut it off from the shell's later output, so the
-    report goes through sys.stdout instead.
+    A rename over that file would cut it off from the shell's later output, so
+    the report goes through the stream instead.
     """
     status = _existing(path)
-    try:
-        out = os.fstat(sys.stdout.fileno())
-    except (AttributeError, OSError, ValueError):  # stdout with no file behind it
-        return False
-    return status is not None and (status.st_dev, status.st_ino) == (out.st_dev, out.st_ino)
+    if status is None:
+        return None
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            opened = os.fstat(stream.fileno())
+        except (AttributeError, OSError, ValueError):  # a stream with no file behind it
+            continue
+        if (status.st_dev, status.st_ino) == (opened.st_dev, opened.st_ino):
+            return stream
+    return None
 
 
 def _out_error(path: str) -> str | None:
@@ -629,20 +638,20 @@ def _write_out(path: str, text: str) -> None:
 
 def main(argv: list | None = None) -> int:
     cmd = parse(sys.argv[1:] if argv is None else argv)
-    to_file = cmd.out is not None and not _names_stdout(cmd.out)
-    if to_file and (reason := _out_error(cmd.out)):
+    stream = sys.stdout if cmd.out is None else _open_stream(cmd.out)
+    if stream is None and (reason := _out_error(cmd.out)):
         print(f"error: cannot write --out {cmd.out}: {reason}", file=sys.stderr)
         return EXIT_USAGE
     report, exit_code = execute(cmd)
     text = render(cmd, report)
-    if to_file:
+    if stream is None:
         try:
             _write_out(cmd.out, text)
         except OSError as exc:
             print(f"error: cannot write --out {cmd.out}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        sys.stdout.write(text)
+        stream.write(text)
     return exit_code
 
 

@@ -64,6 +64,20 @@ def to_mpf(x):
     return mp.mpf(x)
 
 
+def rounded_ratio(numerator: int, denominator: int, exponent: int = 0):
+    """numerator / denominator * 2^exponent as an mpf, correctly rounded once to mp.prec bits.
+
+    The quotient is carried to at least mp.prec + 2 bits, then one sticky bit,
+    set when the division leaves a remainder, stands for the rest: no rounding
+    boundary at mp.prec bits falls between the sticky value and the exact
+    quotient.  The denominator must be positive.
+    """
+    sign, magnitude = (-1, -numerator) if numerator < 0 else (1, numerator)
+    extra = max(0, mp.prec + 3 - magnitude.bit_length() + denominator.bit_length())
+    quotient, remainder = divmod(magnitude << extra, denominator)
+    return mp.mpf((sign * (2 * quotient + (remainder > 0)), exponent - extra - 1))
+
+
 def ensure_finite(z):
     """Return a numeric result with finite components; raise ArithmeticError otherwise."""
     if not mp.isfinite(z):

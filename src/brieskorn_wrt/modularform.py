@@ -17,8 +17,13 @@ exponentials and its rounding is bounded by the weights it sums.
 split; ``wrt.asymptotic_approx`` normalizes its (1, 1, 1) row.  Its dominant
 part reads only the gamma admissible columns, run by run of
 ``chi._admissible_runs``, through sines and phases off those same rows,
-summed as Gaussian integers and rounded once, so a warm call builds no
-table but the limit's.
+summed as Gaussian integers and scaled by the exact 8 sqrt(n/P)(1 - i)(-i)^q
+with one integer square root.  Its tail is summed exactly by Horner's rule
+from the exact coefficients in the integer int(pi 2^w).  Each is rounded once
+(``exactmath.rounded_ratio``) within a bound derived from what it sums, so a
+warm call takes the limit's two exponentials and builds no table but the
+limit's.  ``eichler_tail`` takes every L-value from one pass of
+``chi._l_value_ratios`` and builds one ``Fraction`` per coefficient.
 """
 
 from __future__ import annotations
@@ -36,13 +41,19 @@ from .chi import (
     BrieskornTriple,
     EllTriple,
     _admissible_runs,
+    _l_value_ratios,
     build_chi,
     canonicalize,
     enumerate_triples,
-    l_function_value,
     t_numerator,
 )
-from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, root_table, to_mpf
+from .exactmath import (
+    DEFAULT_CONTEXT,
+    PrecisionContext,
+    ensure_finite,
+    root_table,
+    rounded_ratio,
+)
 
 
 def t_exponent(p: BrieskornTriple, ell: EllTriple) -> Fraction:
@@ -277,12 +288,14 @@ def eichler_tail(p: BrieskornTriple, ell: EllTriple, order: int) -> tuple:
 
     The tail of the nearly modular expansion at 1/n is sum_k c_k (pi i / 2Pn)^k.
     The series is asymptotic, not convergent: the order is the caller's
-    truncation.
+    truncation.  Every L-value comes from one pass of ``chi._l_value_ratios``,
+    and each c_k is one ``Fraction``.
     """
     if order < 0:
         raise ValueError("tail order must be non-negative")
-    chi = build_chi(p, ell)
-    return tuple(l_function_value(chi, k) / math.factorial(k) for k in range(order + 1))
+    ratios = _l_value_ratios(build_chi(p, ell), range(order + 1))
+    factorials = accumulate(range(1, order + 1), operator.mul, initial=1)
+    return tuple(Fraction(num, den * f) for (num, den), f in zip(ratios, factorials))
 
 
 @dataclass(frozen=True)
@@ -309,8 +322,8 @@ def _fibre_row(md: ModularData, k: int, lk: int, n: int, flip: int, lo: int, hi:
     return re, im
 
 
-def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
-    """(value, q): sum_l' S[ell][l'] e^{-pi i r(l') n} = i^-q value.
+def _dominant_integers(md: ModularData, ell: EllTriple, n: int) -> tuple:
+    """(real, imag, q): the Gaussian integer over 2^(6 bits) under ``_dominant_sum``.
 
     The sum runs over the admissible columns l' only.  With A = P + sum l'_k c_k,
 
@@ -329,18 +342,12 @@ def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
     alternating, and two products.  The third table spans the least first
     to the greatest last l'_3 of the runs.
 
-    Integers.  A table entry is the Gaussian integer (sine cos, sine sin)
-    of entries of the S entries' own rows ``md.rows``, so a call builds no
-    root table.  Prefix sums and each run's product of three entries are
-    exact, and the total, over 2^(6 bits), is rounded once to the working
-    precision and multiplied by ``md.scale`` = sqrt(32/P).
-
-    Bound.  Each row entry is within 2 units of 2^-bits, so a table entry,
-    of modulus at most 1, is within 5 units and a column within 16 units of
-    2^-bits; the exact sum over the gamma columns is within 16 gamma 2^-bits.
-    The rounding, ``scale`` and the product add 4 gamma u, u = 2^-mp.prec, and
-    2^-bits < u / 4p_3, so value is within 5 gamma sqrt(32/P) u of its exact
-    value.
+    A table entry is the Gaussian integer (sine cos, sine sin) of entries of
+    the S entries' own rows ``md.rows``, so a call builds no root table.
+    Prefix sums and each run's product of three entries are exact.  Each row
+    entry is within 2 units of 2^-bits, so a table entry, of modulus at most
+    1, is within 5 units and a column within 16 units of 2^-bits: the
+    integer over 2^(6 bits) is within 16 gamma 2^-bits of the exact sum.
     """
     p = md.triple
     l = canonicalize(p, ell)
@@ -369,8 +376,83 @@ def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
             real, imag = real - x, imag - y
         else:
             real, imag = real + x, imag + y
+    return real, imag, (n * p.P + 2 * constant) % 4
+
+
+def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
+    """(value, q): sum_l' S[ell][l'] e^{-pi i r(l') n} = i^-q value.
+
+    value is the Gaussian integer of ``_dominant_integers``, over 2^(6 bits),
+    rounded once to the working precision and multiplied by ``md.scale`` =
+    sqrt(32/P).
+
+    Bound.  The integer is within 16 gamma 2^-bits of the exact sum.  The
+    rounding, ``scale`` and the product add 4 gamma u, u = 2^-mp.prec, and
+    2^-bits < u / 4p_3, so value is within 5 gamma sqrt(32/P) u of its exact
+    value.
+    """
+    real, imag, quarter = _dominant_integers(md, ell, n)
     total = mp.mpc((real, -6 * md.bits), (imag, -6 * md.bits))
-    return total * md.scale, (n * p.P + 2 * constant) % 4
+    return total * md.scale, quarter
+
+
+def _dominant(md: ModularData, ell: EllTriple, n: int):
+    """-sqrt(n/i) times -2 times the dominant sum, each component rounded once.
+
+    With sqrt(32/P) = 4 sqrt(2/P), e^{-pi i/4} = (1 - i)/sqrt(2) and
+    i^-q = (-i)^q, that is 8 sqrt(nP)/P (1 - i) (-i)^q G / 2^(6 bits) for the
+    Gaussian integer G of ``_dominant_integers``.  (1 - i)(-i)^q G is exact,
+    sqrt(nP) is R / 2^w, R = isqrt(nP 4^w), w = mp.prec + 4, and each
+    component is one ``exactmath.rounded_ratio`` of integers.
+
+    Bound.  G is within 16 gamma 2^-bits of its exact value, |1 - i| = sqrt(2)
+    and 2^-bits < u / 4p_3, u = 2^-mp.prec, so G adds 32 sqrt(2) gamma
+    sqrt(n/P) u / p_3; R, below sqrt(nP) 2^w by less than one unit, adds
+    |dominant| u / 16; the roundings add |dominant| u.  The result is within
+    (46 gamma sqrt(n/P) / p_3 + 2 |dominant|) u of the exact dominant part.
+    Called inside the caller's workdps().
+    """
+    real, imag, quarter = _dominant_integers(md, ell, n)
+    for _ in range(quarter):  # times -i
+        real, imag = imag, -real
+    wide, big_p = mp.prec + 4, md.triple.P
+    scale = 8 * math.isqrt(n * big_p << 2 * wide)
+    shift = -6 * md.bits - wide
+    return mp.mpc(
+        rounded_ratio(scale * (real + imag), big_p, shift),
+        rounded_ratio(scale * (imag - real), big_p, shift),
+    )
+
+
+def _tail(coefficients: tuple, two_pn: int):
+    """sum_k c_k (pi i / two_pn)^k over the exact c_k, each component rounded once.
+
+    With the c_k over their common denominator E as integers a_k, Pi =
+    int(pi 2^w) and M = two_pn 2^w, the sum is H / (E M^K), K the order, for
+    the Gaussian integer H = sum_k a_k (i Pi)^k M^(K-k), which Horner's rule
+    forms exactly.  Each component is one ``exactmath.rounded_ratio``.
+
+    Bound.  Pi is within 2 units of pi 2^w, so Pi^k / 2^(wk) is within
+    k 2^-w pi^k, and w = mp.prec + K.bit_length() puts every term within
+    u = 2^-mp.prec times its magnitude |c_k| (pi / two_pn)^k.  So each component,
+    the real one of even k and the imaginary one of odd k, is within 3 u
+    times the sum of its terms' magnitudes, however large the c_k.  Called
+    inside the caller's workdps().
+    """
+    order = len(coefficients) - 1
+    wide = mp.prec + order.bit_length()
+    with mp.workprec(wide + 2):
+        pi = int(mp.ldexp(mp.pi, wide))
+    common = math.lcm(*(c.denominator for c in coefficients))
+    scale = two_pn << wide
+    real = imag = 0
+    weight = 1  # M^(K-k)
+    for c in reversed(coefficients):
+        real, imag = c.numerator * (common // c.denominator) * weight - imag * pi, real * pi
+        weight *= scale
+    # H / (E M^K) = H / (E two_pn^K) 2^(-wK)
+    denominator, shift = common * two_pn**order, -wide * order
+    return mp.mpc(rounded_ratio(real, denominator, shift), rounded_ratio(imag, denominator, shift))
 
 
 def nearly_modular_expansion(
@@ -386,24 +468,22 @@ def nearly_modular_expansion(
     that limit being -2 e^{-pi i r(l') n} on the admissible columns and 0
     elsewhere; exact is ``eichler_limit`` at 1/n.  The sum reads only those
     gamma columns, one admissible run at a time, through per-fibre tables of
-    sines times phases off the rows of ``modular_data`` (see ``_dominant_sum``).
-    tail sums the ``eichler_tail`` coefficients c_k (pi i / 2Pn)^k, k <= k_max.
+    sines times phases off the rows of ``modular_data`` (``_dominant_integers``),
+    and its scaling is exact but for one integer square root (``_dominant``).
+    tail sums the ``eichler_tail`` coefficients c_k (pi i / 2Pn)^k, k <= k_max,
+    exactly in the integer Pi = int(pi 2^w) (``_tail``).  Each is rounded once,
+    within its stated bound, so the call takes the two exponentials of
+    ``eichler_limit`` and no other.
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     if n < 1:
         raise ValueError("n must be positive")
     md = modular_data(p, ctx)
+    coefficients = eichler_tail(p, ell, k_max)
     with ctx.workdps():
-        total, quarter = _dominant_sum(md, ell, n)
-        # -sqrt(n/i) i^-q times the amplitude -2
-        dominant = 2 * mp.sqrt(mp.mpf(n)) * mp.expjpi(mp.mpf(-1 - 2 * quarter) / 4) * total
-        scale = mp.mpc(0, 1) * mp.pi / (2 * p.P * n)
-        tail, power = mp.mpc(0), mp.mpc(1)
-        for c in eichler_tail(p, ell, k_max):
-            tail += to_mpf(c) * power
-            power *= scale
-        tail = ensure_finite(+tail)
+        dominant = ensure_finite(_dominant(md, ell, n))
+        tail = ensure_finite(_tail(coefficients, 2 * p.P * n))
         exact = eichler_limit(p, ell, 1, n, ctx)
         abs_error = ensure_finite(abs(exact - dominant - tail))
-        return AsymptoticApprox(ensure_finite(+dominant), tail, exact, abs_error)
+        return AsymptoticApprox(dominant, tail, exact, abs_error)

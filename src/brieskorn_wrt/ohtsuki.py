@@ -3,19 +3,23 @@
 The trivial-connection series tau_infinity, expanded in powers of (q - 1),
 has exact rational coefficients lambda_n: the nearly modular tail of the
 (1, 1, 1) Eichler integral, a series in log q / 4P with L-value
-coefficients, re-expanded in q - 1.  A bundled reference table (26
-manifolds, orders 0..8) provides golden data; BWRT_TABLE1_PATH overrides
-its location.
+coefficients, re-expanded in q - 1.  The re-expansion, the Poincare
+sphere's q^(1/120) and the shift q^(1/2 - phi/4) run on integer series over
+one common denominator, so the only ``Fraction`` built per lambda_n is the
+coefficient itself.  A bundled reference table (26 manifolds, orders 0..8)
+provides golden data; BWRT_TABLE1_PATH overrides its location.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import accumulate
 
 from .chi import BrieskornTriple, EllTriple
 from .modularform import eichler_tail
@@ -40,16 +44,22 @@ class OhtsukiSeries:
 
 
 def _series_mul(a: list, b: list, order: int) -> list:
-    # product of two power series in u, truncated after u^order
-    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(order + 1)]
+    # product of two integer power series in u, truncated after u^order
+    return [sum(map(operator.mul, a[: n + 1], reversed(b[: n + 1]))) for n in range(order + 1)]
 
 
-def _binomial_series(exponent: Fraction, order: int) -> list:
-    # (1 + u)^exponent = sum_j C(exponent, j) u^j
-    coeffs = [Fraction(1)]
-    for j in range(1, order + 1):
-        coeffs.append(coeffs[-1] * (exponent - (j - 1)) / j)
-    return coeffs
+def _binomial_series(numerator: int, denominator: int, order: int) -> tuple:
+    """(coefficients, common) with (1 + u)^(a/b) = sum_j coefficients[j] u^j / common.
+
+    a/b = numerator/denominator.  C(a/b, j) = prod_{i<j} (a - i b) / (b^j j!),
+    so over common = b^order order! the j-th coefficient is the integer
+    prod_{i<j} (a - i b) b^(order-j) order!/j!.
+    """
+    steps = (numerator - i * denominator for i in range(order))
+    products = accumulate(steps, operator.mul, initial=1)
+    rises = (denominator * j for j in range(order, 0, -1))
+    factors = list(accumulate(rises, operator.mul, initial=1))[::-1]
+    return [a * f for a, f in zip(products, factors)], factors[0]
 
 
 def lambda_coefficients(p: BrieskornTriple, order: int) -> OhtsukiSeries:
@@ -59,9 +69,10 @@ def lambda_coefficients(p: BrieskornTriple, order: int) -> OhtsukiSeries:
     c_k = L(-2k, chi)/k! the (1, 1, 1) ``eichler_tail`` coefficients and
     q^(1/120) added for the Poincare sphere, is re-expanded in u = q - 1
     through u^(order+1); then sum_n lambda_n u^n = q^(1/2 - phi/4) times that
-    bracket over u.  A non-zero constant term of the bracket raises
-    ArithmeticError.  Non-integer values are reported on the warning
-    channel, never rejected.
+    bracket over u.  Every series is kept as integers over one denominator,
+    and each lambda_n is one ``Fraction``.  A non-zero constant term of the
+    bracket raises ArithmeticError.  Non-integer values are reported on the
+    warning channel, never rejected.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -73,18 +84,25 @@ def lambda_coefficients(p: BrieskornTriple, order: int) -> OhtsukiSeries:
     y = [0] + [(-1) ** (j + 1) * (lcm // j) for j in range(1, top + 1)]
     s = 4 * p.P * lcm
     den = math.lcm(*(ck.denominator for ck in c))
-    acc = [0] * (top + 1)
+    bracket = [0] * (top + 1)
     for k in range(top, -1, -1):
-        acc = _series_mul(acc, y, top)
-        acc[0] += c[k].numerator * (den // c[k].denominator) * s ** (top - k)
-    bracket = [Fraction(a, 2 * den * s**top) for a in acc]
+        bracket = _series_mul(bracket, y, top)
+        bracket[0] += c[k].numerator * (den // c[k].denominator) * s ** (top - k)
+    common = 2 * den * s**top
     if p.is_poincare:
-        bracket = [b + e for b, e in zip(bracket, _binomial_series(Fraction(1, 120), top))]
-    if bracket[0] != 0:
-        raise ArithmeticError(f"tail of {p} has constant term {bracket[0]}, expected 0")
-    shift = _binomial_series(Fraction(1, 2) - phi_invariant(p) / 4, order)
-    lambdas = _series_mul(shift, bracket[1:], order)
-    series = OhtsukiSeries(manifold=p, order=order, lambdas=tuple(lambdas))
+        extra, extra_common = _binomial_series(1, 120, top)
+        bracket = [b * extra_common + e * common for b, e in zip(bracket, extra)]
+        common *= extra_common
+    if bracket[0]:
+        constant = Fraction(bracket[0], common)
+        raise ArithmeticError(f"tail of {p} has constant term {constant}, expected 0")
+    phi = phi_invariant(p)  # 1/2 - phi/4 = (2 d - n) / 4d
+    shift, shift_common = _binomial_series(
+        2 * phi.denominator - phi.numerator, 4 * phi.denominator, order
+    )
+    common *= shift_common
+    lambdas = tuple(Fraction(x, common) for x in _series_mul(shift, bracket[1:], order))
+    series = OhtsukiSeries(manifold=p, order=order, lambdas=lambdas)
     if not series.all_integer:
         bad = [n for n, lam in enumerate(series.lambdas) if lam.denominator != 1]
         logger.warning("non-integer lambda_n for %s at orders %s", p, bad)

@@ -10,13 +10,17 @@ are exact: the Chern-Simons value is an integer numerator over 4P
 Dedekind numerator T = 12P sum_j s(c_j, p_j) (``chi.dedekind_triple_numerator``,
 read by gamma, Casson and phi too) and per-manifold tables of integer sawtooth
 convolutions, so no floating sum is rounded to an integer.  Only the torsion
-amplitude is evaluated at the context precision, as 8/sqrt(P) times entries
-of per-fibre ``exactmath.root_table`` rows of sin(pi k / p_j), built apart
-from the S-matrix tables it is checked against: a few table reads a record.
+amplitude is evaluated at the context precision: the integer product of
+isqrt(64 4^bits / P) and entries of per-fibre ``exactmath.root_table`` rows
+of sin(pi k / p_j), built apart from the S-matrix tables it is checked
+against, rounded once.  ``flat_connections`` enters the working precision
+once per call and reads each record's conjugacy angles off one table of
+shared Fractions per fibre.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -81,27 +85,44 @@ def euler_number(p: BrieskornTriple, ell: EllTriple) -> int:
 
 @lru_cache(maxsize=64)
 def _torsion_tables(p: BrieskornTriple, digits: int) -> tuple:
-    """(8/sqrt(P), per fibre j sin(pi k / p_j) for 0 <= k < p_j), at ``digits``;
-    P.bit_length() extra bits keep the least sine, over 2/p_j, exact."""
+    """(bits, 8/sqrt(P), per fibre j sin(pi k / p_j) for 0 <= k < p_j), integers over 2^bits.
+
+    bits = prec + P.bit_length() at ``digits``.  The sines are one
+    ``exactmath.root_table`` row each, within 2 units of 2^-bits, and the
+    scale is isqrt(64 4^bits / P), within 2 units below 8/sqrt(P) 2^bits.
+    """
     with PrecisionContext(digits).workdps():
         bits = mp.prec + p.P.bit_length()
-        rows = (root_table(2 * pk, bits)[1][:pk] for pk in p.p)
-        sines = tuple(tuple(mp.mpf((s, -bits)) for s in row) for row in rows)
-        return 8 / mp.sqrt(mp.mpf(p.P)), sines
+    rows = tuple(tuple(root_table(2 * pk, bits)[1][:pk]) for pk in p.p)
+    return bits, math.isqrt((64 << 2 * bits) // p.P), rows
+
+
+def _torsion_amplitude(p: BrieskornTriple, tables: tuple, ell: EllTriple):
+    """The amplitude of ``torsion_sqrt`` off ``_torsion_tables``, inside the caller's workdps().
+
+    P l_j / p_j^2 = c_j l_j / p_j, and |sin(pi x)| has period 1, so the j-th
+    factor is entry c_j l_j mod p_j of the j-th row.  The integer product of
+    the scale and the three entries, over 2^(4 bits), is rounded once.
+    """
+    bits, scale, (row1, row2, row3) = tables
+    (l1, l2, l3), (p1, p2, p3), (c1, c2, c3) = ell, p.p, p.cofactors
+    product = scale * row1[c1 * l1 % p1] * row2[c2 * l2 % p2] * row3[c3 * l3 % p3]
+    return ensure_finite(mp.mpf((product, -4 * bits)))
 
 
 def torsion_sqrt(p: BrieskornTriple, ell: EllTriple, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Reidemeister torsion amplitude (8/sqrt(P)) prod |sin(P l_j pi / p_j^2)|.
 
-    P l_j / p_j^2 = c_j l_j / p_j, and |sin(pi x)| has period 1, so the j-th
-    factor is entry c_j l_j mod p_j of the table of sin(pi k / p_j).
+    Bound.  A sine sin(pi k / p_j), 0 < k < p_j, is at least 2/p_j, so its
+    row entry is within p_j 2^-bits of it relatively, and the scale within
+    sqrt(P) 2^-bits / 4.  2^-bits < u / P, u = 2^-prec, so the exact product
+    is within (p_1 + p_2 + p_3 + sqrt(P)/4) u / P < 0.4 u of the amplitude
+    relatively, and the one rounding adds u: the result is within 2 u times
+    the amplitude.
     """
-    scale, tables = _torsion_tables(p, ctx.decimal_digits)
+    tables = _torsion_tables(p, ctx.decimal_digits)
     with ctx.workdps():
-        value = scale
-        for table, l, pk, c in zip(tables, ell, p.p, p.cofactors):
-            value *= table[c * l % pk]
-        return ensure_finite(+value)
+        return _torsion_amplitude(p, tables, ell)
 
 
 def _sawtooth_kernel(c: int, pk: int) -> tuple:
@@ -165,17 +186,25 @@ def spectral_flow(p: BrieskornTriple, ell: EllTriple) -> int:
 
 
 def flat_connections(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list:
-    """One record per admissible triple, in canonical enumeration order."""
-    return [
-        FlatConnectionRecord(
-            triple=ell,
-            cs=chern_simons(p, ell),
-            torsion_sqrt=torsion_sqrt(p, ell, ctx),
-            spectral_flow=spectral_flow(p, ell),
-            conjugacy_angles=conjugacy_angles(p, ell),
-        )
-        for ell in admissible_triples(p)[0]
-    ]
+    """One record per admissible triple, in canonical enumeration order.
+
+    The working precision is entered once; each torsion amplitude is one
+    rounding of table integers (``torsion_sqrt``), and the conjugacy angles
+    are read off one table of (p_j - l)/p_j per fibre, built per call.
+    """
+    tables = _torsion_tables(p, ctx.decimal_digits)
+    angles = tuple(tuple(Fraction(pk - l, pk) for l in range(pk)) for pk in p.p)
+    with ctx.workdps():
+        return [
+            FlatConnectionRecord(
+                triple=ell,
+                cs=chern_simons(p, ell),
+                torsion_sqrt=_torsion_amplitude(p, tables, ell),
+                spectral_flow=spectral_flow(p, ell),
+                conjugacy_angles=tuple(row[l] for row, l in zip(angles, ell)),
+            )
+            for ell in admissible_triples(p)[0]
+        ]
 
 
 def verify_s_torsion(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT):

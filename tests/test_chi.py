@@ -18,6 +18,7 @@ from brieskorn_wrt import (
     asymptotic_approx,
     build_chi,
     canonicalize,
+    eichler_tail,
     ell_condition,
     enumerate_triples,
     gamma_closed_form,
@@ -538,3 +539,17 @@ def test_generating_series_poincare_correction():
     for n, c in enumerate(coeffs):
         if n != 1:
             assert c == chi_value(chi, n)
+
+
+@pytest.mark.parametrize("ps", ((2, 3, 5), (2, 3, 7), (5, 7, 9), (7, 11, 13)))
+def test_one_pass_l_values_match_bernoulli_form_to_order_100(ps):
+    # eichler_tail takes every L-value up to k = 100 from one pass over the
+    # moments; l_function_value reads the same kernel for a single k
+    p = BrieskornTriple(*ps)
+    chi = build_chi(p, EllTriple(1, 1, 1))
+    tail = eichler_tail(p, EllTriple(1, 1, 1), 100)
+    assert len(tail) == 101
+    for k in (0, 1, 2, 3, 17, 64, 100):
+        value = l_function_value_bernoulli(chi, k)
+        assert l_function_value(chi, k) == value, k
+        assert tail[k] == value / math.factorial(k), k

@@ -415,7 +415,7 @@ def test_abbreviated_and_equals_forms_parse_as_the_plain_form():
 
 # sha256 of the help text at 80 columns
 HELP_STDOUT = {
-    ("--help",): "233e38cfa8a3cc2304f700676f9b15bc6cd287e6501f380b2a9d0091aea76ebb",
+    ("--help",): "0f8902be33367d6c3388c2d364d57eb9757331ab6871c42676f64d1dbb386d9b",
     ("flat", "--help"): "83b957b691d3684ae19b01cd6b5159aaab76a93824dfaee48f88f4384d974b3a",
 }
 
@@ -814,6 +814,27 @@ def test_out_at_dev_stdout_keeps_the_later_output(tmp_path):
     assert [path.name for path in tmp_path.iterdir()] == ["f"]
 
 
+def test_out_at_dev_stderr_keeps_the_later_output(tmp_path):
+    # --out naming the redirected stderr writes through it, not a new file over it
+    report = tmp_path / "g"
+    bwrt = f"{shlex.quote(sys.executable)} -m brieskorn_wrt.cli"
+    script = f"{{ {bwrt} cs --p 2,3,7 --format csv --out /dev/stderr; echo after >&2; }} 2> g"
+    proc = _run_python(["sh", "-c", script], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    cmd = parse(["cs", "--p", "2,3,7", "--format", "csv"])
+    assert report.read_text() == render(cmd, execute(cmd)[0]) + "after\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["g"]
+
+
+def test_help_prints_no_implementation_notes(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert "Exit codes" in out and "Verbs:" in out
+    assert "Verb runners" not in out and "encoder" not in out
+
+
 def test_plain_argv_never_imports_argparse():
     script = (
         "import sys\n"
@@ -922,6 +943,115 @@ def test_stdout_matches_golden_digest(argv, capsys):
     assert main(list(argv)) == EXIT_OK
     out = re.sub(r".*wall_time_seconds.*\n", "", capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+# sha256 of the spectrum verbs' stdout less its wall_time_seconds line, on the
+# perfbench spectrum manifolds at both ends of its precision band
+SPECTRUM_STDOUT = {
+    ("flat", "--p", "5,7,9", "--precision", "30"): (
+        "fb2486c871477ec325b0e03333aff10de74808cc966c24c3d9de5e61122825bf"
+    ),
+    ("ohtsuki", "--p", "5,7,9", "--precision", "30", "--order", "8"): (
+        "756ca359e2d1f39848c0f934476727583ea1d8e3a26360b4d577af2b07ba770e"
+    ),
+    ("asymptotic", "--p", "5,7,9", "--precision", "30", "--N", "3", "--K", "3"): (
+        "dfd83c2a08bc7b7bb842afe0915b76b62754b0d5211b69c219a2cf53385a8b50"
+    ),
+    ("asymptotic", "--p", "5,7,9", "--precision", "30", "--N", "6", "--K", "3"): (
+        "434a955c4c72a728bdee131aba5e4fc7fc9f4efd9d32cd2fdacbfa312d16f81f"
+    ),
+    ("flat", "--p", "5,7,9", "--precision", "51"): (
+        "1ab1fd8f8e3bcfdf4bb57fcf2cf39501ca75c1c1256b3d13159296983f383949"
+    ),
+    ("ohtsuki", "--p", "5,7,9", "--precision", "51", "--order", "8"): (
+        "60636a7046334d791427f83588895016d303582a92f12bfd8796dd6c2f45a99e"
+    ),
+    ("asymptotic", "--p", "5,7,9", "--precision", "51", "--N", "3", "--K", "3"): (
+        "c4e7faec91aa76dc38c1459db45dd2f6a43cc9a77c89e3dc6308396250731db5"
+    ),
+    ("asymptotic", "--p", "5,7,9", "--precision", "51", "--N", "6", "--K", "3"): (
+        "615a18aba4acc73e5897fbcabbd850440271570ce410cdae34030dca283f2c14"
+    ),
+    ("flat", "--p", "2,11,21", "--precision", "30"): (
+        "cbd42bb1297ad4da3a4ffc9a390f2693dea136f2582335e78f1936faa269f3d2"
+    ),
+    ("ohtsuki", "--p", "2,11,21", "--precision", "30", "--order", "8"): (
+        "8df2d50f5c681c8ec7d0390d237c3a5c0c0acf91eec4db7dda0128d7cf1ced61"
+    ),
+    ("asymptotic", "--p", "2,11,21", "--precision", "30", "--N", "3", "--K", "3"): (
+        "862658138990076ec6ce7d2797d1a4fa9f9e9ef891cf324dfeb2901a5cbdc038"
+    ),
+    ("asymptotic", "--p", "2,11,21", "--precision", "30", "--N", "6", "--K", "3"): (
+        "a7577cedca40d6fac0fb1a8f2527e524484972f327a215ce09e01c852cd7b980"
+    ),
+    ("flat", "--p", "2,11,21", "--precision", "51"): (
+        "c1450f6c774198dd9f31c7c95bd0cb456639990e804de5812974f5ce9edffb22"
+    ),
+    ("ohtsuki", "--p", "2,11,21", "--precision", "51", "--order", "8"): (
+        "e6c204720e5fd7636a9c218f1bd1fcadd2d3eb436e1a6feb1006fc7c579c8a4b"
+    ),
+    ("asymptotic", "--p", "2,11,21", "--precision", "51", "--N", "3", "--K", "3"): (
+        "f68720da051e1256f68d00d2f36cc8db61896a9d206d48cf74be470fed9169b5"
+    ),
+    ("asymptotic", "--p", "2,11,21", "--precision", "51", "--N", "6", "--K", "3"): (
+        "902582818311c64e877e3ee6901b7a4d3402f35ea7abc4b6ffd7e4ba01366047"
+    ),
+    ("flat", "--p", "7,8,9", "--precision", "30"): (
+        "1f48228ac4c0b30a1b1f6f9f6220913f7770cb5ddda335ee0d1aaf343c63dc03"
+    ),
+    ("ohtsuki", "--p", "7,8,9", "--precision", "30", "--order", "8"): (
+        "73cda1b70d31efbb86c67aac379417335ae444af4ef47dd7f71a356f92900709"
+    ),
+    ("asymptotic", "--p", "7,8,9", "--precision", "30", "--N", "3", "--K", "3"): (
+        "e28787105641582cdfdabfd33e702d913138f2e42f5b10b6cf18bcf8382bff1e"
+    ),
+    ("asymptotic", "--p", "7,8,9", "--precision", "30", "--N", "6", "--K", "3"): (
+        "85dc0f45820a83b9e6f3899b056ffa390b8d6a620180361846e01ae2fb2ec6c3"
+    ),
+    ("flat", "--p", "7,8,9", "--precision", "51"): (
+        "2aadba7339031fb41eb94f0baff18ab40a5ed821f58228380678785b169c9125"
+    ),
+    ("ohtsuki", "--p", "7,8,9", "--precision", "51", "--order", "8"): (
+        "d0875e28a19f451a73576e74dd728abd58572785f8ee794fa78bbfadeff8d381"
+    ),
+    ("asymptotic", "--p", "7,8,9", "--precision", "51", "--N", "3", "--K", "3"): (
+        "3deecc741c7bb38f86b8010e64d61226622ff12db9377783136218b895287094"
+    ),
+    ("asymptotic", "--p", "7,8,9", "--precision", "51", "--N", "6", "--K", "3"): (
+        "72551d62ed20036d08fe39a5e797d93fb9b8fd2209f046e78173f258cf21ec93"
+    ),
+    ("flat", "--p", "7,11,13", "--precision", "30"): (
+        "3d31a81e661f79110eb6a24cce20a95ccd42a491b833aa4d142521200e89ea9a"
+    ),
+    ("ohtsuki", "--p", "7,11,13", "--precision", "30", "--order", "8"): (
+        "2797c32d6b450726861cc720330762d87a5608bd19740c49cf688ff9efd852b3"
+    ),
+    ("asymptotic", "--p", "7,11,13", "--precision", "30", "--N", "3", "--K", "3"): (
+        "47fe239416d1361d0317b2e984d84487093b5c7db35c9ce576bbfea3554cc040"
+    ),
+    ("asymptotic", "--p", "7,11,13", "--precision", "30", "--N", "6", "--K", "3"): (
+        "d4f235aec2adc73914873911fa282747045d4a87a68416b5f711556dad6e16fc"
+    ),
+    ("flat", "--p", "7,11,13", "--precision", "51"): (
+        "c593331877166a517aa55dea1ada8b6764fe40b367807f654eaf7e934f002dac"
+    ),
+    ("ohtsuki", "--p", "7,11,13", "--precision", "51", "--order", "8"): (
+        "d73809fab6ea70d026f9b39c40bb781eae8c300be80aa7f19875c3b756cdda22"
+    ),
+    ("asymptotic", "--p", "7,11,13", "--precision", "51", "--N", "3", "--K", "3"): (
+        "6fbb6dbc7bba425a28277d525d190594ebc575737704e6a566c2234e330490e5"
+    ),
+    ("asymptotic", "--p", "7,11,13", "--precision", "51", "--N", "6", "--K", "3"): (
+        "291fae0230bfb6e28e01fcf7b57d95561e48563fc90551807df2b46ad3884543"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", SPECTRUM_STDOUT, ids=" ".join)
+def test_spectrum_stdout_matches_golden_digest(argv, capsys):
+    assert main(list(argv)) == EXIT_OK
+    out = re.sub(r".*wall_time_seconds.*\n", "", capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_STDOUT[argv]
 
 
 JSON_SCALARS = st.one_of(

@@ -22,7 +22,7 @@ from brieskorn_wrt import (
     rozansky_normalized,
     torsion_sqrt,
 )
-from brieskorn_wrt.exactmath import root_power_sum, root_table
+from brieskorn_wrt.exactmath import root_power_sum, root_table, rounded_ratio
 from oracles import (
     UnimodularMatrix,
     bernoulli_polynomial,
@@ -490,6 +490,28 @@ def test_root_tables_cost_a_fixed_number_of_exponentials(site, monkeypatch):
         run(value, PrecisionContext(20))
         counts.append(len(calls))
     assert 0 < counts[0] == counts[1], counts
+
+
+# ------------------------------------------------------------------ rounded_ratio
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(min_value=-(2**600), max_value=2**600),
+    st.integers(min_value=1, max_value=2**400),
+    st.integers(min_value=-700, max_value=700),
+    st.sampled_from((53, 100, 217, 3000)),
+)
+@example(2**53 + 1, 1, 0, 53)  # an exact tie rounds to even, down
+@example(2**53 + 3, 1, 0, 53)  # and up
+@example(-(2**53 + 1), 1, 5, 53)
+@example(0, 7, 3, 53)
+@example(3 * (2**300 + 1), 3, -10, 100)  # exact division
+def test_rounded_ratio_is_the_correctly_rounded_quotient(numerator, denominator, exponent, prec):
+    # mpmath's fdiv of exact integers rounds once to nearest, ties to even
+    with mp.workprec(prec):
+        expected = mp.ldexp(mp.fdiv(numerator, denominator), exponent)
+        assert rounded_ratio(numerator, denominator, exponent) == expected
 
 
 # -------------------------------------------------------------- surgery integers

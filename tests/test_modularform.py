@@ -627,3 +627,84 @@ def test_eichler_tail_rejects_orders_out_of_range(ctx50):
     for k in (-1, 4):
         with pytest.raises(ValueError):
             eichler_tail_term(P235, tail, 10, k, ctx50)
+
+
+# ---------------------------------------------- dominant and tail, rounded once
+
+
+@pytest.mark.parametrize("ps, sample", (((2, 3, 5), None), ((7, 11, 13), 12), ((2, 3, 1009), 12)))
+@pytest.mark.parametrize("digits", (30, 51))
+def test_dominant_within_stated_bound(ps, sample, digits):
+    # (46 gamma sqrt(n/P) / p_3 + 2 |dominant|) u against 2 sqrt(n) e^{-pi i/4}
+    # times the column sum at 20 more digits, sines by sinpi
+    ctx = PrecisionContext(digits)
+    p, ref_digits = BrieskornTriple(*ps), ctx.working_digits + 20
+    rows = enumerate_triples(p)
+    rows = rows if sample is None else random.Random(sum(ps)).sample(rows, sample)
+    gamma = admissible_count(p)
+    for n in (3, 6, 50, 5000):
+        with mp.workdps(ref_digits):
+            phases = [
+                mp.expjpi(to_mpf((-n * t_exponent_fraction(p, lp)) % 2))
+                for lp in admissible_triples(p)[0]
+            ]
+        for ell in rows:
+            value = nearly_modular_expansion(p, ell, n, 0, ctx).dominant
+            with ctx.workdps():
+                u = mp.mpf(2) ** -mp.prec
+                bound = (46 * gamma * mp.sqrt(mp.mpf(n) / p.P) / p.p3 + 2 * abs(value)) * u
+            with mp.workdps(ref_digits):
+                front = 2 * mp.sqrt(n) * mp.expjpi(mp.mpf(-1) / 4)
+                reference = front * _dominant_reference(p, ell, phases, ref_digits)
+                assert abs(value - reference) < bound, (ell, n)
+
+
+TAIL_CASES = (
+    ((2, 3, 5), (1, 1, 1), 200, 100),  # the --K cap
+    ((2, 3, 7), (1, 1, 1), 5000, 80),  # huge coefficients, tiny pi / 2Pn
+    ((2, 3, 7), (1, 1, 3), 3, 100),
+    ((7, 11, 13), (1, 1, 1), 4, 3),
+    ((7, 11, 13), (3, 5, 6), 6, 3),
+    ((5, 7, 9), (2, 3, 4), 5, 0),
+)
+
+
+@pytest.mark.parametrize("ps, ell, n, k_max", TAIL_CASES)
+@pytest.mark.parametrize("digits", (30, 51))
+def test_tail_within_stated_bound(ps, ell, n, k_max, digits):
+    # each component within 3 u times the sum of its terms' magnitudes, against
+    # the terms at 20 more digits
+    ctx = PrecisionContext(digits)
+    p, ell = BrieskornTriple(*ps), EllTriple(*ell)
+    tail = nearly_modular_expansion(p, ell, n, k_max, ctx).tail
+    coefficients = eichler_tail(p, ell, k_max)
+    with ctx.workdps():
+        u = mp.mpf(2) ** -mp.prec
+    with mp.workdps(ctx.working_digits + 20):
+        x = mp.pi / (2 * p.P * n)
+        terms = [to_mpf(c) * x**k for k, c in enumerate(coefficients)]
+        signed = [term * (-1) ** (k // 2) for k, term in enumerate(terms)]
+        for part, parity in ((tail.real, 0), (tail.imag, 1)):
+            reference = sum(signed[parity::2], mp.mpf(0))
+            magnitude = sum((abs(t) for t in terms[parity::2]), mp.mpf(0))
+            assert abs(part - reference) <= 3 * u * magnitude, (parity, part, reference)
+    assert k_max < 80 or max(map(abs, coefficients)) > 10**100  # the large cases are large
+
+
+@pytest.mark.parametrize("ps", ((2, 3, 7), (7, 11, 13)))
+def test_nearly_modular_expansion_takes_only_the_limits_two_exponentials(
+    ps, monkeypatch, ctx50
+):
+    # dominant and tail are scaled in integers: no exponential and no mp.sqrt
+    # beyond the two of eichler_limit, whatever n and k_max
+    p, ell = BrieskornTriple(*ps), EllTriple(1, 1, 1)
+    modular_data(p, ctx50)
+    calls = _count_exponentials(monkeypatch)
+    real_sqrt = mp.sqrt
+    monkeypatch.setattr(mp, "sqrt", lambda *args, **kwargs: calls.append("sqrt") or real_sqrt(
+        *args, **kwargs))
+    for n in (3, 5, 1000, 20000):
+        for k_max in (0, 3, 100):
+            calls.clear()
+            nearly_modular_expansion(p, ell, n, k_max, ctx50)
+            assert sorted(calls) == ["expjpi", "expjpi"], (n, k_max, calls)

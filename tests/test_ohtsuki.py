@@ -120,6 +120,14 @@ def test_tail_route_matches_stirling_on_every_small_triple():
         assert lambda_coefficients(p, 8).lambdas == lambda_stirling(p, 8).lambdas, ps
 
 
+@pytest.mark.parametrize("ps", [(2, 3, 5), (2, 3, 7), (5, 7, 9), (7, 11, 13)])
+def test_integer_series_match_stirling_to_order_24(ps):
+    # the bracket, the Poincare q^(1/120) series and the q^(1/2 - phi/4) shift
+    # kept as integers over one denominator agree with the Stirling form
+    p = BrieskornTriple(*ps)
+    assert lambda_coefficients(p, 24).lambdas == lambda_stirling(p, 24).lambdas
+
+
 def test_nonzero_tail_constant_term_raises(monkeypatch):
     real = ohtsuki.eichler_tail
 

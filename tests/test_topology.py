@@ -20,6 +20,7 @@ from brieskorn_wrt import (
     phi_invariant,
     spectral_flow,
     t_exponent,
+    torsion_sqrt,
     verify_s_torsion,
 )
 from brieskorn_wrt.exactmath import to_mpf
@@ -270,3 +271,45 @@ def test_chern_simons_window():
         Fraction(2, 3),
         Fraction(4, 7),
     )
+
+
+# ------------------------------------------------- torsion amplitude, rounded once
+
+
+def _torsion_reference(p, ell, digits):
+    # (8/sqrt(P)) prod_j |sin(pi P l_j / p_j^2)| straight from sinpi of the angles
+    with mp.workdps(digits):
+        value = 8 / mp.sqrt(p.P)
+        for l, pk in zip(ell, p.p):
+            value *= abs(mp.sinpi(mp.mpf(p.P * l) / (pk * pk)))
+        return value
+
+
+@pytest.mark.parametrize("ps", ((2, 3, 5), (2, 3, 7), (5, 7, 9), (7, 11, 13), (2, 3, 1009)))
+@pytest.mark.parametrize("digits", (15, 30, 51))
+def test_torsion_within_stated_bound(ps, digits):
+    # every record's amplitude, and torsion_sqrt off the same tables, within
+    # 2 u of the amplitude at 20 more digits
+    p, ctx = BrieskornTriple(*ps), PrecisionContext(digits)
+    records = flat_connections(p, ctx)
+    assert records
+    with ctx.workdps():
+        u = mp.mpf(2) ** -mp.prec
+    for record in records:
+        assert torsion_sqrt(p, record.triple, ctx) == record.torsion_sqrt
+        reference = _torsion_reference(p, record.triple, ctx.working_digits + 20)
+        with mp.workdps(ctx.working_digits + 20):
+            assert abs(record.torsion_sqrt - reference) <= 2 * u * reference, record.triple
+
+
+def test_flat_records_share_one_angle_per_residue():
+    # the conjugacy angles are one table of Fractions per fibre, equal to the
+    # per-record formula
+    p = BrieskornTriple(7, 11, 13)
+    records = flat_connections(p)
+    for record in records:
+        assert record.conjugacy_angles == conjugacy_angles(p, record.triple)
+    by_value = {}
+    for record in records:
+        for angle in record.conjugacy_angles:
+            assert by_value.setdefault(angle, angle) is angle
