@@ -124,24 +124,42 @@ def real_json(x, digits: int, held: bool = False) -> str:
     return mp.nstr(mp.mpf(x), digits)
 
 
+_MPF, _MPC = mp.mpf, mp.mpc
+
+
 def _json(value, digits: int, held: bool = False):
     """A library value in JSON terms; mpmath numbers at ``digits`` digits.
 
-    One precision context covers the whole value, not one per number.
+    One precision context covers the whole value, not one per number.  The
+    exact type picks the branch; subclasses, such as the NamedTuple
+    ``EllTriple``, take the isinstance tests after.
     """
     if not held:
         with mp.workdps(digits):
             return _json(value, digits, held=True)
+    kind = type(value)
+    if kind is int or kind is str or value is None:
+        return value
+    if kind is dict:
+        return {key: _json(item, digits, True) for key, item in value.items()}
+    if kind is list or kind is tuple:
+        return [_json(item, digits, True) for item in value]
+    if kind is Fraction:
+        return rational_json(value)
+    if kind is _MPF:
+        return real_json(value, digits, True)
+    if kind is _MPC:
+        return complex_json(value, digits, True)
+    if isinstance(value, (list, tuple)):
+        return [_json(item, digits, True) for item in value]
+    if isinstance(value, dict):
+        return {key: _json(item, digits, True) for key, item in value.items()}
     if isinstance(value, Fraction):
         return rational_json(value)
-    if isinstance(value, mp.mpc):
-        return complex_json(value, digits, held=True)
-    if isinstance(value, mp.mpf):
-        return real_json(value, digits, held=True)
-    if isinstance(value, dict):
-        return {key: _json(item, digits, held=True) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json(item, digits, held=True) for item in value]
+    if isinstance(value, _MPC):
+        return complex_json(value, digits, True)
+    if isinstance(value, _MPF):
+        return real_json(value, digits, True)
     return value
 
 
@@ -170,7 +188,8 @@ def _parse_triple(text: str, verb: str) -> tuple:
 # the verb's option table, which _VERBS and _BOUNDS build; argparse, built from
 # the same table, reads every other form and writes every usage and help
 # message.  JSON reports are laid out by hand in json.dumps' indent=2 form, with
-# every string quoted by the C encoder (_indented_json).
+# every string quoted by the C encoder (_indented_json); the records of flat and
+# cs each have one fixed layout over their JSON terms, named in _VERBS.
 @functools.lru_cache(maxsize=None)
 def _options(verb: str) -> dict:
     """The verb's flags, in help order, as {flag: add_argument keywords}."""
@@ -290,8 +309,16 @@ def _run_cs(cmd: Command, ctx: PrecisionContext) -> tuple:
 
 def _run_flat(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
-    names = "cs torsion_sqrt spectral_flow conjugacy_angles"
-    records = [{"ell": r.triple, **_fields(r, names)} for r in flat_connections(p, ctx)]
+    records = [
+        {
+            "ell": r.triple,
+            "cs": r.cs,
+            "torsion_sqrt": r.torsion_sqrt,
+            "spectral_flow": r.spectral_flow,
+            "conjugacy_angles": r.conjugacy_angles,
+        }
+        for r in flat_connections(p, ctx)
+    ]
     return {"p": p.p, "flat_connections": records}, []
 
 
@@ -472,6 +499,62 @@ def _report_dict(report: Report) -> dict:
     return out
 
 
+# The records of flat and cs, laid out by hand where they sit in the report
+# (results.<key>[i], items eight spaces in): json.dumps' indent=2 form over
+# the record's JSON terms, with every string quoted by _quote.  Unpacking
+# fixes each list's length, so a record of another shape raises.
+_AT8, _AT10, _AT12 = ("\n" + " " * width for width in (8, 10, 12))
+
+
+def _rational_text(x: dict, newline: str, inner: str) -> str:
+    return f'{{{inner}"num": {_quote(x["num"])},{inner}"den": {_quote(x["den"])}{newline}}}'
+
+
+def _ell_and_cs(record: dict) -> str:
+    # the opening brace and the first two items, which both records share
+    l1, l2, l3 = record["ell"]
+    cs = _rational_text(record["cs"], _AT8, _AT10)
+    return f'{{{_AT8}"ell": [{_AT10}{l1},{_AT10}{l2},{_AT10}{l3}{_AT8}],{_AT8}"cs": {cs}'
+
+
+def _cs_record(record: dict) -> str:
+    return _ell_and_cs(record) + "\n      }"
+
+
+def _flat_record(record: dict) -> str:
+    a1, a2, a3 = record["conjugacy_angles"]
+    return (
+        f'{_ell_and_cs(record)},{_AT8}"torsion_sqrt": {_quote(record["torsion_sqrt"])},'
+        f'{_AT8}"spectral_flow": {record["spectral_flow"]},{_AT8}"conjugacy_angles": ['
+        f"{_AT10}{_rational_text(a1, _AT10, _AT12)},{_AT10}{_rational_text(a2, _AT10, _AT12)},"
+        f"{_AT10}{_rational_text(a3, _AT10, _AT12)}{_AT8}]\n      }}"
+    )
+
+
+def _laid_json(report: Report, key: str, record: Callable) -> str:
+    """The report as _indented_json lays it out, plus a newline, with each record
+    of results[key] laid out by ``record``.
+
+    The text is joined once from its pieces, so the records are copied into
+    their rows and the rows into the text, and no larger piece is copied again.
+    """
+    pieces = []
+    for top, (name, value) in enumerate(_report_dict(report).items()):
+        pieces.append(("," if top else "{") + f"\n  {_quote(name)}: ")
+        if name != "results":
+            pieces.append(_indented_json(value, "\n  "))
+            continue
+        for inner, (field, item) in enumerate(value.items()):
+            pieces.append(("," if inner else "{") + f"\n    {_quote(field)}: ")
+            if field == key:
+                pieces += ("[\n      ", ",\n      ".join(map(record, item)), "\n    ]")
+            else:
+                pieces.append(_indented_json(item, "\n    "))
+        pieces.append("\n  }")
+    pieces.append("\n}\n")
+    return "".join(pieces)
+
+
 # ---------------------------------------------------------------------------
 # the verb table: both argv readers, validation and dispatch are derived from it
 
@@ -483,6 +566,7 @@ class _Verb(NamedTuple):
     takes_p: bool = True
     d_bounded: bool = False  # --p capped at MAX_D canonical triples
     csv: Callable | None = None  # results -> CSV text; None means JSON
+    layout: tuple | None = None  # (results key, its JSON record -> text), laid out by hand
     route: str | None = None  # metadata["route"]: what computed tau_N
 
 
@@ -496,8 +580,19 @@ _VERBS = {
         ("--order",),
         csv=_ohtsuki_csv,
     ),
-    "cs": _Verb("Chern-Simons spectrum of flat connections", _run_cs, d_bounded=True, csv=_cs_csv),
-    "flat": _Verb("full flat-connection records", _run_flat, d_bounded=True),
+    "cs": _Verb(
+        "Chern-Simons spectrum of flat connections",
+        _run_cs,
+        d_bounded=True,
+        csv=_cs_csv,
+        layout=("cs_spectrum", _cs_record),
+    ),
+    "flat": _Verb(
+        "full flat-connection records",
+        _run_flat,
+        d_bounded=True,
+        layout=("flat_connections", _flat_record),
+    ),
     "asymptotic": _Verb(
         "stationary-phase approximation quality",
         _run_asymptotic,
@@ -551,11 +646,13 @@ def execute(cmd: Command) -> tuple:
 
 
 def render(cmd: Command, report: Report) -> str:
-    csv = _VERBS[cmd.verb].csv
-    if cmd.fmt == "csv" and csv:
-        return csv(report.results)
+    spec = _VERBS[cmd.verb]
+    if cmd.fmt == "csv" and spec.csv:
+        return spec.csv(report.results)
     if cmd.fmt == "text":
         return _format_text(report)
+    if spec.layout:
+        return _laid_json(report, *spec.layout)
     return _indented_json(_report_dict(report)) + "\n"
 
 

@@ -85,6 +85,9 @@ class ModularData:
     exact product of three row entries, each within 2 units of 2^-bits, is
     within 0.2 units of 2^-prec, rounded once and multiplied by ``scale``, so
     an entry is within 4 scale 2^-prec of S.  T is not stored (``t_exponent``).
+    ``runs`` are the admissible runs (l1, l2, first, last) of
+    ``chi._admissible_runs`` and ``spans`` the least and greatest l'_k they
+    reach, (lo, hi) per fibre, which the dominant sum reads.
     """
 
     triple: BrieskornTriple
@@ -92,6 +95,8 @@ class ModularData:
     scale: object
     bits: int
     rows: tuple
+    runs: tuple
+    spans: tuple
 
     @property
     def triples(self) -> tuple:
@@ -128,7 +133,12 @@ def _modular_data_cached(p: BrieskornTriple, digits: int) -> ModularData:
         bits = mp.prec + (4 * p.p3).bit_length()
     halves = (root_table(4 * pk, bits)[1][: 2 * pk] for pk in p.p)
     rows = tuple(tuple(half + [-s for s in half]) for half in halves)
-    return ModularData(triple=p, ctx=ctx, scale=scale, bits=bits, rows=rows)
+    runs = tuple(_admissible_runs(p))
+    l1s, l2s, firsts, lasts = zip(*runs)
+    spans = ((l1s[0], l1s[-1]), (min(l2s), max(l2s)), (min(firsts), max(lasts)))
+    return ModularData(
+        triple=p, ctx=ctx, scale=scale, bits=bits, rows=rows, runs=runs, spans=spans
+    )
 
 
 def modular_data(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> ModularData:
@@ -336,11 +346,11 @@ def _dominant_integers(md: ModularData, ell: EllTriple, n: int) -> tuple:
     by the parts of both parities that are linear in l'_k, over the l'_k
     the admissible runs reach.  A column is three table entries, signed by
     the parity of n times the cross terms of J; the constant signs and
-    i^{-nP} make up i^-q.  In one run of ``_admissible_runs`` l'_1 and l'_2
-    are fixed and the sign changes with l'_3 at most as (-1)^l'_3, so the
-    run costs one difference of prefix sums of the third table, plain or
-    alternating, and two products.  The third table spans the least first
-    to the greatest last l'_3 of the runs.
+    i^{-nP} make up i^-q.  In one run of ``md.runs`` l'_1 and l'_2 are
+    fixed and the sign changes with l'_3 at most as (-1)^l'_3, so the run
+    costs one difference of prefix sums of the third table, plain or
+    alternating, and two products.  Each table spans ``md.spans``: the
+    third from the least first to the greatest last l'_3 of the runs.
 
     A table entry is the Gaussian integer (sine cos, sine sin) of entries of
     the S entries' own rows ``md.rows``, so a call builds no root table.
@@ -352,14 +362,12 @@ def _dominant_integers(md: ModularData, ell: EllTriple, n: int) -> tuple:
     p = md.triple
     l = canonicalize(p, ell)
     p1, p2, p3 = p.p
-    runs = tuple(_admissible_runs(p))
     constant, weights = _s_sign(p, l)
     flips = [(w + n * c) & 1 for w, c in zip(weights, p.cofactors)]
-    re1, im1 = _fibre_row(md, 0, l[0], n, flips[0], runs[0][0], runs[-1][0])
-    re2, im2 = _fibre_row(
-        md, 1, l[1], n, flips[1], min(r[1] for r in runs), max(r[1] for r in runs)
-    )
-    third = _fibre_row(md, 2, l[2], n, 0, min(r[2] for r in runs), max(r[3] for r in runs))
+    span1, span2, span3 = md.spans
+    re1, im1 = _fibre_row(md, 0, l[0], n, flips[0], *span1)
+    re2, im2 = _fibre_row(md, 1, l[1], n, flips[1], *span2)
+    third = _fibre_row(md, 2, l[2], n, 0, *span3)
     # prefix sums of the third table (zero below its first l'_3), plain and times (-1)^l'_3
     plain = [list(accumulate(part, initial=0)) for part in third]
     alternating = [
@@ -367,7 +375,7 @@ def _dominant_integers(md: ModularData, ell: EllTriple, n: int) -> tuple:
     ]
     odd = n & 1
     real = imag = 0
-    for a, b, first, last in runs:
+    for a, b, first, last in md.runs:
         re, im = alternating if (flips[2] + odd * (a * p2 + b * p1)) & 1 else plain
         x, y = re[last + 1] - re[first], im[last + 1] - im[first]
         x, y = re1[a] * x - im1[a] * y, re1[a] * y + im1[a] * x

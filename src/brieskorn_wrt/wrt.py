@@ -231,6 +231,10 @@ def asymptotic_approx(
     sqrt(N/i) sum_l S[(1,1,1)][l] e^{-pi i r(l) N} over admissible triples,
     tail = (1/2) sum_{k<=k_max} L(-2k, chi)/k! (pi i/(2PN))^k; tail and the
     exact value (that of ``tau_n``) gain e^{pi i/(60N)} on the Poincare sphere.
+    Elsewhere each part is the expansion's halved, and halving commutes with
+    binary rounding, so abs_error is the expansion's residual halved, the same
+    number |exact - dominant - tail| would give; on the Poincare sphere the
+    residual is taken again after the shift.
     """
     if n_level < 3:
         raise ValueError("level must be at least 3")
@@ -239,4 +243,6 @@ def asymptotic_approx(
         dominant = expansion.dominant / 2
         tail = _theorem51_normalized(p, expansion.tail, n_level)
         exact = _theorem51_normalized(p, expansion.exact, n_level)
-        return AsymptoticApprox(dominant, tail, exact, +abs(exact - dominant - tail))
+        if p.is_poincare:
+            return AsymptoticApprox(dominant, tail, exact, +abs(exact - dominant - tail))
+        return AsymptoticApprox(dominant, tail, exact, expansion.abs_error / 2)

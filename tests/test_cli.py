@@ -4,6 +4,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -935,6 +936,19 @@ GOLDEN_STDOUT = {
     ("invariant", "--p", "2,3,7", "--N", "100", "--format", "text"): (
         "5f956bc2c7f3f949fb9d4ff027067a1c60295a79b67616c0b5102e15fba8f5cd"
     ),
+    ("cs", "--p", "7,11,13"): (
+        "42757d64e53f89fbb04a1570b0c73042b2de584115e7db936328b6fffd8ab1bf"
+    ),
+    ("flat", "--p", "2,3,5"): (
+        "02c534d6a5af5fb98ef862cc803da479a21e70c6aff9626a283e054100f44c93"
+    ),
+    ("flat", "--p", "5,7,9", "--format", "text"): (
+        "cbe041eb7d37cfe0dfd96e17378c26780f51cf5abdf379f1ba60ee76ca5fc8f3"
+    ),
+    # the residual cancels to the working floor (abs_error 1.8e-64 at 50 digits)
+    ("asymptotic", "--p", "2,3,7", "--N", "5000", "--K", "80"): (
+        "8eae189fa8a70d5706e27257e226dd3fc4f2fa885a2b0889eacfbd3fc1f7d190"
+    ),
 }
 
 
@@ -1080,6 +1094,28 @@ JSON_SCALARS = st.one_of(
 @example([1e300, float("nan"), float("-inf"), True, False, None, 10**40, -(2**64)])
 def test_indented_json_equals_json_dumps(value):
     assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+
+# pairwise coprime p1 < p2 < p3 with D = (p1 - 1)(p2 - 1)(p3 - 1)/4 <= 400
+SMALL_D_TRIPLES = [
+    (p1, p2, p3)
+    for p1 in range(2, 13)
+    for p2 in range(p1 + 1, 42)
+    for p3 in range(p2 + 1, 1600 // ((p1 - 1) * (p2 - 1)) + 2)
+    if math.gcd(p1, p2) == math.gcd(p1, p3) == math.gcd(p2, p3) == 1
+]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(SMALL_D_TRIPLES), st.integers(15, 80), st.sampled_from(("flat", "cs")))
+@example((2, 3, 5), 15, "flat")
+@example((7, 11, 13), 80, "cs")
+def test_hand_laid_records_equal_json_dumps(ps, digits, verb):
+    # flat and cs lay out their records by hand; the text must be json's own
+    cmd = parse([verb, "--p", ",".join(map(str, ps)), "--precision", str(digits)])
+    report, code = execute(cmd)
+    assert code == EXIT_OK
+    assert render(cmd, report) == json.dumps(cli._report_dict(report), indent=2) + "\n"
 
 
 def test_text_format_renders():

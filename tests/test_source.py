@@ -117,10 +117,28 @@ def test_root_tables_are_built_only_where_each_is_owned():
     }, callers
 
 
+def test_modularform_walks_the_admissible_runs_once_per_manifold():
+    # the dominant sum reads ModularData.runs and .spans, built with the
+    # cached rows; no per-call walk of the runs may come back
+    callers = {
+        (name, node.name)
+        for name, node in _package_nodes()
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_admissible_runs"
+    }
+    assert {caller for caller in callers if caller[0] == "modularform.py"} == {
+        ("modularform.py", "_modular_data_cached")
+    }, callers
+
+
 def test_cli_encodes_rationals_and_complex_values_in_one_place():
     # verb runners return library values and execute encodes them through
-    # _json; only the fields with a fixed digit count are encoded early
+    # _json; only the fields with a fixed digit count are encoded early.
+    # mpmath numbers become digits only in real_json and complex_json, and the
+    # hand-laid flat and cs records read JSON terms without converting any
     tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
     def callers(name):
         return {
@@ -128,13 +146,19 @@ def test_cli_encodes_rationals_and_complex_values_in_one_place():
             for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef)
             for call in ast.walk(node)
-            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
+            if isinstance(call, ast.Call)
+            and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
         }
 
     assert callers("rational_json") == {"_json"}
     runners = {name for name in callers("complex_json") if name.startswith("_run_")}
     assert not runners, runners
     assert callers("_json") == {"_json", "execute"}
+    assert callers("nstr") == {"real_json", "complex_json"}
+    layouts = {"_laid_json", "_cs_record", "_flat_record", "_ell_and_cs", "_rational_text"}
+    assert layouts <= functions, layouts - functions
+    for converter in ("_json", "rational_json", "real_json", "complex_json", "str", "repr", "format"):
+        assert not callers(converter) & layouts, converter
 
 
 def test_library_lines_fit_in_100_columns():

@@ -415,6 +415,20 @@ def test_asymptotic_validation(ctx50):
         asymptotic_approx(P235, 10, -1, ctx50)
 
 
+@pytest.mark.parametrize("ps", ((2, 3, 5), (2, 3, 7), (5, 7, 9), (7, 11, 13)))
+def test_asymptotic_abs_error_is_the_residual_of_its_parts(ps):
+    # off the Poincare sphere abs_error is the expansion's residual halved;
+    # on it the residual is taken after the shift.  At N = 5000 the residual
+    # sits at the working floor, where the two would print different digits
+    p = BrieskornTriple(*ps)
+    for digits, n_level, k_max in ((15, 5000, 20), (30, 6, 3), (50, 5000, 80)):
+        ctx = PrecisionContext(digits)
+        approx = asymptotic_approx(p, n_level, k_max, ctx)
+        with ctx.workdps():
+            residual = +abs(approx.exact - approx.dominant - approx.tail)
+        assert approx.abs_error == residual, (digits, n_level, k_max)
+
+
 def test_asymptotic_error_below_last_term(ctx50):
     approx = asymptotic_approx(P235, 200, 5, ctx50)
     with ctx50.workdps():
