@@ -9,44 +9,50 @@ invariants and the perturbative series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat
 from typing import NamedTuple
 
-from .exactmath import Rational, bernoulli_number, dedekind_sum
+from .exactmath import Rational, dedekind_sum, even_bernoulli_numbers
 
 COPRIMALITY_ERROR = "p must be pairwise coprime"
 
 
-@dataclass(frozen=True)
 class BrieskornTriple:
     """Validated Seifert parameters of a Brieskorn homology sphere.
 
     Components are sorted ascending on construction.  Derived data: the
     product P, the representation count D = (p1-1)(p2-1)(p3-1)/4, the
     cofactors P/p_k, and the flag marking the unique triple (2, 3, 5) whose
-    reciprocals sum above 1.
+    reciprocals sum above 1.  Instances are immutable and compare and hash by
+    ``p``; the derived data is cached in the instance ``__dict__``.
     """
 
-    p1: int
-    p2: int
-    p3: int
-
-    def __post_init__(self) -> None:
-        ps = sorted((self.p1, self.p2, self.p3))
-        object.__setattr__(self, "p1", ps[0])
-        object.__setattr__(self, "p2", ps[1])
-        object.__setattr__(self, "p3", ps[2])
-        if self.p1 < 2:
+    def __init__(self, p1: int, p2: int, p3: int) -> None:
+        p1, p2, p3 = sorted((p1, p2, p3))
+        if p1 < 2:
             raise ValueError("each p_i must be at least 2")
-        if (
-            math.gcd(self.p1, self.p2) != 1
-            or math.gcd(self.p1, self.p3) != 1
-            or math.gcd(self.p2, self.p3) != 1
-        ):
+        if math.gcd(p1, p2) != 1 or math.gcd(p1, p3) != 1 or math.gcd(p2, p3) != 1:
             raise ValueError(COPRIMALITY_ERROR)
+        self.__dict__.update(p1=p1, p2=p2, p3=p3)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p1, self.p2, self.p3) == (other.p1, other.p2, other.p3)
+
+    def __hash__(self) -> int:
+        return hash((self.p1, self.p2, self.p3))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(p1={self.p1!r}, p2={self.p2!r}, p3={self.p3!r})"
 
     @property
     def p(self) -> tuple:
@@ -151,8 +157,7 @@ def enumerate_triples(p: BrieskornTriple) -> tuple:
     return result
 
 
-@dataclass(frozen=True)
-class PeriodicChi:
+class PeriodicChi(NamedTuple):
     """Odd periodic sign function of period 2*P with eight-point support.
 
     ``signed_support`` lists the eight (residue, sign) pairs, sorted by
@@ -306,7 +311,7 @@ def _l_value_ratios(chi: PeriodicChi, ks) -> list:
         for j in range(top + 1):
             moments[j] += power
             power *= r
-    evens = [bernoulli_number(i) for i in range(2, top, 2)]
+    evens = even_bernoulli_numbers(top // 2)  # B_i, i = 2, 4, .., top - 1
     common = math.lcm(*(b.denominator for b in evens))
     weights = [
         2 * b.numerator * (common // b.denominator) * two_p ** (2 * half)

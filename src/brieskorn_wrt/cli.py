@@ -19,7 +19,6 @@ import stat
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
@@ -56,7 +55,7 @@ EXIT_USAGE = 2
 # Bounded flags: Command field, least and greatest value, and the note the
 # usage message puts after the least.  The Eichler limit holds O(N) integers
 # and the surgery sum takes O(PN) time; the lambda_n re-expansion is
-# O(order^3) and --order and --K fill the unbounded Bernoulli cache; the
+# O(order^3) and --order and --K set the size of the Bernoulli tables; the
 # theorem51 suite runs the surgery sum at every level up to --nmax; gamma
 # checks every sphere with P <= --pmax (10^5 takes about a minute).  No
 # sphere has P below 2*3*5 and no level is below 3, so smaller --pmax and
@@ -78,8 +77,7 @@ MAX_LEVEL, MAX_PRECISION, MAX_PMAX, MAX_NMAX, MAX_ORDER, MAX_K = (
 MAX_D = 10**6
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """A validated command; the only place the flags' defaults live."""
 
     verb: str
@@ -95,13 +93,15 @@ class Command:
     nmax: int = 25
 
 
-@dataclass
 class Report:
-    command: dict
-    results: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-    status: str = "ok"
-    failure: list = field(default_factory=list)
+    """What ``execute`` found: the command echoed, results, metadata, status and failures."""
+
+    def __init__(self, command: dict) -> None:
+        self.command = command
+        self.results = {}
+        self.metadata = {}
+        self.status = "ok"
+        self.failure = []
 
 
 def rational_json(x: Fraction) -> dict:
@@ -198,7 +198,7 @@ def _options(verb: str) -> dict:
     if spec.takes_p:
         p_help = "p1,p2,p3 (pairwise coprime, each >= 2)"
         options["--p"] = dict(dest="p", required=True, help=p_help)
-    digits_help = f"decimal digits (default {Command.precision})"
+    digits_help = f"decimal digits (default {Command._field_defaults['precision']})"
     options["--precision"] = dict(dest="precision", type=int, help=digits_help)
     options["--format"] = dict(dest="fmt", choices=("json", "csv", "text"))
     options["--out"] = dict(dest="out", help="write output to FILE instead of stdout")

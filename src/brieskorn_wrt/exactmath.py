@@ -2,19 +2,20 @@
 
 Everything exact is computed over arbitrary-precision integers: a Dedekind
 sum as the integer 12k s(h, k) along Euclid's algorithm, returned as one
-``fractions.Fraction``, and Bernoulli numbers as Fractions.  Floating
-computations elsewhere in the package run with mpmath at a precision
-carried explicitly by a :class:`PrecisionContext`, so results never depend
-on ambient mpmath state beyond the scope of a single call.
+``fractions.Fraction``, and Bernoulli numbers as Fractions over integer
+tangent numbers.  Floating computations elsewhere in the package run with
+mpmath at a precision carried explicitly by a :class:`PrecisionContext`, so
+results never depend on ambient mpmath state beyond the scope of a single
+call.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -26,19 +27,27 @@ Rational = Fraction
 GUARD_DIGITS = 15
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class _PrecisionFields(NamedTuple):
+    decimal_digits: int = 50
+
+
+class PrecisionContext(_PrecisionFields):
     """Explicit decimal precision threaded through every floating computation.
 
     ``tolerance`` is the comparison threshold 10**-(decimal_digits - 10);
     the 10-digit margin is ample for the cyclotomic sums in this package.
     """
 
-    decimal_digits: int = 50
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.decimal_digits < 15:
+    def __new__(cls, decimal_digits: int = 50):
+        if decimal_digits < 15:
             raise ValueError("decimal_digits must be at least 15")
+        return super().__new__(cls, decimal_digits)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: validate it too
+        return cls(*iterable)
 
     @property
     def working_digits(self) -> int:
@@ -209,14 +218,48 @@ def root_power_sum(coefficients: list, order: int, step: int, exponents: tuple, 
     return tuple(((x + unit) >> shift, (y + unit) >> shift) for x, y in values)
 
 
-@lru_cache(maxsize=None)
+def _tangent_numbers(count: int) -> list:
+    """T_1..T_count with tan x = sum_k T_k x^(2k-1) / (2k-1)!, in integers.
+
+    Brent and Harvey's in-place recurrence: T_k = (k-1)! to start, then pass
+    k = 2..count sets T_j = (j-k) T_(j-1) + (j-k+2) T_j for j >= k.
+    """
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+@lru_cache(maxsize=8)
+def _even_bernoulli_table(size: int) -> tuple:
+    # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), k = 1..size: one Fraction each
+    return tuple(
+        Fraction((-1) ** (k - 1) * 2 * k * t, 4**k * (4**k - 1))
+        for k, t in enumerate(_tangent_numbers(size), 1)
+    )
+
+
+def even_bernoulli_numbers(count: int) -> tuple:
+    """(B_2, B_4, ..., B_2count), exact.
+
+    Read off one table of tangent numbers whose size is the least power of two
+    (at least 16) not below ``count``, so the bounded cache holds a few tables.
+    """
+    size = 16
+    while size < count:
+        size *= 2
+    return _even_bernoulli_table(size)[:count]
+
+
 def bernoulli_number(n: int) -> Fraction:
     """Bernoulli number B_n in the convention B_1 = -1/2."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for k in range(n):
-        acc += math.comb(n + 1, k) * bernoulli_number(k)
-    return -acc / (n + 1)
+    if n < 2:
+        return Fraction(1) if n == 0 else Fraction(-1, 2)
+    if n & 1:
+        return Fraction(0)
+    return even_bernoulli_numbers(n // 2)[-1]

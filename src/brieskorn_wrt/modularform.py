@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, cycle, islice
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -71,8 +71,7 @@ def _s_sign(p: BrieskornTriple, l: tuple) -> tuple:
     return constant & 1, tuple((w + c) & 1 for w, c in zip(cross, p.cofactors))
 
 
-@dataclass(frozen=True)
-class ModularData:
+class ModularData(NamedTuple):
     """Factored S-matrix over the canonical triples of one manifold.
 
     S[l][l'] = sign * sqrt(32/P) * prod_j sin(pi P l_j l'_j / p_j^2), and with
@@ -293,13 +292,15 @@ def eichler_limit(
         return ensure_finite(phase * inner / pn)
 
 
+@lru_cache(maxsize=128)
 def eichler_tail(p: BrieskornTriple, ell: EllTriple, order: int) -> tuple:
     """The exact tail coefficients c_k = L(-2k, chi)/k!, k = 0..order.
 
     The tail of the nearly modular expansion at 1/n is sum_k c_k (pi i / 2Pn)^k.
     The series is asymptotic, not convergent: the order is the caller's
     truncation.  Every L-value comes from one pass of ``chi._l_value_ratios``,
-    and each c_k is one ``Fraction``.
+    and each c_k is one ``Fraction``.  The tuple depends on (p, ell, order)
+    alone and is cached, so each level of an asymptotic ladder reuses it.
     """
     if order < 0:
         raise ValueError("tail order must be non-negative")
@@ -308,8 +309,7 @@ def eichler_tail(p: BrieskornTriple, ell: EllTriple, order: int) -> tuple:
     return tuple(Fraction(num, den * f) for (num, den), f in zip(ratios, factorials))
 
 
-@dataclass(frozen=True)
-class AsymptoticApprox:
+class AsymptoticApprox(NamedTuple):
     """dominant + tail of a limit at 1/N; abs_error = |exact - dominant - tail|."""
 
     dominant: object

@@ -12,26 +12,21 @@ provides golden data; BWRT_TABLE1_PATH overrides its location.
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from itertools import accumulate
+from typing import NamedTuple
 
 from .chi import BrieskornTriple, EllTriple
 from .modularform import eichler_tail
 from .topology import phi_invariant
 
-logger = logging.getLogger(__name__)
-
 TABLE_ENV_VAR = "BWRT_TABLE1_PATH"
 
 
-@dataclass(frozen=True)
-class OhtsukiSeries:
+class OhtsukiSeries(NamedTuple):
     """Exact coefficients lambda_0..lambda_order of tau_infinity in (q-1)."""
 
     manifold: BrieskornTriple
@@ -104,8 +99,10 @@ def lambda_coefficients(p: BrieskornTriple, order: int) -> OhtsukiSeries:
     lambdas = tuple(Fraction(x, common) for x in _series_mul(shift, bracket[1:], order))
     series = OhtsukiSeries(manifold=p, order=order, lambdas=lambdas)
     if not series.all_integer:
+        import logging  # imported on this rare path alone: it costs every start-up
+
         bad = [n for n, lam in enumerate(series.lambdas) if lam.denominator != 1]
-        logger.warning("non-integer lambda_n for %s at orders %s", p, bad)
+        logging.getLogger(__name__).warning("non-integer lambda_n for %s at orders %s", p, bad)
     return series
 
 
@@ -117,6 +114,8 @@ def table1_path() -> str:
     override = os.environ.get(TABLE_ENV_VAR)
     if override:
         return override
+    from importlib import resources  # read only where the bundled table is
+
     return str(resources.files("brieskorn_wrt").joinpath("data/table1.txt"))
 
 

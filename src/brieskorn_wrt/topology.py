@@ -21,9 +21,9 @@ shared Fractions per fibre.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -39,8 +39,7 @@ from .exactmath import DEFAULT_CONTEXT, PrecisionContext, Rational, ensure_finit
 from .modularform import modular_data
 
 
-@dataclass(frozen=True)
-class FlatConnectionRecord:
+class FlatConnectionRecord(NamedTuple):
     """Stationary-phase data of one irreducible flat connection."""
 
     triple: EllTriple

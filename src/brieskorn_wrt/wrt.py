@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -40,8 +40,7 @@ from .exactmath import (
 from .modularform import AsymptoticApprox, _limit_weights, nearly_modular_expansion
 
 
-@dataclass(frozen=True)
-class WrtResult:
+class WrtResult(NamedTuple):
     """Level-N invariant with its normalizations and summation metadata."""
 
     level: int

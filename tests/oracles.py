@@ -27,7 +27,9 @@ full S-row with one ``expjpi`` of that ``Fraction`` T-exponent per
 ``ell_condition`` column, ``spectral_flow_per_record`` runs the O(p_j)
 sawtooth loop for each connection with its own Dedekind offset,
 ``chern_simons_fraction`` halves the ``Fraction`` T-exponent, and
-``eichler_tail_term`` evaluates one tail term.  ``solve_seifert_q``
+``eichler_tail_term`` evaluates one tail term, and ``bernoulli_recurrence``
+is the Fraction recurrence over all earlier B_k that the tangent numbers
+replaced; ``bernoulli_polynomial`` reads it.  ``solve_seifert_q``
 finds surgery coefficients, which the library does not use.
 """
 
@@ -48,7 +50,6 @@ from brieskorn_wrt import (
     OhtsukiSeries,
     PeriodicChi,
     PrecisionContext,
-    bernoulli_number,
     build_chi,
     canonicalize,
     ell_condition,
@@ -280,6 +281,20 @@ def root_table_per_entry(order: int, bits: int, entries) -> list:
             for e in entries
         ]
 
+_BERNOULLI = [Fraction(1)]  # B_0, B_1, ... as far as any caller has read
+
+
+def bernoulli_recurrence(n: int) -> Fraction:
+    """B_n, B_1 = -1/2, from B_n = -sum_{k<n} C(n+1, k) B_k / (n+1), exact."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    while len(_BERNOULLI) <= n:
+        m = len(_BERNOULLI)
+        total = sum(math.comb(m + 1, k) * b for k, b in enumerate(_BERNOULLI))
+        _BERNOULLI.append(-total / (m + 1))
+    return _BERNOULLI[n]
+
+
 def bernoulli_polynomial(n: int, x) -> Fraction:
     """Bernoulli polynomial B_n(x), exact: sum_k C(n,k) B_k x^(n-k)."""
     if n < 0:
@@ -287,7 +302,7 @@ def bernoulli_polynomial(n: int, x) -> Fraction:
     x = Fraction(x)
     total = Fraction(0)
     for k in range(n + 1):
-        total += math.comb(n, k) * bernoulli_number(k) * x ** (n - k)
+        total += math.comb(n, k) * bernoulli_recurrence(k) * x ** (n - k)
     return total
 
 

@@ -51,6 +51,25 @@ def test_triple_sorts_and_derives():
     assert BrieskornTriple(5, 3, 2).is_poincare
 
 
+def test_triple_is_an_immutable_value_keyed_by_p():
+    # the semantics of the frozen record it replaced: field-wise equality and
+    # hash, its repr, no assignment, and no equality with a plain tuple
+    p = BrieskornTriple(7, 3, 2)
+    assert p == BrieskornTriple(2, 3, 7) and p != BrieskornTriple(2, 3, 11)
+    assert hash(p) == hash(BrieskornTriple(3, 7, 2)) == hash((2, 3, 7))
+    assert repr(p) == "BrieskornTriple(p1=2, p2=3, p3=7)"
+    assert str(p) == "Sigma(2,3,7)"
+    assert p != (2, 3, 7) and (2, 3, 7) != p
+    assert BrieskornTriple(p1=5, p2=2, p3=3).p == (2, 3, 5)
+    for name in ("p1", "P", "D", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 11)
+    with pytest.raises(AttributeError):
+        del p.p2
+    assert p.p == (2, 3, 7) and (p.P, p.D, p.cofactors) == (42, 3, (21, 14, 6))
+    assert {p: 1}[BrieskornTriple(2, 7, 3)] == 1
+
+
 def test_triple_validation():
     with pytest.raises(ValueError):
         BrieskornTriple(2, 4, 5)

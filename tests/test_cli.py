@@ -848,6 +848,25 @@ def test_plain_argv_never_imports_argparse():
     assert proc.stderr == "False False\n"
 
 
+def test_plain_argv_adds_no_heavy_stdlib_module():
+    # dataclasses (with inspect), logging and importlib.resources cost every
+    # start-up; the package imports none of them on a plain argv.  site may
+    # load some beforehand, so only what the package adds is compared
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from brieskorn_wrt import cli\n"
+        "assert cli.main(['ohtsuki', '--p', '2,3,7', '--format', 'csv']) == 0\n"
+        "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+    )
+    proc = _run_python([sys.executable, "-c", script])
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stderr.split())
+    assert "brieskorn_wrt.ohtsuki" in added
+    heavy = {"dataclasses", "inspect", "logging", "importlib.resources"}
+    assert added.isdisjoint(heavy), sorted(added & heavy)
+
+
 def test_out_file_written(tmp_path):
     out = tmp_path / "report.json"
     code = main(["cs", "--p", "2,3,7", "--out", str(out)])

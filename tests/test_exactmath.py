@@ -22,10 +22,17 @@ from brieskorn_wrt import (
     rozansky_normalized,
     torsion_sqrt,
 )
-from brieskorn_wrt.exactmath import root_power_sum, root_table, rounded_ratio
+from brieskorn_wrt.exactmath import (
+    _even_bernoulli_table,
+    even_bernoulli_numbers,
+    root_power_sum,
+    root_table,
+    rounded_ratio,
+)
 from oracles import (
     UnimodularMatrix,
     bernoulli_polynomial,
+    bernoulli_recurrence,
     dedekind_sum_cotangent,
     egcd,
     eichler_limit_per_term,
@@ -536,3 +543,37 @@ def test_bernoulli_numbers_known():
     assert bernoulli_number(1) == Fraction(-1, 2)
     assert bernoulli_number(2) == Fraction(1, 6)
     assert bernoulli_number(12) == Fraction(-691, 2730)
+
+
+def test_precision_context_is_validated_on_every_construction():
+    ctx = PrecisionContext(decimal_digits=20)
+    assert repr(ctx) == "PrecisionContext(decimal_digits=20)"
+    assert ctx == PrecisionContext(20) and hash(ctx) == hash(PrecisionContext(20))
+    assert PrecisionContext().decimal_digits == 50 and ctx.working_digits == 35
+    assert ctx._replace(decimal_digits=15) == PrecisionContext(15)
+    for build in (PrecisionContext, lambda d: ctx._replace(decimal_digits=d)):
+        with pytest.raises(ValueError, match="at least 15"):
+            build(14)
+    with pytest.raises(ValueError, match="at least 15"):
+        PrecisionContext._make([14])
+    with pytest.raises(AttributeError):
+        ctx.decimal_digits = 30
+
+
+def test_bernoulli_numbers_match_the_recurrence_to_300():
+    # the tangent-number route against the Fraction recurrence it replaced
+    reference = [bernoulli_recurrence(n) for n in range(301)]
+    assert [bernoulli_number(n) for n in range(301)] == reference
+    assert even_bernoulli_numbers(150) == tuple(bernoulli_recurrence(n) for n in range(2, 301, 2))
+    assert even_bernoulli_numbers(0) == ()
+    with pytest.raises(ValueError):
+        bernoulli_number(-1)
+
+
+def test_bernoulli_cache_is_bounded():
+    # one table per power of two, at least 16, in a cache of eight tables
+    _even_bernoulli_table.cache_clear()
+    for count in (1, 9, 16, 17, 100):
+        even_bernoulli_numbers(count)
+    info = _even_bernoulli_table.cache_info()
+    assert (info.currsize, info.maxsize) == (3, 8)

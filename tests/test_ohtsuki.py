@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 
 import pytest
@@ -83,8 +84,6 @@ def test_all_table_rows_integral():
 
 
 def test_non_integer_lambdas_warn_not_raise(caplog):
-    import logging
-
     # (3,5,14) falls outside the bundled table; whatever the integrality
     # outcome, the call must succeed and only warn
     with caplog.at_level(logging.WARNING, logger="brieskorn_wrt.ohtsuki"):
@@ -138,6 +137,24 @@ def test_nonzero_tail_constant_term_raises(monkeypatch):
     monkeypatch.setattr(ohtsuki, "eichler_tail", perturbed)
     with pytest.raises(ArithmeticError, match="constant term"):
         lambda_coefficients(BrieskornTriple(2, 3, 7), 3)
+
+
+def test_non_integer_lambdas_are_logged(monkeypatch, caplog):
+    # the warning branch, which alone imports logging, reached by a tail whose
+    # c_1 is moved off its value: every lambda_n from n = 0 on turns fractional
+    real = ohtsuki.eichler_tail
+
+    def perturbed(p, ell, order):
+        c0, c1, *rest = real(p, ell, order)
+        return (c0, c1 + Fraction(1, 7), *rest)
+
+    monkeypatch.setattr(ohtsuki, "eichler_tail", perturbed)
+    with caplog.at_level(logging.WARNING, logger="brieskorn_wrt.ohtsuki"):
+        series = lambda_coefficients(BrieskornTriple(2, 3, 7), 2)
+    assert not series.all_integer
+    [record] = caplog.records
+    assert record.name == "brieskorn_wrt.ohtsuki"
+    assert record.getMessage().startswith("non-integer lambda_n for Sigma(2,3,7) at orders [0")
 
 
 # -------------------------------------------------------------- golden table
