@@ -28,6 +28,7 @@ from mpmath import mp
 from . import __version__
 from .chi import (
     BrieskornTriple,
+    EllTriple,
     admissible_count,
     admissible_triples,
     gamma_closed_form,
@@ -53,10 +54,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 # Bounded flags: Command field, least and greatest value, and the note the
-# usage message puts after the least.  The Eichler limit holds O(N) integers
-# and the surgery sum takes O(PN) time; the lambda_n re-expansion is
+# usage message puts after the least.  tau_N's Eichler-limit weights and exact
+# coordinates take O(N) integers and time; the lambda_n re-expansion is
 # O(order^3) and --order and --K set the size of the Bernoulli tables; the
-# theorem51 suite runs the surgery sum at every level up to --nmax; gamma
+# theorem51 suite runs the O(PN) surgery sum at every level up to --nmax; gamma
 # checks every sphere with P <= --pmax (10^5 takes about a minute).  No
 # sphere has P below 2*3*5 and no level is below 3, so smaller --pmax and
 # --nmax would select nothing.
@@ -131,8 +132,7 @@ def _json(value, digits: int, held: bool = False):
     """A library value in JSON terms; mpmath numbers at ``digits`` digits.
 
     One precision context covers the whole value, not one per number.  The
-    exact type picks the branch; subclasses, such as the NamedTuple
-    ``EllTriple``, take the isinstance tests after.
+    exact type picks the branch; ``EllTriple`` is the one subclass to reach it.
     """
     if not held:
         with mp.workdps(digits):
@@ -142,7 +142,7 @@ def _json(value, digits: int, held: bool = False):
         return value
     if kind is dict:
         return {key: _json(item, digits, True) for key, item in value.items()}
-    if kind is list or kind is tuple:
+    if kind is list or kind is tuple or kind is EllTriple:
         return [_json(item, digits, True) for item in value]
     if kind is Fraction:
         return rational_json(value)
@@ -150,17 +150,7 @@ def _json(value, digits: int, held: bool = False):
         return real_json(value, digits, True)
     if kind is _MPC:
         return complex_json(value, digits, True)
-    if isinstance(value, (list, tuple)):
-        return [_json(item, digits, True) for item in value]
-    if isinstance(value, dict):
-        return {key: _json(item, digits, True) for key, item in value.items()}
-    if isinstance(value, Fraction):
-        return rational_json(value)
-    if isinstance(value, _MPC):
-        return complex_json(value, digits, True)
-    if isinstance(value, _MPF):
-        return real_json(value, digits, True)
-    return value
+    return value  # a bool, already a JSON term
 
 
 class _UsageError(Exception):
@@ -187,9 +177,9 @@ def _parse_triple(text: str, verb: str) -> tuple:
 # Two readers of argv: a plain argv, VERB (--FLAG VALUE)*, is read straight off
 # the verb's option table, which _VERBS and _BOUNDS build; argparse, built from
 # the same table, reads every other form and writes every usage and help
-# message.  JSON reports are laid out by hand in json.dumps' indent=2 form, with
-# every string quoted by the C encoder (_indented_json); the records of flat and
-# cs each have one fixed layout over their JSON terms, named in _VERBS.
+# message.  A report is one stream of text pieces (_pieces): CSV and text yield
+# lines, and JSON, laid out in json.dumps' indent=2 form with C quoting, yields
+# each flat or cs record, in the fixed layout _VERBS names, as a piece.
 @functools.lru_cache(maxsize=None)
 def _options(verb: str) -> dict:
     """The verb's flags, in help order, as {flag: add_argument keywords}."""
@@ -427,47 +417,44 @@ def _run_verify(cmd: Command, ctx: PrecisionContext) -> tuple:
 
 
 def _run_table(cmd: Command, ctx: PrecisionContext) -> tuple:
-    return {"csv": _lambda_csv(load_table1(), 9)}, []
+    return {"csv": "".join(_lambda_csv(load_table1(), 9))}, []
 
 
 # ---------------------------------------------------------------------------
 # formatting
 
 
-def _lambda_csv(rows, count: int) -> str:
+def _lambda_csv(rows, count: int):
     """One CSV line per (p, lambda values) row under a lambda_0.. header."""
-    lines = ["p1,p2,p3," + ",".join(f"lambda_{n}" for n in range(count))]
-    lines += [",".join(str(x) for x in (*ps, *values)) for ps, values in rows]
-    return "\n".join(lines) + "\n"
+    yield "p1,p2,p3," + ",".join(f"lambda_{n}" for n in range(count)) + "\n"
+    for ps, values in rows:
+        yield ",".join(str(x) for x in (*ps, *values)) + "\n"
 
 
-def _ohtsuki_csv(results: dict) -> str:
+def _ohtsuki_csv(results: dict):
     lams = [str(Fraction(int(x["num"]), int(x["den"]))) for x in results["lambdas"]]
     return _lambda_csv([(results["p"], lams)], len(lams))
 
 
-def _cs_csv(results: dict) -> str:
-    lines = ["ell1,ell2,ell3,cs_num,cs_den"]
+def _cs_csv(results: dict):
+    yield "ell1,ell2,ell3,cs_num,cs_den\n"
     for e in results["cs_spectrum"]:
-        lines.append(",".join(map(str, (*e["ell"], e["cs"]["num"], e["cs"]["den"]))))
-    return "\n".join(lines) + "\n"
+        yield ",".join(map(str, (*e["ell"], e["cs"]["num"], e["cs"]["den"]))) + "\n"
 
 
-def _format_text(report: Report) -> str:
-    lines = [f"status: {report.status}"]
+def _format_text(report: Report):
+    yield f"status: {report.status}\n"
 
     def walk(prefix, value):
         for k, v in value.items() if isinstance(value, dict) else enumerate(value):
             if isinstance(v, (dict, list)):
-                walk(f"{prefix}{k}.", v)
+                yield from walk(f"{prefix}{k}.", v)
             else:
-                lines.append(f"{prefix}{k} = {v}")
+                yield f"{prefix}{k} = {v}\n"
 
-    walk("", report.results)
-    walk("failure.", report.failure)
-    for key, value in report.metadata.items():
-        lines.append(f"metadata.{key} = {value}")
-    return "\n".join(lines) + "\n"
+    yield from walk("", report.results)
+    yield from walk("failure.", report.failure)
+    yield from walk("metadata.", report.metadata)
 
 
 def _indented_json(value, newline: str = "\n") -> str:
@@ -531,28 +518,25 @@ def _flat_record(record: dict) -> str:
     )
 
 
-def _laid_json(report: Report, key: str, record: Callable) -> str:
-    """The report as _indented_json lays it out, plus a newline, with each record
-    of results[key] laid out by ``record``.
-
-    The text is joined once from its pieces, so the records are copied into
-    their rows and the rows into the text, and no larger piece is copied again.
-    """
-    pieces = []
+def _laid_json(report: Report, layout: tuple | None):
+    """The report as _indented_json lays it out, plus a newline, in pieces; with a
+    layout (key, record), each record of results[key] is a piece laid out by record."""
+    key, record = layout or (None, None)
     for top, (name, value) in enumerate(_report_dict(report).items()):
-        pieces.append(("," if top else "{") + f"\n  {_quote(name)}: ")
-        if name != "results":
-            pieces.append(_indented_json(value, "\n  "))
+        yield ("," if top else "{") + f"\n  {_quote(name)}: "
+        if name != "results" or record is None:
+            yield _indented_json(value, "\n  ")
             continue
         for inner, (field, item) in enumerate(value.items()):
-            pieces.append(("," if inner else "{") + f"\n    {_quote(field)}: ")
-            if field == key:
-                pieces += ("[\n      ", ",\n      ".join(map(record, item)), "\n    ]")
-            else:
-                pieces.append(_indented_json(item, "\n    "))
-        pieces.append("\n  }")
-    pieces.append("\n}\n")
-    return "".join(pieces)
+            yield ("," if inner else "{") + f"\n    {_quote(field)}: "
+            if field != key:
+                yield _indented_json(item, "\n    ")
+                continue
+            for index, entry in enumerate(item):
+                yield (",\n      " if index else "[\n      ") + record(entry)
+            yield "\n    ]"
+        yield "\n  }"
+    yield "\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +549,7 @@ class _Verb(NamedTuple):
     flags: tuple = ()  # beyond --p, --precision, --format and --out
     takes_p: bool = True
     d_bounded: bool = False  # --p capped at MAX_D canonical triples
-    csv: Callable | None = None  # results -> CSV text; None means JSON
+    csv: Callable | None = None  # results -> CSV text in pieces; None means JSON
     layout: tuple | None = None  # (results key, its JSON record -> text), laid out by hand
     route: str | None = None  # metadata["route"]: what computed tau_N
 
@@ -607,7 +591,7 @@ _VERBS = {
         "emit the bundled reference table as CSV",
         _run_table,
         takes_p=False,
-        csv=lambda results: results["csv"],
+        csv=lambda results: (results["csv"],),
     ),
 }
 VERBS = tuple(_VERBS)
@@ -645,15 +629,18 @@ def execute(cmd: Command) -> tuple:
     return report, EXIT_FAIL if report.failure else EXIT_OK
 
 
-def render(cmd: Command, report: Report) -> str:
+def _pieces(cmd: Command, report: Report):
+    """The report's text in the command's format, as a stream of pieces."""
     spec = _VERBS[cmd.verb]
     if cmd.fmt == "csv" and spec.csv:
         return spec.csv(report.results)
     if cmd.fmt == "text":
         return _format_text(report)
-    if spec.layout:
-        return _laid_json(report, *spec.layout)
-    return _indented_json(_report_dict(report)) + "\n"
+    return _laid_json(report, spec.layout)
+
+
+def render(cmd: Command, report: Report) -> str:
+    return "".join(_pieces(cmd, report))
 
 
 def _existing(path: str) -> os.stat_result | None:
@@ -708,25 +695,37 @@ def _out_error(path: str) -> str | None:
     return None if os.access(parent, os.W_OK) else os.strerror(errno.EACCES)
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write --out; a replaceable target is written beside itself and renamed into place.
+def _write_out(sink, pieces) -> None:
+    """Write the pieces to a standard stream or to the file --out names.
 
-    A failed write then leaves neither the target nor the temporary file.  A
-    replaced target keeps its permission bits; a new one gets the umask's.
+    A replaceable file is written beside itself and renamed into place once
+    whole, keeping its permission bits; other files are written in place.
     """
-    status = _existing(path)
-    if not _replaceable(status):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    if not isinstance(sink, str):
+        try:
+            sink.writelines(pieces)
+            sink.flush()
+        except BrokenPipeError:
+            if sink is not sys.stdout:
+                raise
+            # the reader has gone: the rest of the report, and the flush at exit, go nowhere
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sink.fileno())
+            os.close(null)
         return
-    target = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
+    status = _existing(sink)
+    if not _replaceable(status):
+        with open(sink, "w", encoding="utf-8") as handle:
+            handle.writelines(pieces)
+        return
+    target = os.path.realpath(sink)  # through a symlink, as open(sink, "w") writes
     temporary = os.path.join(os.path.dirname(target), f".bwrt-{os.urandom(8).hex()}.tmp")
     handle = open(temporary, "x", encoding="utf-8")
     try:
         with handle:
             if status is not None:
                 os.fchmod(handle.fileno(), stat.S_IMODE(status.st_mode))
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)
@@ -740,15 +739,13 @@ def main(argv: list | None = None) -> int:
         print(f"error: cannot write --out {cmd.out}: {reason}", file=sys.stderr)
         return EXIT_USAGE
     report, exit_code = execute(cmd)
-    text = render(cmd, report)
-    if stream is None:
-        try:
-            _write_out(cmd.out, text)
-        except OSError as exc:
-            print(f"error: cannot write --out {cmd.out}: {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        stream.write(text)
+    try:
+        _write_out(stream or cmd.out, _pieces(cmd, report))
+    except OSError as exc:
+        if stream is not None:  # only a file --out names is reported as --out's error
+            raise
+        print(f"error: cannot write --out {cmd.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     return exit_code
 
 

@@ -333,9 +333,11 @@ def _fibre_row(md: ModularData, k: int, lk: int, n: int, flip: int, lo: int, hi:
 
 
 def _dominant_integers(md: ModularData, ell: EllTriple, n: int) -> tuple:
-    """(real, imag, q): the Gaussian integer over 2^(6 bits) under ``_dominant_sum``.
+    """(real, imag, q): the dominant sum as a Gaussian integer G = real + i imag.
 
-    The sum runs over the admissible columns l' only.  With A = P + sum l'_k c_k,
+    sum_l' S[ell][l'] e^{-pi i r(l') n} = i^-q sqrt(32/P) G / 2^(6 bits), up
+    to the bound below.  The sum runs over the admissible columns l' only.
+    With A = P + sum l'_k c_k,
 
         A^2 / 2P = P/2 + J + sum_k c_k l'_k^2 / 2p_k,
         J = sum_k l'_k c_k + l'_1 l'_2 p_3 + l'_1 l'_3 p_2 + l'_2 l'_3 p_1,
@@ -356,8 +358,8 @@ def _dominant_integers(md: ModularData, ell: EllTriple, n: int) -> tuple:
     the S entries' own rows ``md.rows``, so a call builds no root table.
     Prefix sums and each run's product of three entries are exact.  Each row
     entry is within 2 units of 2^-bits, so a table entry, of modulus at most
-    1, is within 5 units and a column within 16 units of 2^-bits: the
-    integer over 2^(6 bits) is within 16 gamma 2^-bits of the exact sum.
+    1, is within 5 units and a column within 16 units of 2^-bits: G over
+    2^(6 bits) is within 16 gamma 2^-bits of its exact value.
     """
     p = md.triple
     l = canonicalize(p, ell)
@@ -385,23 +387,6 @@ def _dominant_integers(md: ModularData, ell: EllTriple, n: int) -> tuple:
         else:
             real, imag = real + x, imag + y
     return real, imag, (n * p.P + 2 * constant) % 4
-
-
-def _dominant_sum(md: ModularData, ell: EllTriple, n: int) -> tuple:
-    """(value, q): sum_l' S[ell][l'] e^{-pi i r(l') n} = i^-q value.
-
-    value is the Gaussian integer of ``_dominant_integers``, over 2^(6 bits),
-    rounded once to the working precision and multiplied by ``md.scale`` =
-    sqrt(32/P).
-
-    Bound.  The integer is within 16 gamma 2^-bits of the exact sum.  The
-    rounding, ``scale`` and the product add 4 gamma u, u = 2^-mp.prec, and
-    2^-bits < u / 4p_3, so value is within 5 gamma sqrt(32/P) u of its exact
-    value.
-    """
-    real, imag, quarter = _dominant_integers(md, ell, n)
-    total = mp.mpc((real, -6 * md.bits), (imag, -6 * md.bits))
-    return total * md.scale, quarter
 
 
 def _dominant(md: ModularData, ell: EllTriple, n: int):

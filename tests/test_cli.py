@@ -740,6 +740,28 @@ def test_failed_out_write_leaves_nothing(stage, monkeypatch, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failure_in_mid_stream_keeps_the_old_out_file(monkeypatch, tmp_path):
+    # the records are written as they are laid out; an error after the first
+    # leaves a replaceable --out as it was, with no temporary file beside it
+    out = tmp_path / "r.json"
+    out.write_text("old")
+    key, record = _VERBS["flat"].layout
+    laid = []
+
+    def failing(entry):
+        if laid:
+            raise RuntimeError("second record")
+        laid.append(entry)
+        return record(entry)
+
+    monkeypatch.setitem(_VERBS, "flat", _VERBS["flat"]._replace(layout=(key, failing)))
+    with pytest.raises(RuntimeError, match="second record"):
+        main(["flat", "--p", "2,3,7", "--out", str(out)])
+    assert len(laid) == 1
+    assert out.read_text() == "old"
+    assert [path.name for path in tmp_path.iterdir()] == ["r.json"]
+
+
 def test_out_writes_through_a_symlink(tmp_path):
     target, link = tmp_path / "real.json", tmp_path / "link.json"
     target.write_text("old")
@@ -826,6 +848,18 @@ def test_out_at_dev_stderr_keeps_the_later_output(tmp_path):
     cmd = parse(["cs", "--p", "2,3,7", "--format", "csv"])
     assert report.read_text() == render(cmd, execute(cmd)[0]) + "after\n"
     assert [path.name for path in tmp_path.iterdir()] == ["g"]
+
+
+def test_closed_stdout_pipe_keeps_the_exit_code_and_stderr_quiet(tmp_path):
+    # the report goes to stdout in many writes; those after the reader has
+    # gone are dropped, with no error printed and the report's exit code
+    bwrt = f"{shlex.quote(sys.executable)} -m brieskorn_wrt.cli"
+    script = f"{{ {bwrt} flat --p 31,37,41; echo $? > code; }} | head -c 100"
+    proc = _run_python(["sh", "-c", script], cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith('{\n  "command": {') and len(proc.stdout) == 100
+    assert proc.stderr == ""
+    assert (tmp_path / "code").read_text() == f"{EXIT_OK}\n"
 
 
 def test_help_prints_no_implementation_notes(capsys):

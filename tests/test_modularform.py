@@ -573,8 +573,8 @@ def _sinpi_ratio(num: int, den: int, digits: int):
 
 
 def _dominant_reference(p, ell, phases, digits):
-    # i^-q times the value of _dominant_sum, column by column: sines by sinpi,
-    # signs from the reference parity, phases given per admissible column
+    # sqrt(32/P) times the sum over the admissible columns of the S sign, the
+    # sines by sinpi and the given phase; signs from the reference parity
     with mp.workdps(digits):
         total = mp.mpc(0)
         for lp, phase in zip(admissible_triples(p)[0], phases):
@@ -586,10 +586,10 @@ def _dominant_reference(p, ell, phases, digits):
 
 
 @pytest.mark.parametrize("ps, sample", (((2, 3, 5), None), ((7, 11, 13), 40), ((2, 3, 1009), 50)))
-def test_dominant_sum_within_stated_bound(ps, sample, ctx50):
-    # the docstring bound 5 gamma sqrt(32/P) 2^-prec against the columns at 20
-    # more digits, phases by expjpi of the Fraction T-exponent; the reference
-    # reads no row of modular_data
+def test_dominant_integers_within_stated_bound(ps, sample, ctx50):
+    # the docstring bound 16 gamma 2^-bits on G / 2^(6 bits) against the columns
+    # at 20 more digits over sqrt(32/P), phases by expjpi of the Fraction
+    # T-exponent; the reference reads no row of modular_data
     p, digits = BrieskornTriple(*ps), ctx50.working_digits + 20
     rows = enumerate_triples(p)
     rows = rows if sample is None else random.Random(sum(ps)).sample(rows, sample)
@@ -602,12 +602,13 @@ def test_dominant_sum_within_stated_bound(ps, sample, ctx50):
                 for lp in admissible_triples(p)[0]
             ]
         for ell in rows:
-            with ctx50.workdps():
-                value, q = modularform._dominant_sum(md, ell, n)
-                bound = 5 * gamma * mp.sqrt(mp.mpf(32) / p.P) * mp.mpf(2) ** -mp.prec
+            real, imag, q = modularform._dominant_integers(md, ell, n)
             reference = _dominant_reference(p, ell, phases, digits)
             with mp.workdps(digits):
-                assert abs(value - mp.mpc(0, 1) ** q * reference) < bound, (ell, n)
+                value = mp.mpc(mp.ldexp(real, -6 * md.bits), mp.ldexp(imag, -6 * md.bits))
+                exact = mp.mpc(0, 1) ** q * reference / mp.sqrt(mp.mpf(32) / p.P)
+                assert abs(value - exact) < 16 * gamma * mp.mpf(2) ** -md.bits, (ell, n)
+
 
 def test_eichler_tail_coefficients_exact():
     tail = eichler_tail(P235, EllTriple(1, 1, 1), 3)

@@ -154,11 +154,27 @@ def test_cli_encodes_rationals_and_complex_values_in_one_place():
     runners = {name for name in callers("complex_json") if name.startswith("_run_")}
     assert not runners, runners
     assert callers("_json") == {"_json", "execute"}
+    assert "_json" not in callers("isinstance")  # the exact type alone picks the branch
     assert callers("nstr") == {"real_json", "complex_json"}
     layouts = {"_laid_json", "_cs_record", "_flat_record", "_ell_and_cs", "_rational_text"}
     assert layouts <= functions, layouts - functions
     for converter in ("_json", "rational_json", "real_json", "complex_json", "str", "repr", "format"):
         assert not callers(converter) & layouts, converter
+
+
+def test_cli_main_writes_the_report_as_a_stream():
+    # main hands the pieces of the report to the one sink, _write_out; neither
+    # builds the whole text, by render or by a str.join of the pieces
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for name in ("main", "_write_out"):
+        called = {
+            ast.unparse(call.func) for call in ast.walk(functions[name]) if isinstance(call, ast.Call)
+        }
+        joins = {f for f in called if f.endswith("join") and f != "os.path.join"}
+        assert "render" not in called and not joins, (name, called)
+        if name == "main":
+            assert {"_write_out", "_pieces"} <= called, called
 
 
 def test_library_lines_fit_in_100_columns():
