@@ -131,9 +131,9 @@ def _unit_root(order: int, wide: int) -> tuple:
     return int(mp.ldexp(z.real, wide)), int(mp.ldexp(z.imag, wide))
 
 
-def root_table(order: int, bits: int) -> tuple:
-    """Integer lists (cos, sin) over 2^bits, entry e within 2 units of 2^-bits of
-    (cos, sin)(2 pi e / order), 0 <= e <= order/2, from one ``mp.expjpi``.
+def root_table(order: int, bits: int) -> list:
+    """Integers over 2^bits, entry e within 2 units of 2^-bits of sin(2 pi e / order),
+    0 <= e < order/2: the (order + 1) // 2 sines of a half period, from one ``mp.expjpi``.
 
     z = e^{2 pi i / order} is taken at w = bits + g bits.  Entry a + b s is the giant
     step (z^s)^b times the baby step z^a, a < s = isqrt(order/2) + 1, each step a
@@ -145,20 +145,19 @@ def root_table(order: int, bits: int) -> tuple:
     """
     if order < 1 or bits <= 2 * order.bit_length():
         raise ValueError(f"root table ({order}, {bits}): need order >= 1, bits > 2 bit_length")
-    half, step, wide = order // 2, math.isqrt(order // 2) + 1, bits + order.bit_length() + 2
+    count, step, wide = (order + 1) // 2, math.isqrt(order // 2) + 1, bits + order.bit_length() + 2
     baby = [(1 << wide, 0), _unit_root(order, wide)]
     while len(baby) <= step:
         baby.append(_fixed_product(baby[-1], baby[1], wide))
     giant = [baby[0]]
-    while len(giant) * step <= half:
+    while len(giant) * step < count:
         giant.append(_fixed_product(giant[-1], baby[step], wide))
-    shift, cos, sin = 2 * wide - bits, [], []
+    shift, sin = 2 * wide - bits, []
     unit = 1 << (shift - 1)
     for gx, gy in giant:
-        for bx, by in baby[: min(step, half + 1 - len(cos))]:
-            cos.append((gx * bx - gy * by + unit) >> shift)
+        for bx, by in baby[: min(step, count - len(sin))]:
             sin.append((gx * by + gy * bx + unit) >> shift)
-    return cos, sin
+    return sin
 
 
 def root_power_sum(coefficients: list, order: int, step: int, exponents: tuple, bits: int):

@@ -11,8 +11,9 @@ L-values.  ``eichler_tail`` is that tail as its tuple of exact coefficients
 L(-2k, chi)/k!, which ``ohtsuki`` re-expands and ``nearly_modular_expansion``
 sums in powers of pi i / 2Pn.  ``eichler_limit`` evaluates a limit at m/n
 as one T-phase times one exact integer weight vector over the n-th roots of
-unity, read against one fixed-point table of those roots, so it takes two
-exponentials and its rounding is bounded by the weights it sums.
+unity, both summed in fixed point as powers of one root of unity
+(``exactmath.root_power_sum``), so it takes one exponential, builds no table,
+and its rounding is bounded by the weights it sums.
 ``nearly_modular_expansion`` is the one implementation of the dominant/tail
 split; ``wrt.asymptotic_approx`` normalizes its (1, 1, 1) row.  Its dominant
 part reads only the gamma admissible columns, run by run of
@@ -21,9 +22,9 @@ summed as Gaussian integers and scaled by the exact 8 sqrt(n/P)(1 - i)(-i)^q
 with one integer square root.  Its tail is summed exactly by Horner's rule
 from the exact coefficients in the integer int(pi 2^w).  Each is rounded once
 (``exactmath.rounded_ratio``) within a bound derived from what it sums, so a
-warm call takes the limit's two exponentials and builds no table but the
-limit's.  ``eichler_tail`` takes every L-value from one pass of
-``chi._l_value_ratios`` and builds one ``Fraction`` per coefficient.
+warm call takes the limit's one exponential and builds no table.
+``eichler_tail`` takes every L-value from one pass of ``chi._l_value_ratios``
+and builds one ``Fraction`` per coefficient.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, cycle
 from typing import NamedTuple
 
 from mpmath import mp
@@ -51,6 +52,7 @@ from .exactmath import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     ensure_finite,
+    root_power_sum,
     root_table,
     rounded_ratio,
 )
@@ -76,9 +78,9 @@ class ModularData(NamedTuple):
 
     S[l][l'] = sign * sqrt(32/P) * prod_j sin(pi P l_j l'_j / p_j^2), and with
     c_j = P/p_j the j-th sine is entry 2 c_j l_j l'_j mod 4p_j of ``rows[j]``,
-    the integers round(2^bits sin(2 pi e / 4p_j)), 0 <= e < 4p_j: one
-    ``exactmath.root_table`` with its second half negated, which the dominant
-    sum reads too.  ``_s_sign`` gives the rest of the sign.  ``scale`` =
+    the integers round(2^bits sin(2 pi e / 4p_j)), 0 <= e < 4p_j: the half row
+    of one ``exactmath.root_table`` followed by its negation, which the
+    dominant sum reads too.  ``_s_sign`` gives the rest of the sign.  ``scale`` =
     sqrt(32/P) and bits = prec + (4 p_3).bit_length() are set at the ``ctx``
     working precision of prec bits, where entries are multiplied out: the
     exact product of three row entries, each within 2 units of 2^-bits, is
@@ -130,7 +132,7 @@ def _modular_data_cached(p: BrieskornTriple, digits: int) -> ModularData:
     with ctx.workdps():
         scale = ensure_finite(mp.sqrt(mp.mpf(32) / p.P))
         bits = mp.prec + (4 * p.p3).bit_length()
-    halves = (root_table(4 * pk, bits)[1][: 2 * pk] for pk in p.p)
+    halves = (root_table(4 * pk, bits) for pk in p.p)
     rows = tuple(tuple(half + [-s for s in half]) for half in halves)
     runs = tuple(_admissible_runs(p))
     l1s, l2s, firsts, lasts = zip(*runs)
@@ -201,12 +203,6 @@ def theta_eval(
         return ensure_finite(+total)
 
 
-# The root table of eichler_limit carries this many bits beyond the working
-# precision, and its one T-phase is taken at this many more.
-_TABLE_EXTRA_BITS = 10
-_PHASE_GUARD_BITS = 18
-
-
 def _limit_weights(p: BrieskornTriple, ell: EllTriple, t: int, m: int, n: int) -> list:
     # V[e] = sum of chi(j) (P n - j) over the support j in [0, P n) whose
     # phase is exp(pi i m t / 2Pn) exp(2 pi i e / n), t = j^2 mod 4P
@@ -253,17 +249,18 @@ def eichler_limit(
     over one integer vector V[e] = sum chi(j) (P n - j), taken over the
     support j whose m (j^2 - t) / 4P is e mod n.
 
-    Table.  V[e] + V[n - e] meets the even cosines and V[e] - V[n - e] the
-    odd sines, so the n/2 + 1 entries of ``exactmath.root_table(n, F)``,
-    F = mp.prec + 10, suffice: one ``expjpi`` builds them, each within
-    2 units of 2^-F.  The dot products are exact integers, and a second
-    ``expjpi`` gives the phase, so a call takes two exponentials whatever n.
+    Sum.  With z = exp(2 pi i / 4Pn), zeta = z^4P and the T-phase is
+    z^(m t mod 4Pn), so one ``exactmath.root_power_sum`` of order 4Pn and
+    step 4P returns sum_e V[e] zeta^e and the phase as Gaussian integers over
+    2^b: one exponential whatever n, and no table.  Their product is exact, and
+    each component of it over P n 2^2b is rounded once (``rounded_ratio``).
 
-    Bound.  With u = 2^-mp.prec and |V| = sum_e |V[e]|, which is at most
-    sum_j (P n - j), the result is within (4 |V| 2^-F + 8 |V| u) / (P n)
-    of the exact limit: the table entries, then the roundings of the two
-    dot products, of the one complex product (phase taken at F + 18 bits)
-    and of the one division by P n.
+    Bound.  With u = 2^-mp.prec and |V| = sum_e |V[e]|, b = mp.prec +
+    (|V| + 1).bit_length() + 3, so 2^-b < u / 8(|V| + 1).  Each component of
+    the sum, of modulus at most |V|, and of the phase is within one unit of
+    2^-b, so the exact product is within sqrt(2) (|V| + 2) 2^-b < 0.4 u of
+    P n times the limit, and the one rounding of each component adds at most
+    u times its size: the result is within (1 + |value|) u of the exact limit.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -272,24 +269,13 @@ def eichler_limit(
     t = t_numerator(p, ell)
     weights = _limit_weights(p, ell, t, m, n)
     pn = p.P * n
-    half = n // 2
     with ctx.workdps():
-        bits = mp.prec + _TABLE_EXTRA_BITS
-        cos, sin = root_table(n, bits)
-
-        def fold(op, table) -> int:
-            # sum over 0 < e <= n/2 of (V[e] op V[n - e]) table[e], no list built
-            pairs = map(op, islice(weights, 1, half + 1), reversed(weights))
-            return sum(map(operator.mul, pairs, islice(table, 1, None)))
-
-        real = weights[0] * cos[0] + fold(operator.add, cos)
-        if n % 2 == 0:
-            real -= weights[half] * cos[half]  # e = n - e = n/2 counts once
-        imag = fold(operator.sub, sin)
-        inner = mp.mpc(mp.ldexp(real, -bits), mp.ldexp(imag, -bits))
-        with mp.workprec(bits + _PHASE_GUARD_BITS):
-            phase = mp.expjpi(mp.mpf(m * t % (4 * pn)) / (2 * pn))
-        return ensure_finite(phase * inner / pn)
+        bits = mp.prec + (sum(map(abs, weights)) + 1).bit_length() + 3
+        (x, y), (wx, wy) = root_power_sum(weights, 4 * pn, 4 * p.P, (m * t,), bits)
+        return mp.mpc(
+            rounded_ratio(x * wx - y * wy, pn, -2 * bits),
+            rounded_ratio(x * wy + y * wx, pn, -2 * bits),
+        )
 
 
 @lru_cache(maxsize=128)
@@ -465,7 +451,7 @@ def nearly_modular_expansion(
     and its scaling is exact but for one integer square root (``_dominant``).
     tail sums the ``eichler_tail`` coefficients c_k (pi i / 2Pn)^k, k <= k_max,
     exactly in the integer Pi = int(pi 2^w) (``_tail``).  Each is rounded once,
-    within its stated bound, so the call takes the two exponentials of
+    within its stated bound, so the call takes the one exponential of
     ``eichler_limit`` and no other.
     """
     if k_max < 0:

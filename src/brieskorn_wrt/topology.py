@@ -86,13 +86,13 @@ def euler_number(p: BrieskornTriple, ell: EllTriple) -> int:
 def _torsion_tables(p: BrieskornTriple, digits: int) -> tuple:
     """(bits, 8/sqrt(P), per fibre j sin(pi k / p_j) for 0 <= k < p_j), integers over 2^bits.
 
-    bits = prec + P.bit_length() at ``digits``.  The sines are one
-    ``exactmath.root_table`` row each, within 2 units of 2^-bits, and the
+    bits = prec + P.bit_length() at ``digits``.  The sines are the half row of one
+    ``exactmath.root_table`` each, within 2 units of 2^-bits, and the
     scale is isqrt(64 4^bits / P), within 2 units below 8/sqrt(P) 2^bits.
     """
     with PrecisionContext(digits).workdps():
         bits = mp.prec + p.P.bit_length()
-    rows = tuple(tuple(root_table(2 * pk, bits)[1][:pk]) for pk in p.p)
+    rows = tuple(tuple(root_table(2 * pk, bits)) for pk in p.p)
     return bits, math.isqrt((64 << 2 * bits) // p.P), rows
 
 

@@ -10,9 +10,9 @@ tau_N = sum_k c_k zeta_N^k by one shift, one exact division by 2PN and one
 prefix sum, each step's integrality checked.  ``tau_n`` evaluates the
 coordinates and its two normalizations in fixed point, every root a power of
 one exponential e^{pi i/2PN} (``exactmath.root_power_sum``), and bounds the
-result by the coordinates it sums.  The Eichler limit itself, ``tau_prefactor``
-(one sine and one phase) and ``rozansky_normalized``, the closed cyclotomic
-surgery sum, stay as independent routes that the ``theorem51`` suite and the
+result by the coordinates it sums.  The Eichler limit (same weights and kernel),
+``tau_prefactor`` (one sine and one phase) and ``rozansky_normalized``, the closed
+cyclotomic surgery sum, which shares neither, are the routes that ``theorem51`` and the
 tests compare against.  The surgery summand is even under n -> 2PN - n, so it
 runs over 0 < n < PN (PN - P terms, multiples of N excluded by index
 arithmetic) and reads every sine and phase off one table of 4PN-th roots of
@@ -52,10 +52,10 @@ class WrtResult(NamedTuple):
 
 
 def _signed_sines(order: int) -> tuple:
-    # sin(2 pi k / order), 0 <= k < order even, off one root table whose extra bits
-    # keep the least sine, over 4/order, exact; the second half negates the first
+    # sin(2 pi k / order), 0 <= k < order even: the half row of one root table, whose
+    # extra bits keep the least sine, over 4/order, exact, then that half negated
     bits = mp.prec + order.bit_length()
-    half = [mp.mpf((s, -bits)) for s in root_table(order, bits)[1][: order // 2]]
+    half = [mp.mpf((s, -bits)) for s in root_table(order, bits)]
     return tuple(half + [-v for v in half])
 
 
@@ -230,10 +230,7 @@ def asymptotic_approx(
     sqrt(N/i) sum_l S[(1,1,1)][l] e^{-pi i r(l) N} over admissible triples,
     tail = (1/2) sum_{k<=k_max} L(-2k, chi)/k! (pi i/(2PN))^k; tail and the
     exact value (that of ``tau_n``) gain e^{pi i/(60N)} on the Poincare sphere.
-    Elsewhere each part is the expansion's halved, and halving commutes with
-    binary rounding, so abs_error is the expansion's residual halved, the same
-    number |exact - dominant - tail| would give; on the Poincare sphere the
-    residual is taken again after the shift.
+    abs_error is |exact - dominant - tail| of these three.
     """
     if n_level < 3:
         raise ValueError("level must be at least 3")
@@ -242,6 +239,4 @@ def asymptotic_approx(
         dominant = expansion.dominant / 2
         tail = _theorem51_normalized(p, expansion.tail, n_level)
         exact = _theorem51_normalized(p, expansion.exact, n_level)
-        if p.is_poincare:
-            return AsymptoticApprox(dominant, tail, exact, +abs(exact - dominant - tail))
-        return AsymptoticApprox(dominant, tail, exact, expansion.abs_error / 2)
+        return AsymptoticApprox(dominant, tail, exact, +abs(exact - dominant - tail))

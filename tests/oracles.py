@@ -7,7 +7,7 @@ and ``chi_value`` read chi off independently of its eight-point support,
 ``phi_hat`` approaches the Eichler limits from the lower half plane,
 ``eichler_limit_per_term`` sums them one ``expjpi`` per term,
 ``root_table_per_entry`` gives each entry of ``exactmath.root_table`` from
-its own ``cospi`` and ``sinpi``,
+its own ``sinpi``,
 ``l_function_value_bernoulli`` evaluates L(-2k, chi) from eight Bernoulli
 polynomials instead of the integer power moments,
 ``eichler_integer_data`` is the closed form behind the admissible columns
@@ -272,14 +272,10 @@ def eichler_limit_per_term(
 
 
 def root_table_per_entry(order: int, bits: int, entries) -> list:
-    """2^bits (cos, sin)(2 pi e / order) for each e, one ``mp.cospi`` and one
-    ``mp.sinpi`` per entry at bits + 64 bits; compare under that precision."""
+    """2^bits sin(2 pi e / order) for each e, one ``mp.sinpi`` per entry at
+    bits + 64 bits; compare under that precision."""
     with mp.workprec(bits + 64):
-        return [
-            (mp.ldexp(mp.cospi(mp.mpf(2 * e) / order), bits),
-             mp.ldexp(mp.sinpi(mp.mpf(2 * e) / order), bits))
-            for e in entries
-        ]
+        return [mp.ldexp(mp.sinpi(mp.mpf(2 * e) / order), bits) for e in entries]
 
 _BERNOULLI = [Fraction(1)]  # B_0, B_1, ... as far as any caller has read
 

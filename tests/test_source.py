@@ -76,17 +76,22 @@ def test_library_never_references_bernoulli_polynomial():
     assert not found, found
 
 
-def test_only_the_dedekind_numerator_calls_dedekind_sum():
-    # gamma, Casson, phi and the spectral-flow offset read the one integer
-    # chi.dedekind_triple_numerator; no Fraction sum over the fibres may return
-    callers = {
+def _callers(function: str) -> set:
+    """(file name, function name) of every library function that calls ``function``."""
+    return {
         (name, node.name)
         for name, node in _package_nodes()
         if isinstance(node, ast.FunctionDef)
         for call in ast.walk(node)
         if isinstance(call, ast.Call)
-        and "dedekind_sum" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        and function in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
     }
+
+
+def test_only_the_dedekind_numerator_calls_dedekind_sum():
+    # gamma, Casson, phi and the spectral-flow offset read the one integer
+    # chi.dedekind_triple_numerator; no Fraction sum over the fibres may return
+    callers = _callers("dedekind_sum")
     assert callers == {("chi.py", "dedekind_triple_numerator")}, callers
     found = [
         f"{name}:{getattr(node, 'lineno', '?')}"
@@ -100,21 +105,16 @@ def test_only_the_dedekind_numerator_calls_dedekind_sum():
 
 def test_root_tables_are_built_only_where_each_is_owned():
     # the S entries and the dominant sum read the rows of _modular_data_cached;
-    # eichler_limit, the torsion rows and the surgery sum keep their own
-    callers = {
-        (name, node.name)
-        for name, node in _package_nodes()
-        if isinstance(node, ast.FunctionDef)
-        for call in ast.walk(node)
-        if isinstance(call, ast.Call)
-        and "root_table" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
-    }
+    # the torsion rows and the surgery sum keep their own.  The two exact
+    # elements of Z[zeta], tau_N and the Eichler limit, are power sums
+    callers = _callers("root_table")
     assert callers == {
         ("modularform.py", "_modular_data_cached"),
-        ("modularform.py", "eichler_limit"),
         ("topology.py", "_torsion_tables"),
         ("wrt.py", "_signed_sines"),
     }, callers
+    callers = _callers("root_power_sum")
+    assert callers == {("modularform.py", "eichler_limit"), ("wrt.py", "tau_n")}, callers
 
 
 def test_modularform_walks_the_admissible_runs_once_per_manifold():
