@@ -4,17 +4,25 @@ The triple (p1, p2, p3) of pairwise coprime integers determines a family of
 odd periodic functions chi with period 2*P, supported on eight residues.
 These drive everything else: theta series, Eichler integrals, quantum
 invariants and the perturbative series.
+
+The admissible triples, one per irreducible flat connection, are held as
+their runs: for each canonical (l1, l2) the admissible l3 form one interval,
+so ``admissible_triples`` returns an ``EllRuns`` view over O(p1 p2) runs, and
+gamma, indexing and iteration never build all gamma triples at once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, product, repeat
+from itertools import accumulate, chain, product, repeat
 from typing import NamedTuple
 
-from .exactmath import Rational, dedekind_sum, even_bernoulli_numbers
+from .exactmath import Rational, _scaled_dedekind_sum, even_bernoulli_numbers
 
 COPRIMALITY_ERROR = "p must be pairwise coprime"
 
@@ -136,22 +144,63 @@ def _canonical_pairs(p: BrieskornTriple):
             yield l1, l2, (p3 // 2 + 1 if 2 * l1 == p1 or 2 * l2 == p2 else p3)
 
 
-def _ell_runs(runs) -> tuple:
-    """EllTriples (l1, l2, l3) for lo <= l3 <= hi of each run (l1, l2, lo, hi), built in C."""
+def _ell_runs(runs):
+    """Iterator of the EllTriples (l1, l2, l3), lo <= l3 <= hi, of runs (l1, l2, lo, hi)."""
     # EllTriple(...) and EllTriple._make each run one Python frame per triple;
     # tuple.__new__ over zipped entries builds the same EllTriple without one
-    return tuple(
-        chain.from_iterable(
-            map(tuple.__new__, repeat(EllTriple), zip(repeat(l1), repeat(l2), range(lo, hi + 1)))
-            for l1, l2, lo, hi in runs
-        )
+    return chain.from_iterable(
+        map(tuple.__new__, repeat(EllTriple), zip(repeat(l1), repeat(l2), range(lo, hi + 1)))
+        for l1, l2, lo, hi in runs
     )
+
+
+class EllRuns(Sequence):
+    """Read-only sequence of the EllTriples of runs (l1, l2, first, last), first <= l3 <= last.
+
+    Only the runs and their cumulative lengths are held, so ``len`` is O(1),
+    an index is found by bisection over the runs and builds one EllTriple,
+    and iteration streams the runs through ``_ell_runs``.  A slice is a
+    tuple.  Equal to another view or a tuple of the same triples, like the
+    tuple it stands for, but unhashable.
+    """
+
+    __slots__ = ("_runs", "_starts")
+    __hash__ = None
+
+    def __init__(self, runs) -> None:
+        self._runs = tuple(runs)
+        # _starts[j] is the index of run j's first triple; the last entry is the length
+        lengths = (last - first + 1 for _, _, first, last in self._runs)
+        self._starts = tuple(accumulate(lengths, initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("EllRuns index out of range")
+        run = bisect_right(self._starts, i) - 1
+        l1, l2, first, _ = self._runs[run]
+        return EllTriple(l1, l2, first + i - self._starts[run])
+
+    def __iter__(self):
+        return _ell_runs(self._runs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (EllRuns, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 @lru_cache(maxsize=128)
 def enumerate_triples(p: BrieskornTriple) -> tuple:
     """All canonical representatives, sorted; exactly D of them."""
-    result = _ell_runs((l1, l2, 1, top - 1) for l1, l2, top in _canonical_pairs(p))
+    result = tuple(_ell_runs((l1, l2, 1, top - 1) for l1, l2, top in _canonical_pairs(p)))
     if len(result) != p.D:
         raise ArithmeticError(f"{len(result)} canonical triples for {p}, expected D={p.D}")
     return result
@@ -245,8 +294,13 @@ def _admissible_runs(p: BrieskornTriple):
 
 
 def admissible_triples(p: BrieskornTriple) -> tuple:
-    """(canonical triples satisfying the open inequalities, their count gamma)."""
-    triples = _ell_runs(_admissible_runs(p))
+    """(canonical triples satisfying the open inequalities, their count gamma).
+
+    The triples are an ``EllRuns`` view over the runs of ``_admissible_runs``,
+    which are read here, so the D-count check runs on every call.  The view
+    and gamma cost O(p1 p2) integer steps, not O(gamma).
+    """
+    triples = EllRuns(_admissible_runs(p))
     return triples, len(triples)
 
 
@@ -258,10 +312,10 @@ def admissible_count(p: BrieskornTriple) -> int:
 def dedekind_triple_numerator(p: BrieskornTriple) -> int:
     """T = 12P sum_k s(c_k, p_k), c_k = P/p_k: the Dedekind datum of gamma, Casson, phi and SF.
 
-    Each 12 p_k s(c_k, p_k) is an integer, read exactly off the reduced sum.
+    Each 12 p_k s(c_k, p_k) is the integer F(c_k mod p_k, p_k) of
+    ``exactmath._scaled_dedekind_sum``; c_k and p_k are coprime.
     """
-    sums = ((c, pk, dedekind_sum(c, pk)) for c, pk in zip(p.cofactors, p.p))
-    return sum(c * (12 * pk * s.numerator // s.denominator) for c, pk, s in sums)
+    return sum(c * _scaled_dedekind_sum(c % pk, pk) for c, pk in zip(p.cofactors, p.p))
 
 
 def gamma_closed_form(p: BrieskornTriple) -> Rational:

@@ -1,7 +1,8 @@
 """Exact rational number theory and the precision context for numeric work.
 
 Everything exact is computed over arbitrary-precision integers: a Dedekind
-sum as the integer 12k s(h, k) along Euclid's algorithm, returned as one
+sum as the integer 12k s(h, k) along Euclid's algorithm, read as an integer
+by the Dedekind datum of ``chi`` and returned by ``dedekind_sum`` as one
 ``fractions.Fraction``, and Bernoulli numbers as Fractions over integer
 tangent numbers.  Floating computations elsewhere in the package run with
 mpmath at a precision carried explicitly by a :class:`PrecisionContext`, so
@@ -94,19 +95,13 @@ def ensure_finite(z):
     return z
 
 
-def dedekind_sum(b: int, a: int) -> Fraction:
-    """Dedekind sum s(b, a) = sign(a) * sum_k ((k/a))((kb/a)), k = 1..|a|-1.
+def _scaled_dedekind_sum(h: int, k: int) -> int:
+    """F(h, k) = 12k s(h, k), an integer, for coprime 0 <= h < k.
 
-    O(log |a|) integer steps on F(h, k) = 12k s(h, k), an integer for coprime
-    h, k, with reciprocity h F(h, k) + k F(k mod h, h) = h^2 + k^2 + 1 - 3hk and
-    F(0, 1) = 0: Euclid's algorithm runs down (b mod |a|, |a|) with the gcd
-    divided out (s(dh, dk) = s(h, k)), F comes back up by exact division, and
-    one ``Fraction`` is built at the end.
+    O(log k) integer steps: with reciprocity h F(h, k) + k F(k mod h, h) =
+    h^2 + k^2 + 1 - 3hk and F(0, 1) = 0, Euclid's algorithm runs down (h, k)
+    and F comes back up by exact division.
     """
-    if a == 0:
-        raise ValueError("dedekind_sum requires a != 0")
-    g = math.gcd(b, a)
-    h, k = b % abs(a) // g, abs(a) // g
     steps = []
     while h:
         steps.append((h, k))
@@ -114,7 +109,20 @@ def dedekind_sum(b: int, a: int) -> Fraction:
     scaled = 0  # F(0, 1)
     for h, k in reversed(steps):
         scaled = (h * h + k * k + 1 - 3 * h * k - k * scaled) // h
-    value = Fraction(scaled, 12 * abs(a) // g)
+    return scaled
+
+
+def dedekind_sum(b: int, a: int) -> Fraction:
+    """Dedekind sum s(b, a) = sign(a) * sum_k ((k/a))((kb/a)), k = 1..|a|-1.
+
+    The integer ``_scaled_dedekind_sum`` of (b mod |a|, |a|) with the gcd
+    divided out (s(dh, dk) = s(h, k)), over 12|a|/gcd in one ``Fraction``.
+    """
+    if a == 0:
+        raise ValueError("dedekind_sum requires a != 0")
+    g = math.gcd(b, a)
+    k = abs(a) // g
+    value = Fraction(_scaled_dedekind_sum(b % abs(a) // g, k), 12 * k)
     return value if a > 0 else -value
 
 

@@ -29,7 +29,9 @@ sawtooth loop for each connection with its own Dedekind offset,
 ``chern_simons_fraction`` halves the ``Fraction`` T-exponent, and
 ``eichler_tail_term`` evaluates one tail term, and ``bernoulli_recurrence``
 is the Fraction recurrence over all earlier B_k that the tangent numbers
-replaced; ``bernoulli_polynomial`` reads it.  ``solve_seifert_q``
+replaced; ``bernoulli_polynomial`` reads it.  ``admissible_triples_listed``
+is the tuple of every admissible triple that ``chi.admissible_triples``
+built before it returned a view over the runs.  ``solve_seifert_q``
 finds surgery coefficients, which the library does not use.
 """
 
@@ -57,6 +59,7 @@ from brieskorn_wrt import (
     modular_data,
     phi_invariant,
 )
+from brieskorn_wrt.chi import _admissible_runs, _ell_runs
 from brieskorn_wrt.exactmath import ensure_finite, to_mpf
 
 
@@ -527,3 +530,8 @@ def s_parity_reference(p: BrieskornTriple, l: tuple, lp: tuple) -> int:
         + (l[0] * lp[1] - l[1] * lp[0]) * p.p3
     )
     return (1 + p.P + sum((a + b) * c for a, b, c in zip(l, lp, p.cofactors)) + cross) % 2
+
+
+def admissible_triples_listed(p: BrieskornTriple) -> tuple:
+    """Every admissible canonical triple, built into one tuple of gamma EllTriples."""
+    return tuple(_ell_runs(_admissible_runs(p)))

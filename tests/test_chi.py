@@ -28,6 +28,7 @@ from brieskorn_wrt import (
 )
 from conftest import coprime_triples
 from oracles import (
+    admissible_triples_listed,
     chi_value,
     generating_series,
     l_function_value_bernoulli,
@@ -357,9 +358,63 @@ def test_ell_triple_is_the_plain_tuple_with_names():
     assert type(ell.ell) is tuple and ell.ell == (1, 2, 3)
     for ps in [(2, 3, 7), (3, 4, 5), (4, 5, 7), (7, 11, 13)]:
         p = BrieskornTriple(*ps)
-        for t in admissible_triples(p)[0] + enumerate_triples(p):
+        for t in (*admissible_triples(p)[0], *enumerate_triples(p)):
             assert type(t) is EllTriple
             assert (t.l1, t.l2, t.l3) == t.ell
+
+
+def _check_view_against_the_listed_tuple(p):
+    view, gamma = admissible_triples(p)
+    listed = admissible_triples_listed(p)
+    assert len(view) == gamma == len(listed)
+    for i in range(gamma):
+        assert view[i] == listed[i] and view[-i - 1] == listed[-i - 1]
+        assert type(view[i]) is EllTriple and type(view[-i - 1]) is EllTriple
+    for index in (gamma, -gamma - 1):
+        with pytest.raises(IndexError):
+            view[index]
+    for cut in (slice(None), slice(1, None), slice(None, -1), slice(1, 4), slice(None, None, -2),
+                slice(-3, None), slice(gamma, None), slice(2, gamma + 5, 3)):
+        assert type(view[cut]) is tuple and view[cut] == listed[cut]
+    iterated = tuple(view)
+    assert iterated == listed and all(type(t) is EllTriple for t in iterated)
+    assert view == listed and listed == view and view == view
+    assert view == admissible_triples(p)[0] and not view != listed
+    changed = (*listed[:-1], (0, 0, 0))  # same length, last triple differs
+    assert view != changed and changed != view and view != listed[:-1] and listed[1:] != view
+    assert view != list(listed)
+    with pytest.raises(TypeError):
+        hash(view)
+
+
+@pytest.mark.parametrize("ps", [(2, 3, 7), (3, 4, 5), (4, 5, 7), (3, 5, 8), (2, 3, 5)])
+def test_admissible_view_behaves_as_the_listed_tuple(ps):
+    _check_view_against_the_listed_tuple(BrieskornTriple(*ps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(triple_strategy)
+def test_admissible_view_behaves_as_the_listed_tuple_everywhere(ps):
+    _check_view_against_the_listed_tuple(BrieskornTriple(*ps))
+
+
+def test_admissible_triples_memory_does_not_grow_with_gamma():
+    # (3, 4, p3) has at most two admissible runs whatever p3, so the view
+    # holds a few KB whether gamma is 840 or 83,326
+    peaks = []
+    admissible_triples(BrieskornTriple(3, 4, 11))  # first-call allocations
+    for ps in [(3, 4, 1009), (3, 4, 99991)]:
+        p = BrieskornTriple(*ps)
+        p.D, p.cofactors  # the cached derived data is not the view's
+        tracemalloc.start()
+        try:
+            _, gamma = admissible_triples(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append((gamma, peak))
+    assert [gamma for gamma, _ in peaks] == [840, 83326]
+    assert all(peak < 4096 for _, peak in peaks), peaks
 
 
 def _profiled_calls(fn, *args):
@@ -385,10 +440,18 @@ def _profiled_calls(fn, *args):
     return count
 
 
-@pytest.mark.parametrize("fn", [admissible_triples, enumerate_triples.__wrapped__])
+def _iterate_admissible(p):
+    for _ in admissible_triples(p)[0]:
+        pass
+
+
+@pytest.mark.parametrize(
+    "fn", [admissible_triples, _iterate_admissible, enumerate_triples.__wrapped__]
+)
 def test_triple_lists_run_no_python_code_per_triple(fn):
     # (2, 3, p3) has one canonical pair and one admissible run whatever p3, so
-    # the Python calls must not grow with gamma (336 -> 3336) or D (504 -> 5003)
+    # the Python calls must not grow with gamma (336 -> 3336) or D (504 -> 5003),
+    # whether the admissible view is built or iterated
     small, large = BrieskornTriple(2, 3, 1009), BrieskornTriple(2, 3, 10007)
     assert _profiled_calls(fn, small) == _profiled_calls(fn, large)
     assert (admissible_count(small), admissible_count(large)) == (336, 3336)

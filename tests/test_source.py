@@ -90,9 +90,15 @@ def _callers(function: str) -> set:
 
 def test_only_the_dedekind_numerator_calls_dedekind_sum():
     # gamma, Casson, phi and the spectral-flow offset read the one integer
-    # chi.dedekind_triple_numerator; no Fraction sum over the fibres may return
+    # chi.dedekind_triple_numerator, which sums the integer kernel F = 12k s
+    # without a Fraction per fibre; no Fraction sum over the fibres may return
+    callers = _callers("_scaled_dedekind_sum")
+    assert callers == {
+        ("chi.py", "dedekind_triple_numerator"),
+        ("exactmath.py", "dedekind_sum"),
+    }, callers
     callers = _callers("dedekind_sum")
-    assert callers == {("chi.py", "dedekind_triple_numerator")}, callers
+    assert not callers, callers
     found = [
         f"{name}:{getattr(node, 'lineno', '?')}"
         for name, node in _package_nodes()
@@ -115,6 +121,19 @@ def test_root_tables_are_built_only_where_each_is_owned():
     }, callers
     callers = _callers("root_power_sum")
     assert callers == {("modularform.py", "eichler_limit"), ("wrt.py", "tau_n")}, callers
+
+
+def test_admissible_triples_builds_no_triple_list():
+    # admissible_triples hands back a view over the runs; gamma is its length,
+    # so neither a tuple of all gamma triples nor _ell_runs may come back there
+    tree = ast.parse((PACKAGE_DIR / "chi.py").read_text(encoding="utf-8"))
+    (function,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "admissible_triples"
+    ]
+    called = {ast.unparse(call.func) for call in ast.walk(function) if isinstance(call, ast.Call)}
+    assert called == {"EllRuns", "_admissible_runs", "len"}, called
 
 
 def test_modularform_walks_the_admissible_runs_once_per_manifold():
