@@ -9,6 +9,7 @@ The admissible triples, one per irreducible flat connection, are held as
 their runs: for each canonical (l1, l2) the admissible l3 form one interval,
 so ``admissible_triples`` returns an ``EllRuns`` view over O(p1 p2) runs, and
 gamma, indexing and iteration never build all gamma triples at once.
+``admissible_count`` is the view's length, the one route to gamma.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ class EllRuns(Sequence):
     an index is found by bisection over the runs and builds one EllTriple,
     and iteration streams the runs through ``_ell_runs``.  A slice is a
     tuple.  Equal to another view or a tuple of the same triples, like the
-    tuple it stands for, but unhashable.
+    tuple it stands for, but unhashable, with no ``+`` and no ordering;
+    ``tuple(view)`` lists it.  The repr shows the runs.
     """
 
     __slots__ = ("_runs", "_starts")
@@ -175,6 +177,9 @@ class EllRuns(Sequence):
 
     def __len__(self) -> int:
         return self._starts[-1]
+
+    def __repr__(self) -> str:
+        return f"EllRuns({self._runs!r})"
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -305,8 +310,8 @@ def admissible_triples(p: BrieskornTriple) -> tuple:
 
 
 def admissible_count(p: BrieskornTriple) -> int:
-    """gamma, the number of admissible canonical triples, counted run by run."""
-    return sum(last - first + 1 for _, _, first, last in _admissible_runs(p))
+    """gamma, the number of admissible canonical triples: the length of their view."""
+    return admissible_triples(p)[1]
 
 
 def dedekind_triple_numerator(p: BrieskornTriple) -> int:

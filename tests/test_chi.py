@@ -26,6 +26,7 @@ from brieskorn_wrt import (
     mordell_count,
     orbit,
 )
+from brieskorn_wrt.chi import EllRuns
 from conftest import coprime_triples
 from oracles import (
     admissible_triples_listed,
@@ -385,6 +386,9 @@ def _check_view_against_the_listed_tuple(p):
     assert view != list(listed)
     with pytest.raises(TypeError):
         hash(view)
+    # the repr shows the runs, and rebuilds an equal view
+    assert repr(view).startswith("EllRuns((")
+    assert eval(repr(view), {"EllRuns": EllRuns}) == listed
 
 
 @pytest.mark.parametrize("ps", [(2, 3, 7), (3, 4, 5), (4, 5, 7), (3, 5, 8), (2, 3, 5)])

@@ -136,6 +136,16 @@ def test_admissible_triples_builds_no_triple_list():
     assert called == {"EllRuns", "_admissible_runs", "len"}, called
 
 
+def test_gamma_has_one_route_through_the_admissible_runs():
+    # admissible_count reads gamma as the view's length; only the view and the
+    # dominant sum's ModularData walk the runs themselves
+    callers = _callers("_admissible_runs")
+    assert callers == {
+        ("chi.py", "admissible_triples"),
+        ("modularform.py", "_modular_data_cached"),
+    }, callers
+
+
 def test_modularform_walks_the_admissible_runs_once_per_manifold():
     # the dominant sum reads ModularData.runs and .spans, built with the
     # cached rows; no per-call walk of the runs may come back
