@@ -1002,6 +1002,13 @@ GOLDEN_STDOUT = {
     ("asymptotic", "--p", "2,3,7", "--N", "5000", "--K", "80"): (
         "513372ac4f900e6266672537d2106dccba44a7558b2ebf1db84d431c49c3440c"
     ),
+    # lambda_n at the --order cap
+    ("ohtsuki", "--p", "2,3,5", "--order", "100", "--format", "csv"): (
+        "e8478e5a4a2397442d0b806382e42e59ed1f09c3a6c0a36fbbc75ed38baf6a6a"
+    ),
+    ("ohtsuki", "--p", "7,11,13", "--order", "100"): (
+        "509e324cefebf2c6dbbfc1da5cad530eb470cea61f34828e164abd65eb7622d5"
+    ),
 }
 
 
