@@ -5,8 +5,8 @@ limit of a false theta series (the closed cyclotomic surgery sum is kept as
 a cross-check), the weight-3/2 theta series with its transformation data,
 the nearly modular asymptotics of those limits, the classical invariants
 (Casson, Chern-Simons, Reidemeister torsion, spectral flow), and the exact
-perturbative series coefficients, re-expanded from the same nearly modular
-tail, with every identity between them available as a check.
+perturbative series coefficients, read off the L-values of the same nearly
+modular tail, with every identity between them available as a check.
 """
 
 __version__ = "0.1.0"

@@ -55,8 +55,8 @@ EXIT_USAGE = 2
 
 # Bounded flags: Command field, least and greatest value, and the note the
 # usage message puts after the least.  tau_N's Eichler-limit weights and exact
-# coordinates take O(N) integers and time; the lambda_n re-expansion is
-# O(order^3) and --order and --K set the size of the Bernoulli tables; the
+# coordinates take O(N) integers and time; lambda_n take O(order^2) integer
+# steps and --order and --K set the size of the Bernoulli tables and tails; the
 # theorem51 suite runs the O(PN) surgery sum at every level up to --nmax; gamma
 # checks every sphere with P <= --pmax (10^5 takes about a minute).  No
 # sphere has P below 2*3*5 and no level is below 3, so smaller --pmax and

@@ -8,7 +8,7 @@ at a time; diagonal T has exponent ``chi.t_numerator`` / 2P.  Its Eichler
 integral is only nearly modular: at rationals it has finite limiting values
 (computable as finite sums) and a divergent asymptotic tail built from
 L-values.  ``eichler_tail`` is that tail as its tuple of exact coefficients
-L(-2k, chi)/k!, which ``ohtsuki`` re-expands and ``nearly_modular_expansion``
+L(-2k, chi)/k!, which ``ohtsuki`` sums into lambda_n and ``nearly_modular_expansion``
 sums in powers of pi i / 2Pn.  ``eichler_limit`` evaluates a limit at m/n
 as one T-phase times one exact integer weight vector over the n-th roots of
 unity, both summed in fixed point as powers of one root of unity

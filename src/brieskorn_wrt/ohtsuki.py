@@ -1,13 +1,12 @@
 """Perturbative series of the quantum invariant and its exact coefficients.
 
 The trivial-connection series tau_infinity, expanded in powers of (q - 1),
-has exact rational coefficients lambda_n: the nearly modular tail of the
-(1, 1, 1) Eichler integral, a series in log q / 4P with L-value
-coefficients, re-expanded in q - 1.  The re-expansion, the Poincare
-sphere's q^(1/120) and the shift q^(1/2 - phi/4) run on integer series over
-one common denominator, so the only ``Fraction`` built per lambda_n is the
-coefficient itself.  A bundled reference table (26 manifolds, orders 0..8)
-provides golden data; BWRT_TABLE1_PATH overrides its location.
+has exact rational coefficients lambda_n, read off the L-values of the
+(1, 1, 1) nearly modular tail in the paper's explicit form: one sum over the
+signed Stirling numbers of the first kind, O(order^2) integer steps in all,
+with one ``Fraction`` per lambda_n.  A bundled reference table (26
+manifolds, orders 0..8) provides golden data; BWRT_TABLE1_PATH overrides its
+location.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import math
 import operator
 import os
 from fractions import Fraction
-from itertools import accumulate
 from typing import NamedTuple
 
 from .chi import BrieskornTriple, EllTriple
@@ -38,66 +36,46 @@ class OhtsukiSeries(NamedTuple):
         return all(lam.denominator == 1 for lam in self.lambdas)
 
 
-def _series_mul(a: list, b: list, order: int) -> list:
-    # product of two integer power series in u, truncated after u^order
-    return [sum(map(operator.mul, a[: n + 1], reversed(b[: n + 1]))) for n in range(order + 1)]
-
-
-def _binomial_series(numerator: int, denominator: int, order: int) -> tuple:
-    """(coefficients, common) with (1 + u)^(a/b) = sum_j coefficients[j] u^j / common.
-
-    a/b = numerator/denominator.  C(a/b, j) = prod_{i<j} (a - i b) / (b^j j!),
-    so over common = b^order order! the j-th coefficient is the integer
-    prod_{i<j} (a - i b) b^(order-j) order!/j!.
-    """
-    steps = (numerator - i * denominator for i in range(order))
-    products = accumulate(steps, operator.mul, initial=1)
-    rises = (denominator * j for j in range(order, 0, -1))
-    factors = list(accumulate(rises, operator.mul, initial=1))[::-1]
-    return [a * f for a, f in zip(products, factors)], factors[0]
-
-
 def lambda_coefficients(p: BrieskornTriple, order: int) -> OhtsukiSeries:
     """lambda_n for n = 0..order, exact.
 
-    The nearly modular tail (1/2) sum_k c_k (log q / 4P)^k, with
-    c_k = L(-2k, chi)/k! the (1, 1, 1) ``eichler_tail`` coefficients and
-    q^(1/120) added for the Poincare sphere, is re-expanded in u = q - 1
-    through u^(order+1); then sum_n lambda_n u^n = q^(1/2 - phi/4) times that
-    bracket over u.  Every series is kept as integers over one denominator,
-    and each lambda_n is one ``Fraction``.  A non-zero constant term of the
-    bracket raises ArithmeticError.  Non-integer values are reported on the
-    warning channel, never rejected.
+    With c_k = L(-2k, chi)/k! the (1, 1, 1) ``eichler_tail`` coefficients,
+    g = (2 - phi) P = 1 - P - T and s the signed Stirling numbers of the first
+    kind, lambda_n = sum_{m=1}^{n+1} s(n+1, m) J_m / (2 (n+1)! (4P)^m) with
+    J_m = m! sum_k c_k g^(m-k)/(m-k)!, plus (-1)^(n+1) on the Poincare sphere.
+    That is the tail (1/2) sum_k c_k (log q / 4P)^k (plus q^(1/120) on the
+    Poincare sphere) times q^(1/2 - phi/4) = exp(g log q / 4P), over u = q - 1,
+    read off (log q)^m/m! = sum_N s(N, m) u^N/N!.  The J_m are integers over
+    one common denominator and each Stirling row is built from the last, so
+    each lambda_n is one integer dot product and one ``Fraction``.  A non-zero
+    constant term c_0/2 (plus 1 on the Poincare sphere) raises ArithmeticError.
+    Non-integer values are reported on the warning channel, never rejected.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     top = order + 1
     c = eichler_tail(p, EllTriple(1, 1, 1), top)
-    # log(1 + u) = y(u)/lcm with integer y, so with s = 4P lcm the tail is
-    # sum_k c_k (y/s)^k; Horner runs in integers on den c_k s^(top - k)
-    lcm = math.lcm(*range(1, top + 1))
-    y = [0] + [(-1) ** (j + 1) * (lcm // j) for j in range(1, top + 1)]
-    s = 4 * p.P * lcm
-    den = math.lcm(*(ck.denominator for ck in c))
-    bracket = [0] * (top + 1)
-    for k in range(top, -1, -1):
-        bracket = _series_mul(bracket, y, top)
-        bracket[0] += c[k].numerator * (den // c[k].denominator) * s ** (top - k)
-    common = 2 * den * s**top
-    if p.is_poincare:
-        extra, extra_common = _binomial_series(1, 120, top)
-        bracket = [b * extra_common + e * common for b, e in zip(bracket, extra)]
-        common *= extra_common
-    if bracket[0]:
-        constant = Fraction(bracket[0], common)
+    constant = c[0] / 2 + p.is_poincare
+    if constant:
         raise ArithmeticError(f"tail of {p} has constant term {constant}, expected 0")
-    phi = phi_invariant(p)  # 1/2 - phi/4 = (2 d - n) / 4d
-    shift, shift_common = _binomial_series(
-        2 * phi.denominator - phi.numerator, 4 * phi.denominator, order
-    )
-    common *= shift_common
-    lambdas = tuple(Fraction(x, common) for x in _series_mul(shift, bracket[1:], order))
-    series = OhtsukiSeries(manifold=p, order=order, lambdas=lambdas)
+    g = int((2 - phi_invariant(p)) * p.P)
+    den, four_p = math.lcm(*(ck.denominator for ck in c)), 4 * p.P
+    scaled = [ck.numerator * (den // ck.denominator) for ck in c]
+    # w_m = den J_m (4P)^(top - m): lambda_n is sum_m s(n+1, m) w_m over common (n+1)!
+    w = [
+        sum(scaled[k] * math.perm(m, k) * g ** (m - k) for k in range(m + 1)) * four_p ** (top - m)
+        for m in range(top + 1)
+    ]
+    common = 2 * den * four_p**top
+    stirling, factorial, lambdas = [1], 1, []
+    for n in range(top):
+        stirling = [a - n * b for a, b in zip([0, *stirling], [*stirling, 0])]  # s(n + 1, m)
+        factorial *= n + 1
+        numerator = sum(map(operator.mul, stirling, w))
+        if p.is_poincare:
+            numerator += (-1) ** (n + 1) * common * factorial
+        lambdas.append(Fraction(numerator, common * factorial))
+    series = OhtsukiSeries(manifold=p, order=order, lambdas=tuple(lambdas))
     if not series.all_integer:
         import logging  # imported on this rare path alone: it costs every start-up
 

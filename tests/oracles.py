@@ -29,7 +29,10 @@ sawtooth loop for each connection with its own Dedekind offset,
 ``chern_simons_fraction`` halves the ``Fraction`` T-exponent, and
 ``eichler_tail_term`` evaluates one tail term, and ``bernoulli_recurrence``
 is the Fraction recurrence over all earlier B_k that the tangent numbers
-replaced; ``bernoulli_polynomial`` reads it.  ``admissible_triples_listed``
+replaced; ``bernoulli_polynomial`` reads it.  ``lambda_horner`` re-expands
+the nearly modular tail in q - 1 by integer Horner and multiplies in
+q^(1/120) and q^(1/2 - phi/4) as binomial series, the O(order^3) route to
+lambda_n that the Stirling sum over the tail's L-values replaced.  ``admissible_triples_listed``
 is the tuple of every admissible triple that ``chi.admissible_triples``
 built before it returned a view over the runs.  ``solve_seifert_q``
 finds surgery coefficients, which the library does not use.
@@ -38,9 +41,11 @@ finds surgery coefficients, which the library does not use.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from mpmath import mp
 
@@ -54,6 +59,7 @@ from brieskorn_wrt import (
     PrecisionContext,
     build_chi,
     canonicalize,
+    eichler_tail,
     ell_condition,
     euler_number,
     modular_data,
@@ -414,6 +420,61 @@ def lambda_stirling(p: BrieskornTriple, order: int) -> OhtsukiSeries:
             lam += (-1) ** (n + 1)
         lambdas.append(lam)
     return OhtsukiSeries(manifold=p, order=order, lambdas=tuple(lambdas))
+
+
+def _series_mul(a: list, b: list, order: int) -> list:
+    # product of two integer power series in u, truncated after u^order
+    return [sum(map(operator.mul, a[: n + 1], reversed(b[: n + 1]))) for n in range(order + 1)]
+
+
+def _binomial_series(numerator: int, denominator: int, order: int) -> tuple:
+    """(coefficients, common) with (1 + u)^(a/b) = sum_j coefficients[j] u^j / common.
+
+    a/b = numerator/denominator.  C(a/b, j) = prod_{i<j} (a - i b) / (b^j j!),
+    so over common = b^order order! the j-th coefficient is the integer
+    prod_{i<j} (a - i b) b^(order-j) order!/j!.
+    """
+    steps = (numerator - i * denominator for i in range(order))
+    products = accumulate(steps, operator.mul, initial=1)
+    rises = (denominator * j for j in range(order, 0, -1))
+    factors = list(accumulate(rises, operator.mul, initial=1))[::-1]
+    return [a * f for a, f in zip(products, factors)], factors[0]
+
+
+def lambda_horner(p: BrieskornTriple, order: int) -> OhtsukiSeries:
+    """lambda_n for n = 0..order by re-expanding the tail in u = q - 1, O(order^3).
+
+    The nearly modular tail (1/2) sum_k c_k (log q / 4P)^k, with q^(1/120)
+    added for the Poincare sphere, is re-expanded by integer Horner through
+    u^(order+1); then sum_n lambda_n u^n = q^(1/2 - phi/4) times that bracket
+    over u, each factor a binomial series over one common denominator.
+    """
+    top = order + 1
+    c = eichler_tail(p, EllTriple(1, 1, 1), top)
+    # log(1 + u) = y(u)/lcm with integer y, so with s = 4P lcm the tail is
+    # sum_k c_k (y/s)^k; Horner runs in integers on den c_k s^(top - k)
+    lcm = math.lcm(*range(1, top + 1))
+    y = [0] + [(-1) ** (j + 1) * (lcm // j) for j in range(1, top + 1)]
+    s = 4 * p.P * lcm
+    den = math.lcm(*(ck.denominator for ck in c))
+    bracket = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        bracket = _series_mul(bracket, y, top)
+        bracket[0] += c[k].numerator * (den // c[k].denominator) * s ** (top - k)
+    common = 2 * den * s**top
+    if p.is_poincare:
+        extra, extra_common = _binomial_series(1, 120, top)
+        bracket = [b * extra_common + e * common for b, e in zip(bracket, extra)]
+        common *= extra_common
+    if bracket[0]:
+        raise ArithmeticError(f"tail of {p} has constant term {Fraction(bracket[0], common)}")
+    phi = phi_invariant(p)  # 1/2 - phi/4 = (2 d - n) / 4d
+    shift, shift_common = _binomial_series(
+        2 * phi.denominator - phi.numerator, 4 * phi.denominator, order
+    )
+    common *= shift_common
+    lambdas = tuple(Fraction(x, common) for x in _series_mul(shift, bracket[1:], order))
+    return OhtsukiSeries(manifold=p, order=order, lambdas=lambdas)
 
 
 def egcd(a: int, b: int):

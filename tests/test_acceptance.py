@@ -36,7 +36,13 @@ from brieskorn_wrt import (
 from brieskorn_wrt.cli import execute, parse
 from brieskorn_wrt.exactmath import to_mpf
 from conftest import coprime_triples
-from oracles import eichler_tail_term, gauss_reciprocity_sides, gauss_sum, lambda_stirling
+from oracles import (
+    eichler_tail_term,
+    gauss_reciprocity_sides,
+    gauss_sum,
+    lambda_horner,
+    lambda_stirling,
+)
 from test_chi import l_values_from_hyperbolic_quotient
 
 CTX = PrecisionContext(50)
@@ -187,8 +193,9 @@ def test_criterion_08_perturbative_series_consistency():
     ok = True
     for ps in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (2, 5, 7), (2, 3, 11)]:
         p = BrieskornTriple(*ps)
-        ok = ok and lambda_coefficients(p, 8).lambdas == lambda_stirling(p, 8).lambdas
-    _report(8, ok, "tail re-expansion equals the Stirling form through order 8 on five manifolds")
+        lambdas = lambda_coefficients(p, 8).lambdas
+        ok = ok and lambdas == lambda_stirling(p, 8).lambdas == lambda_horner(p, 8).lambdas
+    _report(8, ok, "Stirling sum equals the tail re-expansion through order 8 on five manifolds")
 
 
 def test_criterion_09_asymptotic_quality():

@@ -159,9 +159,9 @@ def test_parse_rejects_negative_tail_order(capsys):
 
 
 def test_parse_caps_order_tail_order_and_nmax(capsys):
-    # lambda_n costs O(order^3), theorem51 runs the surgery sum at every
-    # level up to --nmax and gamma checks every sphere with P <= --pmax, so
-    # all four are capped from above
+    # --order and --K set the size of the Bernoulli tables and tails,
+    # theorem51 runs the surgery sum at every level up to --nmax and gamma
+    # checks every sphere with P <= --pmax, so all four are capped from above
     for argv, flag in (
         (["ohtsuki", "--p", "2,3,7", "--order", str(MAX_ORDER + 1)], "--order"),
         (["asymptotic", "--p", "2,3,7", "--N", "10", "--K", str(MAX_K + 1)], "--K"),

@@ -15,7 +15,7 @@ from brieskorn_wrt import ohtsuki
 from brieskorn_wrt.cli import EXIT_FAIL, EXIT_OK, execute, parse
 from brieskorn_wrt.ohtsuki import TABLE_ENV_VAR
 from conftest import coprime_triples
-from oracles import lambda_stirling
+from oracles import lambda_horner, lambda_stirling
 
 P235 = BrieskornTriple(2, 3, 5)
 
@@ -92,9 +92,10 @@ def test_non_integer_lambdas_warn_not_raise(caplog):
 
 
 # --------------------------------------------------------- series consistency
-# lambda_coefficients re-expands the nearly modular tail in (q - 1); the
-# Stirling-number closed form is the independent exact route to the same
-# coefficients, so the two must agree exactly.
+# lambda_coefficients sums the Stirling form over integer eichler_tail values;
+# lambda_stirling is the same closed form in Fractions over Bernoulli-polynomial
+# L-values, and lambda_horner re-expands the tail in (q - 1) without Stirling
+# numbers at all, so all three must agree exactly.
 
 
 @pytest.mark.parametrize(
@@ -121,10 +122,25 @@ def test_tail_route_matches_stirling_on_every_small_triple():
 
 @pytest.mark.parametrize("ps", [(2, 3, 5), (2, 3, 7), (5, 7, 9), (7, 11, 13)])
 def test_integer_series_match_stirling_to_order_24(ps):
-    # the bracket, the Poincare q^(1/120) series and the q^(1/2 - phi/4) shift
-    # kept as integers over one denominator agree with the Stirling form
+    # the J_m and Stirling rows kept as integers over one denominator agree
+    # with the Fraction form of the same sum
     p = BrieskornTriple(*ps)
     assert lambda_coefficients(p, 24).lambdas == lambda_stirling(p, 24).lambdas
+
+
+@pytest.mark.parametrize(
+    "ps, order",
+    [(ps, 47) for ps in [(2, 3, 5), (2, 3, 7), (5, 7, 9), (7, 11, 13)]]
+    + [((2, 3, 5), 100), ((2, 3, 7), 100)],
+)
+def test_stirling_sum_matches_horner_reexpansion(ps, order):
+    # the route-independent check, up to the --order cap; every shorter order
+    # must give the same leading coefficients
+    p = BrieskornTriple(*ps)
+    reference = lambda_horner(p, order).lambdas
+    assert lambda_coefficients(p, order).lambdas == reference
+    for n in range(order):
+        assert lambda_coefficients(p, n).lambdas == reference[: n + 1], n
 
 
 def test_nonzero_tail_constant_term_raises(monkeypatch):

@@ -161,6 +161,25 @@ def test_modularform_walks_the_admissible_runs_once_per_manifold():
     }, callers
 
 
+
+def test_lambda_coefficients_reads_the_tail_and_phi_once_each():
+    # lambda_n are one Stirling sum over the eichler_tail L-values and phi's
+    # shift; the O(order^3) series re-expansion is a test oracle only
+    tree = ast.parse((PACKAGE_DIR / "ohtsuki.py").read_text(encoding="utf-8"))
+    (function,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "lambda_coefficients"
+    ]
+    called = [ast.unparse(call.func) for call in ast.walk(function) if isinstance(call, ast.Call)]
+    assert (called.count("eichler_tail"), called.count("phi_invariant")) == (1, 1), called
+    defined = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if isinstance(node, ast.FunctionDef) and node.name in {"_series_mul", "_binomial_series"}
+    ]
+    assert not defined, defined
+
 def test_cli_encodes_rationals_and_complex_values_in_one_place():
     # verb runners return library values and execute encodes them through
     # _json; only the fields with a fixed digit count are encoded early.
