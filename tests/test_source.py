@@ -161,7 +161,6 @@ def test_modularform_walks_the_admissible_runs_once_per_manifold():
     }, callers
 
 
-
 def test_lambda_coefficients_reads_the_tail_and_phi_once_each():
     # lambda_n are one Stirling sum over the eichler_tail L-values and phi's
     # shift; the O(order^3) series re-expansion is a test oracle only
@@ -179,6 +178,7 @@ def test_lambda_coefficients_reads_the_tail_and_phi_once_each():
         if isinstance(node, ast.FunctionDef) and node.name in {"_series_mul", "_binomial_series"}
     ]
     assert not defined, defined
+
 
 def test_cli_encodes_rationals_and_complex_values_in_one_place():
     # verb runners return library values and execute encodes them through
