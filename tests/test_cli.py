@@ -1009,6 +1009,20 @@ GOLDEN_STDOUT = {
     ("ohtsuki", "--p", "7,11,13", "--order", "100"): (
         "509e324cefebf2c6dbbfc1da5cad530eb470cea61f34828e164abd65eb7622d5"
     ),
+    # every number kind of a report in the text and CSV layouts, and roots of
+    # unity at 400 digits
+    ("flat", "--p", "31,37,41", "--format", "text"): (
+        "77a76342670f5708c2292272d5ac68bdcdede2bdf4a58c4476d8894b3d042011"
+    ),
+    ("cs", "--p", "31,37,41", "--format", "csv"): (
+        "ac569f4fec03b07dac639875f6d02ce844e9fe523118478fcf7761ecd9b87682"
+    ),
+    ("ohtsuki", "--p", "2,3,7", "--order", "20", "--format", "csv"): (
+        "0fcfddf5a03fd308c32777317232bd695a8db8c3cba76ee1e78e19e73767dcd4"
+    ),
+    ("asymptotic", "--p", "7,11,13", "--N", "40", "--K", "6", "--precision", "400"): (
+        "7a08fe6d82a0974ee98438666c908c3bc3fc4d2a7474afc38da121311d6d55cf"
+    ),
 }
 
 
@@ -1017,6 +1031,18 @@ def test_stdout_matches_golden_digest(argv, capsys):
     assert main(list(argv)) == EXIT_OK
     out = re.sub(r".*wall_time_seconds.*\n", "", capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def test_failing_verify_text_matches_golden_digest(monkeypatch, capsys):
+    # a failing report prints its fixed-digit fields (the modular tau at 10
+    # digits, each residual at 5) after the results, before metadata
+    real = cli.t_exponent
+    monkeypatch.setattr(cli, "t_exponent", lambda p, ell: real(p, ell) + Fraction(1, 7))
+    assert main(["verify", "--suite", "modular", "--format", "text"]) == EXIT_FAIL
+    out = re.sub(r".*wall_time_seconds.*\n", "", capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6a74c8a7af875e5e2d31a11fa2ade37aab22212495c2abe6cde4bb237592a394"
+    )
 
 
 # sha256 of the spectrum verbs' stdout less its wall_time_seconds line, on the
