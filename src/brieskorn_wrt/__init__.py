@@ -35,6 +35,7 @@ from .exactmath import (
 )
 from .modularform import (
     AsymptoticApprox,
+    ExpansionParts,
     ModularData,
     eichler_limit,
     eichler_tail,
@@ -75,6 +76,7 @@ __all__ = [
     "BrieskornTriple",
     "DEFAULT_CONTEXT",
     "EllTriple",
+    "ExpansionParts",
     "FlatConnectionRecord",
     "ModularData",
     "OhtsukiSeries",

@@ -19,7 +19,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain, product, repeat
 from typing import NamedTuple
 
@@ -35,7 +35,7 @@ class BrieskornTriple:
     product P, the representation count D = (p1-1)(p2-1)(p3-1)/4, the
     cofactors P/p_k, and the flag marking the unique triple (2, 3, 5) whose
     reciprocals sum above 1.  Instances are immutable and compare and hash by
-    ``p``; the derived data is cached in the instance ``__dict__``.
+    ``p``; P, D and the cofactors are filled in by the constructor.
     """
 
     def __init__(self, p1: int, p2: int, p3: int) -> None:
@@ -44,7 +44,11 @@ class BrieskornTriple:
             raise ValueError("each p_i must be at least 2")
         if math.gcd(p1, p2) != 1 or math.gcd(p1, p3) != 1 or math.gcd(p2, p3) != 1:
             raise ValueError(COPRIMALITY_ERROR)
-        self.__dict__.update(p1=p1, p2=p2, p3=p3)
+        big_p, num = p1 * p2 * p3, (p1 - 1) * (p2 - 1) * (p3 - 1)
+        if num % 4:  # never for a pairwise coprime triple: at most one p_k is even
+            raise ArithmeticError(f"4 must divide (p1-1)(p2-1)(p3-1) for {(p1, p2, p3)}")
+        cofactors = (big_p // p1, big_p // p2, big_p // p3)
+        self.__dict__.update(p1=p1, p2=p2, p3=p3, P=big_p, D=num // 4, cofactors=cofactors)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -66,21 +70,6 @@ class BrieskornTriple:
     @property
     def p(self) -> tuple:
         return (self.p1, self.p2, self.p3)
-
-    @cached_property
-    def P(self) -> int:
-        return self.p1 * self.p2 * self.p3
-
-    @cached_property
-    def D(self) -> int:
-        num = (self.p1 - 1) * (self.p2 - 1) * (self.p3 - 1)
-        if num % 4:
-            raise ArithmeticError(f"4 must divide (p1-1)(p2-1)(p3-1) for {self.p}")
-        return num // 4
-
-    @cached_property
-    def cofactors(self) -> tuple:
-        return (self.P // self.p1, self.P // self.p2, self.P // self.p3)
 
     @property
     def is_poincare(self) -> bool:

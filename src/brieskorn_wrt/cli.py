@@ -1,11 +1,13 @@
 """Command-line surface: compute, verify and export with explicit precision.
 
 ``DESCRIPTION``, the text of ``bwrt --help``, lists the verbs, the formats
-and the exit codes.  Verb runners return library values, and one encoder
-serializes results and failures: rationals as {"num", "den"} strings and
-complex values as {"re", "im"} decimal strings, so arbitrarily large results
-survive any JSON consumer.  Each verify suite yields one (failure, passed)
-pair per check to one loop, which counts the checks and keeps the failures.
+and the exit codes.  Verb runners return library values, and one encoder lays
+the report out straight from them, with one routine per kind of number:
+rationals as {"num", "den"} strings, reals as decimal strings and complex
+values as {"re", "im"} decimal strings, the decimals read off mpmath's raw
+tuples at an explicit digit count, so arbitrarily large results survive any
+JSON consumer.  Each verify suite yields one (failure, passed) pair per check
+to one loop, which counts the checks and keeps the failures.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 from mpmath import mp
+from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest, to_str
 
 from . import __version__
 from .chi import (
@@ -95,62 +98,34 @@ class Command(NamedTuple):
 
 
 class Report:
-    """What ``execute`` found: the command echoed, results, metadata, status and failures."""
+    """What ``execute`` found: the command echoed, metadata, status, and the results
+    and failures as the library values the runners returned (``values``, ``failures``),
+    whose numbers the report prints at ``digits`` digits.
 
-    def __init__(self, command: dict) -> None:
+    ``results`` and ``failure`` read them in JSON terms: the JSON report, parsed.
+    """
+
+    def __init__(self, command: dict, digits: int) -> None:
         self.command = command
-        self.results = {}
+        self.digits = digits
+        self.values = {}
+        self.failures = []
         self.metadata = {}
         self.status = "ok"
-        self.failure = []
+
+    def terms(self) -> dict:
+        """The whole report in JSON terms, parsed from its JSON text."""
+        return json.loads("".join(_laid_json(self)))
+
+    results = property(lambda self: self.terms()["results"])
+    failure = property(lambda self: self.terms().get("failure", []))
 
 
-def rational_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+class _Fixed(NamedTuple):
+    """A number the report prints at ``digits`` digits, whatever its --precision."""
 
-
-def complex_json(z, digits: int, held: bool = False) -> dict:
-    """z as {"re", "im"} strings of ``digits`` digits; held: mp.workdps(digits) is entered."""
-    if not held:
-        with mp.workdps(digits):
-            return complex_json(z, digits, held=True)
-    return {"re": mp.nstr(mp.re(z), digits), "im": mp.nstr(mp.im(z), digits)}
-
-
-def real_json(x, digits: int, held: bool = False) -> str:
-    """x as a string of ``digits`` digits; held: mp.workdps(digits) is entered."""
-    if not held:
-        with mp.workdps(digits):
-            return real_json(x, digits, held=True)
-    return mp.nstr(mp.mpf(x), digits)
-
-
-_MPF, _MPC = mp.mpf, mp.mpc
-
-
-def _json(value, digits: int, held: bool = False):
-    """A library value in JSON terms; mpmath numbers at ``digits`` digits.
-
-    One precision context covers the whole value, not one per number.  The
-    exact type picks the branch; ``EllTriple`` is the one subclass to reach it.
-    """
-    if not held:
-        with mp.workdps(digits):
-            return _json(value, digits, held=True)
-    kind = type(value)
-    if kind is int or kind is str or value is None:
-        return value
-    if kind is dict:
-        return {key: _json(item, digits, True) for key, item in value.items()}
-    if kind is list or kind is tuple or kind is EllTriple:
-        return [_json(item, digits, True) for item in value]
-    if kind is Fraction:
-        return rational_json(value)
-    if kind is _MPF:
-        return real_json(value, digits, True)
-    if kind is _MPC:
-        return complex_json(value, digits, True)
-    return value  # a bool, already a JSON term
+    value: object
+    digits: int
 
 
 class _UsageError(Exception):
@@ -282,7 +257,7 @@ def _run_invariant(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
     result = tau_n(p, cmd.n_level, ctx)
     fields = _fields(result, "normalized tau z_witten term_count")
-    budget = real_json(result.error_budget, 5)
+    budget = _Fixed(result.error_budget, 5)
     return {"p": p.p, "N": result.level, **fields, "error_budget": budget}, []
 
 
@@ -293,30 +268,20 @@ def _run_ohtsuki(cmd: Command, ctx: PrecisionContext) -> tuple:
 
 def _run_cs(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
-    spectrum = [{"ell": ell, "cs": chern_simons(p, ell)} for ell in admissible_triples(p)[0]]
+    spectrum = [(ell, chern_simons(p, ell)) for ell in admissible_triples(p)[0]]
     return {"p": p.p, "cs_spectrum": spectrum}, []
 
 
 def _run_flat(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
-    records = [
-        {
-            "ell": r.triple,
-            "cs": r.cs,
-            "torsion_sqrt": r.torsion_sqrt,
-            "spectral_flow": r.spectral_flow,
-            "conjugacy_angles": r.conjugacy_angles,
-        }
-        for r in flat_connections(p, ctx)
-    ]
-    return {"p": p.p, "flat_connections": records}, []
+    return {"p": p.p, "flat_connections": flat_connections(p, ctx)}, []
 
 
 def _run_asymptotic(cmd: Command, ctx: PrecisionContext) -> tuple:
     p = BrieskornTriple(*cmd.p)
     approx = asymptotic_approx(p, cmd.n_level, cmd.k_max, ctx)
     fields = _fields(approx, "dominant tail exact")
-    error = real_json(approx.abs_error, 10)
+    error = _Fixed(approx.abs_error, 10)
     return {"p": p.p, "N": cmd.n_level, "K": cmd.k_max, **fields, "abs_error": error}, []
 
 
@@ -340,7 +305,7 @@ def _suite_theorem51(cmd: Command, ctx: PrecisionContext, results: dict):
         p = BrieskornTriple(*ps)
         for n in range(3, cmd.nmax + 1):
             residual = abs(rozansky_normalized(p, n, ctx) - tau_n(p, n, ctx).normalized)
-            yield {"p": ps, "N": n, "residual": real_json(residual, 5)}, residual <= ctx.tolerance
+            yield {"p": ps, "N": n, "residual": _Fixed(residual, 5)}, residual <= ctx.tolerance
 
 
 def _suite_table1(cmd: Command, ctx: PrecisionContext, results: dict):
@@ -358,7 +323,7 @@ def _suite_modular(cmd: Command, ctx: PrecisionContext, results: dict):
         md = modular_data(p, ctx)
         s_rows = [md.s_row(ell) for ell in md.triples]
         for tau in taus:
-            tau_text = complex_json(tau, 10)
+            tau_text = _Fixed(tau, 10)
             values = [theta_eval(p, ell, -1 / tau, ctx) for ell in md.triples]
             front = (mp.mpc(0, 1) / tau) ** mp.mpf(1.5)
             for ell, row in zip(md.triples, s_rows):
@@ -367,7 +332,7 @@ def _suite_modular(cmd: Command, ctx: PrecisionContext, results: dict):
                 t_lhs = theta_eval(p, ell, tau + 1, ctx)
                 t_rhs = mp.expjpi(to_mpf(t_exponent(p, ell))) * lhs
                 for name, res in (("S", abs(lhs - rhs)), ("T", abs(t_lhs - t_rhs))):
-                    failure = dict(p=ps, transform=name, tau=tau_text, residual=real_json(res, 5))
+                    failure = dict(p=ps, transform=name, tau=tau_text, residual=_Fixed(res, 5))
                     yield failure, res <= threshold
 
 
@@ -375,7 +340,7 @@ def _suite_torsion(cmd: Command, ctx: PrecisionContext, results: dict):
     threshold = mp.mpf(10) ** (-(ctx.decimal_digits - 15))
     for ps in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (3, 5, 8), (5, 7, 9), (7, 11, 13)]:
         residual = verify_s_torsion(BrieskornTriple(*ps), ctx)
-        yield {"p": ps, "residual": real_json(residual, 5)}, residual <= threshold
+        yield {"p": ps, "residual": _Fixed(residual, 5)}, residual <= threshold
 
 
 def _suite_gamma(cmd: Command, ctx: PrecisionContext, results: dict):
@@ -431,18 +396,19 @@ def _lambda_csv(rows, count: int):
         yield ",".join(str(x) for x in (*ps, *values)) + "\n"
 
 
-def _ohtsuki_csv(results: dict):
-    lams = [str(Fraction(int(x["num"]), int(x["den"]))) for x in results["lambdas"]]
-    return _lambda_csv([(results["p"], lams)], len(lams))
+def _ohtsuki_csv(values: dict):
+    return _lambda_csv([(values["p"], values["lambdas"])], len(values["lambdas"]))
 
 
-def _cs_csv(results: dict):
+def _cs_csv(values: dict):
     yield "ell1,ell2,ell3,cs_num,cs_den\n"
-    for e in results["cs_spectrum"]:
-        yield ",".join(map(str, (*e["ell"], e["cs"]["num"], e["cs"]["den"]))) + "\n"
+    for (l1, l2, l3), cs in values["cs_spectrum"]:
+        yield f"{l1},{l2},{l3},{cs.numerator},{cs.denominator}\n"
 
 
 def _format_text(report: Report):
+    # the JSON report, parsed, one line per scalar
+    terms = report.terms()
     yield f"status: {report.status}\n"
 
     def walk(prefix, value):
@@ -452,88 +418,119 @@ def _format_text(report: Report):
             else:
                 yield f"{prefix}{k} = {v}\n"
 
-    yield from walk("", report.results)
-    yield from walk("failure.", report.failure)
-    yield from walk("metadata.", report.metadata)
+    yield from walk("", terms["results"])
+    yield from walk("failure.", terms.get("failure", []))
+    yield from walk("metadata.", terms["metadata"])
 
 
-def _indented_json(value, newline: str = "\n") -> str:
-    """json.dumps(value, indent=2), nested at ``newline``, with C quoting.
+# One routine per kind of number writes its JSON text from mpmath's raw tuples,
+# with no precision context: each decimal is what mp.nstr(x, digits) prints,
+# an mpf first rounded to the bits of ``digits`` digits as mp.mpf rounds it
+# under mp.workdps(digits), an mpc component as it stands.
+def _real(x, digits: int) -> str:
+    return f'"{to_str(mpf_pos(x._mpf_, dps_to_prec(digits), round_nearest), digits)}"'
+
+
+def _complex(z, digits: int, newline: str) -> str:
+    (re, im), inner = z._mpc_, newline + "  "
+    return f'{{{inner}"re": "{to_str(re, digits)}",{inner}"im": "{to_str(im, digits)}"{newline}}}'
+
+
+def _rational(x: Fraction, newline: str) -> str:
+    inner = newline + "  "
+    return f'{{{inner}"num": "{x.numerator}",{inner}"den": "{x.denominator}"{newline}}}'
+
+
+_MPF, _MPC = mp.mpf, mp.mpc
+
+
+def _indented_json(value, digits: int, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2) of a library value, nested at ``newline``, with C
+    quoting: numbers by their routines at ``digits`` digits, a _Fixed at its own.
 
     json.dumps runs its pure-Python encoder whenever indent is set, so the
-    layout is written here and each scalar goes to a C routine.
+    layout is written here and each scalar goes to a C routine.  The exact type
+    picks the branch; ``EllTriple`` is the one subclass laid out as a list.
     """
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is Fraction:
+        return _rational(value, newline)
+    if kind is _MPF:
+        return _real(value, digits)
+    if kind is _MPC:
+        return _complex(value, digits, newline)
+    if kind is _Fixed:
+        return _indented_json(value.value, value.digits, newline)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
     inner = newline + "  "
-    if isinstance(value, dict) and value:
-        items = [f"{_quote(key)}: {_indented_json(item, inner)}" for key, item in value.items()]
+    if kind is dict and value:
+        items = [f"{_quote(k)}: {_indented_json(v, digits, inner)}" for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)) and value:
-        items = [_indented_json(item, inner) for item in value]
+    if (kind is list or kind is tuple or kind is EllTriple) and value:
+        items = [_indented_json(item, digits, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return json.dumps(value)  # a float, {} or []; TypeError for what JSON cannot hold
 
 
 def _report_dict(report: Report) -> dict:
-    out = {key: getattr(report, key) for key in ("command", "results", "metadata", "status")}
-    if report.failure:
-        out["failure"] = report.failure
+    out = {"command": report.command, "results": report.values, "metadata": report.metadata}
+    out["status"] = report.status
+    if report.failures:
+        out["failure"] = report.failures
     return out
 
 
-# The records of flat and cs, laid out by hand where they sit in the report
-# (results.<key>[i], items eight spaces in): json.dumps' indent=2 form over
-# the record's JSON terms, with every string quoted by _quote.  Unpacking
-# fixes each list's length, so a record of another shape raises.
-_AT8, _AT10, _AT12 = ("\n" + " " * width for width in (8, 10, 12))
+# The records of flat and cs, laid out by hand from the library records where
+# they sit in the report (results.<key>[i], items eight spaces in): json.dumps'
+# indent=2 form, numbers by their routines.  Unpacking fixes each list's
+# length, so a record of another shape raises.
+_AT8, _AT10 = ("\n" + " " * width for width in (8, 10))
 
 
-def _rational_text(x: dict, newline: str, inner: str) -> str:
-    return f'{{{inner}"num": {_quote(x["num"])},{inner}"den": {_quote(x["den"])}{newline}}}'
-
-
-def _ell_and_cs(record: dict) -> str:
+def _ell_and_cs(ell: tuple, cs: Fraction) -> str:
     # the opening brace and the first two items, which both records share
-    l1, l2, l3 = record["ell"]
-    cs = _rational_text(record["cs"], _AT8, _AT10)
-    return f'{{{_AT8}"ell": [{_AT10}{l1},{_AT10}{l2},{_AT10}{l3}{_AT8}],{_AT8}"cs": {cs}'
+    l1, l2, l3 = ell
+    ell_text = f"[{_AT10}{l1},{_AT10}{l2},{_AT10}{l3}{_AT8}]"
+    return f'{{{_AT8}"ell": {ell_text},{_AT8}"cs": {_rational(cs, _AT8)}'
 
 
-def _cs_record(record: dict) -> str:
-    return _ell_and_cs(record) + "\n      }"
+def _cs_record(record: tuple, digits: int) -> str:
+    return _ell_and_cs(*record) + "\n      }"
 
 
-def _flat_record(record: dict) -> str:
-    a1, a2, a3 = record["conjugacy_angles"]
+def _flat_record(record, digits: int) -> str:
+    a1, a2, a3 = record.conjugacy_angles
     return (
-        f'{_ell_and_cs(record)},{_AT8}"torsion_sqrt": {_quote(record["torsion_sqrt"])},'
-        f'{_AT8}"spectral_flow": {record["spectral_flow"]},{_AT8}"conjugacy_angles": ['
-        f"{_AT10}{_rational_text(a1, _AT10, _AT12)},{_AT10}{_rational_text(a2, _AT10, _AT12)},"
-        f"{_AT10}{_rational_text(a3, _AT10, _AT12)}{_AT8}]\n      }}"
+        f"{_ell_and_cs(record.triple, record.cs)},"
+        f'{_AT8}"torsion_sqrt": {_real(record.torsion_sqrt, digits)},'
+        f'{_AT8}"spectral_flow": {record.spectral_flow},{_AT8}"conjugacy_angles": ['
+        f"{_AT10}{_rational(a1, _AT10)},{_AT10}{_rational(a2, _AT10)},"
+        f"{_AT10}{_rational(a3, _AT10)}{_AT8}]\n      }}"
     )
 
 
-def _laid_json(report: Report, layout: tuple | None):
-    """The report as _indented_json lays it out, plus a newline, in pieces; with a
-    layout (key, record), each record of results[key] is a piece laid out by record."""
-    key, record = layout or (None, None)
+def _laid_json(report: Report):
+    """The report as _indented_json lays it out, plus a newline, in pieces; under the
+    verb's layout (key, record), each record of results[key] is a piece laid out by record."""
+    key, record = _VERBS[report.command["verb"]].layout or (None, None)
+    digits = report.digits
     for top, (name, value) in enumerate(_report_dict(report).items()):
         yield ("," if top else "{") + f"\n  {_quote(name)}: "
         if name != "results" or record is None:
-            yield _indented_json(value, "\n  ")
+            yield _indented_json(value, digits, "\n  ")
             continue
         for inner, (field, item) in enumerate(value.items()):
             yield ("," if inner else "{") + f"\n    {_quote(field)}: "
             if field != key:
-                yield _indented_json(item, "\n    ")
+                yield _indented_json(item, digits, "\n    ")
                 continue
             for index, entry in enumerate(item):
-                yield (",\n      " if index else "[\n      ") + record(entry)
+                yield (",\n      " if index else "[\n      ") + record(entry, digits)
             yield "\n    ]"
         yield "\n  }"
     yield "\n}\n"
@@ -549,8 +546,8 @@ class _Verb(NamedTuple):
     flags: tuple = ()  # beyond --p, --precision, --format and --out
     takes_p: bool = True
     d_bounded: bool = False  # --p capped at MAX_D canonical triples
-    csv: Callable | None = None  # results -> CSV text in pieces; None means JSON
-    layout: tuple | None = None  # (results key, its JSON record -> text), laid out by hand
+    csv: Callable | None = None  # results as library values -> CSV text in pieces
+    layout: tuple | None = None  # (results key, (library record, digits) -> its JSON text)
     route: str | None = None  # metadata["route"]: what computed tau_N
 
 
@@ -603,6 +600,7 @@ def execute(cmd: Command) -> tuple:
     ctx = PrecisionContext(cmd.precision)
     started = time.monotonic()
     report = Report(
+        digits=ctx.decimal_digits,
         command={
             "verb": cmd.verb,
             "p": list(cmd.p) if cmd.p else None,
@@ -615,8 +613,8 @@ def execute(cmd: Command) -> tuple:
             "pmax": cmd.pmax if "--pmax" in spec.flags else None,
         }
     )
-    report.results, report.failure = _json(spec.run(cmd, ctx), ctx.decimal_digits)
-    if report.failure:
+    report.values, report.failures = spec.run(cmd, ctx)
+    if report.failures:
         report.status = "fail"
     report.metadata = {
         "precision_digits": cmd.precision,
@@ -626,17 +624,17 @@ def execute(cmd: Command) -> tuple:
     }
     if spec.route:
         report.metadata["route"] = spec.route
-    return report, EXIT_FAIL if report.failure else EXIT_OK
+    return report, EXIT_FAIL if report.failures else EXIT_OK
 
 
 def _pieces(cmd: Command, report: Report):
     """The report's text in the command's format, as a stream of pieces."""
     spec = _VERBS[cmd.verb]
     if cmd.fmt == "csv" and spec.csv:
-        return spec.csv(report.results)
+        return spec.csv(report.values)
     if cmd.fmt == "text":
         return _format_text(report)
-    return _laid_json(report, spec.layout)
+    return _laid_json(report)
 
 
 def render(cmd: Command, report: Report) -> str:

@@ -7,7 +7,8 @@ by the Dedekind datum of ``chi`` and returned by ``dedekind_sum`` as one
 tangent numbers.  Floating computations elsewhere in the package run with
 mpmath at a precision carried explicitly by a :class:`PrecisionContext`, so
 results never depend on ambient mpmath state beyond the scope of a single
-call.
+call.  Each table or sum of roots of unity takes one root, an integer pair that
+``_unit_root`` reads off mpmath's cos/sin(pi x) kernel on raw tuples.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_cos_sin_pi, mpf_div, mpf_shift, round_nearest, to_int
 
 # Exact quantities live in stdlib fractions; the alias documents intent.
 Rational = Fraction
@@ -133,15 +135,17 @@ def _fixed_product(x: tuple, y: tuple, shift: int) -> tuple:
 
 
 def _unit_root(order: int, wide: int) -> tuple:
-    """e^{2 pi i / order} over 2^wide from one ``mp.expjpi``, within 5 units of 2^-wide."""
-    with mp.workprec(wide):
-        z = mp.expjpi(mp.mpf(2) / order)
-    return int(mp.ldexp(z.real, wide)), int(mp.ldexp(z.imag, wide))
+    """e^{2 pi i / order} over 2^wide, truncated, within 5 units of 2^-wide: the integers
+    of ``mp.expjpi(mp.mpf(2) / order)`` under mp.workprec(wide), from the kernel that call
+    ends in, ``mpf_cos_sin_pi``, on raw tuples rounded to nearest, with no context."""
+    x = mpf_div(from_int(2), from_int(order), wide, round_nearest)
+    cos, sin = mpf_cos_sin_pi(x, wide, round_nearest)
+    return to_int(mpf_shift(cos, wide)), to_int(mpf_shift(sin, wide))
 
 
 def root_table(order: int, bits: int) -> list:
     """Integers over 2^bits, entry e within 2 units of 2^-bits of sin(2 pi e / order),
-    0 <= e < order/2: the (order + 1) // 2 sines of a half period, from one ``mp.expjpi``.
+    0 <= e < order/2: the (order + 1) // 2 sines of a half period, from one ``_unit_root``.
 
     z = e^{2 pi i / order} is taken at w = bits + g bits.  Entry a + b s is the giant
     step (z^s)^b times the baby step z^a, a < s = isqrt(order/2) + 1, each step a
@@ -170,7 +174,7 @@ def root_table(order: int, bits: int) -> list:
 
 def root_power_sum(coefficients: list, order: int, step: int, exponents: tuple, bits: int):
     """Gaussian integers (re, im) over 2^bits for z = e^{2 pi i / order}, from one
-    ``mp.expjpi``: sum_k coefficients[k] z^(step k) first, then z^e for each e in
+    ``_unit_root``: sum_k coefficients[k] z^(step k) first, then z^e for each e in
     ``exponents``.  Each component is within 1 unit of 2^-bits.
 
     Method.  z is taken at w bits, and every power of z is a chain of products

@@ -295,6 +295,14 @@ def eichler_tail(p: BrieskornTriple, ell: EllTriple, order: int) -> tuple:
     return tuple(Fraction(num, den * f) for (num, den), f in zip(ratios, factorials))
 
 
+class ExpansionParts(NamedTuple):
+    """dominant + tail of a limit at 1/N, and the limit itself."""
+
+    dominant: object
+    tail: object
+    exact: object
+
+
 class AsymptoticApprox(NamedTuple):
     """dominant + tail of a limit at 1/N; abs_error = |exact - dominant - tail|."""
 
@@ -440,7 +448,7 @@ def nearly_modular_expansion(
     n: int,
     k_max: int,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
-) -> AsymptoticApprox:
+) -> ExpansionParts:
     """Dominant S-transformed part plus order-k_max tail of the limit at 1/n.
 
     dominant = -sqrt(n/i) sum_l' S[ell][l'] (integer-point limit of l' at -n),
@@ -452,7 +460,7 @@ def nearly_modular_expansion(
     tail sums the ``eichler_tail`` coefficients c_k (pi i / 2Pn)^k, k <= k_max,
     exactly in the integer Pi = int(pi 2^w) (``_tail``).  Each is rounded once,
     within its stated bound, so the call takes the one exponential of
-    ``eichler_limit`` and no other.
+    ``eichler_limit`` and no other.  The residual is left to the caller.
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
@@ -463,6 +471,4 @@ def nearly_modular_expansion(
     with ctx.workdps():
         dominant = ensure_finite(_dominant(md, ell, n))
         tail = ensure_finite(_tail(coefficients, 2 * p.P * n))
-        exact = eichler_limit(p, ell, 1, n, ctx)
-        abs_error = ensure_finite(abs(exact - dominant - tail))
-        return AsymptoticApprox(dominant, tail, exact, abs_error)
+        return ExpansionParts(dominant, tail, eichler_limit(p, ell, 1, n, ctx))

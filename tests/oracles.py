@@ -34,8 +34,14 @@ the nearly modular tail in q - 1 by integer Horner and multiplies in
 q^(1/120) and q^(1/2 - phi/4) as binomial series, the O(order^3) route to
 lambda_n that the Stirling sum over the tail's L-values replaced.  ``admissible_triples_listed``
 is the tuple of every admissible triple that ``chi.admissible_triples``
-built before it returned a view over the runs.  ``solve_seifert_q``
-finds surgery coefficients, which the library does not use.
+built before it returned a view over the runs.  ``unit_root_expjpi`` is
+the root of unity through ``mp.expjpi`` under ``mp.workprec``, which
+``exactmath._unit_root`` replaced by the kernel it ends in.  ``json_terms``
+(with ``rational_json``, ``real_json`` and ``complex_json``) is the converter
+from library values to JSON terms that ``cli`` ran over every report before
+it laid reports out from the values, and ``report_terms`` applies it to a
+``cli.Report``.  ``solve_seifert_q`` finds surgery coefficients, which the
+library does not use.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ from brieskorn_wrt import (
     modular_data,
     phi_invariant,
 )
+from brieskorn_wrt import cli
 from brieskorn_wrt.chi import _admissible_runs, _ell_runs
 from brieskorn_wrt.exactmath import ensure_finite, to_mpf
 
@@ -596,3 +603,78 @@ def s_parity_reference(p: BrieskornTriple, l: tuple, lp: tuple) -> int:
 def admissible_triples_listed(p: BrieskornTriple) -> tuple:
     """Every admissible canonical triple, built into one tuple of gamma EllTriples."""
     return tuple(_ell_runs(_admissible_runs(p)))
+
+
+def unit_root_expjpi(order: int, wide: int) -> tuple:
+    """e^{2 pi i / order} over 2^wide, truncated, from ``mp.expjpi`` under mp.workprec(wide)."""
+    with mp.workprec(wide):
+        z = mp.expjpi(mp.mpf(2) / order)
+    return int(mp.ldexp(z.real, wide)), int(mp.ldexp(z.imag, wide))
+
+
+def rational_json(x: Fraction) -> dict:
+    return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+def complex_json(z, digits: int, held: bool = False) -> dict:
+    """z as {"re", "im"} strings of ``digits`` digits; held: mp.workdps(digits) is entered."""
+    if not held:
+        with mp.workdps(digits):
+            return complex_json(z, digits, held=True)
+    return {"re": mp.nstr(mp.re(z), digits), "im": mp.nstr(mp.im(z), digits)}
+
+
+def real_json(x, digits: int, held: bool = False) -> str:
+    """x as a string of ``digits`` digits; held: mp.workdps(digits) is entered."""
+    if not held:
+        with mp.workdps(digits):
+            return real_json(x, digits, held=True)
+    return mp.nstr(mp.mpf(x), digits)
+
+
+def json_terms(value, digits: int, held: bool = False):
+    """A library value in JSON terms; mpmath numbers at ``digits`` digits, a
+    ``cli._Fixed`` at its own, as its runner once converted it."""
+    if not held:
+        with mp.workdps(digits):
+            return json_terms(value, digits, held=True)
+    kind = type(value)
+    if kind is int or kind is str or value is None:
+        return value
+    if kind is dict:
+        return {key: json_terms(item, digits, True) for key, item in value.items()}
+    if kind is list or kind is tuple or kind is EllTriple:
+        return [json_terms(item, digits, True) for item in value]
+    if kind is Fraction:
+        return rational_json(value)
+    if kind is mp.mpf:
+        return real_json(value, digits, True)
+    if kind is mp.mpc:
+        return complex_json(value, digits, True)
+    if kind is cli._Fixed:
+        return json_terms(value.value, value.digits)
+    return value  # a bool or a float, already a JSON term
+
+
+def report_terms(report: cli.Report) -> dict:
+    """The report in JSON terms by ``json_terms``, the flat and cs records first
+    rebuilt as the dicts their runners made."""
+    results = dict(report.values)
+    if "flat_connections" in results:
+        results["flat_connections"] = [
+            {
+                "ell": r.triple,
+                "cs": r.cs,
+                "torsion_sqrt": r.torsion_sqrt,
+                "spectral_flow": r.spectral_flow,
+                "conjugacy_angles": r.conjugacy_angles,
+            }
+            for r in results["flat_connections"]
+        ]
+    if "cs_spectrum" in results:
+        results["cs_spectrum"] = [{"ell": ell, "cs": cs} for ell, cs in results["cs_spectrum"]]
+    terms = {"command": report.command, "results": results, "metadata": report.metadata}
+    terms["status"] = report.status
+    if report.failures:
+        terms["failure"] = report.failures
+    return json_terms(terms, report.digits)

@@ -96,18 +96,16 @@ def test_poincare_is_unique_small_exhaustive():
     assert found == [(2, 3, 5)]
 
 
-def test_structural_checks_raise_arithmetic_error():
+def test_structural_checks_raise_arithmetic_error(monkeypatch):
     # bypass validation to reach the invariants that valid input never breaks
     not_coprime = object.__new__(BrieskornTriple)
-    for name, value in zip(("p1", "p2", "p3"), (2, 3, 4)):
+    for name, value in zip(("p1", "p2", "p3", "P", "cofactors"), (2, 3, 4, 24, (12, 8, 6))):
         object.__setattr__(not_coprime, name, value)
     with pytest.raises(ArithmeticError):
         not_coprime.is_poincare  # 1/2 + 1/3 + 1/4 > 1 but not (2, 3, 5)
-    even_pair = object.__new__(BrieskornTriple)
-    for name, value in zip(("p1", "p2", "p3"), (2, 4, 7)):
-        object.__setattr__(even_pair, name, value)
+    monkeypatch.setattr(math, "gcd", lambda a, b: 1)  # let (2, 4, 7) pass as coprime
     with pytest.raises(ArithmeticError):
-        even_pair.D  # (p1-1)(p2-1)(p3-1) = 18 is not divisible by 4
+        BrieskornTriple(2, 4, 7)  # (p1-1)(p2-1)(p3-1) = 18 is not divisible by 4
 
 
 def test_seifert_q_attached_to_triple():

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 import brieskorn_wrt.chi as chi
 import brieskorn_wrt.cli as cli
@@ -58,6 +59,7 @@ from brieskorn_wrt.cli import (
     render,
 )
 from brieskorn_wrt.ohtsuki import TABLE_ENV_VAR, table1_path
+from oracles import json_terms, rational_json, report_terms
 
 
 # ----------------------------------------------------------------------- parse
@@ -197,7 +199,7 @@ def test_plain_argv_builds_no_parser_and_render_runs_no_python_encoder(monkeypat
         argv = [*argv, "--pmax", "30"] if verb == "verify" else argv
         cmd = parse(argv)
         report, _ = execute(cmd)
-        reports[verb] = cmd, report, json.dumps(cli._report_dict(report), indent=2) + "\n"
+        reports[verb] = cmd, report, json.dumps(report_terms(report), indent=2) + "\n"
     built = []
     real_init = argparse.ArgumentParser.__init__
 
@@ -451,7 +453,7 @@ def test_cs_spectrum_json():
 def test_cs_reads_chern_simons_without_flat_connection_records(monkeypatch):
     # cs prints CS values only: no torsion amplitude or spectral flow is built
     records = flat_connections(BrieskornTriple(7, 11, 13))
-    expected = [{"ell": list(r.triple.ell), "cs": cli.rational_json(r.cs)} for r in records]
+    expected = [{"ell": list(r.triple.ell), "cs": rational_json(r.cs)} for r in records]
     rows = [",".join(map(str, (*r.triple.ell, r.cs.numerator, r.cs.denominator))) for r in records]
 
     def never(*args):
@@ -748,11 +750,11 @@ def test_failure_in_mid_stream_keeps_the_old_out_file(monkeypatch, tmp_path):
     key, record = _VERBS["flat"].layout
     laid = []
 
-    def failing(entry):
+    def failing(entry, digits):
         if laid:
             raise RuntimeError("second record")
         laid.append(entry)
-        return record(entry)
+        return record(entry, digits)
 
     monkeypatch.setitem(_VERBS, "flat", _VERBS["flat"]._replace(layout=(key, failing)))
     with pytest.raises(RuntimeError, match="second record"):
@@ -1179,7 +1181,43 @@ JSON_SCALARS = st.one_of(
 @example({"a": [], "b": {}, "c": [[], {}], "": "\u00e9\n\"\\\u2028\ud83d\ude00\x00", "d": -0.0})
 @example([1e300, float("nan"), float("-inf"), True, False, None, 10**40, -(2**64)])
 def test_indented_json_equals_json_dumps(value):
-    assert cli._indented_json(value) == json.dumps(value, indent=2)
+    # JSON terms carry no library number, so the digit count plays no part
+    assert cli._indented_json(value, 15) == json.dumps(value, indent=2)
+
+
+MPF_VALUES = st.builds(
+    lambda man, exp: mp.make_mpf(from_man_exp(man, exp)),
+    st.integers(-(2**400), 2**400),
+    st.one_of(st.integers(-400, 400), st.integers(-34000, 34000), st.sampled_from((-33300, 33300))),
+)
+LIBRARY_VALUES = st.recursive(
+    st.one_of(
+        MPF_VALUES,
+        st.builds(lambda re, im: mp.make_mpc((re._mpf_, im._mpf_)), MPF_VALUES, MPF_VALUES),
+        st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+        st.builds(EllTriple, st.integers(1, 100), st.integers(1, 100), st.integers(1, 100)),
+        st.builds(cli._Fixed, MPF_VALUES, st.integers(5, 120)),
+        st.just(mp.mpf(0)),
+        st.integers(),
+        st.text(max_size=4),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(LIBRARY_VALUES, st.integers(5, 120))
+@example({"a": [], "b": {}, "c": ((), {}), "d": mp.mpf(0), "e": -mp.mpf(1) / 3}, 5)
+@example([mp.mpf(2) ** 33300, -mp.mpf(3) ** -21000, mp.mpc(0, -1), Fraction(-7, 3)], 120)
+def test_encoder_equals_json_dumps_of_the_retired_converter(value, digits):
+    # the report's one encoder against json.dumps over the JSON terms that the
+    # retired converter built under mp.workdps, one mp.nstr per number
+    assert cli._indented_json(value, digits) == json.dumps(json_terms(value, digits), indent=2)
 
 
 # pairwise coprime p1 < p2 < p3 with D = (p1 - 1)(p2 - 1)(p3 - 1)/4 <= 400
@@ -1201,7 +1239,7 @@ def test_hand_laid_records_equal_json_dumps(ps, digits, verb):
     cmd = parse([verb, "--p", ",".join(map(str, ps)), "--precision", str(digits)])
     report, code = execute(cmd)
     assert code == EXIT_OK
-    assert render(cmd, report) == json.dumps(cli._report_dict(report), indent=2) + "\n"
+    assert render(cmd, report) == json.dumps(report_terms(report), indent=2) + "\n"
 
 
 def test_text_format_renders():

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import brieskorn_wrt.exactmath as exactmath
 import brieskorn_wrt.modularform as modularform
 import brieskorn_wrt.topology as topology
 from brieskorn_wrt import (
@@ -43,7 +44,9 @@ from oracles import (
     sawtooth,
     solve_seifert_q,
     stirling_first,
+    unit_root_expjpi,
 )
+from test_modularform import _count_exponentials
 
 
 # ---------------------------------------------------------------------- sawtooth
@@ -407,19 +410,30 @@ def test_root_power_sum_with_large_and_cancelling_coefficients():
     }
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 10**7).flatmap(
+        lambda order: st.tuples(st.just(order), st.integers(2 * order.bit_length() + 1, 40000))
+    )
+)
+@example((1, 3))
+@example((2, 5))
+@example((3, 5))
+@example((4, 7))
+def test_unit_root_is_the_expjpi_route_bit_for_bit(case):
+    # mpmath's cos/sin(pi x) kernel on raw tuples gives the integers that
+    # mp.expjpi gives under mp.workprec(wide), down to the last bit
+    order, wide = case
+    assert exactmath._unit_root(order, wide) == unit_root_expjpi(order, wide)
+
+
 def test_root_power_sum_takes_one_exponential(monkeypatch):
-    calls = []
-    real = mp.expjpi
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(mp, "expjpi", counted)
+    # one _unit_root, whatever the length, and no call through mpmath's wrapper
+    calls = _count_exponentials(monkeypatch)
     for count in (10, 10000):
         calls.clear()
         root_power_sum([1, -2, 3] * count, 4 * 7 * count, 28, (5, 6, 7), 200)
-        assert len(calls) == 1
+        assert calls == ["_unit_root"], calls
 
 
 @pytest.mark.parametrize("order, step, bits", [(0, 1, 10), (5, 0, 10), (5, 1, 0), (-3, 1, 10)])
@@ -474,18 +488,10 @@ ROOT_TABLE_SITES = {
 
 @pytest.mark.parametrize("site", ROOT_TABLE_SITES)
 def test_root_tables_cost_a_fixed_number_of_exponentials(site, monkeypatch):
-    # every table of roots of unity is one exponential, whatever its order;
-    # one call per entry would grow about tenfold between the two inputs
+    # every table of roots of unity is one exponential (a _unit_root), whatever
+    # its order; one call per entry would grow about tenfold between the inputs
     run, inputs = ROOT_TABLE_SITES[site]
-    calls = []
-    for name in ("expjpi", "cospi", "sinpi"):
-        real = getattr(mp, name)
-
-        def counted(*args, _real=real, **kwargs):
-            calls.append(1)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(mp, name, counted)
+    calls = _count_exponentials(monkeypatch)
     counts = []
     for value in inputs:
         calls.clear()

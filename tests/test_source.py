@@ -1,9 +1,13 @@
 """Static checks on the library source."""
 
 import ast
+import types
 from pathlib import Path
 
+import mpmath.libmp
+
 import brieskorn_wrt
+from brieskorn_wrt import cli
 
 PACKAGE_DIR = Path(brieskorn_wrt.__file__).parent
 
@@ -181,33 +185,85 @@ def test_lambda_coefficients_reads_the_tail_and_phi_once_each():
 
 
 def test_cli_encodes_rationals_and_complex_values_in_one_place():
-    # verb runners return library values and execute encodes them through
-    # _json; only the fields with a fixed digit count are encoded early.
-    # mpmath numbers become digits only in real_json and complex_json, and the
-    # hand-laid flat and cs records read JSON terms without converting any
+    # one encoder lays every report out from the library values the runners
+    # return: one routine per kind of number, _real and _complex reading
+    # mpmath's raw tuples and _rational the Fraction; runners convert nothing,
+    # and nothing that _pieces reaches calls nstr, enters a precision context
+    # or builds JSON terms from library values (text reads the parsed JSON)
     tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
-    functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
-    def callers(name):
+    def called(node) -> set:
         return {
-            node.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef)
+            getattr(call.func, "id", None) or getattr(call.func, "attr", None)
             for call in ast.walk(node)
             if isinstance(call, ast.Call)
-            and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
         }
 
-    assert callers("rational_json") == {"_json"}
-    runners = {name for name in callers("complex_json") if name.startswith("_run_")}
-    assert not runners, runners
-    assert callers("_json") == {"_json", "execute"}
-    assert "_json" not in callers("isinstance")  # the exact type alone picks the branch
-    assert callers("nstr") == {"real_json", "complex_json"}
-    layouts = {"_laid_json", "_cs_record", "_flat_record", "_ell_and_cs", "_rational_text"}
-    assert layouts <= functions, layouts - functions
-    for converter in ("_json", "rational_json", "real_json", "complex_json", "str", "repr", "format"):
-        assert not callers(converter) & layouts, converter
+    def callers(name) -> set:
+        return {caller for caller, node in functions.items() if name in called(node)}
+
+    def reach(*roots) -> set:
+        # the functions of cli.py that the roots name, by call or reference
+        found, stack = set(), [root for root in roots if root in functions]
+        while stack:
+            name = stack.pop()
+            if name not in found:
+                found.add(name)
+                stack += [
+                    getattr(node, "id", None) or getattr(node, "attr", None)
+                    for node in ast.walk(functions[name])
+                    if isinstance(node, (ast.Name, ast.Attribute))
+                ]
+                stack = [other for other in stack if other in functions]
+        return found
+
+    assert callers("to_str") == {"_real", "_complex"}
+    assert callers("mpf_pos") == {"_real"}
+    assert callers("_complex") == {"_indented_json"}
+    assert callers("_real") == {"_indented_json", "_flat_record"}
+    assert callers("_rational") == {"_indented_json", "_ell_and_cs", "_flat_record"}
+    retired = {"_json", "rational_json", "real_json", "complex_json", "_rational_text"}
+    assert not retired & set(functions), retired & set(functions)
+    runners = {name for name in functions if name.startswith(("_run_", "_suite_"))}
+    leaves = {"_real", "_complex", "_rational", "_indented_json", "to_str", "nstr"}
+    assert not {name for name in runners if called(functions[name]) & leaves}
+    tables = [(spec.csv, spec.layout) for spec in cli._VERBS.values()]
+    roots = [f.__name__ for csv, layout in tables for f in (csv, layout and layout[1]) if f]
+    reached = reach("_pieces", *roots)
+    assert {"_laid_json", "_format_text", "_flat_record", "_cs_csv", "_real"} <= reached
+    for name in reached:
+        banned = called(functions[name]) & {"nstr", "workdps", "workprec", "mpf", "mpc"}
+        assert not banned, (name, banned)
+    json_route = reach("_laid_json", *roots)
+    assert "terms" not in json_route and "_format_text" not in json_route, json_route
+    for name in json_route:
+        assert "loads" not in called(functions[name]), name
+
+
+def test_only_exactmath_and_cli_import_from_mpmath_libmp():
+    # mpmath's raw-tuple kernels are read in two places, by names that the
+    # mpmath.libmp package exports; no module reaches into libmpf, libelefun
+    # or another submodule
+    exported = {
+        name
+        for name in dir(mpmath.libmp)
+        if not isinstance(getattr(mpmath.libmp, name), types.ModuleType)
+    }
+    importers, found = set(), []
+    for name, node in _package_nodes():
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mpmath"):
+            if node.module == "mpmath.libmp":
+                importers.add(name)
+                found += [f"{name}:{node.lineno} {a.name}" for a in node.names if a.name not in exported]
+            elif node.module != "mpmath" or any(a.name != "mp" for a in node.names):
+                found.append(f"{name}:{node.lineno} from {node.module}")
+        elif isinstance(node, ast.Import):
+            found += [f"{name}:{node.lineno} {a.name}" for a in node.names if "mpmath" in a.name]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("lib"):
+            found.append(f"{name}:{node.lineno} .{node.attr}")
+    assert importers == {"exactmath.py", "cli.py"}, importers
+    assert not found, found
 
 
 def test_cli_main_writes_the_report_as_a_stream():
