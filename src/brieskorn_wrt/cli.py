@@ -113,12 +113,8 @@ class Report:
         self.metadata = {}
         self.status = "ok"
 
-    def terms(self) -> dict:
-        """The whole report in JSON terms, parsed from its JSON text."""
-        return json.loads("".join(_laid_json(self)))
-
-    results = property(lambda self: self.terms()["results"])
-    failure = property(lambda self: self.terms().get("failure", []))
+    results = property(lambda self: json.loads("".join(_laid_json(self)))["results"])
+    failure = property(lambda self: json.loads("".join(_laid_json(self))).get("failure", []))
 
 
 class _Fixed(NamedTuple):
@@ -407,8 +403,7 @@ def _cs_csv(values: dict):
 
 
 def _format_text(report: Report):
-    # the JSON report, parsed, one line per scalar
-    terms = report.terms()
+    # a line per scalar of the JSON report, parsed a field or a laid record at a time
     yield f"status: {report.status}\n"
 
     def walk(prefix, value):
@@ -418,9 +413,14 @@ def _format_text(report: Report):
             else:
                 yield f"{prefix}{k} = {v}\n"
 
-    yield from walk("", terms["results"])
-    yield from walk("failure.", terms.get("failure", []))
-    yield from walk("metadata.", terms["metadata"])
+    key, record = _VERBS[report.command["verb"]].layout or (None, None)
+    for field, value in report.values.items():
+        if field != key:
+            yield from walk("", {field: json.loads(_indented_json(value, report.digits))})
+        for index, entry in enumerate(value if field == key else ()):
+            yield from walk(f"{field}.{index}.", json.loads(record(entry, report.digits)))
+    yield from walk("failure.", json.loads(_indented_json(report.failures, report.digits)))
+    yield from walk("metadata.", report.metadata)
 
 
 # One routine per kind of number writes its JSON text from mpmath's raw tuples,
@@ -546,7 +546,7 @@ class _Verb(NamedTuple):
     flags: tuple = ()  # beyond --p, --precision, --format and --out
     takes_p: bool = True
     d_bounded: bool = False  # --p capped at MAX_D canonical triples
-    csv: Callable | None = None  # results as library values -> CSV text in pieces
+    csv: Callable | None = None  # library results -> CSV text in pieces; None means JSON
     layout: tuple | None = None  # (results key, (library record, digits) -> its JSON text)
     route: str | None = None  # metadata["route"]: what computed tau_N
 

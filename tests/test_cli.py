@@ -1187,9 +1187,14 @@ def test_indented_json_equals_json_dumps(value):
 
 MPF_VALUES = st.builds(
     lambda man, exp: mp.make_mpf(from_man_exp(man, exp)),
-    st.integers(-(2**400), 2**400),
+    st.one_of(
+        st.integers(-(2**64), 2**64),
+        st.integers(2**100, 2**400),
+        st.integers(-(2**400), -(2**100)),
+    ),
     st.one_of(st.integers(-400, 400), st.integers(-34000, 34000), st.sampled_from((-33300, 33300))),
 )
+ROUNDS_ACROSS_A_DIGIT = mp.make_mpf(from_man_exp(899366964825153695, -15))
 LIBRARY_VALUES = st.recursive(
     st.one_of(
         MPF_VALUES,
@@ -1214,6 +1219,9 @@ LIBRARY_VALUES = st.recursive(
 @given(LIBRARY_VALUES, st.integers(5, 120))
 @example({"a": [], "b": {}, "c": ((), {}), "d": mp.mpf(0), "e": -mp.mpf(1) / 3}, 5)
 @example([mp.mpf(2) ** 33300, -mp.mpf(3) ** -21000, mp.mpc(0, -1), Fraction(-7, 3)], 120)
+# a real is rounded to the bits of 5 digits before it prints (2.7446e+13), an
+# mpc component is not (2.7447e+13)
+@example([ROUNDS_ACROSS_A_DIGIT, mp.make_mpc((ROUNDS_ACROSS_A_DIGIT._mpf_,) * 2)], 5)
 def test_encoder_equals_json_dumps_of_the_retired_converter(value, digits):
     # the report's one encoder against json.dumps over the JSON terms that the
     # retired converter built under mp.workdps, one mp.nstr per number
