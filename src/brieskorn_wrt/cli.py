@@ -417,7 +417,8 @@ def _format_text(report: Report):
     for field, value in report.values.items():
         if field != key:
             yield from walk("", {field: json.loads(_indented_json(value, report.digits))})
-        for index, entry in enumerate(value if field == key else ()):
+            continue
+        for index, entry in enumerate(value):
             yield from walk(f"{field}.{index}.", json.loads(record(entry, report.digits)))
     yield from walk("failure.", json.loads(_indented_json(report.failures, report.digits)))
     yield from walk("metadata.", report.metadata)
