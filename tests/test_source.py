@@ -255,7 +255,8 @@ def test_only_exactmath_and_cli_import_from_mpmath_libmp():
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mpmath"):
             if node.module == "mpmath.libmp":
                 importers.add(name)
-                found += [f"{name}:{node.lineno} {a.name}" for a in node.names if a.name not in exported]
+                missing = [alias.name for alias in node.names if alias.name not in exported]
+                found += [f"{name}:{node.lineno} {alias}" for alias in missing]
             elif node.module != "mpmath" or any(a.name != "mp" for a in node.names):
                 found.append(f"{name}:{node.lineno} from {node.module}")
         elif isinstance(node, ast.Import):
