@@ -5,22 +5,21 @@ odd periodic functions chi with period 2*P, supported on eight residues.
 These drive everything else: theta series, Eichler integrals, quantum
 invariants and the perturbative series.
 
-The admissible triples, one per irreducible flat connection, are held as
-their runs: for each canonical (l1, l2) the admissible l3 form one interval,
-so ``admissible_triples`` returns an ``EllRuns`` view over O(p1 p2) runs, and
-gamma, indexing and iteration never build all gamma triples at once.
-``admissible_count`` is the view's length, the one route to gamma.
+Both lattice-triple sets are held as runs of l3 (``EllRuns``), one per
+canonical (l1, l2): the D canonical triples (``enumerate_triples``), which
+label the theta vector and S, and the gamma admissible triples
+(``admissible_triples``), one per irreducible flat connection, whose l3 form
+one interval per pair.  So a set costs O(p1 p2), never D or gamma, until it
+is iterated.  ``admissible_count`` is the admissible runs' count, the one
+route to gamma.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_right
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, product, repeat
+from itertools import chain, product, repeat
 from typing import NamedTuple
 
 from .exactmath import Rational, _scaled_dedekind_sum, even_bernoulli_numbers
@@ -126,78 +125,48 @@ def _canonical_pairs(p: BrieskornTriple):
     The orbit least member has 2*l1 <= p1 and 2*l2 <= p2.  A tie 2*l1 = p1
     (p1 even) leaves both later coordinates free to flip, and a tie 2*l2 = p2
     (p2 even) leaves l3 free to flip; either way 2*l3 < p3, since p3 is then
-    odd.  Otherwise l3 is unrestricted.
+    odd.  Otherwise l3 is unrestricted.  The range lengths top - 1 must add
+    up to D, or ArithmeticError is raised once the pairs are exhausted.
     """
     p1, p2, p3 = p.p
+    canonical = 0
     for l1 in range(1, p1 // 2 + 1):
         for l2 in range(1, p2 // 2 + 1):
-            yield l1, l2, (p3 // 2 + 1 if 2 * l1 == p1 or 2 * l2 == p2 else p3)
+            top = p3 // 2 + 1 if 2 * l1 == p1 or 2 * l2 == p2 else p3
+            canonical += top - 1
+            yield l1, l2, top
+    if canonical != p.D:
+        raise ArithmeticError(f"{canonical} canonical triples for {p}, expected D={p.D}")
 
 
-def _ell_runs(runs):
-    """Iterator of the EllTriples (l1, l2, l3), lo <= l3 <= hi, of runs (l1, l2, lo, hi)."""
-    # EllTriple(...) and EllTriple._make each run one Python frame per triple;
-    # tuple.__new__ over zipped entries builds the same EllTriple without one
-    return chain.from_iterable(
-        map(tuple.__new__, repeat(EllTriple), zip(repeat(l1), repeat(l2), range(lo, hi + 1)))
-        for l1, l2, lo, hi in runs
-    )
+class EllRuns:
+    """The EllTriples of runs (l1, l2, first, last), first <= l3 <= last.
 
-
-class EllRuns(Sequence):
-    """Read-only sequence of the EllTriples of runs (l1, l2, first, last), first <= l3 <= last.
-
-    Only the runs and their cumulative lengths are held, so ``len`` is O(1),
-    an index is found by bisection over the runs and builds one EllTriple,
-    and iteration streams the runs through ``_ell_runs``.  A slice is a
-    tuple.  Equal to another view or a tuple of the same triples, like the
-    tuple it stands for, but unhashable, with no ``+`` and no ordering;
-    ``tuple(view)`` lists it.  The repr shows the runs.
+    Only ``runs`` and their total length ``count`` are held, so ``len`` is
+    O(1) and iteration streams the runs; ``tuple(view)`` lists the triples.
     """
 
-    __slots__ = ("_runs", "_starts")
-    __hash__ = None
+    __slots__ = ("runs", "count")
 
     def __init__(self, runs) -> None:
-        self._runs = tuple(runs)
-        # _starts[j] is the index of run j's first triple; the last entry is the length
-        lengths = (last - first + 1 for _, _, first, last in self._runs)
-        self._starts = tuple(accumulate(lengths, initial=0))
+        self.runs = tuple(runs)
+        self.count = sum(last - first + 1 for _, _, first, last in self.runs)
 
     def __len__(self) -> int:
-        return self._starts[-1]
-
-    def __repr__(self) -> str:
-        return f"EllRuns({self._runs!r})"
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("EllRuns index out of range")
-        run = bisect_right(self._starts, i) - 1
-        l1, l2, first, _ = self._runs[run]
-        return EllTriple(l1, l2, first + i - self._starts[run])
+        return self.count
 
     def __iter__(self):
-        return _ell_runs(self._runs)
+        # EllTriple(...) and EllTriple._make each run one Python frame per triple;
+        # tuple.__new__ over zipped entries builds the same EllTriple without one
+        return chain.from_iterable(
+            map(tuple.__new__, repeat(EllTriple), zip(repeat(l1), repeat(l2), range(lo, hi + 1)))
+            for l1, l2, lo, hi in self.runs
+        )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (EllRuns, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
-
-@lru_cache(maxsize=128)
-def enumerate_triples(p: BrieskornTriple) -> tuple:
-    """All canonical representatives, sorted; exactly D of them."""
-    result = tuple(_ell_runs((l1, l2, 1, top - 1) for l1, l2, top in _canonical_pairs(p)))
-    if len(result) != p.D:
-        raise ArithmeticError(f"{len(result)} canonical triples for {p}, expected D={p.D}")
-    return result
+def enumerate_triples(p: BrieskornTriple) -> EllRuns:
+    """All D canonical representatives, sorted, as one run per canonical (l1, l2)."""
+    return EllRuns((l1, l2, 1, top - 1) for l1, l2, top in _canonical_pairs(p))
 
 
 class PeriodicChi(NamedTuple):
@@ -269,37 +238,31 @@ def _admissible_runs(p: BrieskornTriple):
     a3 = l3 * p1 * p2, so the admissible l3 form one interval, cut to the
     canonical range 1 <= l3 < top of ``_canonical_pairs``.  A canonical pair
     has 2 l1 <= p1 and 2 l2 <= p2, never both tied, so s < P; then only
-    P - s < a3 < P - gap can bind.  Only non-empty runs are yielded.  The
-    canonical range lengths must add up to D, or ArithmeticError is raised
-    once the runs are exhausted.
+    P - s < a3 < P - gap can bind.  Only non-empty runs are yielded.
     """
     big = p.P
     c1, c2, c3 = p.cofactors
-    canonical = 0
     for l1, l2, top in _canonical_pairs(p):
-        canonical += top - 1
         a1, a2 = l1 * c1, l2 * c2
         first = max(1, (big - a1 - a2) // c3 + 1)
         last = min(top - 1, (big - abs(a1 - a2) - 1) // c3)
         if first <= last:
             yield l1, l2, first, last
-    if canonical != p.D:
-        raise ArithmeticError(f"{canonical} canonical triples for {p}, expected D={p.D}")
 
 
 def admissible_triples(p: BrieskornTriple) -> tuple:
     """(canonical triples satisfying the open inequalities, their count gamma).
 
-    The triples are an ``EllRuns`` view over the runs of ``_admissible_runs``,
-    which are read here, so the D-count check runs on every call.  The view
-    and gamma cost O(p1 p2) integer steps, not O(gamma).
+    The triples are an ``EllRuns`` over the runs of ``_admissible_runs``,
+    which are read here, so the D-count check of ``_canonical_pairs`` runs on
+    every call.  The runs and gamma cost O(p1 p2) integer steps, not O(gamma).
     """
     triples = EllRuns(_admissible_runs(p))
-    return triples, len(triples)
+    return triples, triples.count
 
 
 def admissible_count(p: BrieskornTriple) -> int:
-    """gamma, the number of admissible canonical triples: the length of their view."""
+    """gamma, the number of admissible canonical triples: the count of their runs."""
     return admissible_triples(p)[1]
 
 

@@ -287,7 +287,9 @@ def coprime_triples(pmax: int):
         if p1**3 > pmax:
             break
         for p2 in range(p1 + 1, pmax // p1 + 1):
-            if math.gcd(p1, p2) != 1 or p1 * p2 * (p2 + 1) > pmax:
+            if p1 * p2 * (p2 + 1) > pmax:  # grows with p2: no later p2 fits
+                break
+            if math.gcd(p1, p2) != 1:
                 continue
             for p3 in range(p2 + 1, pmax // (p1 * p2) + 1):
                 if math.gcd(p1, p3) == 1 and math.gcd(p2, p3) == 1:

@@ -15,14 +15,15 @@ unity, both summed in fixed point as powers of one root of unity
 (``exactmath.root_power_sum``), so it takes one exponential, builds no table,
 and its rounding is bounded by the weights it sums.
 ``nearly_modular_expansion`` is the one implementation of the dominant/tail
-split; ``wrt.asymptotic_approx`` normalizes its (1, 1, 1) row.  Its dominant
-part reads only the gamma admissible columns, run by run of
-``chi._admissible_runs``, through sines and phases off those same rows,
-summed as Gaussian integers and scaled by the exact 8 sqrt(n/P)(1 - i)(-i)^q
-with one integer square root.  Its tail is summed exactly by Horner's rule
-from the exact coefficients in the integer int(pi 2^w).  Each is rounded once
-(``exactmath.rounded_ratio``) within a bound derived from what it sums, so a
-warm call takes the limit's one exponential and builds no table.
+split, without the O(n) limit; ``wrt.asymptotic_approx`` normalizes its
+(1, 1, 1) row beside ``eichler_limit``.  Its dominant part reads only the
+gamma admissible columns, run by run of ``chi.admissible_triples``, through
+sines and phases off those same rows, summed as Gaussian integers and scaled
+by the exact 8 sqrt(n/P)(1 - i)(-i)^q with one integer square root.  Its
+tail is summed exactly by Horner's rule from the exact coefficients in the
+integer int(pi 2^w).  Each is rounded once (``exactmath.rounded_ratio``)
+within a bound derived from what it sums, so a warm call takes no
+exponential and builds no table.
 ``eichler_tail`` takes every L-value from one pass of ``chi._l_value_ratios``
 and builds one ``Fraction`` per coefficient.
 """
@@ -40,9 +41,10 @@ from mpmath import mp
 
 from .chi import (
     BrieskornTriple,
+    EllRuns,
     EllTriple,
-    _admissible_runs,
     _l_value_ratios,
+    admissible_triples,
     build_chi,
     canonicalize,
     enumerate_triples,
@@ -87,8 +89,9 @@ class ModularData(NamedTuple):
     within 0.2 units of 2^-prec, rounded once and multiplied by ``scale``, so
     an entry is within 4 scale 2^-prec of S.  T is not stored (``t_exponent``).
     ``runs`` are the admissible runs (l1, l2, first, last) of
-    ``chi._admissible_runs`` and ``spans`` the least and greatest l'_k they
-    reach, (lo, hi) per fibre, which the dominant sum reads.
+    ``chi.admissible_triples`` and ``spans`` the least and greatest l'_k they
+    reach, (lo, hi) per fibre, which the dominant sum reads.  ``triples`` are
+    the D canonical columns of ``s_row``, from ``chi.enumerate_triples``.
     """
 
     triple: BrieskornTriple
@@ -100,8 +103,8 @@ class ModularData(NamedTuple):
     spans: tuple
 
     @property
-    def triples(self) -> tuple:
-        """The D canonical triples, enumerated (and cached) only when read."""
+    def triples(self) -> EllRuns:
+        """The D canonical triples, an ``EllRuns`` built on each read."""
         return enumerate_triples(self.triple)
 
     def s_row(self, ell: EllTriple) -> tuple:
@@ -134,7 +137,7 @@ def _modular_data_cached(p: BrieskornTriple, digits: int) -> ModularData:
         bits = mp.prec + (4 * p.p3).bit_length()
     halves = (root_table(4 * pk, bits) for pk in p.p)
     rows = tuple(tuple(half + [-s for s in half]) for half in halves)
-    runs = tuple(_admissible_runs(p))
+    runs = admissible_triples(p)[0].runs
     l1s, l2s, firsts, lasts = zip(*runs)
     spans = ((l1s[0], l1s[-1]), (min(l2s), max(l2s)), (min(firsts), max(lasts)))
     return ModularData(
@@ -182,8 +185,9 @@ def theta_eval(
 ):
     """Theta series (1/2) sum_n n chi(n) q^{n^2/4P} at tau in the upper half plane.
 
-    Truncated where the geometric majorant exp(-pi Im(tau) n^2 / 2P) * n
-    drops below tolerance / 4P.
+    The sum runs over all integers n; chi is odd, so n chi(n) is even and it
+    is summed here over n > 0 only, without the 1/2.  Truncated where the
+    geometric majorant exp(-pi Im(tau) n^2 / 2P) * n drops below tolerance / 4P.
     """
     chi = build_chi(p, ell)
     with ctx.workdps():
@@ -296,11 +300,10 @@ def eichler_tail(p: BrieskornTriple, ell: EllTriple, order: int) -> tuple:
 
 
 class ExpansionParts(NamedTuple):
-    """dominant + tail of a limit at 1/N, and the limit itself."""
+    """dominant + tail of a limit at 1/N."""
 
     dominant: object
     tail: object
-    exact: object
 
 
 class AsymptoticApprox(NamedTuple):
@@ -453,14 +456,15 @@ def nearly_modular_expansion(
 
     dominant = -sqrt(n/i) sum_l' S[ell][l'] (integer-point limit of l' at -n),
     that limit being -2 e^{-pi i r(l') n} on the admissible columns and 0
-    elsewhere; exact is ``eichler_limit`` at 1/n.  The sum reads only those
+    elsewhere, approximates ``eichler_limit`` at 1/n.  The sum reads only those
     gamma columns, one admissible run at a time, through per-fibre tables of
     sines times phases off the rows of ``modular_data`` (``_dominant_integers``),
     and its scaling is exact but for one integer square root (``_dominant``).
     tail sums the ``eichler_tail`` coefficients c_k (pi i / 2Pn)^k, k <= k_max,
     exactly in the integer Pi = int(pi 2^w) (``_tail``).  Each is rounded once,
-    within its stated bound, so the call takes the one exponential of
-    ``eichler_limit`` and no other.  The residual is left to the caller.
+    within its stated bound, so the call takes no exponential and does not
+    call the O(n) ``eichler_limit``: the limit and the residual are left to
+    the caller.
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
@@ -470,5 +474,4 @@ def nearly_modular_expansion(
     coefficients = eichler_tail(p, ell, k_max)
     with ctx.workdps():
         dominant = ensure_finite(_dominant(md, ell, n))
-        tail = ensure_finite(_tail(coefficients, 2 * p.P * n))
-        return ExpansionParts(dominant, tail, eichler_limit(p, ell, 1, n, ctx))
+        return ExpansionParts(dominant, ensure_finite(_tail(coefficients, 2 * p.P * n)))

@@ -37,7 +37,7 @@ from .exactmath import (
     root_power_sum,
     root_table,
 )
-from .modularform import AsymptoticApprox, _limit_weights, nearly_modular_expansion
+from .modularform import AsymptoticApprox, _limit_weights, eichler_limit, nearly_modular_expansion
 
 
 class WrtResult(NamedTuple):
@@ -229,8 +229,9 @@ def asymptotic_approx(
     Half the (1, 1, 1) ``nearly_modular_expansion`` at 1/N: dominant =
     sqrt(N/i) sum_l S[(1,1,1)][l] e^{-pi i r(l) N} over admissible triples,
     tail = (1/2) sum_{k<=k_max} L(-2k, chi)/k! (pi i/(2PN))^k; tail and the
-    exact value (that of ``tau_n``) gain e^{pi i/(60N)} on the Poincare sphere.
-    abs_error is |exact - dominant - tail| of these three.
+    exact value (half the (1, 1, 1) ``eichler_limit`` at 1/N, that of
+    ``tau_n``) gain e^{pi i/(60N)} on the Poincare sphere.  abs_error is
+    |exact - dominant - tail| of these three.
     """
     if n_level < 3:
         raise ValueError("level must be at least 3")
@@ -238,5 +239,6 @@ def asymptotic_approx(
     with ctx.workdps():
         dominant = expansion.dominant / 2
         tail = _theorem51_normalized(p, expansion.tail, n_level)
-        exact = _theorem51_normalized(p, expansion.exact, n_level)
+        limit = eichler_limit(p, EllTriple(1, 1, 1), 1, n_level, ctx)
+        exact = _theorem51_normalized(p, limit, n_level)
         return AsymptoticApprox(dominant, tail, exact, +abs(exact - dominant - tail))

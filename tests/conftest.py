@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from brieskorn_wrt import BrieskornTriple, PrecisionContext
+from brieskorn_wrt import BrieskornTriple, PrecisionContext, chi, modularform
 from brieskorn_wrt.cli import coprime_triples as cli_coprime_triples
 from brieskorn_wrt.exactmath import to_mpf
 from oracles import phi_hat
@@ -17,6 +17,17 @@ def ctx50():
 @pytest.fixture(scope="session")
 def ctx30():
     return PrecisionContext(30)
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """enumerate_triples raises, in every library module that imported it by name."""
+
+    def enumerate_triples(p):
+        raise AssertionError(f"enumerate_triples({p}) called")
+
+    for module in (chi, modularform):
+        monkeypatch.setattr(module, "enumerate_triples", enumerate_triples)
 
 
 EXAMPLE_TRIPLES = [(2, 3, 5), (2, 3, 7), (3, 4, 5)]

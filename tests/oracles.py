@@ -34,7 +34,7 @@ the nearly modular tail in q - 1 by integer Horner and multiplies in
 q^(1/120) and q^(1/2 - phi/4) as binomial series, the O(order^3) route to
 lambda_n that the Stirling sum over the tail's L-values replaced.  ``admissible_triples_listed``
 is the tuple of every admissible triple that ``chi.admissible_triples``
-built before it returned a view over the runs.  ``unit_root_expjpi`` is
+built before it returned their runs, listed from those runs.  ``unit_root_expjpi`` is
 the root of unity through ``mp.expjpi`` under ``mp.workprec``, which
 ``exactmath._unit_root`` replaced by the kernel it ends in.  ``json_terms``
 (with ``rational_json``, ``real_json`` and ``complex_json``) is the converter
@@ -63,6 +63,7 @@ from brieskorn_wrt import (
     OhtsukiSeries,
     PeriodicChi,
     PrecisionContext,
+    admissible_triples,
     build_chi,
     canonicalize,
     eichler_tail,
@@ -72,7 +73,6 @@ from brieskorn_wrt import (
     phi_invariant,
 )
 from brieskorn_wrt import cli
-from brieskorn_wrt.chi import _admissible_runs, _ell_runs
 from brieskorn_wrt.exactmath import ensure_finite, to_mpf
 
 
@@ -245,7 +245,7 @@ def weighted_sum(chi: PeriodicChi) -> int:
 
 def modular_index(md: ModularData, ell: EllTriple) -> int:
     """Position of the orbit of ``ell`` among the canonical triples of ``md``."""
-    return md.triples.index(canonicalize(md.triple, ell))
+    return tuple(md.triples).index(canonicalize(md.triple, ell))
 
 
 def eichler_integer_data(p: BrieskornTriple, ell: EllTriple):
@@ -602,7 +602,7 @@ def s_parity_reference(p: BrieskornTriple, l: tuple, lp: tuple) -> int:
 
 def admissible_triples_listed(p: BrieskornTriple) -> tuple:
     """Every admissible canonical triple, built into one tuple of gamma EllTriples."""
-    return tuple(_ell_runs(_admissible_runs(p)))
+    return tuple(admissible_triples(p)[0])
 
 
 def unit_root_expjpi(order: int, wide: int) -> tuple:

@@ -128,8 +128,8 @@ def test_root_tables_are_built_only_where_each_is_owned():
 
 
 def test_admissible_triples_builds_no_triple_list():
-    # admissible_triples hands back a view over the runs; gamma is its length,
-    # so neither a tuple of all gamma triples nor _ell_runs may come back there
+    # admissible_triples hands back the runs; gamma is their count, so no
+    # tuple of all gamma triples may come back there
     tree = ast.parse((PACKAGE_DIR / "chi.py").read_text(encoding="utf-8"))
     (function,) = [
         node
@@ -137,32 +137,31 @@ def test_admissible_triples_builds_no_triple_list():
         if isinstance(node, ast.FunctionDef) and node.name == "admissible_triples"
     ]
     called = {ast.unparse(call.func) for call in ast.walk(function) if isinstance(call, ast.Call)}
-    assert called == {"EllRuns", "_admissible_runs", "len"}, called
+    assert called == {"EllRuns", "_admissible_runs"}, called
 
 
-def test_gamma_has_one_route_through_the_admissible_runs():
-    # admissible_count reads gamma as the view's length; only the view and the
-    # dominant sum's ModularData walk the runs themselves
+def test_chi_keeps_the_triple_runs_private():
+    # both triple sets are EllRuns built in chi: gamma and the dominant sum's
+    # ModularData.runs read admissible_triples, the one walk of the admissible
+    # runs, and only chi knows the canonical pairs.  The one private name
+    # another module imports from chi is the L-value kernel of eichler_tail.
     callers = _callers("_admissible_runs")
-    assert callers == {
-        ("chi.py", "admissible_triples"),
-        ("modularform.py", "_modular_data_cached"),
-    }, callers
-
-
-def test_modularform_walks_the_admissible_runs_once_per_manifold():
-    # the dominant sum reads ModularData.runs and .spans, built with the
-    # cached rows; no per-call walk of the runs may come back
-    callers = {
-        (name, node.name)
+    assert callers == {("chi.py", "admissible_triples")}, callers
+    named = {
+        f"{name}:{getattr(node, 'lineno', '?')}"
         for name, node in _package_nodes()
-        if isinstance(node, ast.FunctionDef)
-        for call in ast.walk(node)
-        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_admissible_runs"
+        if name != "chi.py"
+        and any(getattr(node, f, None) == "_canonical_pairs" for f in ("id", "attr", "name"))
     }
-    assert {caller for caller in callers if caller[0] == "modularform.py"} == {
-        ("modularform.py", "_modular_data_cached")
-    }, callers
+    assert not named, named
+    imported = {
+        (name, alias.name)
+        for name, node in _package_nodes()
+        if name != "chi.py" and isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if (getattr(node, "module", None) or "").endswith("chi") and alias.name.startswith("_")
+    }
+    assert imported == {("modularform.py", "_l_value_ratios")}, imported
 
 
 def test_lambda_coefficients_reads_the_tail_and_phi_once_each():

@@ -227,7 +227,7 @@ def test_spectral_flow_matches_cotangent_sum(ctx30):
 )
 def test_spectral_flow_matches_cotangent_sum_above_bound(ps, data):
     p = BrieskornTriple(*ps)
-    ell = data.draw(st.sampled_from(admissible_triples(p)[0]))
+    ell = data.draw(st.sampled_from(tuple(admissible_triples(p)[0])))
     assert spectral_flow(p, ell) == spectral_flow_cotangent(p, ell, PrecisionContext(30))
 
 
