@@ -140,13 +140,32 @@ def test_admissible_triples_builds_no_triple_list():
     assert called == {"EllRuns", "_admissible_runs"}, called
 
 
-def test_chi_keeps_the_triple_runs_private():
-    # both triple sets are EllRuns built in chi: gamma and the dominant sum's
-    # ModularData.runs read admissible_triples, the one walk of the admissible
-    # runs, and only chi knows the canonical pairs.  The one private name
-    # another module imports from chi is the L-value kernel of eichler_tail.
+def test_gamma_has_one_route_through_the_admissible_runs():
+    # admissible_triples is the one walk of the admissible runs; gamma is the
+    # count it returns, read in chi only by admissible_count
     callers = _callers("_admissible_runs")
     assert callers == {("chi.py", "admissible_triples")}, callers
+    chi_callers = {caller for caller in _callers("admissible_triples") if caller[0] == "chi.py"}
+    assert chi_callers == {("chi.py", "admissible_count")}, chi_callers
+
+
+def test_modularform_walks_the_admissible_runs_once_per_manifold():
+    # the dominant sum reads ModularData.runs and .spans, built with the
+    # cached rows from admissible_triples; no per-call walk of the runs may
+    # come back, and modularform never walks _admissible_runs itself
+    callers = {
+        caller
+        for caller in _callers("admissible_triples") | _callers("_admissible_runs")
+        if caller[0] == "modularform.py"
+    }
+    assert callers == {("modularform.py", "_modular_data_cached")}, callers
+    assert not {c for c in _callers("_admissible_runs") if c[0] == "modularform.py"}
+
+
+def test_chi_keeps_the_triple_runs_private():
+    # both triple sets are EllRuns built in chi and only chi knows the
+    # canonical pairs.  The one private name another module imports from chi
+    # is the L-value kernel of eichler_tail.
     named = {
         f"{name}:{getattr(node, 'lineno', '?')}"
         for name, node in _package_nodes()
