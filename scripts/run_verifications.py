@@ -5,9 +5,11 @@ Usage:
     python scripts/run_verifications.py [bwrt verify flags, e.g. --pmax 200 --nmax 4]
 
 The flags go to ``bwrt verify`` after a leading ``--pmax 20000``, so a given
---pmax overrides that default; the others keep the CLI's defaults.
+--pmax overrides that default; the others keep the CLI's defaults.  Each
+suite's check count and failures are read off its JSON report.
 """
 
+import json
 import sys
 import time
 
@@ -18,14 +20,15 @@ def main(argv: list) -> int:
     overall = 0
     for suite in cli.SUITES:
         started = time.monotonic()
-        argv_suite = ["verify", "--suite", suite, "--pmax", "20000", *argv]
-        report, code = cli.execute(cli.parse(argv_suite))
+        cmd = cli.parse(["verify", "--suite", suite, "--pmax", "20000", *argv])
+        report, code = cli.execute(cmd)
         elapsed = time.monotonic() - started
+        laid = json.loads(cli.render(cmd._replace(fmt="json"), report))
         print(
-            f"{suite:>10}: {report.status:>4}  checks={report.results.get('checks', '?'):>5}"
+            f"{suite:>10}: {report.status:>4}  checks={laid['results'].get('checks', '?'):>5}"
             f"  ({elapsed:.1f}s)"
         )
-        for failure in report.failure[:5]:
+        for failure in laid.get("failure", [])[:5]:
             print(f"{'':>12}{failure}")
         overall = max(overall, code)
     return overall

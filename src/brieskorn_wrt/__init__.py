@@ -19,20 +19,12 @@ from .chi import (
     admissible_triples,
     build_chi,
     canonicalize,
-    ell_condition,
     enumerate_triples,
     gamma_closed_form,
-    l_function_value,
     mordell_count,
     orbit,
 )
-from .exactmath import (
-    DEFAULT_CONTEXT,
-    PrecisionContext,
-    Rational,
-    bernoulli_number,
-    dedekind_sum,
-)
+from .exactmath import DEFAULT_CONTEXT, PrecisionContext, Rational
 from .modularform import (
     AsymptoticApprox,
     ExpansionParts,
@@ -54,7 +46,6 @@ from .topology import (
     FlatConnectionRecord,
     casson,
     chern_simons,
-    conjugacy_angles,
     euler_number,
     flat_connections,
     phi_invariant,
@@ -68,7 +59,6 @@ from .wrt import (
     rozansky_normalized,
     tau_coordinates,
     tau_n,
-    tau_prefactor,
 )
 
 __all__ = [
@@ -87,21 +77,16 @@ __all__ = [
     "admissible_count",
     "admissible_triples",
     "asymptotic_approx",
-    "bernoulli_number",
     "build_chi",
     "canonicalize",
     "casson",
     "chern_simons",
-    "conjugacy_angles",
-    "dedekind_sum",
     "eichler_limit",
     "eichler_tail",
-    "ell_condition",
     "enumerate_triples",
     "euler_number",
     "flat_connections",
     "gamma_closed_form",
-    "l_function_value",
     "lambda_coefficients",
     "load_table1",
     "modular_data",
@@ -115,7 +100,6 @@ __all__ = [
     "table1_path",
     "tau_coordinates",
     "tau_n",
-    "tau_prefactor",
     "theta_eval",
     "torsion_sqrt",
     "verify_s_torsion",

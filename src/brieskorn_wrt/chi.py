@@ -11,7 +11,9 @@ label the theta vector and S, and the gamma admissible triples
 (``admissible_triples``), one per irreducible flat connection, whose l3 form
 one interval per pair.  So a set costs O(p1 p2), never D or gamma, until it
 is iterated.  ``admissible_count`` is the admissible runs' count, the one
-route to gamma.
+route to gamma.  ``l_value_ratios`` gives each L-value L(-2k, chi) as one
+exact integer ratio, every k from one pass over the moments of chi's
+eight-point support; ``modularform.eichler_tail`` reads them.
 """
 
 from __future__ import annotations
@@ -213,23 +215,6 @@ def t_numerator(p: BrieskornTriple, ell: EllTriple) -> int:
     return a * a % (4 * p.P)
 
 
-def ell_condition(p: BrieskornTriple, ell: EllTriple) -> bool:
-    """Open-tetrahedron inequalities marking non-vanishing integer limits."""
-    _check_range(p, ell)
-    big = p.P
-    c1, c2, c3 = p.cofactors
-    a1, a2, a3 = ell.l1 * c1, ell.l2 * c2, ell.l3 * c3
-    # a_k = l_k * P/p_k is l_k/p_k scaled by big = P, so with S = sum a_k the
-    # inequalities 1 < sum l_k/p_k < 3 and |sum l_j/p_j - 2 l_k/p_k| < 1 read:
-    s = a1 + a2 + a3
-    return (
-        big < s < 3 * big
-        and abs(s - 2 * a1) < big
-        and abs(s - 2 * a2) < big
-        and abs(s - 2 * a3) < big
-    )
-
-
 def _admissible_runs(p: BrieskornTriple):
     """Yield (l1, l2, first, last): the admissible l3 of each canonical (l1, l2).
 
@@ -300,7 +285,7 @@ def mordell_count(p: BrieskornTriple) -> int:
     return count
 
 
-def _l_value_ratios(chi: PeriodicChi, ks) -> list:
+def l_value_ratios(chi: PeriodicChi, ks) -> list:
     """(numerator, denominator) with L(-2k, chi) = numerator / denominator, for each k in ks.
 
     From the integer power moments M_j = sum_r chi(r) r^j of the eight-point
@@ -336,13 +321,3 @@ def _l_value_ratios(chi: PeriodicChi, ks) -> list:
             total += math.comb(n, 2 * half) * weight * moments[n - 2 * half]
         ratios.append((-total, 2 * two_p * common * n))
     return ratios
-
-
-def l_function_value(chi: PeriodicChi, k: int) -> Rational:
-    """L(-2k, chi) = -(2P)^(2k)/(2k+1) * sum_j chi(j) B_{2k+1}(j / 2P), exact.
-
-    One ``Fraction`` over the integers of ``_l_value_ratios``.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return Fraction(*_l_value_ratios(chi, (k,))[0])

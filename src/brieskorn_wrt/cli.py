@@ -61,9 +61,9 @@ EXIT_USAGE = 2
 # coordinates take O(N) integers and time; lambda_n take O(order^2) integer
 # steps and --order and --K set the size of the Bernoulli tables and tails; the
 # theorem51 suite runs the O(PN) surgery sum at every level up to --nmax; gamma
-# checks every sphere with P <= --pmax (10^5 takes about a minute).  No
-# sphere has P below 2*3*5 and no level is below 3, so smaller --pmax and
-# --nmax would select nothing.
+# checks every sphere with P <= --pmax in O(p1 p2) steps each (at 10^5, 181,624
+# spheres whose p1 p2 sum to about 3.9*10^7).  No sphere has P below 2*3*5 and
+# no level is below 3, so smaller --pmax and --nmax would select nothing.
 _Bound = namedtuple("_Bound", "field least greatest note")
 _BOUNDS = {
     "--N": _Bound("n_level", 3, 10**6, ""),
@@ -100,9 +100,8 @@ class Command(NamedTuple):
 class Report:
     """What ``execute`` found: the command echoed, metadata, status, and the results
     and failures as the library values the runners returned (``values``, ``failures``),
-    whose numbers the report prints at ``digits`` digits.
-
-    ``results`` and ``failure`` read them in JSON terms: the JSON report, parsed.
+    whose numbers the report prints at ``digits`` digits.  ``render`` lays it out;
+    its JSON terms are that text, parsed.
     """
 
     def __init__(self, command: dict, digits: int) -> None:
@@ -112,9 +111,6 @@ class Report:
         self.failures = []
         self.metadata = {}
         self.status = "ok"
-
-    results = property(lambda self: json.loads("".join(_laid_json(self)))["results"])
-    failure = property(lambda self: json.loads("".join(_laid_json(self))).get("failure", []))
 
 
 class _Fixed(NamedTuple):

@@ -1,14 +1,14 @@
 """Exact rational number theory and the precision context for numeric work.
 
 Everything exact is computed over arbitrary-precision integers: a Dedekind
-sum as the integer 12k s(h, k) along Euclid's algorithm, read as an integer
-by the Dedekind datum of ``chi`` and returned by ``dedekind_sum`` as one
-``fractions.Fraction``, and Bernoulli numbers as Fractions over integer
-tangent numbers.  Floating computations elsewhere in the package run with
-mpmath at a precision carried explicitly by a :class:`PrecisionContext`, so
-results never depend on ambient mpmath state beyond the scope of a single
-call.  Each table or sum of roots of unity takes one root, an integer pair that
-``_unit_root`` reads off mpmath's cos/sin(pi x) kernel on raw tuples.
+sum as the integer 12k s(h, k) along Euclid's algorithm, which the Dedekind
+datum of ``chi`` sums as an integer, and the even Bernoulli numbers as
+Fractions over integer tangent numbers.  Floating computations elsewhere in
+the package run with mpmath at a precision carried explicitly by a
+:class:`PrecisionContext`, so results never depend on ambient mpmath state
+beyond the scope of a single call.  Each table or sum of roots of unity takes
+one root, an integer pair that ``_unit_root`` reads off mpmath's cos/sin(pi x)
+kernel on raw tuples.
 """
 
 from __future__ import annotations
@@ -112,20 +112,6 @@ def _scaled_dedekind_sum(h: int, k: int) -> int:
     for h, k in reversed(steps):
         scaled = (h * h + k * k + 1 - 3 * h * k - k * scaled) // h
     return scaled
-
-
-def dedekind_sum(b: int, a: int) -> Fraction:
-    """Dedekind sum s(b, a) = sign(a) * sum_k ((k/a))((kb/a)), k = 1..|a|-1.
-
-    The integer ``_scaled_dedekind_sum`` of (b mod |a|, |a|) with the gcd
-    divided out (s(dh, dk) = s(h, k)), over 12|a|/gcd in one ``Fraction``.
-    """
-    if a == 0:
-        raise ValueError("dedekind_sum requires a != 0")
-    g = math.gcd(b, a)
-    k = abs(a) // g
-    value = Fraction(_scaled_dedekind_sum(b % abs(a) // g, k), 12 * k)
-    return value if a > 0 else -value
 
 
 def _fixed_product(x: tuple, y: tuple, shift: int) -> tuple:
@@ -263,14 +249,3 @@ def even_bernoulli_numbers(count: int) -> tuple:
     while size < count:
         size *= 2
     return _even_bernoulli_table(size)[:count]
-
-
-def bernoulli_number(n: int) -> Fraction:
-    """Bernoulli number B_n in the convention B_1 = -1/2."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n < 2:
-        return Fraction(1) if n == 0 else Fraction(-1, 2)
-    if n & 1:
-        return Fraction(0)
-    return even_bernoulli_numbers(n // 2)[-1]

@@ -24,7 +24,7 @@ tail is summed exactly by Horner's rule from the exact coefficients in the
 integer int(pi 2^w).  Each is rounded once (``exactmath.rounded_ratio``)
 within a bound derived from what it sums, so a warm call takes no
 exponential and builds no table.
-``eichler_tail`` takes every L-value from one pass of ``chi._l_value_ratios``
+``eichler_tail`` takes every L-value from one pass of ``chi.l_value_ratios``
 and builds one ``Fraction`` per coefficient.
 """
 
@@ -43,11 +43,11 @@ from .chi import (
     BrieskornTriple,
     EllRuns,
     EllTriple,
-    _l_value_ratios,
     admissible_triples,
     build_chi,
     canonicalize,
     enumerate_triples,
+    l_value_ratios,
     t_numerator,
 )
 from .exactmath import (
@@ -288,13 +288,13 @@ def eichler_tail(p: BrieskornTriple, ell: EllTriple, order: int) -> tuple:
 
     The tail of the nearly modular expansion at 1/n is sum_k c_k (pi i / 2Pn)^k.
     The series is asymptotic, not convergent: the order is the caller's
-    truncation.  Every L-value comes from one pass of ``chi._l_value_ratios``,
+    truncation.  Every L-value comes from one pass of ``chi.l_value_ratios``,
     and each c_k is one ``Fraction``.  The tuple depends on (p, ell, order)
     alone and is cached, so each level of an asymptotic ladder reuses it.
     """
     if order < 0:
         raise ValueError("tail order must be non-negative")
-    ratios = _l_value_ratios(build_chi(p, ell), range(order + 1))
+    ratios = l_value_ratios(build_chi(p, ell), range(order + 1))
     factorials = accumulate(range(1, order + 1), operator.mul, initial=1)
     return tuple(Fraction(num, den * f) for (num, den), f in zip(ratios, factorials))
 

@@ -72,11 +72,6 @@ def chern_simons(p: BrieskornTriple, ell: EllTriple) -> Rational:
     return Fraction(-t if 2 * t < four_p else four_p - t, four_p)
 
 
-def conjugacy_angles(p: BrieskornTriple, ell: EllTriple) -> tuple:
-    """Rotation numbers (p_k - l_k)/p_k of the three generator images."""
-    return tuple(Fraction(pk - l, pk) for l, pk in zip(ell, p.p))
-
-
 def euler_number(p: BrieskornTriple, ell: EllTriple) -> int:
     """The integer e = P * sum (p_j - l_j)/p_j entering the spectral flow."""
     return sum((pk - l) * c for l, pk, c in zip(ell, p.p, p.cofactors))

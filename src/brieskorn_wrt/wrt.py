@@ -10,14 +10,14 @@ tau_N = sum_k c_k zeta_N^k by one shift, one exact division by 2PN and one
 prefix sum, each step's integrality checked.  ``tau_n`` evaluates the
 coordinates and its two normalizations in fixed point, every root a power of
 one exponential e^{pi i/2PN} (``exactmath.root_power_sum``), and bounds the
-result by the coordinates it sums.  The Eichler limit (same weights and kernel),
-``tau_prefactor`` (one sine and one phase) and ``rozansky_normalized``, the closed
-cyclotomic surgery sum, which shares neither, are the routes that ``theorem51`` and the
-tests compare against.  The surgery summand is even under n -> 2PN - n, so it
-runs over 0 < n < PN (PN - P terms, multiples of N excluded by index
-arithmetic) and reads every sine and phase off one table of 4PN-th roots of
-unity.  The asymptotics normalize the (1, 1, 1) nearly modular expansion as
-Theorem 5.1 does.  ``WrtResult.error_budget`` is still term_count * ulp.
+result by the coordinates it sums.  The Eichler limit (same weights and
+kernel) and ``rozansky_normalized``, the closed cyclotomic surgery sum, which
+shares neither, are the routes that ``theorem51`` and the tests compare
+against.  The surgery summand is even under n -> 2PN - n, so it runs over
+0 < n < PN (PN - P terms, multiples of N excluded by index arithmetic) and
+reads every sine and phase off one table of 4PN-th roots of unity.  The
+asymptotics normalize the (1, 1, 1) nearly modular expansion as Theorem 5.1
+does.  ``WrtResult.error_budget`` is still term_count * ulp.
 """
 
 from __future__ import annotations
@@ -107,28 +107,15 @@ def _theorem51_normalized(p: BrieskornTriple, limit, n_level: int):
     return ensure_finite(+value)
 
 
-def tau_prefactor(p: BrieskornTriple, n_level: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """The factor e^{2 pi i (phi/4 - 1/2)/N} (e^{2 pi i/N} - 1) dividing tau_N out.
-
-    With phi = (3P - 1 + T)/P, T = ``chi.dedekind_triple_numerator``, and
-    e^{2 pi i/N} - 1 = 2i sin(pi/N) e^{pi i/N}, it is one sine and one phase:
-    2i sin(pi/N) e^{pi i (3P - 1 + T)/2PN}.
-    """
-    two_pn = 2 * p.P * n_level
-    numerator = (3 * p.P - 1 + dedekind_triple_numerator(p)) % (2 * two_pn)
-    with ctx.workdps():
-        sine = mp.sinpi(mp.mpf(1) / n_level)
-        return ensure_finite(mp.mpc(0, 2 * sine) * mp.expjpi(mp.mpf(numerator) / two_pn))
-
-
 def tau_coordinates(p: BrieskornTriple, n_level: int) -> list:
     """The integers c_0..c_{N-2} with tau_N = sum_k c_k zeta^k, zeta = e^{2 pi i/N}.
 
     Identity.  By ``modularform.eichler_limit`` the (1, 1, 1) limit at 1/N is
     e^{pi i t/2PN} V(zeta)/PN, V(x) = sum_e V[e] x^e the integer weights of
     ``_limit_weights`` and t = ``chi.t_numerator``.  Theorem 5.1 makes
-    normalized = half of it (plus e^{pi i/60N} on Sigma(2,3,5)), and ``tau_prefactor``
-    is 2i sin(pi/N) e^{pi i (3P - 1 + T)/2PN} = (zeta - 1) e^{pi i (P - 1 + T)/2PN},
+    normalized = half of it (plus e^{pi i/60N} on Sigma(2,3,5)), and the prefactor
+    normalized / tau_N = e^{2 pi i (phi/4 - 1/2)/N} (zeta - 1), phi = (3P - 1 + T)/P, is
+    2i sin(pi/N) e^{pi i (3P - 1 + T)/2PN} = (zeta - 1) e^{pi i (P - 1 + T)/2PN},
     T = ``chi.dedekind_triple_numerator``.  So with t - P + 1 - T = 4Ps,
 
         tau_N = f(zeta) / (zeta - 1),   f(x) = x^s V(x) / 2PN mod x^N - 1,
@@ -180,7 +167,7 @@ def tau_n(
 
     tau_N = sum_k c_k zeta^k over its exact coordinates (``tau_coordinates``).
     normalized = tau_N 2i sin(pi/N) e^{pi i (3P - 1 + T)/2PN} (Theorem 5.1's
-    half Eichler limit, times ``tau_prefactor``), and the Witten-invariant value
+    half Eichler limit, tau_N times its prefactor), and the Witten-invariant value
     z_witten = tau_N sin(pi/N) sqrt(2/N) divides by sqrt(N/2)/sin(pi/N), the
     invariant of S^2 x S^1 at the same level (path-integral level k = N - 2).
     Every root is a power of u = e^{pi i/2PN}: zeta = u^4P, e^{pi i/N} = u^2P

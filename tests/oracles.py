@@ -15,6 +15,12 @@ of the nearly modular expansion, and ``lambda_stirling`` is the
 Stirling-number closed form of the perturbative coefficients lambda_n,
 read off those Bernoulli-polynomial L-values.
 
+Former library functions that no verb or suite called: ``dedekind_sum``
+reads s(b, a) as one ``Fraction`` off the integer kernel under test,
+``ell_condition`` tests the open-tetrahedron inequalities in integers,
+``tau_prefactor`` is normalized / tau_N as one sine and one phase, and
+``conjugacy_angles`` gives one connection's rotation numbers.
+
 Retired production forms kept to check their replacements:
 ``dedekind_sum_fraction`` is the reciprocity law summed in ``Fraction``s
 along Euclid's algorithm, which ``rademacher_phi`` and the spectral-flow
@@ -34,24 +40,28 @@ the nearly modular tail in q - 1 by integer Horner and multiplies in
 q^(1/120) and q^(1/2 - phi/4) as binomial series, the O(order^3) route to
 lambda_n that the Stirling sum over the tail's L-values replaced.  ``admissible_triples_listed``
 is the tuple of every admissible triple that ``chi.admissible_triples``
-built before it returned their runs, listed from those runs.  ``unit_root_expjpi`` is
+built before it returned their runs, listed here from the full lattice:
+``orbit_minima`` canonicalises every lattice point, and ``ell_condition``
+keeps the admissible ones.  ``unit_root_expjpi`` is
 the root of unity through ``mp.expjpi`` under ``mp.workprec``, which
 ``exactmath._unit_root`` replaced by the kernel it ends in.  ``json_terms``
 (with ``rational_json``, ``real_json`` and ``complex_json``) is the converter
 from library values to JSON terms that ``cli`` ran over every report before
 it laid reports out from the values, and ``report_terms`` applies it to a
-``cli.Report``.  ``solve_seifert_q`` finds surgery coefficients, which the
+``cli.Report``; ``execute_json`` runs one argv and parses the JSON report
+``cli.render`` lays out.  ``solve_seifert_q`` finds surgery coefficients, which the
 library does not use.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 
 from mpmath import mp
 
@@ -63,17 +73,16 @@ from brieskorn_wrt import (
     OhtsukiSeries,
     PeriodicChi,
     PrecisionContext,
-    admissible_triples,
     build_chi,
     canonicalize,
     eichler_tail,
-    ell_condition,
     euler_number,
     modular_data,
     phi_invariant,
 )
 from brieskorn_wrt import cli
-from brieskorn_wrt.exactmath import ensure_finite, to_mpf
+from brieskorn_wrt.chi import dedekind_triple_numerator
+from brieskorn_wrt.exactmath import _scaled_dedekind_sum, ensure_finite, to_mpf
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,20 @@ def dedekind_sum_fraction(b: int, a: int) -> Fraction:
         h, k = k % h, h
         sign = -sign
     return total if a > 0 else -total
+
+
+def dedekind_sum(b: int, a: int) -> Fraction:
+    """Dedekind sum s(b, a) = sign(a) * sum_k ((k/a))((kb/a)), k = 1..|a|-1.
+
+    The integer ``_scaled_dedekind_sum`` of (b mod |a|, |a|) with the gcd
+    divided out (s(dh, dk) = s(h, k)), over 12|a|/gcd in one ``Fraction``.
+    """
+    if a == 0:
+        raise ValueError("dedekind_sum requires a != 0")
+    g = math.gcd(b, a)
+    k = abs(a) // g
+    value = Fraction(_scaled_dedekind_sum(b % abs(a) // g, k), 12 * k)
+    return value if a > 0 else -value
 
 
 def dedekind_sum_cotangent(b: int, a: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -600,9 +623,51 @@ def s_parity_reference(p: BrieskornTriple, l: tuple, lp: tuple) -> int:
     return (1 + p.P + sum((a + b) * c for a, b, c in zip(l, lp, p.cofactors)) + cross) % 2
 
 
+def ell_condition(p: BrieskornTriple, ell: EllTriple) -> bool:
+    """Open-tetrahedron inequalities marking non-vanishing integer limits."""
+    big = p.P
+    a1, a2, a3 = (l * c for l, c in zip(ell, p.cofactors))
+    # a_k = l_k * P/p_k is l_k/p_k scaled by big = P, so with S = sum a_k the
+    # inequalities 1 < sum l_k/p_k < 3 and |sum l_j/p_j - 2 l_k/p_k| < 1 read:
+    s = a1 + a2 + a3
+    return big < s < 3 * big and all(abs(s - 2 * a) < big for a in (a1, a2, a3))
+
+
+def orbit_minima(ps: tuple) -> list:
+    """The lexicographically least orbit member of every lattice point, sorted."""
+    p1, p2, p3 = ps
+    lattice = product(range(1, p1), range(1, p2), range(1, p3))
+    return sorted(
+        {
+            min((a, b, c), (a, p2 - b, p3 - c), (p1 - a, b, p3 - c), (p1 - a, p2 - b, c))
+            for a, b, c in lattice
+        }
+    )
+
+
 def admissible_triples_listed(p: BrieskornTriple) -> tuple:
-    """Every admissible canonical triple, built into one tuple of gamma EllTriples."""
-    return tuple(admissible_triples(p)[0])
+    """Every admissible canonical triple, in order, as one tuple of gamma EllTriples."""
+    canonical = map(EllTriple._make, orbit_minima(p.p))
+    return tuple(ell for ell in canonical if ell_condition(p, ell))
+
+
+def conjugacy_angles(p: BrieskornTriple, ell: EllTriple) -> tuple:
+    """Rotation numbers (p_k - l_k)/p_k of the three generator images."""
+    return tuple(Fraction(pk - l, pk) for l, pk in zip(ell, p.p))
+
+
+def tau_prefactor(p: BrieskornTriple, n_level: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """The factor e^{2 pi i (phi/4 - 1/2)/N} (e^{2 pi i/N} - 1) dividing tau_N out.
+
+    With phi = (3P - 1 + T)/P, T = ``chi.dedekind_triple_numerator``, and
+    e^{2 pi i/N} - 1 = 2i sin(pi/N) e^{pi i/N}, it is one sine and one phase:
+    2i sin(pi/N) e^{pi i (3P - 1 + T)/2PN}.
+    """
+    two_pn = 2 * p.P * n_level
+    numerator = (3 * p.P - 1 + dedekind_triple_numerator(p)) % (2 * two_pn)
+    with ctx.workdps():
+        sine = mp.sinpi(mp.mpf(1) / n_level)
+        return ensure_finite(mp.mpc(0, 2 * sine) * mp.expjpi(mp.mpf(numerator) / two_pn))
 
 
 def unit_root_expjpi(order: int, wide: int) -> tuple:
@@ -678,3 +743,10 @@ def report_terms(report: cli.Report) -> dict:
     if report.failures:
         terms["failure"] = report.failures
     return json_terms(terms, report.digits)
+
+
+def execute_json(argv: list) -> tuple:
+    """(report, exit code, the report as ``cli.render`` lays it out in JSON, parsed) of argv."""
+    cmd = cli.parse(argv)
+    report, code = cli.execute(cmd)
+    return report, code, json.loads(cli.render(cmd._replace(fmt="json"), report))

@@ -19,20 +19,20 @@ from brieskorn_wrt import (
     build_chi,
     canonicalize,
     eichler_tail,
-    ell_condition,
     enumerate_triples,
     gamma_closed_form,
-    l_function_value,
     mordell_count,
     orbit,
 )
-from brieskorn_wrt.chi import EllRuns
+from brieskorn_wrt.chi import EllRuns, l_value_ratios
 from conftest import coprime_triples
 from oracles import (
     admissible_triples_listed,
     chi_value,
+    ell_condition,
     generating_series,
     l_function_value_bernoulli,
+    orbit_minima,
     solve_seifert_q,
     weighted_sum,
 )
@@ -217,22 +217,11 @@ def test_enumerate_triples_examples():
     assert len(enumerate_triples(BrieskornTriple(2, 3, 5))) == 2
 
 
-def _orbit_minima(ps):
-    """Oracle: lexicographically least orbit member of every lattice point, sorted."""
-    p1, p2, p3 = ps
-    return sorted(
-        {
-            min((l1, l2, l3), (l1, p2 - l2, p3 - l3), (p1 - l1, l2, p3 - l3), (p1 - l1, p2 - l2, l3))
-            for l1, l2, l3 in product(range(1, p1), range(1, p2), range(1, p3))
-        }
-    )
-
-
 def test_enumerate_triples_equals_full_lattice_canonicalization():
     even_positions = set()
     for ps in coprime_triples(3000):
         p = BrieskornTriple(*ps)
-        assert [t.ell for t in enumerate_triples(p)] == _orbit_minima(ps)
+        assert [t.ell for t in enumerate_triples(p)] == orbit_minima(ps)
         even_positions.update(i for i, pk in enumerate(ps) if pk % 2 == 0)
     # the tie rules differ with the position of the single even p_i
     assert even_positions == {0, 1, 2}
@@ -321,7 +310,7 @@ def test_admissible_runs_respect_the_tie_rules(ps):
     # against the canonicalised full lattice, not enumerate_triples
     p = BrieskornTriple(*ps)
     expected = tuple(
-        EllTriple(*ell) for ell in _orbit_minima(ps) if _ell_condition_fractions(p, EllTriple(*ell))
+        EllTriple(*ell) for ell in orbit_minima(ps) if _ell_condition_fractions(p, EllTriple(*ell))
     )
     view, gamma = admissible_triples(p)
     assert (tuple(view), gamma) == (expected, len(expected))
@@ -489,15 +478,14 @@ def test_gamma_count_matches_closed_form_and_mordell(ps):
 
 def test_l_value_chi60():
     chi = build_chi(BrieskornTriple(2, 3, 5), EllTriple(1, 1, 1))
-    assert l_function_value(chi, 0) == -2
-    assert l_function_value(chi, 1) == 238
+    assert [Fraction(*r) for r in l_value_ratios(chi, (0, 1))] == [-2, 238]
 
 
 def test_l_zero_equals_weighted_sum_ratio():
     p = BrieskornTriple(2, 3, 7)
     for ell in enumerate_triples(p):
         chi = build_chi(p, ell)
-        assert l_function_value(chi, 0) == -Fraction(weighted_sum(chi), 2 * p.P)
+        assert Fraction(*l_value_ratios(chi, (0,))[0]) == -Fraction(weighted_sum(chi), 2 * p.P)
 
 
 @pytest.mark.parametrize("ps", [(2, 3, 5), (2, 3, 7), (3, 4, 5), (5, 7, 9)])
@@ -506,8 +494,8 @@ def test_l_values_match_bernoulli_polynomial_form(ps):
     p = BrieskornTriple(*ps)
     for ell in enumerate_triples(p):
         chi = build_chi(p, ell)
-        for k in range(31):
-            assert l_function_value(chi, k) == l_function_value_bernoulli(chi, k), (ell, k)
+        values = [Fraction(*r) for r in l_value_ratios(chi, range(31))]
+        assert values == [l_function_value_bernoulli(chi, k) for k in range(31)], ell
 
 
 # --------------------------- generating function oracle for the L-values
@@ -576,15 +564,13 @@ def test_l_values_match_generating_function(ps):
     p = BrieskornTriple(*ps)
     chi = build_chi(p, EllTriple(1, 1, 1))
     oracle = l_values_from_hyperbolic_quotient(ps, 8)
-    for k in range(9):
-        assert l_function_value(chi, k) == oracle[k]
+    assert [Fraction(*r) for r in l_value_ratios(chi, range(9))] == oracle
 
 
 def test_l_values_generating_sigma_237():
     oracle = l_values_from_hyperbolic_quotient((2, 3, 7), 5)
     chi = build_chi(BrieskornTriple(2, 3, 7), EllTriple(1, 1, 1))
-    for k in range(6):
-        assert l_function_value(chi, k) == oracle[k]
+    assert [Fraction(*r) for r in l_value_ratios(chi, range(6))] == oracle
 
 
 # ------------------------------------------------------------ generating series
@@ -613,12 +599,12 @@ def test_generating_series_poincare_correction():
 @pytest.mark.parametrize("ps", ((2, 3, 5), (2, 3, 7), (5, 7, 9), (7, 11, 13)))
 def test_one_pass_l_values_match_bernoulli_form_to_order_100(ps):
     # eichler_tail takes every L-value up to k = 100 from one pass over the
-    # moments; l_function_value reads the same kernel for a single k
+    # moments; the same kernel gives each value for a single k too
     p = BrieskornTriple(*ps)
     chi = build_chi(p, EllTriple(1, 1, 1))
     tail = eichler_tail(p, EllTriple(1, 1, 1), 100)
     assert len(tail) == 101
     for k in (0, 1, 2, 3, 17, 64, 100):
         value = l_function_value_bernoulli(chi, k)
-        assert l_function_value(chi, k) == value, k
+        assert Fraction(*l_value_ratios(chi, (k,))[0]) == value, k
         assert tail[k] == value / math.factorial(k), k

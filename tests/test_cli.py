@@ -58,7 +58,7 @@ from brieskorn_wrt.cli import (
     render,
 )
 from brieskorn_wrt.ohtsuki import TABLE_ENV_VAR, table1_path
-from oracles import json_terms, rational_json, report_terms
+from oracles import execute_json, json_terms, rational_json, report_terms
 
 
 # ----------------------------------------------------------------------- parse
@@ -436,10 +436,10 @@ def test_help_matches_golden_digest(argv, capsys, monkeypatch):
 
 
 def test_cs_spectrum_json():
-    report, code = execute(parse(["cs", "--p", "3,4,5"]))
+    report, code, laid = execute_json(["cs", "--p", "3,4,5"])
     assert code == EXIT_OK
     assert report.status == "ok"
-    spectrum = report.results["cs_spectrum"]
+    spectrum = laid["results"]["cs_spectrum"]
     got = [(tuple(e["ell"]), e["cs"]["num"], e["cs"]["den"]) for e in spectrum]
     assert got == [
         ((1, 1, 3), "119", "240"),
@@ -460,11 +460,11 @@ def test_cs_reads_chern_simons_without_flat_connection_records(monkeypatch):
 
     monkeypatch.setattr(cli, "flat_connections", never)
     for fmt in ("json", "csv"):
-        cmd = parse(["cs", "--p", "7,11,13", "--format", fmt])
-        report, code = execute(cmd)
+        argv = ["cs", "--p", "7,11,13", "--format", fmt]
+        report, code, laid = execute_json(argv)
         assert (code, report.status) == (EXIT_OK, "ok")
-        assert report.results["cs_spectrum"] == expected
-    assert render(cmd, report) == "\n".join(["ell1,ell2,ell3,cs_num,cs_den", *rows]) + "\n"
+        assert laid["results"]["cs_spectrum"] == expected
+    assert render(parse(argv), report) == "\n".join(["ell1,ell2,ell3,cs_num,cs_den", *rows]) + "\n"
 
 
 def test_ohtsuki_csv_row():
@@ -491,31 +491,30 @@ def test_invariant_json_schema():
 
 
 def test_flat_records_json():
-    report, code = execute(parse(["flat", "--p", "2,3,5"]))
-    records = report.results["flat_connections"]
+    records = execute_json(["flat", "--p", "2,3,5"])[2]["results"]["flat_connections"]
     assert [r["spectral_flow"] for r in records] == [4, 0]
     assert all(set(r) >= {"ell", "cs", "torsion_sqrt", "conjugacy_angles"} for r in records)
 
 
 def test_asymptotic_reports_error():
-    report, code = execute(parse(["asymptotic", "--p", "2,3,5", "--N", "64", "--K", "2"]))
+    report, code, laid = execute_json(["asymptotic", "--p", "2,3,5", "--N", "64", "--K", "2"])
     assert code == EXIT_OK
-    assert float(report.results["abs_error"]) < 0.05
+    assert float(laid["results"]["abs_error"]) < 0.05
     assert report.metadata["route"] == "eichler_limit"
 
 
 def test_verify_gamma_small():
-    report, code = execute(parse(["verify", "--suite", "gamma", "--pmax", "200"]))
+    report, code, laid = execute_json(["verify", "--suite", "gamma", "--pmax", "200"])
     assert code == EXIT_OK
     assert report.status == "ok"
-    assert report.results["checks"] > 10
+    assert laid["results"]["checks"] > 10
 
 
 def test_verify_gamma_pmax_2000_keeps_caches_bounded(no_enumeration):
-    report, code = execute(parse(["verify", "--suite", "gamma", "--pmax", "2000"]))
+    report, code, laid = execute_json(["verify", "--suite", "gamma", "--pmax", "2000"])
     assert code == EXIT_OK
     assert report.status == "ok"
-    assert report.results["checks"] == 1113
+    assert laid["results"]["checks"] == 1113
     # the suite counts gamma without enumerating the lattice; the chi cache stays bounded
     info = build_chi.cache_info()
     assert info.maxsize is not None
@@ -529,24 +528,23 @@ def test_verify_gamma_never_enumerates_the_lattice(no_enumeration):
 
 
 def test_verify_theorem51_trimmed():
-    report, code = execute(
-        parse(["verify", "--suite", "theorem51", "--nmax", "4", "--pmax", "100"])
-    )
+    argv = ["verify", "--suite", "theorem51", "--nmax", "4", "--pmax", "100"]
+    report, code, laid = execute_json(argv)
     assert code == EXIT_OK
-    assert report.results["checks"] > 0
+    assert laid["results"]["checks"] > 0
 
 
 def test_verify_torsion_and_modular_and_table():
     for suite in ("torsion", "modular", "table1"):
-        report, code = execute(parse(["verify", "--suite", suite]))
+        report, code, laid = execute_json(["verify", "--suite", suite])
         assert code == EXIT_OK, suite
         assert report.status == "ok"
         if suite == "torsion":  # one S-torsion residual per manifold, up to D = 180
-            assert report.results["checks"] == 6
+            assert laid["results"]["checks"] == 6
 
 
 def _suite_failures(suite: str) -> list:
-    return execute(parse(["verify", "--suite", suite]))[0].failure
+    return execute_json(["verify", "--suite", suite])[2].get("failure", [])
 
 
 def _mantissa_digits(text: str) -> int:
@@ -556,8 +554,8 @@ def _mantissa_digits(text: str) -> int:
 def test_encodings_pin_digit_counts_and_failure_field_types(monkeypatch, tmp_path):
     # execute encodes every library value one way; error_budget, residual, abs_error
     # and the modular tau keep the digit counts their runners fix
-    invariant = execute(parse(["invariant", "--p", "2,3,7", "--N", "5"]))[0].results
-    asymptotic = execute(parse(["asymptotic", "--p", "2,3,5", "--N", "64", "--K", "2"]))[0].results
+    invariant = execute_json(["invariant", "--p", "2,3,7", "--N", "5"])[2]["results"]
+    asymptotic = execute_json(["asymptotic", "--p", "2,3,5", "--N", "64", "--K", "2"])[2]["results"]
     assert _mantissa_digits(invariant["error_budget"]) == 5
     assert _mantissa_digits(asymptotic["abs_error"]) == 10
     assert _mantissa_digits(invariant["tau"]["re"]) == 50  # --precision digits
@@ -575,10 +573,10 @@ def test_encodings_pin_digit_counts_and_failure_field_types(monkeypatch, tmp_pat
     argv = {"theorem51": ["--nmax", "3", "--pmax", "42"], "gamma": ["--pmax", "30"]}
     failures = {}
     for suite in cli.SUITES:
-        report, code = execute(parse(["verify", "--suite", suite, *argv.get(suite, [])]))
+        report, code, laid = execute_json(["verify", "--suite", suite, *argv.get(suite, [])])
         assert (code, report.status) == (EXIT_FAIL, "fail"), suite
-        failures[suite] = report.failure
-        assert all(isinstance(f["p"], list) for f in report.failure), suite
+        failures[suite] = laid["failure"]
+        assert all(isinstance(f["p"], list) for f in laid["failure"]), suite
     first = {suite: found[0] for suite, found in failures.items()}
     for suite in ("theorem51", "modular", "torsion"):
         assert _mantissa_digits(first[suite]["residual"]) == 5, suite
@@ -635,21 +633,21 @@ def test_verify_failure_exit_code(monkeypatch, tmp_path):
     corrupted = tmp_path / "table1.txt"
     corrupted.write_text("".join(lines))
     monkeypatch.setenv(TABLE_ENV_VAR, str(corrupted))
-    report, code = execute(parse(["verify", "--suite", "table1"]))
+    report, code, laid = execute_json(["verify", "--suite", "table1"])
     assert code == EXIT_FAIL
     assert report.status == "fail"
-    assert len(report.failure) == 1
+    assert len(laid["failure"]) == 1
 
 
 def test_verify_without_checks_fails(monkeypatch, tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
     monkeypatch.setenv(TABLE_ENV_VAR, str(empty))
-    report, code = execute(parse(["verify", "--suite", "table1"]))
-    assert report.results["checks"] == 0
+    report, code, laid = execute_json(["verify", "--suite", "table1"])
+    assert laid["results"]["checks"] == 0
     assert code == EXIT_FAIL
     assert report.status == "fail"
-    assert len(report.failure) == 1
+    assert len(laid["failure"]) == 1
 
 
 def test_verify_selecting_nothing_is_a_usage_error(capsys):
@@ -664,8 +662,8 @@ def test_verify_selecting_nothing_is_a_usage_error(capsys):
             parse(argv)
         assert excinfo.value.code == EXIT_USAGE, argv
         assert flag in capsys.readouterr().err, argv
-    report, code = execute(parse(["verify", "--suite", "gamma", "--pmax", "30"]))
-    assert (report.results["checks"], code) == (1, EXIT_OK)
+    _, code, laid = execute_json(["verify", "--suite", "gamma", "--pmax", "30"])
+    assert (laid["results"]["checks"], code) == (1, EXIT_OK)
     cmd = parse(["verify", "--suite", "theorem51", "--pmax", "30", "--nmax", "3"])
     assert (cmd.pmax, cmd.nmax) == (30, 3)
 
@@ -935,12 +933,12 @@ def test_unwritable_out_fails_before_any_work(monkeypatch, tmp_path, capsys):
 
 
 def test_deterministic_output_modulo_wall_time():
-    cmd = parse(["invariant", "--p", "2,3,7", "--N", "7"])
-    first, _ = execute(cmd)
-    second, _ = execute(cmd)
+    argv = ["invariant", "--p", "2,3,7", "--N", "7"]
+    first, _, first_laid = execute_json(argv)
+    second, _, second_laid = execute_json(argv)
     first_meta = {k: v for k, v in first.metadata.items() if k != "wall_time_seconds"}
     second_meta = {k: v for k, v in second.metadata.items() if k != "wall_time_seconds"}
-    assert first.results == second.results
+    assert first_laid["results"] == second_laid["results"]
     assert first.command == second.command
     assert first_meta == second_meta
 
@@ -1259,11 +1257,9 @@ def test_flat_is_precision_independent():
     exact_keys = ("ell", "cs", "spectral_flow", "conjugacy_angles")
     records = []
     for digits in ("20", "100"):
-        report, code = execute(parse(["flat", "--p", "5,7,9", "--precision", digits]))
+        _, code, laid = execute_json(["flat", "--p", "5,7,9", "--precision", digits])
         assert code == EXIT_OK
-        records.append(
-            [{k: r[k] for k in exact_keys} for r in report.results["flat_connections"]]
-        )
+        records.append([{k: r[k] for k in exact_keys} for r in laid["results"]["flat_connections"]])
     assert records[0] == records[1]
     assert len(records[0]) == 24
 
@@ -1278,9 +1274,9 @@ def test_gamma_spectral_flow_and_phi_move_with_the_dedekind_numerator(monkeypatc
         monkeypatch.setattr(module, "dedekind_triple_numerator", lambda p: real(p) + 12)
     topology._spectral_flow_tables.cache_clear()
     try:
-        report, code = execute(parse(["verify", "--suite", "gamma", "--pmax", "1000"]))
+        report, code, laid = execute_json(["verify", "--suite", "gamma", "--pmax", "1000"])
         assert (code, report.status) == (EXIT_FAIL, "fail")
-        assert len(report.failure) == report.results["checks"] > 0
+        assert len(laid["failure"]) == laid["results"]["checks"] > 0
         with pytest.raises(ArithmeticError):
             spectral_flow(p, ell)
         assert phi_invariant(p) != before

@@ -14,8 +14,6 @@ from brieskorn_wrt import (
     BrieskornTriple,
     EllTriple,
     PrecisionContext,
-    bernoulli_number,
-    dedekind_sum,
     eichler_limit,
     modular_data,
     nearly_modular_expansion,
@@ -33,6 +31,7 @@ from oracles import (
     UnimodularMatrix,
     bernoulli_polynomial,
     bernoulli_recurrence,
+    dedekind_sum,
     dedekind_sum_cotangent,
     egcd,
     eichler_limit_per_term,
@@ -540,10 +539,8 @@ def test_seifert_q_canonical_values():
 
 
 def test_bernoulli_numbers_known():
-    assert bernoulli_number(0) == 1
-    assert bernoulli_number(1) == Fraction(-1, 2)
-    assert bernoulli_number(2) == Fraction(1, 6)
-    assert bernoulli_number(12) == Fraction(-691, 2730)
+    evens = even_bernoulli_numbers(6)  # B_2, B_4, .., B_12
+    assert (evens[0], evens[-1]) == (Fraction(1, 6), Fraction(-691, 2730))
 
 
 def test_precision_context_is_validated_on_every_construction():
@@ -563,12 +560,9 @@ def test_precision_context_is_validated_on_every_construction():
 
 def test_bernoulli_numbers_match_the_recurrence_to_300():
     # the tangent-number route against the Fraction recurrence it replaced
-    reference = [bernoulli_recurrence(n) for n in range(301)]
-    assert [bernoulli_number(n) for n in range(301)] == reference
-    assert even_bernoulli_numbers(150) == tuple(bernoulli_recurrence(n) for n in range(2, 301, 2))
+    reference = tuple(bernoulli_recurrence(n) for n in range(2, 301, 2))
+    assert even_bernoulli_numbers(150) == reference
     assert even_bernoulli_numbers(0) == ()
-    with pytest.raises(ValueError):
-        bernoulli_number(-1)
 
 
 def test_bernoulli_cache_is_bounded():

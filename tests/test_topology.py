@@ -12,8 +12,6 @@ from brieskorn_wrt import (
     admissible_triples,
     casson,
     chern_simons,
-    conjugacy_angles,
-    dedekind_sum,
     euler_number,
     flat_connections,
     modular_data,
@@ -25,7 +23,13 @@ from brieskorn_wrt import (
 )
 from brieskorn_wrt.exactmath import to_mpf
 from conftest import coprime_triples
-from oracles import chern_simons_fraction, dedekind_sum_cotangent, spectral_flow_per_record
+from oracles import (
+    chern_simons_fraction,
+    conjugacy_angles,
+    dedekind_sum,
+    dedekind_sum_cotangent,
+    spectral_flow_per_record,
+)
 
 P235 = BrieskornTriple(2, 3, 5)
 P237 = BrieskornTriple(2, 3, 7)
@@ -266,7 +270,8 @@ def test_spectral_phase_is_fourth_root_of_unity():
 def test_chern_simons_window():
     cs = chern_simons(P237, EllTriple(1, 1, 3))
     assert cs == Fraction(47, 168)
-    assert conjugacy_angles(P237, EllTriple(1, 1, 3)) == (
+    (record,) = [r for r in flat_connections(P237) if r.triple == (1, 1, 3)]
+    assert record.conjugacy_angles == (
         Fraction(1, 2),
         Fraction(2, 3),
         Fraction(4, 7),

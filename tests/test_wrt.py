@@ -22,13 +22,12 @@ from brieskorn_wrt import (
     t_exponent,
     tau_coordinates,
     tau_n,
-    tau_prefactor,
 )
 from brieskorn_wrt.chi import dedekind_triple_numerator, t_numerator
 from brieskorn_wrt.exactmath import PrecisionContext, to_mpf
 from brieskorn_wrt.modularform import _limit_weights
 from conftest import coprime_triples
-from oracles import chi_value, eichler_tail_term, gauss_sum
+from oracles import chi_value, eichler_tail_term, gauss_sum, tau_prefactor
 from test_modularform import _count_exponentials
 
 P235 = BrieskornTriple(2, 3, 5)
