@@ -50,7 +50,6 @@ from .topology import (
     flat_connections,
     phi_invariant,
     spectral_flow,
-    torsion_sqrt,
     verify_s_torsion,
 )
 from .wrt import (
@@ -101,6 +100,5 @@ __all__ = [
     "tau_coordinates",
     "tau_n",
     "theta_eval",
-    "torsion_sqrt",
     "verify_s_torsion",
 ]

@@ -311,7 +311,6 @@ def _suite_table1(cmd: Command, ctx: PrecisionContext, results: dict):
 
 def _suite_modular(cmd: Command, ctx: PrecisionContext, results: dict):
     taus = [mp.mpc(0, 1), (1 + 2j) / mp.mpf(3), mp.mpc(0, 1) / 5]
-    threshold = mp.mpf(10) ** (-(ctx.decimal_digits - 15))
     for ps in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (3, 5, 8)]:
         p = BrieskornTriple(*ps)
         md = modular_data(p, ctx)
@@ -327,14 +326,13 @@ def _suite_modular(cmd: Command, ctx: PrecisionContext, results: dict):
                 t_rhs = mp.expjpi(to_mpf(t_exponent(p, ell))) * lhs
                 for name, res in (("S", abs(lhs - rhs)), ("T", abs(t_lhs - t_rhs))):
                     failure = dict(p=ps, transform=name, tau=tau_text, residual=_Fixed(res, 5))
-                    yield failure, res <= threshold
+                    yield failure, res <= ctx.tolerance
 
 
 def _suite_torsion(cmd: Command, ctx: PrecisionContext, results: dict):
-    threshold = mp.mpf(10) ** (-(ctx.decimal_digits - 15))
     for ps in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (3, 5, 8), (5, 7, 9), (7, 11, 13)]:
         residual = verify_s_torsion(BrieskornTriple(*ps), ctx)
-        yield {"p": ps, "residual": _Fixed(residual, 5)}, residual <= threshold
+        yield {"p": ps, "residual": _Fixed(residual, 5)}, residual <= ctx.tolerance
 
 
 def _suite_gamma(cmd: Command, ctx: PrecisionContext, results: dict):

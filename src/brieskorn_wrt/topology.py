@@ -14,8 +14,8 @@ amplitude is evaluated at the context precision: the integer product of
 isqrt(64 4^bits / P) and entries of per-fibre ``exactmath.root_table`` rows
 of sin(pi k / p_j), built apart from the S-matrix tables it is checked
 against, rounded once.  ``flat_connections`` enters the working precision
-once per call and reads each record's conjugacy angles off one table of
-shared Fractions per fibre.
+and builds those rows once per call, and reads each record's conjugacy
+angles off one table of shared Fractions per fibre.
 """
 
 from __future__ import annotations
@@ -77,35 +77,25 @@ def euler_number(p: BrieskornTriple, ell: EllTriple) -> int:
     return sum((pk - l) * c for l, pk, c in zip(ell, p.p, p.cofactors))
 
 
-@lru_cache(maxsize=64)
-def _torsion_tables(p: BrieskornTriple, digits: int) -> tuple:
+def _torsion_tables(p: BrieskornTriple) -> tuple:
     """(bits, 8/sqrt(P), per fibre j sin(pi k / p_j) for 0 <= k < p_j), integers over 2^bits.
 
-    bits = prec + P.bit_length() at ``digits``.  The sines are the half row of one
-    ``exactmath.root_table`` each, within 2 units of 2^-bits, and the
+    bits = prec + P.bit_length() in the caller's workdps().  The sines are the half row of
+    one ``exactmath.root_table`` each, within 2 units of 2^-bits, and the
     scale is isqrt(64 4^bits / P), within 2 units below 8/sqrt(P) 2^bits.
     """
-    with PrecisionContext(digits).workdps():
-        bits = mp.prec + p.P.bit_length()
+    bits = mp.prec + p.P.bit_length()
     rows = tuple(tuple(root_table(2 * pk, bits)) for pk in p.p)
     return bits, math.isqrt((64 << 2 * bits) // p.P), rows
 
 
 def _torsion_amplitude(p: BrieskornTriple, tables: tuple, ell: EllTriple):
-    """The amplitude of ``torsion_sqrt`` off ``_torsion_tables``, inside the caller's workdps().
+    """Reidemeister torsion amplitude (8/sqrt(P)) prod |sin(P l_j pi / p_j^2)|.
 
     P l_j / p_j^2 = c_j l_j / p_j, and |sin(pi x)| has period 1, so the j-th
-    factor is entry c_j l_j mod p_j of the j-th row.  The integer product of
-    the scale and the three entries, over 2^(4 bits), is rounded once.
-    """
-    bits, scale, (row1, row2, row3) = tables
-    (l1, l2, l3), (p1, p2, p3), (c1, c2, c3) = ell, p.p, p.cofactors
-    product = scale * row1[c1 * l1 % p1] * row2[c2 * l2 % p2] * row3[c3 * l3 % p3]
-    return ensure_finite(mp.mpf((product, -4 * bits)))
-
-
-def torsion_sqrt(p: BrieskornTriple, ell: EllTriple, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Reidemeister torsion amplitude (8/sqrt(P)) prod |sin(P l_j pi / p_j^2)|.
+    factor is entry c_j l_j mod p_j of the j-th ``_torsion_tables`` row; their
+    integer product with the scale, over 2^(4 bits), is rounded once in the
+    caller's workdps().
 
     Bound.  A sine sin(pi k / p_j), 0 < k < p_j, is at least 2/p_j, so its
     row entry is within p_j 2^-bits of it relatively, and the scale within
@@ -114,9 +104,10 @@ def torsion_sqrt(p: BrieskornTriple, ell: EllTriple, ctx: PrecisionContext = DEF
     relatively, and the one rounding adds u: the result is within 2 u times
     the amplitude.
     """
-    tables = _torsion_tables(p, ctx.decimal_digits)
-    with ctx.workdps():
-        return _torsion_amplitude(p, tables, ell)
+    bits, scale, (row1, row2, row3) = tables
+    (l1, l2, l3), (p1, p2, p3), (c1, c2, c3) = ell, p.p, p.cofactors
+    product = scale * row1[c1 * l1 % p1] * row2[c2 * l2 % p2] * row3[c3 * l3 % p3]
+    return ensure_finite(mp.mpf((product, -4 * bits)))
 
 
 def _sawtooth_kernel(c: int, pk: int) -> tuple:
@@ -182,13 +173,13 @@ def spectral_flow(p: BrieskornTriple, ell: EllTriple) -> int:
 def flat_connections(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list:
     """One record per admissible triple, in canonical enumeration order.
 
-    The working precision is entered once; each torsion amplitude is one
-    rounding of table integers (``torsion_sqrt``), and the conjugacy angles
-    are read off one table of (p_j - l)/p_j per fibre, built per call.
+    The working precision is entered and the torsion tables built once; each
+    amplitude is one rounding of table integers (``_torsion_amplitude``), and
+    the angles are read off one table of (p_j - l)/p_j per fibre, built per call.
     """
-    tables = _torsion_tables(p, ctx.decimal_digits)
     angles = tuple(tuple(Fraction(pk - l, pk) for l in range(pk)) for pk in p.p)
     with ctx.workdps():
+        tables = _torsion_tables(p)
         return [
             FlatConnectionRecord(
                 triple=ell,

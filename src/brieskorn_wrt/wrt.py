@@ -7,9 +7,9 @@ one T-phase times one exact integer weight vector over the N-th roots of unity
 (``modularform._limit_weights``), so tau_N itself is an exact element of
 Z[zeta_N]: ``tau_coordinates`` turns the weights into the integers c_k with
 tau_N = sum_k c_k zeta_N^k by one shift, one exact division by 2PN and one
-prefix sum, each step's integrality checked.  ``tau_n`` evaluates the
-coordinates and its two normalizations in fixed point, every root a power of
-one exponential e^{pi i/2PN} (``exactmath.root_power_sum``), and bounds the
+prefix sum, each step's integrality checked.  ``tau_n`` evaluates the output of
+``tau_coordinates`` and its two normalizations in fixed point, every root a power
+of one exponential e^{pi i/2PN} (``exactmath.root_power_sum``), and bounds the
 result by the coordinates it sums.  The Eichler limit (same weights and
 kernel) and ``rozansky_normalized``, the closed cyclotomic surgery sum, which
 shares neither, are the routes that ``theorem51`` and the tests compare
@@ -134,16 +134,11 @@ def tau_coordinates(p: BrieskornTriple, n_level: int) -> list:
     V[e] (stronger than Habiro's tau_N in Z[zeta_N]) are checked, not proved.
     Each failing invariant raises ArithmeticError; a level below 2, ValueError.
     """
-    return _coordinates(p, n_level, dedekind_triple_numerator(p))
-
-
-def _coordinates(p: BrieskornTriple, n_level: int, big_t: int) -> list:
-    # tau_coordinates with T = dedekind_triple_numerator(p) given
     if n_level < 2:
         raise ValueError("level must be at least 2")
     two_pn = 2 * p.P * n_level
     t = t_numerator(p, EllTriple(1, 1, 1))
-    shift, rest = divmod(t - p.P + 1 - big_t, 4 * p.P)
+    shift, rest = divmod(t - p.P + 1 - dedekind_triple_numerator(p), 4 * p.P)
     if rest:
         raise ArithmeticError(f"4P does not divide t - P + 1 - T on p={p.p}")
     weights = _limit_weights(p, EllTriple(1, 1, 1), t, 1, n_level)
@@ -184,13 +179,11 @@ def tau_n(
     """
     if n_level < 3:
         raise ValueError("level must be at least 3")
-    big_t = dedekind_triple_numerator(p)
-    coordinates = _coordinates(p, n_level, big_t)
+    coordinates = tau_coordinates(p, n_level)
     order = 4 * p.P * n_level
-    phase = 3 * p.P - 1 + big_t
     with ctx.workdps():
         bits = mp.prec + (sum(map(abs, coordinates)) + 1).bit_length() + 3
-        roots = (2 * p.P, phase)
+        roots = (2 * p.P, 3 * p.P - 1 + dedekind_triple_numerator(p))  # e^{pi i/N}, the phase
         (x, y), (_, sine), (wx, wy) = root_power_sum(coordinates, order, 4 * p.P, roots, bits)
         root = math.isqrt((2 << 2 * bits) // n_level)  # sqrt(2/N) over 2^bits
         a, b = x * wx - y * wy, x * wy + y * wx  # tau_N e^{pi i (3P - 1 + T)/2PN}

@@ -543,6 +543,26 @@ def test_verify_torsion_and_modular_and_table():
             assert laid["results"]["checks"] == 6
 
 
+def test_floating_suites_fail_above_the_printed_tolerance(monkeypatch):
+    # at --precision 15 the report's tolerance is 1e-5, so a 1e-3 residual fails
+    # the modular and torsion suites as it fails theorem51
+    offset = mp.mpf(10) ** -3
+
+    def shifted(real):
+        return lambda *args: real(*args) + offset
+
+    faults = {"modular": "theta_eval", "torsion": "verify_s_torsion"}
+    for suite, name in faults.items():
+        argv = ["verify", "--suite", suite, "--precision", "15"]
+        report, code, laid = execute_json(argv)
+        assert (code, laid["metadata"]["tolerance"]) == (EXIT_OK, "1e-5"), suite
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, shifted(getattr(cli, name)))
+            report, code, laid = execute_json(argv)
+        assert (code, report.status) == (EXIT_FAIL, "fail"), suite
+        assert laid["failure"], suite
+
+
 def _suite_failures(suite: str) -> list:
     return execute_json(["verify", "--suite", suite])[2].get("failure", [])
 

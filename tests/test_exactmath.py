@@ -9,16 +9,15 @@ from mpmath import mp
 
 import brieskorn_wrt.exactmath as exactmath
 import brieskorn_wrt.modularform as modularform
-import brieskorn_wrt.topology as topology
 from brieskorn_wrt import (
     BrieskornTriple,
     EllTriple,
     PrecisionContext,
     eichler_limit,
+    flat_connections,
     modular_data,
     nearly_modular_expansion,
     rozansky_normalized,
-    torsion_sqrt,
 )
 from brieskorn_wrt.exactmath import (
     _even_bernoulli_table,
@@ -462,11 +461,6 @@ def _cold_modular_data(p, ctx):
     return modular_data(p, ctx)
 
 
-def _cold_torsion_sqrt(p, ctx):
-    topology._torsion_tables.cache_clear()
-    return torsion_sqrt(p, EllTriple(1, 1, 1), ctx)
-
-
 def _nearly_modular_expansion(p, ctx):
     modularform._modular_data_cached.cache_clear()
     return nearly_modular_expansion(p, EllTriple(1, 1, 1), 5, 2, ctx)
@@ -479,7 +473,7 @@ ROOT_TABLE_SITES = {
         (2000, 20000),
     ),
     "modular_data": (_cold_modular_data, THIN),
-    "torsion_sqrt": (_cold_torsion_sqrt, THIN),
+    "flat_connections": (flat_connections, THIN),  # its torsion rows, one per fibre
     "nearly_modular_expansion": (_nearly_modular_expansion, THIN),
     "rozansky_normalized": (lambda p, ctx: rozansky_normalized(p, 2, ctx), THIN),
 }

@@ -182,15 +182,36 @@ def test_chi_keeps_the_triple_runs_private():
 def test_every_exported_function_has_a_library_caller():
     # a public function that no other library function calls is surface that
     # no verb or suite reaches; a test reference belongs in tests/oracles.py.
-    # Classes and constants are exempt.
-    exempt = {
-        "tau_coordinates",  # tau_N's exact coordinates, the entry point of the galois suite
-        "torsion_sqrt",  # one connection's torsion amplitude, whose bound the tests read
-    }
+    # Classes and constants are exempt; no function is.
     exported = [getattr(brieskorn_wrt, name) for name in brieskorn_wrt.__all__]
     functions = {f.__name__ for f in exported if callable(f) and not isinstance(f, type)}
     uncalled = {name for name in functions if not {c for c in _callers(name) if c[1] != name}}
-    assert uncalled == exempt, uncalled
+    assert uncalled == set(), uncalled
+
+
+def test_every_process_cache_names_its_traffic():
+    # a cache earns its place by hits; each entry gives hits/lookups summed
+    # over the timed jobs of perfbench seed 4242 at --seconds 30 (caches cold
+    # per repetition) or over one run of the named suite.  A new cache must be
+    # listed here with its measured traffic, and one that never hits leaves.
+    cached = {
+        ("chi.py", "build_chi"),  # spectrum 60/72; verify --suite modular 200/225
+        ("modularform.py", "_modular_data_cached"),  # spectrum 36/48, the asymptotic ladder
+        ("modularform.py", "eichler_tail"),  # spectrum 36/60
+        ("topology.py", "_spectral_flow_tables"),  # spectrum 498/510, inside one flat call
+        ("exactmath.py", "_even_bernoulli_table"),  # spectrum 20/24
+        ("cli.py", "_options"),  # levels 40/48, spectrum 60/72: one table per verb
+        ("cli.py", "_build_parser"),  # the argparse tree, hit by each later non-plain argv
+    }
+    decorators = {"lru_cache", "cache", "cached_property"}
+    found = {
+        (name, node.name)
+        for name, node in _package_nodes()
+        if isinstance(node, ast.FunctionDef)
+        for decorator in node.decorator_list
+        if ast.unparse(getattr(decorator, "func", decorator)).split(".")[-1] in decorators
+    }
+    assert found == cached, found
 
 
 def test_lambda_coefficients_reads_the_tail_and_phi_once_each():
