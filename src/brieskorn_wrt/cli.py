@@ -13,7 +13,6 @@ to one loop, which counts the checks and keeps the failures.
 from __future__ import annotations
 
 import errno
-import functools
 import json
 import math
 import os
@@ -97,20 +96,22 @@ class Command(NamedTuple):
     nmax: int = 25
 
 
-class Report:
-    """What ``execute`` found: the command echoed, metadata, status, and the results
-    and failures as the library values the runners returned (``values``, ``failures``),
-    whose numbers the report prints at ``digits`` digits.  ``render`` lays it out;
-    its JSON terms are that text, parsed.
+class Report(NamedTuple):
+    """What ``execute`` found, built once: the command echoed, the results and
+    failures as the library values the runners returned (``values``, ``failures``),
+    whose numbers the report prints at ``digits`` digits, and metadata; ``status``
+    follows the failures.  ``render`` lays it out; its JSON terms are that text, parsed.
     """
 
-    def __init__(self, command: dict, digits: int) -> None:
-        self.command = command
-        self.digits = digits
-        self.values = {}
-        self.failures = []
-        self.metadata = {}
-        self.status = "ok"
+    command: dict
+    digits: int
+    values: dict
+    failures: list
+    metadata: dict
+
+    @property
+    def status(self) -> str:
+        return "fail" if self.failures else "ok"
 
 
 class _Fixed(NamedTuple):
@@ -147,7 +148,6 @@ def _parse_triple(text: str, verb: str) -> tuple:
 # message.  A report is one stream of text pieces (_pieces): CSV and text yield
 # lines, and JSON, laid out in json.dumps' indent=2 form with C quoting, yields
 # each flat or cs record, in the fixed layout _VERBS names, as a piece.
-@functools.lru_cache(maxsize=None)
 def _options(verb: str) -> dict:
     """The verb's flags, in help order, as {flag: add_argument keywords}."""
     spec = _VERBS[verb]
@@ -167,9 +167,8 @@ def _options(verb: str) -> dict:
     return options
 
 
-@functools.lru_cache(maxsize=1)
 def _build_parser():
-    """The argparse tree, built once per process; parsing leaves it unchanged.
+    """The argparse tree, built for each argv the plain reader cannot read.
 
     argparse is imported here, so a plain argv never loads it.
     """
@@ -474,14 +473,6 @@ def _indented_json(value, digits: int, newline: str = "\n") -> str:
     return json.dumps(value)  # a float, {} or []; TypeError for what JSON cannot hold
 
 
-def _report_dict(report: Report) -> dict:
-    out = {"command": report.command, "results": report.values, "metadata": report.metadata}
-    out["status"] = report.status
-    if report.failures:
-        out["failure"] = report.failures
-    return out
-
-
 # The records of flat and cs, laid out by hand from the library records where
 # they sit in the report (results.<key>[i], items eight spaces in): json.dumps'
 # indent=2 form, numbers by their routines.  Unpacking fixes each list's
@@ -516,7 +507,11 @@ def _laid_json(report: Report):
     verb's layout (key, record), each record of results[key] is a piece laid out by record."""
     key, record = _VERBS[report.command["verb"]].layout or (None, None)
     digits = report.digits
-    for top, (name, value) in enumerate(_report_dict(report).items()):
+    laid = {"command": report.command, "results": report.values, "metadata": report.metadata}
+    laid["status"] = report.status
+    if report.failures:
+        laid["failure"] = report.failures
+    for top, (name, value) in enumerate(laid.items()):
         yield ("," if top else "{") + f"\n  {_quote(name)}: "
         if name != "results" or record is None:
             yield _indented_json(value, digits, "\n  ")
@@ -596,32 +591,28 @@ def execute(cmd: Command) -> tuple:
     spec = _VERBS[cmd.verb]
     ctx = PrecisionContext(cmd.precision)
     started = time.monotonic()
-    report = Report(
-        digits=ctx.decimal_digits,
-        command={
-            "verb": cmd.verb,
-            "p": list(cmd.p) if cmd.p else None,
-            "N": cmd.n_level,
-            "order": cmd.order,
-            "K": cmd.k_max,
-            "precision": cmd.precision,
-            "format": cmd.fmt,
-            "suite": cmd.suite,
-            "pmax": cmd.pmax if "--pmax" in spec.flags else None,
-        }
-    )
-    report.values, report.failures = spec.run(cmd, ctx)
-    if report.failures:
-        report.status = "fail"
-    report.metadata = {
+    values, failures = spec.run(cmd, ctx)
+    metadata = {
         "precision_digits": cmd.precision,
         "tolerance": f"1e-{cmd.precision - 10}",
         "wall_time_seconds": round(time.monotonic() - started, 3),
         "version": __version__,
     }
     if spec.route:
-        report.metadata["route"] = spec.route
-    return report, EXIT_FAIL if report.failures else EXIT_OK
+        metadata["route"] = spec.route
+    command = {
+        "verb": cmd.verb,
+        "p": list(cmd.p) if cmd.p else None,
+        "N": cmd.n_level,
+        "order": cmd.order,
+        "K": cmd.k_max,
+        "precision": cmd.precision,
+        "format": cmd.fmt,
+        "suite": cmd.suite,
+        "pmax": cmd.pmax if "--pmax" in spec.flags else None,
+    }
+    report = Report(command, ctx.decimal_digits, values, failures, metadata)
+    return report, EXIT_FAIL if failures else EXIT_OK
 
 
 def _pieces(cmd: Command, report: Report):

@@ -49,8 +49,9 @@ the root of unity through ``mp.expjpi`` under ``mp.workprec``, which
 from library values to JSON terms that ``cli`` ran over every report before
 it laid reports out from the values, and ``report_terms`` applies it to a
 ``cli.Report``; ``execute_json`` runs one argv and parses the JSON report
-``cli.render`` lays out.  ``solve_seifert_q`` finds surgery coefficients, which the
-library does not use.
+``cli.render`` lays out, and ``corrupted_table1`` writes the bundled reference
+table with one cell altered, for a ``table1`` suite that must fail.
+``solve_seifert_q`` finds surgery coefficients, which the library does not use.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ from brieskorn_wrt import (
 from brieskorn_wrt import cli
 from brieskorn_wrt.chi import dedekind_triple_numerator
 from brieskorn_wrt.exactmath import _scaled_dedekind_sum, ensure_finite, to_mpf
+from brieskorn_wrt.ohtsuki import table1_path
 
 
 @dataclass(frozen=True)
@@ -750,3 +752,13 @@ def execute_json(argv: list) -> tuple:
     cmd = cli.parse(argv)
     report, code = cli.execute(cmd)
     return report, code, json.loads(cli.render(cmd._replace(fmt="json"), report))
+
+
+def corrupted_table1(tmp_path, prefix: str, old: str, new: str):
+    """A copy of the bundled reference table under ``tmp_path`` whose row starting
+    with ``prefix`` has its first ``old`` replaced by ``new``; returns its path."""
+    with open(table1_path(), "r", encoding="utf-8") as handle:
+        lines = [line.replace(old, new, 1) if line.startswith(prefix) else line for line in handle]
+    corrupted = tmp_path / "table1.txt"
+    corrupted.write_text("".join(lines), encoding="utf-8")
+    return corrupted

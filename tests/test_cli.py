@@ -51,14 +51,13 @@ from brieskorn_wrt.cli import (
     MAX_PRECISION,
     VERBS,
     Command,
-    _build_parser,
     execute,
     main,
     parse,
     render,
 )
-from brieskorn_wrt.ohtsuki import TABLE_ENV_VAR, table1_path
-from oracles import execute_json, json_terms, rational_json, report_terms
+from brieskorn_wrt.ohtsuki import TABLE_ENV_VAR
+from oracles import corrupted_table1, execute_json, json_terms, rational_json, report_terms
 
 
 # ----------------------------------------------------------------------- parse
@@ -211,26 +210,23 @@ def test_plain_argv_builds_no_parser_and_render_runs_no_python_encoder(monkeypat
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(json.encoder, "_make_iterencode", never)
-    _build_parser.cache_clear()
-    try:
-        for verb, (argv, expected) in MINIMAL.items():
-            assert parse(argv) == expected, verb
-            full = parse([*argv, *PLAIN_EXTRA, *VERB_EXTRA.get(verb, [])])
-            assert (full.precision, full.fmt, full.out) == (30, "json", "r.json"), verb
-        for verb, (cmd, report, reference) in reports.items():
-            assert render(cmd, report) == reference, verb
-        assert built == []
-        assert parse(["cs", "--p=2,3,7"]) == Command(verb="cs", p=(2, 3, 7))
-        assert parse(["flat", "--prec", "20", "--p", "2,3,5"]).precision == 20
-        with pytest.raises(SystemExit) as excinfo:  # a value with "-" goes to argparse
-            parse(["asymptotic", "--p", "3,4,5", "--N", "12", "--K", "-1"])
-        assert excinfo.value.code == EXIT_USAGE
-        assert capsys.readouterr().err == "error: --K must be between 0 and 100\n"
-        assert len(built) == 1 + len(VERBS)  # argparse's tree, built once
-        with pytest.raises(AssertionError, match="pure-Python"):
-            json.dumps({}, indent=2)
-    finally:
-        _build_parser.cache_clear()
+    for verb, (argv, expected) in MINIMAL.items():
+        assert parse(argv) == expected, verb
+        full = parse([*argv, *PLAIN_EXTRA, *VERB_EXTRA.get(verb, [])])
+        assert (full.precision, full.fmt, full.out) == (30, "json", "r.json"), verb
+        assert built == [], verb
+    for verb, (cmd, report, reference) in reports.items():
+        assert render(cmd, report) == reference, verb
+    assert built == []
+    assert parse(["cs", "--p=2,3,7"]) == Command(verb="cs", p=(2, 3, 7))
+    assert parse(["flat", "--prec", "20", "--p", "2,3,5"]).precision == 20
+    with pytest.raises(SystemExit) as excinfo:  # a value with "-" goes to argparse
+        parse(["asymptotic", "--p", "3,4,5", "--N", "12", "--K", "-1"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --K must be between 0 and 100\n"
+    assert len(built) == 3 * (1 + len(VERBS))  # one argparse tree per fallback parse
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps({}, indent=2)
 
 
 ARGV_FLAGS = [
@@ -644,19 +640,29 @@ def test_suites_and_cs_move_with_the_t_numerator(monkeypatch):
 
 
 def test_verify_failure_exit_code(monkeypatch, tmp_path):
-    lines = []
-    with open(table1_path(), "r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.startswith("3 4 5"):
-                line = line.replace("198", "199", 1)
-            lines.append(line)
-    corrupted = tmp_path / "table1.txt"
-    corrupted.write_text("".join(lines))
-    monkeypatch.setenv(TABLE_ENV_VAR, str(corrupted))
+    monkeypatch.setenv(TABLE_ENV_VAR, str(corrupted_table1(tmp_path, "3 4 5", "198", "199")))
     report, code, laid = execute_json(["verify", "--suite", "table1"])
     assert code == EXIT_FAIL
     assert report.status == "fail"
     assert len(laid["failure"]) == 1
+
+
+def test_report_is_built_once_and_its_status_follows_its_failures(monkeypatch, tmp_path):
+    # execute returns one immutable report: no field can be reassigned, and
+    # status reads "fail" exactly when the failures are non-empty
+    passing = execute(parse(["invariant", "--p", "2,3,7", "--N", "5"]))
+    monkeypatch.setenv(TABLE_ENV_VAR, str(corrupted_table1(tmp_path, "3 4 5", "198", "199")))
+    failing = execute(parse(["verify", "--suite", "table1"]))
+    for (report, code), status in ((passing, "ok"), (failing, "fail")):
+        assert report.status == status == ("fail" if report.failures else "ok")
+        assert code == (EXIT_FAIL if report.failures else EXIT_OK)
+        for field in ("command", "digits", "values", "failures", "metadata", "status"):
+            with pytest.raises(AttributeError):
+                setattr(report, field, getattr(report, field))
+        with pytest.raises(AttributeError):
+            report.extra = None
+    assert failing[0]._replace(failures=[]).status == "ok"
+    assert passing[0]._replace(failures=[{"error": "injected"}]).status == "fail"
 
 
 def test_verify_without_checks_fails(monkeypatch, tmp_path):
@@ -700,15 +706,7 @@ def test_table_csv_emission():
 
 def test_text_format_prints_the_failures(monkeypatch, tmp_path, capsys):
     # the corrupted reference cell shows up after the results, before metadata
-    lines = []
-    with open(table1_path(), "r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.startswith("3 4 5"):
-                line = line.replace("198", "199", 1)
-            lines.append(line)
-    corrupted = tmp_path / "table1.txt"
-    corrupted.write_text("".join(lines))
-    monkeypatch.setenv(TABLE_ENV_VAR, str(corrupted))
+    monkeypatch.setenv(TABLE_ENV_VAR, str(corrupted_table1(tmp_path, "3 4 5", "198", "199")))
     assert main(["verify", "--suite", "table1", "--format", "text"]) == EXIT_FAIL
     text = capsys.readouterr().out
     assert text.startswith("status: fail\nsuite = table1\nchecks = 234\n")

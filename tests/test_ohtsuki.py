@@ -9,13 +9,12 @@ from brieskorn_wrt import (
     lambda_coefficients,
     load_table1,
     phi_invariant,
-    table1_path,
 )
 from brieskorn_wrt import ohtsuki
 from brieskorn_wrt.cli import EXIT_FAIL, EXIT_OK
 from brieskorn_wrt.ohtsuki import TABLE_ENV_VAR
 from conftest import coprime_triples
-from oracles import execute_json, lambda_horner, lambda_stirling
+from oracles import corrupted_table1, execute_json, lambda_horner, lambda_stirling
 
 P235 = BrieskornTriple(2, 3, 5)
 
@@ -193,15 +192,7 @@ def test_reference_table_big_cell():
 
 
 def test_corrupted_cell_reports_single_mismatch(tmp_path, monkeypatch):
-    lines = []
-    with open(table1_path(), "r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.startswith("2 3 7"):
-                line = line.replace("69", "70", 1)
-            lines.append(line)
-    corrupted = tmp_path / "table1.txt"
-    corrupted.write_text("".join(lines), encoding="utf-8")
-    monkeypatch.setenv(TABLE_ENV_VAR, str(corrupted))
+    monkeypatch.setenv(TABLE_ENV_VAR, str(corrupted_table1(tmp_path, "2 3 7", "69", "70")))
     report, code, laid = _verify_table1()
     assert (code, report.status) == (EXIT_FAIL, "fail")
     assert laid["failure"] == [

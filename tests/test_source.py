@@ -192,16 +192,21 @@ def test_every_exported_function_has_a_library_caller():
 def test_every_process_cache_names_its_traffic():
     # a cache earns its place by hits; each entry gives hits/lookups summed
     # over the timed jobs of perfbench seed 4242 at --seconds 30 (caches cold
-    # per repetition) or over one run of the named suite.  A new cache must be
-    # listed here with its measured traffic, and one that never hits leaves.
+    # per repetition) or over one run of the named suite, and the cost of a
+    # miss, which is what one hit saves (timeit, best of 5, on 2 cores with
+    # Python 3.11.7).  A new cache must be listed here with its measured
+    # traffic and cost, and one whose hits save nothing leaves.
     cached = {
-        ("chi.py", "build_chi"),  # spectrum 60/72; verify --suite modular 200/225
-        ("modularform.py", "_modular_data_cached"),  # spectrum 36/48, the asymptotic ladder
-        ("modularform.py", "eichler_tail"),  # spectrum 36/60
-        ("topology.py", "_spectral_flow_tables"),  # spectrum 498/510, inside one flat call
-        ("exactmath.py", "_even_bernoulli_table"),  # spectrum 20/24
-        ("cli.py", "_options"),  # levels 40/48, spectrum 60/72: one table per verb
-        ("cli.py", "_build_parser"),  # the argparse tree, hit by each later non-plain argv
+        # spectrum 60/72, verify --suite modular 200/225; 16-26 us a miss
+        ("chi.py", "build_chi"),
+        # spectrum 36/48, the asymptotic ladder; 116-123 us a miss at 40 digits
+        ("modularform.py", "_modular_data_cached"),
+        # spectrum 36/60; 23-35 us a miss at K = 3
+        ("modularform.py", "eichler_tail"),
+        # spectrum 498/510, inside one flat call; 26 us a miss on (7,11,13)
+        ("topology.py", "_spectral_flow_tables"),
+        # spectrum 20/24; 48 us a miss at size 16
+        ("exactmath.py", "_even_bernoulli_table"),
     }
     decorators = {"lru_cache", "cache", "cached_property"}
     found = {
