@@ -46,10 +46,8 @@ from .topology import (
     FlatConnectionRecord,
     casson,
     chern_simons,
-    euler_number,
     flat_connections,
     phi_invariant,
-    spectral_flow,
     verify_s_torsion,
 )
 from .wrt import (
@@ -83,7 +81,6 @@ __all__ = [
     "eichler_limit",
     "eichler_tail",
     "enumerate_triples",
-    "euler_number",
     "flat_connections",
     "gamma_closed_form",
     "lambda_coefficients",
@@ -94,7 +91,6 @@ __all__ = [
     "orbit",
     "phi_invariant",
     "rozansky_normalized",
-    "spectral_flow",
     "t_exponent",
     "table1_path",
     "tau_coordinates",

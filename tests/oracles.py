@@ -77,7 +77,6 @@ from brieskorn_wrt import (
     build_chi,
     canonicalize,
     eichler_tail,
-    euler_number,
     modular_data,
     phi_invariant,
 )
@@ -572,6 +571,11 @@ def dominant_per_column(
                 dominant += s * mp.expjpi(to_mpf((t_exponent_fraction(p, ellp) * -n) % 2))
         dominant *= 2 * mp.sqrt(mp.mpf(n)) * mp.expjpi(mp.mpf(-0.25))
         return ensure_finite(+dominant)
+
+
+def euler_number(p: BrieskornTriple, ell: EllTriple) -> int:
+    """The integer e = P * sum (p_j - l_j)/p_j entering the spectral flow."""
+    return sum((pk - l) * c for l, pk, c in zip(ell, p.p, p.cofactors))
 
 
 @lru_cache(maxsize=None)

@@ -124,6 +124,20 @@ def test_root_tables_are_built_only_where_each_is_owned():
     assert callers == {("modularform.py", "eichler_limit"), ("wrt.py", "tau_n")}, callers
 
 
+def test_flat_connections_reads_its_tables_once_per_call():
+    # the walk of the admissible runs reads each per-manifold table once; no
+    # per-record function and no second caller may read them again
+    for table in ("_spectral_flow_tables", "_torsion_tables"):
+        calls = [
+            (name, node.name)
+            for name, node in _package_nodes()
+            if isinstance(node, ast.FunctionDef)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] == table
+        ]
+        assert calls == [("topology.py", "flat_connections")], (table, calls)
+
+
 def test_admissible_triples_builds_no_triple_list():
     # admissible_triples hands back the runs; gamma is their count, so no
     # tuple of all gamma triples may come back there
@@ -203,8 +217,6 @@ def test_every_process_cache_names_its_traffic():
         ("modularform.py", "_modular_data_cached"),
         # spectrum 36/60; 23-35 us a miss at K = 3
         ("modularform.py", "eichler_tail"),
-        # spectrum 498/510, inside one flat call; 26 us a miss on (7,11,13)
-        ("topology.py", "_spectral_flow_tables"),
         # spectrum 20/24; 48 us a miss at size 16
         ("exactmath.py", "_even_bernoulli_table"),
     }

@@ -12,11 +12,9 @@ from brieskorn_wrt import (
     admissible_triples,
     casson,
     chern_simons,
-    euler_number,
     flat_connections,
     modular_data,
     phi_invariant,
-    spectral_flow,
     t_exponent,
     verify_s_torsion,
 )
@@ -27,6 +25,7 @@ from oracles import (
     conjugacy_angles,
     dedekind_sum,
     dedekind_sum_cotangent,
+    euler_number,
     spectral_flow_per_record,
 )
 
@@ -215,11 +214,9 @@ def test_spectral_flow_matches_cotangent_sum(ctx30):
     assert {(2, 3, 5), (3, 4, 5), (3, 5, 8), (5, 7, 9)} <= set(triples)
     for ps in triples:
         p = BrieskornTriple(*ps)
-        for ell in admissible_triples(p)[0]:
-            assert spectral_flow(p, ell) == spectral_flow_cotangent(p, ell, ctx30), (
-                ps,
-                ell.ell,
-            )
+        for record in flat_connections(p):
+            ell = record.triple
+            assert record.spectral_flow == spectral_flow_cotangent(p, ell, ctx30), (ps, ell.ell)
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,33 +226,40 @@ def test_spectral_flow_matches_cotangent_sum(ctx30):
 )
 def test_spectral_flow_matches_cotangent_sum_above_bound(ps, data):
     p = BrieskornTriple(*ps)
-    ell = data.draw(st.sampled_from(tuple(admissible_triples(p)[0])))
-    assert spectral_flow(p, ell) == spectral_flow_cotangent(p, ell, PrecisionContext(30))
+    record = data.draw(st.sampled_from(flat_connections(p)))
+    expected = spectral_flow_cotangent(p, record.triple, PrecisionContext(30))
+    assert record.spectral_flow == expected
 
 
 def test_table_forms_match_retired_per_record_forms():
-    # the kernel tables against the O(p_j) loop, and the integer CS numerator
-    # against the Fraction T-exponent, on every admissible triple with P <= 3000
+    # every record of the run walk against the per-record forms: the kernel
+    # tables against the O(p_j) loop, the stepped CS numerator against
+    # chern_simons and the Fraction T-exponent, the angle tables against the
+    # per-record angles, on every admissible triple with P <= 3000, in the
+    # order of the admissible view
     count = 0
     for ps in coprime_triples(3000):
         p = BrieskornTriple(*ps)
-        for ell in admissible_triples(p)[0]:
-            assert spectral_flow(p, ell) == spectral_flow_per_record(p, ell), (ps, ell)
-            assert chern_simons(p, ell) == chern_simons_fraction(p, ell), (ps, ell)
+        records = flat_connections(p)
+        assert [record.triple for record in records] == list(admissible_triples(p)[0]), ps
+        for record in records:
+            ell = record.triple
+            assert record.spectral_flow == spectral_flow_per_record(p, ell), (ps, ell)
+            assert record.cs == chern_simons(p, ell) == chern_simons_fraction(p, ell), (ps, ell)
+            assert record.conjugacy_angles == conjugacy_angles(p, ell), (ps, ell)
             count += 1
     assert count > 200_000
 
 
 def test_spectral_flow_raises_on_a_fraction(monkeypatch):
-    # a non-integer total is a structural fault, never rounded; a plain
-    # tuple ell is named in the message like an EllTriple
+    # a non-integer total is a structural fault, never rounded; the first
+    # record's triple is named in the message as a plain tuple
     import brieskorn_wrt.topology as topology
 
     offset, kernels = topology._spectral_flow_tables(P235)
     monkeypatch.setattr(topology, "_spectral_flow_tables", lambda p: (offset + 1, kernels))
-    for ell in (EllTriple(1, 1, 1), (1, 1, 1)):
-        with pytest.raises(ArithmeticError, match=r"p=\(2, 3, 5\), ell=\(1, 1, 1\)"):
-            spectral_flow(P235, ell)
+    with pytest.raises(ArithmeticError, match=r"p=\(2, 3, 5\), ell=\(1, 1, 1\)"):
+        flat_connections(P235)
 
 
 def test_spectral_phase_is_fourth_root_of_unity():
@@ -288,10 +292,13 @@ def _torsion_reference(p, ell, digits):
         return value
 
 
-@pytest.mark.parametrize("ps", ((2, 3, 5), (2, 3, 7), (5, 7, 9), (7, 11, 13), (2, 3, 1009)))
+@pytest.mark.parametrize(
+    "ps", ((2, 3, 5), (2, 3, 7), (5, 7, 9), (7, 11, 13), (2, 3, 1009), (3, 4, 5), (4, 5, 7))
+)
 @pytest.mark.parametrize("digits", (15, 30, 51))
 def test_torsion_within_stated_bound(ps, digits):
-    # every record's amplitude within 2 u of the amplitude at 20 more digits
+    # every record's amplitude within 2 u of the amplitude at 20 more digits;
+    # (3,4,5) and (4,5,7) have runs cut by the tie rules 2 l2 = p2 and 2 l1 = p1
     p, ctx = BrieskornTriple(*ps), PrecisionContext(digits)
     records = flat_connections(p, ctx)
     assert records
