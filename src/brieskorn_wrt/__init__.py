@@ -26,7 +26,6 @@ from .chi import (
 )
 from .exactmath import DEFAULT_CONTEXT, PrecisionContext, Rational
 from .modularform import (
-    AsymptoticApprox,
     ExpansionParts,
     ModularData,
     eichler_limit,
@@ -51,6 +50,7 @@ from .topology import (
     verify_s_torsion,
 )
 from .wrt import (
+    AsymptoticApprox,
     WrtResult,
     asymptotic_approx,
     rozansky_normalized,

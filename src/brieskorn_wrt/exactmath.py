@@ -37,8 +37,9 @@ class _PrecisionFields(NamedTuple):
 class PrecisionContext(_PrecisionFields):
     """Explicit decimal precision threaded through every floating computation.
 
-    ``tolerance`` is the comparison threshold 10**-(decimal_digits - 10);
-    the 10-digit margin is ample for the cyclotomic sums in this package.
+    ``tolerance`` is the comparison threshold 10**-tolerance_digits, with
+    tolerance_digits = decimal_digits - 10, the one place that margin is
+    written; 10 digits are ample for the cyclotomic sums in this package.
     """
 
     __slots__ = ()
@@ -57,9 +58,13 @@ class PrecisionContext(_PrecisionFields):
         return self.decimal_digits + GUARD_DIGITS
 
     @property
+    def tolerance_digits(self) -> int:
+        return self.decimal_digits - 10
+
+    @property
     def tolerance(self):
         with self.workdps():
-            return mp.mpf(10) ** (-(self.decimal_digits - 10))
+            return mp.mpf(10) ** -self.tolerance_digits
 
     def workdps(self):
         """Context manager setting mpmath working precision for this context."""

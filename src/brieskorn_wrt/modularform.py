@@ -194,9 +194,7 @@ def theta_eval(
         tau = mp.mpc(tau)
         if not mp.im(tau) > 0:
             raise ValueError("tau must lie in the upper half plane")
-        n_max = _theta_cutoff(
-            p, float(mp.im(tau)), -(ctx.decimal_digits - 10)
-        )
+        n_max = _theta_cutoff(p, float(mp.im(tau)), -ctx.tolerance_digits)
         total = mp.mpc(0)
         two_p = chi.modulus
         for r, sign in chi.signed_support:
@@ -304,15 +302,6 @@ class ExpansionParts(NamedTuple):
 
     dominant: object
     tail: object
-
-
-class AsymptoticApprox(NamedTuple):
-    """dominant + tail of a limit at 1/N; abs_error = |exact - dominant - tail|."""
-
-    dominant: object
-    tail: object
-    exact: object
-    abs_error: object
 
 
 def _fibre_row(md: ModularData, k: int, lk: int, n: int, flip: int, lo: int, hi: int) -> tuple:

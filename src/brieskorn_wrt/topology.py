@@ -112,9 +112,10 @@ def flat_connections(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT
     """One record per admissible triple, in canonical enumeration order.
 
     One walk of the admissible runs (l1, l2, first..last): along a run
-    A = P + sum_j l_j c_j steps up by c_3 and the Euler number
-    e = P sum_j (p_j - l_j)/p_j steps down by c_3, c_j = P/p_j.  The CS
-    value is -(A^2 mod 4P)/4P mod 1, as in ``chern_simons``.
+    A = P + sum_j l_j c_j steps up by c_3, c_j = P/p_j, and every value is
+    read off A.  The CS value is -(A^2 mod 4P)/4P mod 1, as in
+    ``chern_simons``, and the Euler number e = P sum_j (p_j - l_j)/p_j is
+    sum_j (p_j - l_j) c_j = 3P - (A - P) = 4P - A, so e = -A mod p_j.
 
     Spectral flow mod 8, exactly.  The cotangent form -3 - 2e^2/P -
     sum_j (2/p_j) sum_k cot(pi k c_j/p_j) cot(pi k/p_j) sin^2(pi k e/p_j)
@@ -151,11 +152,11 @@ def flat_connections(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT
         bits, scale, (row1, row2, row3) = _torsion_tables(p)
         for l1, l2, first, last in admissible_triples(p)[0].runs:
             a = big + l1 * c1 + l2 * c2 + first * c3
-            e = (p1 - l1) * c1 + (p2 - l2) * c2 + (p3 - first) * c3
-            fixed = offset * big - 12 * (kernel1[e % p1] + kernel2[e % p2])
+            fixed = offset * big - 12 * (kernel1[-a % p1] + kernel2[-a % p2])
             head = scale * row1[c1 * l1 % p1] * row2[c2 * l2 % p2]
             angle1, angle2 = angles1[l1], angles2[l2]
             for l3 in range(first, last + 1):
+                e = four_p - a
                 numerator = fixed - 12 * (2 * e * e * big + kernel3[e % p3])
                 if numerator % denominator:
                     total, ell = Fraction(numerator, denominator), (l1, l2, l3)
@@ -167,7 +168,7 @@ def flat_connections(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT
                 flow, angles = numerator // denominator % 8, (angle1, angle2, angles3[l3])
                 record = FlatConnectionRecord(EllTriple(l1, l2, l3), cs, torsion, flow, angles)
                 records.append(record)
-                a, e = a + c3, e - c3
+                a += c3
     return records
 
 

@@ -37,7 +37,7 @@ from .exactmath import (
     root_power_sum,
     root_table,
 )
-from .modularform import AsymptoticApprox, _limit_weights, eichler_limit, nearly_modular_expansion
+from .modularform import _limit_weights, eichler_limit, nearly_modular_expansion
 
 
 class WrtResult(NamedTuple):
@@ -49,6 +49,15 @@ class WrtResult(NamedTuple):
     z_witten: object
     term_count: int
     error_budget: object
+
+
+class AsymptoticApprox(NamedTuple):
+    """dominant + tail of a limit at 1/N; abs_error = |exact - dominant - tail|."""
+
+    dominant: object
+    tail: object
+    exact: object
+    abs_error: object
 
 
 def _signed_sines(order: int) -> tuple:
@@ -96,15 +105,6 @@ def rozansky_normalized(
         total = -8 * mp.mpc(real, imag)
         prefactor = mp.expjpi(mp.mpf(1) / 4) / (2 * mp.sqrt(mp.mpf(2) * p.P * n_level))
         return ensure_finite(+(prefactor * total))
-
-
-def _theorem51_normalized(p: BrieskornTriple, limit, n_level: int):
-    # Theorem 5.1: half a (1, 1, 1) quantity at 1/N, plus e^{pi i/60N} on
-    # (2,3,5); called inside the caller's workdps()
-    value = limit / 2
-    if p.is_poincare:
-        value += mp.expjpi(mp.mpf(1) / (60 * n_level))
-    return ensure_finite(+value)
 
 
 def tau_coordinates(p: BrieskornTriple, n_level: int) -> list:
@@ -217,8 +217,10 @@ def asymptotic_approx(
         raise ValueError("level must be at least 3")
     expansion = nearly_modular_expansion(p, EllTriple(1, 1, 1), n_level, k_max, ctx)
     with ctx.workdps():
-        dominant = expansion.dominant / 2
-        tail = _theorem51_normalized(p, expansion.tail, n_level)
         limit = eichler_limit(p, EllTriple(1, 1, 1), 1, n_level, ctx)
-        exact = _theorem51_normalized(p, limit, n_level)
+        dominant, tail, exact = expansion.dominant / 2, expansion.tail / 2, limit / 2
+        if p.is_poincare:  # Theorem 5.1's e^{pi i/60N}, one phase for tail and exact
+            phase = mp.expjpi(mp.mpf(1) / (60 * n_level))
+            tail, exact = tail + phase, exact + phase
+        tail, exact = ensure_finite(tail), ensure_finite(exact)
         return AsymptoticApprox(dominant, tail, exact, +abs(exact - dominant - tail))

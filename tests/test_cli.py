@@ -481,7 +481,7 @@ def test_invariant_json_schema():
     assert set(tau) == {"re", "im"}
     assert payload["results"]["term_count"] == 4 * 5
     assert payload["metadata"]["precision_digits"] == 50
-    assert payload["metadata"]["route"] == "eichler_limit"
+    assert payload["metadata"]["route"] == "tau_coordinates"
 
 
 def test_flat_records_json():
@@ -519,6 +519,24 @@ def test_verify_gamma_never_enumerates_the_lattice(no_enumeration):
     # gamma is counted run by run; enumerate_triples is never called
     report, code = execute(parse(["verify", "--suite", "gamma", "--pmax", "500"]))
     assert (report.status, code) == ("ok", EXIT_OK)
+
+
+def test_verify_gamma_evaluates_the_closed_form_once_per_sphere(monkeypatch):
+    # Casson is -1/2 the closed form, so the suite reads the closed form off it
+    calls = []
+    real = chi.dedekind_triple_numerator
+    monkeypatch.setattr(chi, "dedekind_triple_numerator", lambda p: calls.append(p) or real(p))
+    report, code, laid = execute_json(["verify", "--suite", "gamma", "--pmax", "300"])
+    assert code == EXIT_OK
+    assert len(calls) == laid["results"]["checks"] > 0
+
+
+def test_verify_gamma_fails_on_a_casson_only_fault(monkeypatch):
+    real = cli.casson
+    monkeypatch.setattr(cli, "casson", lambda p: real(p) + 1)
+    report, code, laid = execute_json(["verify", "--suite", "gamma", "--pmax", "300"])
+    assert (code, report.status) == (EXIT_FAIL, "fail")
+    assert len(laid["failure"]) == laid["results"]["checks"] > 0
 
 
 def test_verify_theorem51_trimmed():
@@ -963,13 +981,13 @@ def test_deterministic_output_modulo_wall_time():
 # digit, field or layout fails here
 GOLDEN_STDOUT = {
     ("invariant", "--p", "2,3,7", "--N", "100", "--precision", "50"): (
-        "33eac9bf88eeb396782f5deb9504dc3c7e28a695dd4c8640b8ffb2aad6fdd3e4"
+        "140cdfb6c57de70e081a5f0373430aadfd163292db259b837d40a50efbd19fda"
     ),
     ("invariant", "--p", "2,3,7", "--N", "100", "--precision", "100"): (
-        "5606b63d32a11a7361f096664b76b70424aa5267af6918d3799c0f6eeb7419b1"
+        "f509ad9c51d642b4b1c212bb20fc7abc70f8d0470f7a883f242be99584cd3a21"
     ),
     ("invariant", "--p", "2,3,5", "--N", "100", "--precision", "30"): (
-        "1515a0a50a03cef3ddac9dd7372a74c22de5a73a9c3ffc460e6e8a77a404c0fe"
+        "5eb863d302e8454182bee4de12fd72ff5d8bfa1543b9a6911d740ae14e13e466"
     ),
     ("asymptotic", "--p", "7,11,13", "--N", "200", "--K", "3"): (
         "752a0048ad46e0ac4ab903dc7f9fd024ebdd08382fd98a337971f9a22dd97e1c"
@@ -999,7 +1017,7 @@ GOLDEN_STDOUT = {
         "96c1294ad655bee248b667492e4b3e3e8b32a5d2a13e811ba3fc7f7d54278137"
     ),
     ("invariant", "--p", "2,3,7", "--N", "100", "--format", "text"): (
-        "5f956bc2c7f3f949fb9d4ff027067a1c60295a79b67616c0b5102e15fba8f5cd"
+        "b1dfb9a1d9a38f32d2bccac950f40e9fb2d2a1c7ba5152c014eeef769ede2760"
     ),
     ("cs", "--p", "7,11,13"): (
         "42757d64e53f89fbb04a1570b0c73042b2de584115e7db936328b6fffd8ab1bf"

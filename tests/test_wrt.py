@@ -378,10 +378,12 @@ def test_tau_n_takes_one_exponential(monkeypatch, ctx50):
 
 
 def _reference(p, n_level, ctx):
-    # the Eichler-limit route of Theorem 5.1, as tau_n took it before the coordinates
+    # Theorem 5.1 through the Eichler limit, as tau_n took it before the coordinates:
+    # normalized = half the (1, 1, 1) limit at 1/N, plus e^{pi i/60N} on Sigma(2,3,5)
     with ctx.workdps():
-        limit = eichler_limit(p, EllTriple(1, 1, 1), 1, n_level, ctx)
-        normalized = wrt._theorem51_normalized(p, limit, n_level)
+        normalized = eichler_limit(p, EllTriple(1, 1, 1), 1, n_level, ctx) / 2
+        if p.is_poincare:
+            normalized += mp.expjpi(mp.mpf(1) / (60 * n_level))
         tau = normalized / tau_prefactor(p, n_level, ctx)
         z = tau * mp.sinpi(mp.mpf(1) / n_level) * mp.sqrt(mp.mpf(2) / n_level)
         return {"normalized": normalized, "tau": tau, "z_witten": z}
@@ -412,6 +414,20 @@ def test_tau_n_within_stated_bound(ps, digits):
 def test_asymptotic_validation(ctx50):
     with pytest.raises(ValueError):
         asymptotic_approx(P235, 10, -1, ctx50)
+
+
+def test_asymptotic_approx_takes_one_poincare_phase(monkeypatch, ctx50):
+    # warm, the expansion takes no exponential and the limit one root; tail and
+    # exact share one e^{pi i/60N}, taken on Sigma(2,3,5) alone
+    cases = {(2, 3, 5): ["_unit_root", "expjpi"], (2, 3, 7): ["_unit_root"]}
+    for ps in cases:
+        asymptotic_approx(BrieskornTriple(*ps), 64, 3, ctx50)
+    calls = _count_exponentials(monkeypatch)
+    for ps, want in cases.items():
+        for n_level in (3, 64, 1000):
+            calls.clear()
+            asymptotic_approx(BrieskornTriple(*ps), n_level, 3, ctx50)
+            assert calls == want, (ps, n_level, calls)
 
 
 @pytest.mark.parametrize("ps", ((2, 3, 5), (2, 3, 7), (5, 7, 9), (7, 11, 13)))
