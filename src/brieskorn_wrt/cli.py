@@ -4,10 +4,10 @@
 and the exit codes.  Verb runners return library values, and one encoder lays
 the report out straight from them, with one routine per kind of number:
 rationals as {"num", "den"} strings, reals as decimal strings and complex
-values as {"re", "im"} decimal strings, the decimals read off mpmath's raw
-tuples at an explicit digit count, so arbitrarily large results survive any
-JSON consumer.  Each verify suite yields one (failure, passed) pair per check
-to one loop, which counts the checks and keeps the failures.
+values as {"re", "im"} decimal strings, each decimal rounded once from the
+working value's raw mpmath tuple to the report's digits, so arbitrarily large
+results survive any JSON consumer.  Each verify suite yields one (failure,
+passed) pair per check to a loop that counts the checks and keeps the failures.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest, to_str
+from mpmath.libmp import to_str
 
 from . import __version__
 from .chi import BrieskornTriple, EllTriple, admissible_count, admissible_triples, mordell_count
 from .exactmath import PrecisionContext, to_mpf
 from .modularform import modular_data, t_exponent, theta_eval
-from .ohtsuki import lambda_coefficients, load_table1
+from .ohtsuki import lambda_coefficients, load_table1, table1_path
 from .topology import casson, chern_simons, flat_connections, verify_s_torsion
 from .wrt import asymptotic_approx, rozansky_normalized, tau_n
 
@@ -294,8 +294,16 @@ def _suite_theorem51(cmd: Command, ctx: PrecisionContext, results: dict):
             yield {"p": ps, "N": n, "residual": _Fixed(residual, 5)}, residual <= ctx.tolerance
 
 
+def _reference_table() -> list:
+    try:  # a table that cannot be read is a usage error, not a failed check
+        return load_table1()
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise _UsageError(f"cannot read the reference table {table1_path()}: {reason}") from None
+
+
 def _suite_table1(cmd: Command, ctx: PrecisionContext, results: dict):
-    for ps, values in load_table1():
+    for ps, values in _reference_table():
         lambdas = lambda_coefficients(BrieskornTriple(*ps), len(values) - 1).lambdas
         for n, (expected, got) in enumerate(zip(values, lambdas)):
             yield {"p": ps, "order": n, "expected": str(expected), "got": got}, got == expected
@@ -367,7 +375,7 @@ def _run_verify(cmd: Command, ctx: PrecisionContext) -> tuple:
 
 
 def _run_table(cmd: Command, ctx: PrecisionContext) -> tuple:
-    return {"csv": "".join(_lambda_csv(load_table1(), 9))}, []
+    return {"csv": "".join(_lambda_csv(_reference_table(), 9))}, []
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +421,10 @@ def _format_text(report: Report):
     yield from walk("metadata.", report.metadata)
 
 
-# One routine per kind of number writes its JSON text from mpmath's raw tuples,
-# with no precision context: each decimal is what mp.nstr(x, digits) prints,
-# an mpf first rounded to the bits of ``digits`` digits as mp.mpf rounds it
-# under mp.workdps(digits), an mpc component as it stands.
+# One routine per kind of number writes its JSON text from mpmath's raw tuples in no precision
+# context: a real and each complex component print as to_str of the working value, rounded once.
 def _real(x, digits: int) -> str:
-    return f'"{to_str(mpf_pos(x._mpf_, dps_to_prec(digits), round_nearest), digits)}"'
+    return f'"{to_str(x._mpf_, digits)}"'
 
 
 def _complex(z, digits: int, newline: str) -> str:
@@ -718,7 +724,11 @@ def main(argv: list | None = None) -> int:
     if stream is None and (reason := _out_error(cmd.out)):
         print(f"error: cannot write --out {cmd.out}: {reason}", file=sys.stderr)
         return EXIT_USAGE
-    report, exit_code = execute(cmd)
+    try:
+        report, exit_code = execute(cmd)
+    except _UsageError as exc:  # found while running, before a byte is written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         _write_out(stream or cmd.out, _pieces(cmd, report))
     except OSError as exc:

@@ -47,7 +47,8 @@ the root of unity through ``mp.expjpi`` under ``mp.workprec``, which
 ``exactmath._unit_root`` replaced by the kernel it ends in.  ``json_terms``
 (with ``rational_json``, ``real_json`` and ``complex_json``) is the converter
 from library values to JSON terms that ``cli`` ran over every report before
-it laid reports out from the values, and ``report_terms`` applies it to a
+it laid reports out from the values, one ``mp.nstr`` of the working value per
+number and no precision context, and ``report_terms`` applies it to a
 ``cli.Report``; ``execute_json`` runs one argv and parses the JSON report
 ``cli.render`` lays out, and ``corrupted_table1`` writes the bundled reference
 table with one cell altered, for a ``table1`` suite that must fail.
@@ -687,41 +688,32 @@ def rational_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def complex_json(z, digits: int, held: bool = False) -> dict:
-    """z as {"re", "im"} strings of ``digits`` digits; held: mp.workdps(digits) is entered."""
-    if not held:
-        with mp.workdps(digits):
-            return complex_json(z, digits, held=True)
+def complex_json(z, digits: int) -> dict:
+    """z as {"re", "im"} strings of ``digits`` digits, each component rounded once."""
     return {"re": mp.nstr(mp.re(z), digits), "im": mp.nstr(mp.im(z), digits)}
 
 
-def real_json(x, digits: int, held: bool = False) -> str:
-    """x as a string of ``digits`` digits; held: mp.workdps(digits) is entered."""
-    if not held:
-        with mp.workdps(digits):
-            return real_json(x, digits, held=True)
-    return mp.nstr(mp.mpf(x), digits)
+def real_json(x, digits: int) -> str:
+    """x as a string of ``digits`` digits, rounded once from the working value."""
+    return mp.nstr(x, digits)
 
 
-def json_terms(value, digits: int, held: bool = False):
+def json_terms(value, digits: int):
     """A library value in JSON terms; mpmath numbers at ``digits`` digits, a
-    ``cli._Fixed`` at its own, as its runner once converted it."""
-    if not held:
-        with mp.workdps(digits):
-            return json_terms(value, digits, held=True)
+    ``cli._Fixed`` at its own, one mp.nstr per number."""
     kind = type(value)
     if kind is int or kind is str or value is None:
         return value
     if kind is dict:
-        return {key: json_terms(item, digits, True) for key, item in value.items()}
+        return {key: json_terms(item, digits) for key, item in value.items()}
     if kind is list or kind is tuple or kind is EllTriple:
-        return [json_terms(item, digits, True) for item in value]
+        return [json_terms(item, digits) for item in value]
     if kind is Fraction:
         return rational_json(value)
     if kind is mp.mpf:
-        return real_json(value, digits, True)
+        return real_json(value, digits)
     if kind is mp.mpc:
-        return complex_json(value, digits, True)
+        return complex_json(value, digits)
     if kind is cli._Fixed:
         return json_terms(value.value, value.digits)
     return value  # a bool or a float, already a JSON term

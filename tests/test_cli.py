@@ -13,14 +13,14 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, to_str
 
 import brieskorn_wrt.chi as chi
 import brieskorn_wrt.cli as cli
@@ -29,10 +29,13 @@ import brieskorn_wrt.topology as topology
 from brieskorn_wrt import (
     BrieskornTriple,
     EllTriple,
+    PrecisionContext,
+    asymptotic_approx,
     build_chi,
     chern_simons,
     flat_connections,
     phi_invariant,
+    tau_n,
 )
 from brieskorn_wrt.cli import (
     _BOUNDS,
@@ -692,6 +695,54 @@ def test_verify_without_checks_fails(monkeypatch, tmp_path):
     assert len(laid["failure"]) == 1
 
 
+# a reference table that cannot be read, by how BWRT_TABLE1_PATH goes wrong:
+# (tmp_path -> the path it names, the reason the error line gives)
+UNREADABLE_TABLES = {
+    "missing": (lambda tmp: tmp / "absent.txt", "No such file or directory"),
+    "directory": (lambda tmp: tmp, "Is a directory"),
+    "non-integer cell": (
+        lambda tmp: corrupted_table1(tmp, "3 4 5", "198", "19x8"),
+        "invalid literal for int() with base 10: '19x8'",
+    ),
+    "row of eight values": (
+        lambda tmp: corrupted_table1(tmp, "3 4 5", "198", ""),
+        "malformed reference table line: '3 4 5 : 1 -12  -4324 ",
+    ),
+}
+TABLE_VERBS = {"table": ["table"], "verify": ["verify", "--suite", "table1"]}
+
+
+@pytest.mark.parametrize("verb", TABLE_VERBS)
+@pytest.mark.parametrize("case", UNREADABLE_TABLES)
+def test_unreadable_reference_table_is_a_usage_error(case, verb, monkeypatch, tmp_path, capsys):
+    # exit 2 with one error line, no report and no --out file: exit 1 would
+    # claim a verification ran and failed
+    table_dir = tmp_path / "table"
+    table_dir.mkdir()
+    path, reason = UNREADABLE_TABLES[case]
+    monkeypatch.setenv(TABLE_ENV_VAR, str(path(table_dir)))
+    out = tmp_path / "report.json"
+    assert main([*TABLE_VERBS[verb], "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = f"error: cannot read the reference table {path(table_dir)}: "
+    assert captured.err.startswith(prefix + reason), captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_empty_reference_table_is_not_a_usage_error(monkeypatch, tmp_path, capsys):
+    # an empty table reads as no rows: verify runs no checks and fails, table
+    # prints the header alone
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    monkeypatch.setenv(TABLE_ENV_VAR, str(empty))
+    assert main(["verify", "--suite", "table1"]) == EXIT_FAIL
+    assert '"error": "suite ran no checks"' in capsys.readouterr().out
+    assert main(["table", "--format", "csv"]) == EXIT_OK
+    assert capsys.readouterr().out == "p1,p2,p3," + ",".join(f"lambda_{n}" for n in range(9)) + "\n"
+
+
 def test_verify_selecting_nothing_is_a_usage_error(capsys):
     # no Brieskorn sphere has P < 30 and no level is below 3
     for argv, flag in (
@@ -999,7 +1050,7 @@ GOLDEN_STDOUT = {
         "94cde6c3f13086121ecf0071417bb39d61971c90692f50da84d508bcaee7c429"
     ),
     ("flat", "--p", "5,7,9"): (
-        "ef51c7a5d664e16c5ce958b4267c391de4b65c9d07ffea41e688c928e11ae4c4"
+        "d625c63a04896d76698dc9876568a70d4711b8e3580863c9f66b3d970ce6605f"
     ),
     ("ohtsuki", "--p", "2,3,7", "--order", "40"): (
         "c9272d3af846f3209005ddacb9b4cd3b6cf7498304e3dedfe429f6bb8f23ac43"
@@ -1011,7 +1062,7 @@ GOLDEN_STDOUT = {
         "277a1a6fa246dee6ef0bee2cf0731fc2dee11aecffcd3ce678d5bc5e95c9802a"
     ),
     ("flat", "--p", "7,11,13", "--precision", "40"): (
-        "b2c7ff5aecaf56ae4b3c2ec02c53bcc788555035a3a77ff5a0f52601f7df0134"
+        "3f9f56895e5ee336ee8af6eacddb009d4a590a18d8c45550b73d579a8c4b420b"
     ),
     ("cs", "--p", "7,11,13", "--format", "csv"): (
         "96c1294ad655bee248b667492e4b3e3e8b32a5d2a13e811ba3fc7f7d54278137"
@@ -1026,7 +1077,7 @@ GOLDEN_STDOUT = {
         "02c534d6a5af5fb98ef862cc803da479a21e70c6aff9626a283e054100f44c93"
     ),
     ("flat", "--p", "5,7,9", "--format", "text"): (
-        "cbe041eb7d37cfe0dfd96e17378c26780f51cf5abdf379f1ba60ee76ca5fc8f3"
+        "d1c479fae3191d097790c46e8dd6cad06b68914fc0f31e15017de284b1d36d51"
     ),
     # the residual cancels to the working floor (abs_error 3.4e-65 at 50 digits)
     ("asymptotic", "--p", "2,3,7", "--N", "5000", "--K", "80"): (
@@ -1042,7 +1093,7 @@ GOLDEN_STDOUT = {
     # every number kind of a report in the text and CSV layouts, and roots of
     # unity at 400 digits
     ("flat", "--p", "31,37,41", "--format", "text"): (
-        "77a76342670f5708c2292272d5ac68bdcdede2bdf4a58c4476d8894b3d042011"
+        "001c44d9ac070f847907aa77a661bbbb11cc989f4cc2cb18b0985fe925d06f56"
     ),
     ("cs", "--p", "31,37,41", "--format", "csv"): (
         "ac569f4fec03b07dac639875f6d02ce844e9fe523118478fcf7761ecd9b87682"
@@ -1071,7 +1122,7 @@ def test_failing_verify_text_matches_golden_digest(monkeypatch, capsys):
     assert main(["verify", "--suite", "modular", "--format", "text"]) == EXIT_FAIL
     out = re.sub(r".*wall_time_seconds.*\n", "", capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "6a74c8a7af875e5e2d31a11fa2ade37aab22212495c2abe6cde4bb237592a394"
+        "ff305d374157a3d2a9bc90e8430119090c66d004664d022fe62a368b244f48e5"
     )
 
 
@@ -1115,7 +1166,7 @@ SPECTRUM_STDOUT = {
         "a7577cedca40d6fac0fb1a8f2527e524484972f327a215ce09e01c852cd7b980"
     ),
     ("flat", "--p", "2,11,21", "--precision", "51"): (
-        "c1450f6c774198dd9f31c7c95bd0cb456639990e804de5812974f5ce9edffb22"
+        "47d2228a9596a11d7ee01e0511989f9c3744dbe9fdd0d5e4d2bd66b0e2727be0"
     ),
     ("ohtsuki", "--p", "2,11,21", "--precision", "51", "--order", "8"): (
         "e6c204720e5fd7636a9c218f1bd1fcadd2d3eb436e1a6feb1006fc7c579c8a4b"
@@ -1127,7 +1178,7 @@ SPECTRUM_STDOUT = {
         "902582818311c64e877e3ee6901b7a4d3402f35ea7abc4b6ffd7e4ba01366047"
     ),
     ("flat", "--p", "7,8,9", "--precision", "30"): (
-        "1f48228ac4c0b30a1b1f6f9f6220913f7770cb5ddda335ee0d1aaf343c63dc03"
+        "af51006f5237ca26713c5d39f6f80b8d9aa57b982de17b794a263ed2c2342116"
     ),
     ("ohtsuki", "--p", "7,8,9", "--precision", "30", "--order", "8"): (
         "73cda1b70d31efbb86c67aac379417335ae444af4ef47dd7f71a356f92900709"
@@ -1139,7 +1190,7 @@ SPECTRUM_STDOUT = {
         "85dc0f45820a83b9e6f3899b056ffa390b8d6a620180361846e01ae2fb2ec6c3"
     ),
     ("flat", "--p", "7,8,9", "--precision", "51"): (
-        "2aadba7339031fb41eb94f0baff18ab40a5ed821f58228380678785b169c9125"
+        "34fb50f1b6557d993708a29eeb43cd3f816a6d222733fa3fcce5c068f24389dd"
     ),
     ("ohtsuki", "--p", "7,8,9", "--precision", "51", "--order", "8"): (
         "d0875e28a19f451a73576e74dd728abd58572785f8ee794fa78bbfadeff8d381"
@@ -1151,7 +1202,7 @@ SPECTRUM_STDOUT = {
         "72551d62ed20036d08fe39a5e797d93fb9b8fd2209f046e78173f258cf21ec93"
     ),
     ("flat", "--p", "7,11,13", "--precision", "30"): (
-        "3d31a81e661f79110eb6a24cce20a95ccd42a491b833aa4d142521200e89ea9a"
+        "d646227e111a6a12b421a7be4b24ae73c6f8a8f1607111f99cf4ec36510526b4"
     ),
     ("ohtsuki", "--p", "7,11,13", "--precision", "30", "--order", "8"): (
         "2797c32d6b450726861cc720330762d87a5608bd19740c49cf688ff9efd852b3"
@@ -1163,7 +1214,7 @@ SPECTRUM_STDOUT = {
         "d4f235aec2adc73914873911fa282747045d4a87a68416b5f711556dad6e16fc"
     ),
     ("flat", "--p", "7,11,13", "--precision", "51"): (
-        "c593331877166a517aa55dea1ada8b6764fe40b367807f654eaf7e934f002dac"
+        "c125b58b78764f04641cc9e20a93b2248ebdcf88e89ac68ea459c0cb7300a154"
     ),
     ("ohtsuki", "--p", "7,11,13", "--precision", "51", "--order", "8"): (
         "d73809fab6ea70d026f9b39c40bb781eae8c300be80aa7f19875c3b756cdda22"
@@ -1247,12 +1298,11 @@ LIBRARY_VALUES = st.recursive(
 @given(LIBRARY_VALUES, st.integers(5, 120))
 @example({"a": [], "b": {}, "c": ((), {}), "d": mp.mpf(0), "e": -mp.mpf(1) / 3}, 5)
 @example([mp.mpf(2) ** 33300, -mp.mpf(3) ** -21000, mp.mpc(0, -1), Fraction(-7, 3)], 120)
-# a real is rounded to the bits of 5 digits before it prints (2.7446e+13), an
-# mpc component is not (2.7447e+13)
+# a real and an mpc component both round once from the working value (2.7447e+13)
 @example([ROUNDS_ACROSS_A_DIGIT, mp.make_mpc((ROUNDS_ACROSS_A_DIGIT._mpf_,) * 2)], 5)
 def test_encoder_equals_json_dumps_of_the_retired_converter(value, digits):
     # the report's one encoder against json.dumps over the JSON terms that the
-    # retired converter built under mp.workdps, one mp.nstr per number
+    # retired converter built, one mp.nstr of the working value per number
     assert cli._indented_json(value, digits) == json.dumps(json_terms(value, digits), indent=2)
 
 
@@ -1296,6 +1346,47 @@ def test_flat_is_precision_independent():
         records.append([{k: r[k] for k in exact_keys} for r in laid["results"]["flat_connections"]])
     assert records[0] == records[1]
     assert len(records[0]) == 24
+
+
+def test_torsion_prints_the_value_rounded_once():
+    # each torsion_sqrt that flat prints at D digits is the value recomputed
+    # at D + 40 digits, rounded once to D: 1730 values, of which rounding first
+    # to the bits of D digits and then to D decimals misprints 19
+    printed, wanted = [], []
+    for ps in [(7, 11, 13), (5, 7, 9), (11, 13, 17), (3, 5, 8), (2, 3, 101)]:
+        for digits in (15, 20, 30, 50, 100):
+            argv = ["flat", "--p", ",".join(map(str, ps)), "--precision", str(digits)]
+            records = execute_json(argv)[2]["results"]["flat_connections"]
+            printed += [record["torsion_sqrt"] for record in records]
+            reference = flat_connections(BrieskornTriple(*ps), PrecisionContext(digits + 40))
+            wanted += [to_str(record.torsion_sqrt._mpf_, digits) for record in reference]
+    assert len(printed) == len(wanted) == 1730
+    misprinted = [(got, want) for got, want in zip(printed, wanted) if got != want]
+    assert not misprinted, misprinted
+
+
+def test_complex_values_print_the_value_rounded_once():
+    # a stated sample: invariant's tau, normalized and z_witten and asymptotic's
+    # dominant, tail and exact at N = 5 and 12 (K = 3), each component as the
+    # value recomputed at D + 40 digits rounded once to D
+    misprinted = []
+    for ps in [(2, 3, 5), (2, 3, 7), (7, 11, 13)]:
+        p, text = BrieskornTriple(*ps), ",".join(map(str, ps))
+        for digits, n in product((15, 30, 50), (5, 12)):
+            ctx = PrecisionContext(digits + 40)
+            approx = asymptotic_approx(p, n, 3, ctx)
+            for verb, flags, fields, reference in (
+                ("invariant", [], "tau normalized z_witten", tau_n(p, n, ctx)),
+                ("asymptotic", ["--K", "3"], "dominant tail exact", approx),
+            ):
+                argv = [verb, "--p", text, "--N", str(n), *flags, "--precision", str(digits)]
+                results = execute_json(argv)[2]["results"]
+                for field in fields.split():
+                    z = getattr(reference, field)
+                    want = {"re": to_str(z.real._mpf_, digits), "im": to_str(z.imag._mpf_, digits)}
+                    if results[field] != want:
+                        misprinted.append((argv, field, results[field], want))
+    assert not misprinted, misprinted
 
 
 def test_gamma_spectral_flow_and_phi_move_with_the_dedekind_numerator(monkeypatch):

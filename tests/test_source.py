@@ -285,7 +285,16 @@ def test_cli_encodes_rationals_and_complex_values_in_one_place():
         return found
 
     assert callers("to_str") == {"_real", "_complex"}
-    assert callers("mpf_pos") == {"_real"}
+    # one rounding per printed decimal: to_str of the working value, with no
+    # rounding to the bits of the digit count before it
+    libmp_names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "mpmath.libmp"
+        for alias in node.names
+    ]
+    assert libmp_names == ["to_str"], libmp_names
+    assert not callers("mpf_pos") | callers("dps_to_prec")
     assert callers("_complex") == {"_indented_json"}
     assert callers("_real") == {"_indented_json", "_flat_record"}
     assert callers("_rational") == {"_indented_json", "_ell_and_cs", "_flat_record"}
