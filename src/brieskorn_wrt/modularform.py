@@ -205,9 +205,9 @@ def theta_eval(
         return ensure_finite(+total)
 
 
-def _limit_weights(p: BrieskornTriple, ell: EllTriple, t: int, m: int, n: int) -> list:
-    # V[e] = sum of chi(j) (P n - j) over the support j in [0, P n) whose
-    # phase is exp(pi i m t / 2Pn) exp(2 pi i e / n), t = j^2 mod 4P
+def _limit_weights(p: BrieskornTriple, ell: EllTriple, t: int, m: int, n: int, shift: int) -> list:
+    # V[e] sums chi(j) (P n - j) over the support j in [0, P n) whose phase is
+    # exp(pi i m t / 2Pn) exp(2 pi i e / n), t = j^2 mod 4P, and lands at index e + shift mod n
     big_p, pn = p.P, p.P * n
     weights = [0] * n
     for r, sign in build_chi(p, ell).signed_support:
@@ -218,7 +218,7 @@ def _limit_weights(p: BrieskornTriple, ell: EllTriple, t: int, m: int, n: int) -
                 f" mod 4P, not the T numerator {t}"
             )
         # e_k = m (offset + r k + P k^2) mod n for j = r + 2Pk, stepped by its differences
-        e = m * offset % n
+        e = (m * offset + shift) % n
         de = m * (r + big_p) % n
         dde = 2 * m * big_p % n
         for w in range(sign * (pn - r), 0, -2 * big_p * sign):  # w = chi(j) (P n - j)
@@ -269,7 +269,7 @@ def eichler_limit(
     if math.gcd(m, n) != 1:
         raise ValueError("m and n must be coprime")
     t = t_numerator(p, ell)
-    weights = _limit_weights(p, ell, t, m, n)
+    weights = _limit_weights(p, ell, t, m, n, 0)
     pn = p.P * n
     with ctx.workdps():
         bits = mp.prec + (sum(map(abs, weights)) + 1).bit_length() + 3

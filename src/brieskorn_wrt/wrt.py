@@ -5,26 +5,25 @@ normalized tau_N equals half the Eichler-integral limit of the (1, 1, 1) false
 theta series at 1/N, plus e^{pi i/60N} for the Poincare sphere.  That limit is
 one T-phase times one exact integer weight vector over the N-th roots of unity
 (``modularform._limit_weights``), so tau_N itself is an exact element of
-Z[zeta_N]: ``tau_coordinates`` turns the weights into the integers c_k with
-tau_N = sum_k c_k zeta_N^k by one shift, one exact division by 2PN and one
-prefix sum, each step's integrality checked.  ``tau_n`` evaluates the output of
-``tau_coordinates`` and its two normalizations in fixed point, every root a power
-of one exponential e^{pi i/2PN} (``exactmath.root_power_sum``), and bounds the
-result by the coordinates it sums.  The Eichler limit (same weights and
+Z[zeta_N]: ``tau_coordinates`` turns the weights, laid out shifted, into the
+integers c_k with tau_N = sum_k c_k zeta_N^k by one exact division by 2PN and
+one prefix sum, each step's integrality checked.  ``tau_n`` evaluates the output
+of ``tau_coordinates`` and its two normalizations in fixed point, every root a
+power of one exponential e^{pi i/2PN} (``exactmath.root_power_sum``), and bounds
+the result by the coordinates it sums.  The Eichler limit (same weights and
 kernel) and ``rozansky_normalized``, the closed cyclotomic surgery sum, which
-shares neither, are the routes that ``theorem51`` and the tests compare
-against.  The surgery summand is even under n -> 2PN - n, so it runs over
-0 < n < PN (PN - P terms, multiples of N excluded by index arithmetic) and
-reads every sine and phase off one table of 4PN-th roots of unity.  The
-asymptotics normalize the (1, 1, 1) nearly modular expansion as Theorem 5.1
-does.  ``WrtResult.error_budget`` is still term_count * ulp.
+shares neither, are the routes that ``theorem51`` and the tests compare against.
+The surgery summand is even under n -> 2PN - n, so it runs over 0 < n < PN
+(PN - P terms, multiples of N excluded by index arithmetic) and reads every sine
+and phase off one table of 4PN-th roots of unity.  The asymptotics normalize the
+(1, 1, 1) nearly modular expansion as Theorem 5.1 does.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from mpmath import mp
@@ -120,10 +119,11 @@ def tau_coordinates(p: BrieskornTriple, n_level: int) -> list:
 
         tau_N = f(zeta) / (zeta - 1),   f(x) = x^s V(x) / 2PN mod x^N - 1,
 
-    and on Sigma(2,3,5), where 1 - (P - 1 + T) = -4P, the Poincare term adds
-    zeta^-1 / (zeta - 1), that is x^{N-1} to f.  If f(1) = 0, then
-    g = -(prefix sums of f) solves (x - 1) g = f mod x^N - 1 with g_{N-1} = -f(1)
-    = 0, so tau_N = g(zeta) and c_k = g_k.  The x^{N-1} term moves only g_{N-1}.
+    which ``_limit_weights`` builds by placing each weight V[e] at e + s.  On
+    Sigma(2,3,5), where 1 - (P - 1 + T) = -4P, the Poincare term adds zeta^-1 /
+    (zeta - 1), that is x^{N-1} to f.  If f(1) = 0, then g = -(prefix sums of f)
+    solves (x - 1) g = f mod x^N - 1 with g_{N-1} = -f(1) = 0, so tau_N = g(zeta)
+    and c_k = g_k.  The x^{N-1} term moves only g_{N-1}.
 
     Integrality.  f(1) = 0 is proved.  chi is odd of period 2P, so V(1), the sum
     over the support j < PN of chi(j) (PN - j), is -(N/2) sum_r chi(r) r over its
@@ -141,12 +141,10 @@ def tau_coordinates(p: BrieskornTriple, n_level: int) -> list:
     shift, rest = divmod(t - p.P + 1 - dedekind_triple_numerator(p), 4 * p.P)
     if rest:
         raise ArithmeticError(f"4P does not divide t - P + 1 - T on p={p.p}")
-    weights = _limit_weights(p, EllTriple(1, 1, 1), t, 1, n_level)
+    weights = _limit_weights(p, EllTriple(1, 1, 1), t, 1, n_level, shift)  # x^s V(x)
     if any(map(operator.mod, weights, repeat(two_pn))):
         raise ArithmeticError(f"2PN does not divide the limit weights of p={p.p}, N={n_level}")
-    cut = n_level - shift % n_level  # x^s V(x): f[k] = V[k - s mod N]
-    shifted = chain(islice(weights, cut, None), islice(weights, cut))
-    quotients = map(operator.floordiv, shifted, repeat(two_pn))
+    quotients = map(operator.floordiv, weights, repeat(two_pn))
     coordinates = list(map(operator.neg, accumulate(quotients)))
     if coordinates.pop() != (1 if p.is_poincare else 0):  # g_{N-1} + 1 on Sigma(2,3,5)
         raise ArithmeticError(f"f(1) is not 0 on p={p.p}, N={n_level}")
@@ -174,27 +172,28 @@ def tau_n(
     2^-b, and sqrt(2/N) within 2^-b too.  The three values are exact integer
     products of at most three of them, within 5 (C + 1) 2^-b < eps, each rounded
     once to mp.prec bits, so each is within (1 + |value|) eps of its exact value.
-    ``term_count`` is the 4N terms of the Eichler limit, the Poincare term not
-    counted, and ``error_budget`` is term_count * 4 eps.
+    As |normalized| = 2 sin(pi/N) |tau_N| <= 2C and |z_witten| = sin(pi/N) sqrt(2/N)
+    |tau_N| <= C, ``error_budget`` = (1 + 2C) eps bounds all three errors.
+    ``term_count`` is the 4N terms of the Eichler limit, the Poincare term not counted.
     """
     if n_level < 3:
         raise ValueError("level must be at least 3")
     coordinates = tau_coordinates(p, n_level)
     order = 4 * p.P * n_level
     with ctx.workdps():
-        bits = mp.prec + (sum(map(abs, coordinates)) + 1).bit_length() + 3
+        total = sum(map(abs, coordinates))  # C
+        bits = mp.prec + (total + 1).bit_length() + 3
         roots = (2 * p.P, 3 * p.P - 1 + dedekind_triple_numerator(p))  # e^{pi i/N}, the phase
         (x, y), (_, sine), (wx, wy) = root_power_sum(coordinates, order, 4 * p.P, roots, bits)
         root = math.isqrt((2 << 2 * bits) // n_level)  # sqrt(2/N) over 2^bits
         a, b = x * wx - y * wy, x * wy + y * wx  # tau_N e^{pi i (3P - 1 + T)/2PN}
-        term_count = 4 * n_level
         return WrtResult(
             level=n_level,
             normalized=mp.mpc((-2 * sine * b, -3 * bits), (2 * sine * a, -3 * bits)),
             tau=mp.mpc((x, -bits), (y, -bits)),
             z_witten=mp.mpc((x * sine * root, -3 * bits), (y * sine * root, -3 * bits)),
-            term_count=term_count,
-            error_budget=mp.mpf(term_count) * mp.mpf(2) ** (-mp.prec + 2),
+            term_count=4 * n_level,
+            error_budget=mp.mpf((2 * total + 1, -mp.prec)),
         )
 
 

@@ -1032,13 +1032,13 @@ def test_deterministic_output_modulo_wall_time():
 # digit, field or layout fails here
 GOLDEN_STDOUT = {
     ("invariant", "--p", "2,3,7", "--N", "100", "--precision", "50"): (
-        "140cdfb6c57de70e081a5f0373430aadfd163292db259b837d40a50efbd19fda"
+        "f1fb92d13bcfad4626edc95b48b077155e2baf6b77192a8923b2070d9e61674b"
     ),
     ("invariant", "--p", "2,3,7", "--N", "100", "--precision", "100"): (
-        "f509ad9c51d642b4b1c212bb20fc7abc70f8d0470f7a883f242be99584cd3a21"
+        "6fd1965a40c6f3a41fbc5c58a043de0725826c4ad364ddc62035a32101c01323"
     ),
     ("invariant", "--p", "2,3,5", "--N", "100", "--precision", "30"): (
-        "5eb863d302e8454182bee4de12fd72ff5d8bfa1543b9a6911d740ae14e13e466"
+        "95b572ff54c61b36e6feb873b8c1ce95317b76f9149ab9d69581405c79f321e1"
     ),
     ("asymptotic", "--p", "7,11,13", "--N", "200", "--K", "3"): (
         "752a0048ad46e0ac4ab903dc7f9fd024ebdd08382fd98a337971f9a22dd97e1c"
@@ -1068,7 +1068,7 @@ GOLDEN_STDOUT = {
         "96c1294ad655bee248b667492e4b3e3e8b32a5d2a13e811ba3fc7f7d54278137"
     ),
     ("invariant", "--p", "2,3,7", "--N", "100", "--format", "text"): (
-        "b1dfb9a1d9a38f32d2bccac950f40e9fb2d2a1c7ba5152c014eeef769ede2760"
+        "1480582e2a4212da95f95c4e5badc435a09916441963b59e74073b21011de44e"
     ),
     ("cs", "--p", "7,11,13"): (
         "42757d64e53f89fbb04a1570b0c73042b2de584115e7db936328b6fffd8ab1bf"

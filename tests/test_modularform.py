@@ -129,7 +129,8 @@ def test_s_value_matches_reference_sign_and_sines():
     # every pair of canonical triples on every sphere with D <= 60 (P <= 32 D
     # bounds the search): the sign form that S entries and the dominant sum
     # share, against the parity written out with its cross terms, times
-    # sin(pi x / p_j^2) for x = P l_j l'_j mod 2 p_j^2, not the tables' index
+    # sin(pi x / p_j^2) for x = P l_j l'_j mod 2 p_j^2, not the tables' index;
+    # each row is read once (the per-entry oracle test pins s_value to it)
     ctx = PrecisionContext(20)
     spheres = [BrieskornTriple(*ps) for ps in coprime_triples(32 * 60)]
     spheres = [p for p in spheres if p.D <= 60]
@@ -141,16 +142,18 @@ def test_s_value_matches_reference_sign_and_sines():
             md = modular_data(p, ctx)
             scale = mp.sqrt(mp.mpf(32) / p.P)
             sines = {}
-            triples = enumerate_triples(p)
+            triples = tuple(enumerate_triples(p))
             for ell in triples:
-                for ellp in triples:
+                row = md.s_row(ell)  # entry j is S[ell][triples[j]]
+                assert len(row) == len(triples)
+                for ellp, value in zip(triples, row):
                     want = -scale if s_parity_reference(p, ell.ell, ellp.ell) else scale
                     for a, b, pk in zip(ell.ell, ellp.ell, p.p):
                         key = (pk, p.P * a * b % (2 * pk * pk))
                         if key not in sines:
                             sines[key] = mp.sinpi(mp.mpf(key[1]) / (pk * pk))
                         want *= sines[key]
-                    assert abs(md.s_value(ell, ellp) - want) < tol, (p.p, ell.ell, ellp.ell)
+                    assert abs(value - want) < tol, (p.p, ell.ell, ellp.ell)
                     pairs += 1
     assert pairs == sum(p.D**2 for p in spheres)
 

@@ -23,11 +23,13 @@ from brieskorn_wrt import (
     tau_coordinates,
     tau_n,
 )
-from brieskorn_wrt.chi import dedekind_triple_numerator, t_numerator
+from brieskorn_wrt.chi import dedekind_triple_numerator, enumerate_triples, t_numerator
+from brieskorn_wrt.cli import parse
 from brieskorn_wrt.exactmath import PrecisionContext, to_mpf
 from brieskorn_wrt.modularform import _limit_weights
 from conftest import coprime_triples
 from oracles import chi_value, eichler_tail_term, gauss_sum, tau_prefactor
+from test_cli import GOLDEN_STDOUT
 from test_modularform import _count_exponentials
 
 P235 = BrieskornTriple(2, 3, 5)
@@ -296,12 +298,34 @@ def test_limit_weights_are_multiples_of_2pn():
         p = BrieskornTriple(*ps)
         t = t_numerator(p, EllTriple(1, 1, 1))
         for n in (*range(1, 10), 11, 12, 30, 64, 97, 210):
-            weights = _limit_weights(p, EllTriple(1, 1, 1), t, 1, n)
+            weights = _limit_weights(p, EllTriple(1, 1, 1), t, 1, n, 0)
             two_pn = 2 * p.P * n
             assert all(w % two_pn == 0 for w in weights), (ps, n)
             assert sum(weights) == (-two_pn if p.is_poincare else 0), (ps, n)
             cases += 1
     assert cases == 5910
+
+
+def test_limit_weights_place_each_weight_at_its_shifted_index():
+    # _limit_weights(..., s) lays out x^s V(x) mod x^n - 1: V[e] lands at e + s mod n;
+    # the levels include divisors of P (n = 30 on Sigma(2,3,5)), the shifts tau_coordinates' own
+    cases = 0
+    for ps in (*LEVEL_MANIFOLDS, (5, 7, 9)):
+        p = BrieskornTriple(*ps)
+        one = EllTriple(1, 1, 1)
+        own = (t_numerator(p, one) - p.P + 1 - dedekind_triple_numerator(p)) // (4 * p.P)
+        for ell in (one, tuple(enumerate_triples(p))[-1]):
+            t = t_numerator(p, ell)
+            for n in (*range(1, 13), 30, 97):
+                for m in (1, -1, 2):
+                    if math.gcd(m, n) != 1:
+                        continue
+                    plain = _limit_weights(p, ell, t, m, n, 0)
+                    for s in (0, 1, n - 1, -1, own):
+                        laid = _limit_weights(p, ell, t, m, n, s)
+                        assert laid == [plain[(k - s) % n] for k in range(n)], (ps, ell, m, n, s)
+                        cases += 1
+    assert cases == 2450
 
 
 @pytest.mark.parametrize("ps", LEVEL_MANIFOLDS)
@@ -336,8 +360,8 @@ def test_tau_coordinates_raise_on_each_broken_invariant(monkeypatch):
             tau_coordinates(P237, 11)
 
     def shifted(amount):
-        def weights(p, ell, t, m, n):
-            values = _limit_weights(p, ell, t, m, n)
+        def weights(p, ell, t, m, n, shift):
+            values = _limit_weights(p, ell, t, m, n, shift)
             values[1] += amount(p, n)
             return values
 
@@ -406,6 +430,33 @@ def test_tau_n_within_stated_bound(ps, digits):
             for name, exact in reference.items():
                 error = abs(getattr(result, name) - exact)
                 assert error <= (1 + abs(exact)) * u * (1 + mp.mpf(2) ** -20), (ps, n_level, name)
+
+
+BUDGET_CASES = (
+    ((2, 3, 5), 10**4, 30),
+    ((2, 3, 7), 10**5, 30),
+    *(
+        (cmd.p, cmd.n_level, cmd.precision)
+        for cmd in map(parse, map(list, GOLDEN_STDOUT))
+        if cmd.verb == "invariant"
+    ),
+    *((ps, n_level, 30) for ps in LEVEL_MANIFOLDS for n_level in (3, 5, 12)),
+)
+
+
+@pytest.mark.parametrize("ps, n_level, digits", BUDGET_CASES)
+def test_error_budget_is_the_bound_tau_n_proves(ps, n_level, digits):
+    # error_budget = (1 + 2C) 2^-prec, C = sum_k |c_k|, is at least the per-value
+    # bound (1 + |value|) 2^-prec of normalized, tau and z_witten; a budget counted
+    # from the 4N terms undercuts it on (2,3,5) at N = 10^4 and (2,3,7) at N = 10^5
+    p = BrieskornTriple(*ps)
+    ctx = PrecisionContext(digits)
+    result = tau_n(p, n_level, ctx)
+    total = sum(map(abs, tau_coordinates(p, n_level)))
+    with ctx.workdps():
+        assert result.error_budget == mp.ldexp(mp.mpf(2 * total + 1), -mp.prec)
+        largest = max(abs(result.normalized), abs(result.tau), abs(result.z_witten))
+        assert result.error_budget >= mp.ldexp(1 + largest, -mp.prec)
 
 
 # ------------------------------------------------------------------ asymptotics
