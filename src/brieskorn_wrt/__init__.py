@@ -24,7 +24,7 @@ from .chi import (
     mordell_count,
     orbit,
 )
-from .exactmath import DEFAULT_CONTEXT, PrecisionContext, Rational
+from .exactmath import DEFAULT_CONTEXT, PrecisionContext
 from .modularform import (
     ExpansionParts,
     ModularData,
@@ -32,7 +32,6 @@ from .modularform import (
     eichler_tail,
     modular_data,
     nearly_modular_expansion,
-    t_exponent,
     theta_eval,
 )
 from .ohtsuki import (
@@ -69,7 +68,6 @@ __all__ = [
     "OhtsukiSeries",
     "PeriodicChi",
     "PrecisionContext",
-    "Rational",
     "WrtResult",
     "admissible_count",
     "admissible_triples",
@@ -91,7 +89,6 @@ __all__ = [
     "orbit",
     "phi_invariant",
     "rozansky_normalized",
-    "t_exponent",
     "table1_path",
     "tau_coordinates",
     "tau_n",

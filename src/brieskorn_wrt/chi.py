@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import chain, product, repeat
 from typing import NamedTuple
 
-from .exactmath import Rational, _scaled_dedekind_sum, even_bernoulli_numbers
+from .exactmath import _scaled_dedekind_sum, even_bernoulli_numbers
 
 COPRIMALITY_ERROR = "p must be pairwise coprime"
 
@@ -91,10 +91,6 @@ class EllTriple(NamedTuple):
     l1: int
     l2: int
     l3: int
-
-    @property
-    def ell(self) -> tuple:
-        return tuple(self)
 
 
 def _check_range(p: BrieskornTriple, ell: EllTriple) -> None:
@@ -260,7 +256,7 @@ def dedekind_triple_numerator(p: BrieskornTriple) -> int:
     return sum(c * _scaled_dedekind_sum(c % pk, pk) for c, pk in zip(p.cofactors, p.p))
 
 
-def gamma_closed_form(p: BrieskornTriple) -> Rational:
+def gamma_closed_form(p: BrieskornTriple) -> Fraction:
     """Dedekind-sum expression for the count of non-vanishing limits.
 
     gamma = sum_k s(c_k, p_k) + (P/12)(1 - sum_k 1/p_k^2) - 1/(12P) + 1/4, which

@@ -28,9 +28,16 @@ from mpmath import mp
 from mpmath.libmp import to_str
 
 from . import __version__
-from .chi import BrieskornTriple, EllTriple, admissible_count, admissible_triples, mordell_count
-from .exactmath import PrecisionContext, to_mpf
-from .modularform import modular_data, t_exponent, theta_eval
+from .chi import (
+    BrieskornTriple,
+    EllTriple,
+    admissible_count,
+    admissible_triples,
+    mordell_count,
+    t_numerator,
+)
+from .exactmath import PrecisionContext
+from .modularform import modular_data, theta_eval
 from .ohtsuki import lambda_coefficients, load_table1, table1_path
 from .topology import casson, chern_simons, flat_connections, verify_s_torsion
 from .wrt import asymptotic_approx, rozansky_normalized, tau_n
@@ -323,7 +330,7 @@ def _suite_modular(cmd: Command, ctx: PrecisionContext, results: dict):
                 lhs = theta_eval(p, ell, tau, ctx)
                 rhs = front * sum(s * v for s, v in zip(row, values))
                 t_lhs = theta_eval(p, ell, tau + 1, ctx)
-                t_rhs = mp.expjpi(to_mpf(t_exponent(p, ell))) * lhs
+                t_rhs = mp.expjpi(mp.mpf(t_numerator(p, ell)) / (2 * p.P)) * lhs
                 for name, res in (("S", abs(lhs - rhs)), ("T", abs(t_lhs - t_rhs))):
                     failure = dict(p=ps, transform=name, tau=tau_text, residual=_Fixed(res, 5))
                     yield failure, res <= ctx.tolerance

@@ -16,14 +16,11 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import NamedTuple
 
 from mpmath import mp
 from mpmath.libmp import from_int, mpf_cos_sin_pi, mpf_div, mpf_shift, round_nearest, to_int
-
-# Exact quantities live in stdlib fractions; the alias documents intent.
-Rational = Fraction
 
 # Working precision = requested digits + guard digits.  The guard absorbs
 # rounding noise from long summations (~1e4-1e5 terms lose < 6 digits).
@@ -72,13 +69,6 @@ class PrecisionContext(_PrecisionFields):
 
 
 DEFAULT_CONTEXT = PrecisionContext()
-
-
-def to_mpf(x):
-    """Convert int/Fraction/float to mpf at current working precision."""
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
 
 
 def rounded_ratio(numerator: int, denominator: int, exponent: int = 0):
@@ -232,25 +222,13 @@ def _tangent_numbers(count: int) -> list:
     for k in range(2, count + 1):
         for j in range(k, count + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
-
-
-@lru_cache(maxsize=8)
-def _even_bernoulli_table(size: int) -> tuple:
-    # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), k = 1..size: one Fraction each
-    return tuple(
-        Fraction((-1) ** (k - 1) * 2 * k * t, 4**k * (4**k - 1))
-        for k, t in enumerate(_tangent_numbers(size), 1)
-    )
+    return t[1 : count + 1]
 
 
 def even_bernoulli_numbers(count: int) -> tuple:
-    """(B_2, B_4, ..., B_2count), exact.
-
-    Read off one table of tangent numbers whose size is the least power of two
-    (at least 16) not below ``count``, so the bounded cache holds a few tables.
-    """
-    size = 16
-    while size < count:
-        size *= 2
-    return _even_bernoulli_table(size)[:count]
+    """(B_2, B_4, ..., B_2count), exact, from ``count`` tangent numbers:
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), one Fraction each."""
+    return tuple(
+        Fraction((-1) ** (k - 1) * 2 * k * t, 4**k * (4**k - 1))
+        for k, t in enumerate(_tangent_numbers(count), 1)
+    )

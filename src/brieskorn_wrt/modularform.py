@@ -60,11 +60,6 @@ from .exactmath import (
 )
 
 
-def t_exponent(p: BrieskornTriple, ell: EllTriple) -> Fraction:
-    """Exponent r with diagonal T-entry exp(pi i r): (P/2)(1 + sum l/p)^2 mod 2 = A^2/2P mod 2."""
-    return Fraction(t_numerator(p, ell), 2 * p.P)
-
-
 def _s_sign(p: BrieskornTriple, l: tuple) -> tuple:
     """Bits (constant, weights): S[l][l'] is its sines times (-1)^(constant + w.l'),
     w.l' = sum_k weights_k l'_k, from the exponent 1 + P + sum_k (l_k + l'_k) c_k
@@ -87,7 +82,7 @@ class ModularData(NamedTuple):
     working precision of prec bits, where entries are multiplied out: the
     exact product of three row entries, each within 2 units of 2^-bits, is
     within 0.2 units of 2^-prec, rounded once and multiplied by ``scale``, so
-    an entry is within 4 scale 2^-prec of S.  T is not stored (``t_exponent``).
+    an entry is within 4 scale 2^-prec of S.  T is not stored (``chi.t_numerator``).
     ``runs`` are the admissible runs (l1, l2, first, last) of
     ``chi.admissible_triples`` and ``spans`` the least and greatest l'_k they
     reach, (lo, hi) per fibre, which the dominant sum reads.  ``triples`` are
@@ -157,7 +152,8 @@ THETA_MAX_TERMS = 10**6
 
 
 def _theta_cutoff(p: BrieskornTriple, im_tau: float, tol_log10: float) -> int:
-    # least n with exp(-pi*im_tau*n^2/(2P)) * n < tol / (4P), in the monotone range
+    # the first n = n0 2^j (j >= 0) with exp(-pi*im_tau*n^2/(2P)) * n < tol / (4P),
+    # n0 just past the peak of n exp(...): below twice the least such n, not that n
     target = tol_log10 - math.log10(4 * p.P)
     decay = math.pi * im_tau / (2 * p.P) * math.log10(math.e)
 

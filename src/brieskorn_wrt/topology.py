@@ -30,7 +30,7 @@ from .chi import (
     gamma_closed_form,
     t_numerator,
 )
-from .exactmath import DEFAULT_CONTEXT, PrecisionContext, Rational, ensure_finite, root_table
+from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, root_table
 from .modularform import modular_data
 
 
@@ -38,18 +38,18 @@ class FlatConnectionRecord(NamedTuple):
     """Stationary-phase data of one irreducible flat connection."""
 
     triple: EllTriple
-    cs: Rational
+    cs: Fraction
     torsion_sqrt: object
     spectral_flow: int
     conjugacy_angles: tuple
 
 
-def phi_invariant(p: BrieskornTriple) -> Rational:
+def phi_invariant(p: BrieskornTriple) -> Fraction:
     """Framing correction 3 - 1/P + 12 sum_k s(c_k, p_k) = (3P - 1 + T)/P."""
     return Fraction(3 * p.P - 1 + dedekind_triple_numerator(p), p.P)
 
 
-def casson(p: BrieskornTriple) -> Rational:
+def casson(p: BrieskornTriple) -> Fraction:
     """Casson invariant, exact; equals minus half the admissible-triple count.
 
     The Dedekind-sum formula for the Casson invariant is -1/2 times the
@@ -58,12 +58,12 @@ def casson(p: BrieskornTriple) -> Rational:
     return -gamma_closed_form(p) / 2
 
 
-def _cs_window(t: int, four_p: int) -> Rational:
+def _cs_window(t: int, four_p: int) -> Fraction:
     """-t/4P mod 1, reported in (-1/2, 1/2]."""
     return Fraction(-t if 2 * t < four_p else four_p - t, four_p)
 
 
-def chern_simons(p: BrieskornTriple, ell: EllTriple) -> Rational:
+def chern_simons(p: BrieskornTriple, ell: EllTriple) -> Fraction:
     """CS value -(P/4)(1 + sum l_j/p_j)^2 mod 1, reported in (-1/2, 1/2].
 
     With A = P + sum l_j c_j that is -(A^2 mod 4P) / 4P mod 1, read off ``t_numerator``.

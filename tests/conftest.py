@@ -5,8 +5,7 @@ from mpmath import mp
 
 from brieskorn_wrt import BrieskornTriple, PrecisionContext, chi, modularform
 from brieskorn_wrt.cli import coprime_triples as cli_coprime_triples
-from brieskorn_wrt.exactmath import to_mpf
-from oracles import phi_hat
+from oracles import phi_hat, to_mpf
 
 
 @pytest.fixture(scope="session")

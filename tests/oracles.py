@@ -83,8 +83,15 @@ from brieskorn_wrt import (
 )
 from brieskorn_wrt import cli
 from brieskorn_wrt.chi import dedekind_triple_numerator
-from brieskorn_wrt.exactmath import _scaled_dedekind_sum, ensure_finite, to_mpf
+from brieskorn_wrt.exactmath import _scaled_dedekind_sum, ensure_finite
 from brieskorn_wrt.ohtsuki import table1_path
+
+
+def to_mpf(x):
+    """int, float or Fraction as an mpf at the working precision, rounded once."""
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpf(x)
 
 
 @dataclass(frozen=True)
@@ -612,7 +619,7 @@ def chern_simons_fraction(p: BrieskornTriple, ell: EllTriple) -> Fraction:
 
 def t_exponent_fraction(p: BrieskornTriple, ell: EllTriple) -> Fraction:
     """T-exponent (P/2)(1 + sum l/p)^2 mod 2, summed in ``Fraction``s."""
-    s = 1 + sum(Fraction(l, pk) for l, pk in zip(ell.ell, p.p))
+    s = 1 + sum(Fraction(l, pk) for l, pk in zip(ell, p.p))
     return (Fraction(p.P, 2) * s * s) % 2
 
 

@@ -201,12 +201,12 @@ def test_canonicalize_idempotent_345():
 
 
 def test_enumerate_triples_examples():
-    assert [t.ell for t in enumerate_triples(BrieskornTriple(2, 3, 7))] == [
+    assert list(enumerate_triples(BrieskornTriple(2, 3, 7))) == [
         (1, 1, 1),
         (1, 1, 2),
         (1, 1, 3),
     ]
-    assert [t.ell for t in enumerate_triples(BrieskornTriple(3, 4, 5))] == [
+    assert list(enumerate_triples(BrieskornTriple(3, 4, 5))) == [
         (1, 1, 1),
         (1, 1, 2),
         (1, 1, 3),
@@ -221,7 +221,7 @@ def test_enumerate_triples_equals_full_lattice_canonicalization():
     even_positions = set()
     for ps in coprime_triples(3000):
         p = BrieskornTriple(*ps)
-        assert [t.ell for t in enumerate_triples(p)] == orbit_minima(ps)
+        assert list(enumerate_triples(p)) == orbit_minima(ps)
         even_positions.update(i for i, pk in enumerate(ps) if pk % 2 == 0)
     # the tie rules differ with the position of the single even p_i
     assert even_positions == {0, 1, 2}
@@ -271,7 +271,7 @@ def test_weighted_sum_dichotomy_matches_condition(ps, data):
 def test_admissible_examples():
     triples, gamma = admissible_triples(BrieskornTriple(2, 3, 7))
     assert gamma == 2
-    assert [t.ell for t in triples] == [(1, 1, 2), (1, 1, 3)]
+    assert list(triples) == [(1, 1, 2), (1, 1, 3)]
     assert admissible_triples(BrieskornTriple(3, 4, 5))[1] == 4
     triples5, gamma5 = admissible_triples(BrieskornTriple(2, 3, 5))
     assert gamma5 == 2 and len(triples5) == 2
@@ -279,7 +279,7 @@ def test_admissible_examples():
 
 def _ell_condition_fractions(p, ell):
     """Oracle: the open-tetrahedron inequalities in exact fractions l_k/p_k."""
-    f = [Fraction(l, pk) for l, pk in zip(ell.ell, p.p)]
+    f = [Fraction(l, pk) for l, pk in zip(ell, p.p)]
     s = f[0] + f[1] + f[2]
     if not 1 < s < 3:
         return False
@@ -345,12 +345,12 @@ def test_ell_triple_is_the_plain_tuple_with_names():
     assert repr(ell) == "EllTriple(l1=1, l2=2, l3=3)"
     with pytest.raises(AttributeError):
         ell.l1 = 5
-    assert type(ell.ell) is tuple and ell.ell == (1, 2, 3)
+    assert tuple(ell) == (1, 2, 3) and not hasattr(ell, "ell")
     for ps in [(2, 3, 7), (3, 4, 5), (4, 5, 7), (7, 11, 13)]:
         p = BrieskornTriple(*ps)
         for t in (*admissible_triples(p)[0], *enumerate_triples(p)):
             assert type(t) is EllTriple
-            assert (t.l1, t.l2, t.l3) == t.ell
+            assert (t.l1, t.l2, t.l3) == tuple(t)
 
 
 def _check_view_against_the_listed_tuple(p):

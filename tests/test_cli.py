@@ -449,8 +449,8 @@ def test_cs_spectrum_json():
 def test_cs_reads_chern_simons_without_flat_connection_records(monkeypatch):
     # cs prints CS values only: no torsion amplitude or spectral flow is built
     records = flat_connections(BrieskornTriple(7, 11, 13))
-    expected = [{"ell": list(r.triple.ell), "cs": rational_json(r.cs)} for r in records]
-    rows = [",".join(map(str, (*r.triple.ell, r.cs.numerator, r.cs.denominator))) for r in records]
+    expected = [{"ell": list(r.triple), "cs": rational_json(r.cs)} for r in records]
+    rows = [",".join(map(str, (*r.triple, r.cs.numerator, r.cs.denominator))) for r in records]
 
     def never(*args):
         raise AssertionError("cs must not build flat-connection records")
@@ -597,7 +597,7 @@ def test_encodings_pin_digit_counts_and_failure_field_types(monkeypatch, tmp_pat
     tiny = mp.mpf(10) ** -20 / 7  # a residual with no trailing zeros
     for name, fault in (
         ("rozansky_normalized", lambda real: lambda p, n, ctx: real(p, n, ctx) + tiny),
-        ("t_exponent", lambda real: lambda p, ell: real(p, ell) + Fraction(1, 7)),
+        ("t_numerator", lambda real: lambda p, ell: real(p, ell) + mp.mpf(2 * p.P) / 7),
         ("verify_s_torsion", lambda real: lambda p, ctx: real(p, ctx) + tiny),
         ("mordell_count", lambda real: lambda p: real(p) + 1),
     ):
@@ -652,7 +652,7 @@ def test_suites_and_cs_move_with_the_t_numerator(monkeypatch):
     real = chi.t_numerator
     p, ell = BrieskornTriple(2, 3, 7), EllTriple(1, 1, 3)
     before = chern_simons(p, ell)
-    for module in (chi, modularform, topology):
+    for module in (chi, modularform, topology, cli):
         monkeypatch.setattr(module, "t_numerator", lambda p, ell: (real(p, ell) + 2) % (4 * p.P))
     assert _suite_failures("modular")
     assert chern_simons(p, ell) != before
@@ -1117,8 +1117,8 @@ def test_stdout_matches_golden_digest(argv, capsys):
 def test_failing_verify_text_matches_golden_digest(monkeypatch, capsys):
     # a failing report prints its fixed-digit fields (the modular tau at 10
     # digits, each residual at 5) after the results, before metadata
-    real = cli.t_exponent
-    monkeypatch.setattr(cli, "t_exponent", lambda p, ell: real(p, ell) + Fraction(1, 7))
+    real = cli.t_numerator
+    monkeypatch.setattr(cli, "t_numerator", lambda p, ell: real(p, ell) + mp.mpf(2 * p.P) / 7)
     assert main(["verify", "--suite", "modular", "--format", "text"]) == EXIT_FAIL
     out = re.sub(r".*wall_time_seconds.*\n", "", capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == (

@@ -20,7 +20,6 @@ from brieskorn_wrt import (
     rozansky_normalized,
 )
 from brieskorn_wrt.exactmath import (
-    _even_bernoulli_table,
     even_bernoulli_numbers,
     root_power_sum,
     root_table,
@@ -559,10 +558,17 @@ def test_bernoulli_numbers_match_the_recurrence_to_300():
     assert even_bernoulli_numbers(0) == ()
 
 
-def test_bernoulli_cache_is_bounded():
-    # one table per power of two, at least 16, in a cache of eight tables
-    _even_bernoulli_table.cache_clear()
-    for count in (1, 9, 16, 17, 100):
-        even_bernoulli_numbers(count)
-    info = _even_bernoulli_table.cache_info()
-    assert (info.currsize, info.maxsize) == (3, 8)
+def test_bernoulli_numbers_are_built_at_the_size_asked(monkeypatch):
+    # one tangent-number pass of exactly count entries, no larger table
+    real, sizes = exactmath._tangent_numbers, []
+
+    def recorded(count):
+        sizes.append(count)
+        return real(count)
+
+    monkeypatch.setattr(exactmath, "_tangent_numbers", recorded)
+    for count in (0, 1, 3, 9, 17, 101):
+        sizes.clear()
+        values = even_bernoulli_numbers(count)
+        assert sizes == [count]
+        assert values == tuple(bernoulli_recurrence(2 * k) for k in range(1, count + 1))

@@ -19,11 +19,11 @@ from brieskorn_wrt import (
     modular_data,
     nearly_modular_expansion,
     orbit,
-    t_exponent,
     theta_eval,
 )
 from brieskorn_wrt import exactmath, modularform
-from brieskorn_wrt.exactmath import PrecisionContext, to_mpf
+from brieskorn_wrt.chi import t_numerator
+from brieskorn_wrt.exactmath import PrecisionContext
 from brieskorn_wrt.modularform import THETA_MAX_TERMS, _modular_data_cached, _theta_cutoff
 from conftest import coprime_triples, vertical_limit
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     phi_hat,
     s_parity_reference,
     t_exponent_fraction,
+    to_mpf,
     weighted_sum,
 )
 
@@ -50,11 +51,15 @@ P579 = BrieskornTriple(5, 7, 9)
 
 
 def test_t_exponents_match_quoted_phases():
-    assert t_exponent(P237, EllTriple(1, 1, 2)) == Fraction(25, 84)
-    # 121/84 = -47/84 mod 2: the phase quoted with the other sign convention
-    assert t_exponent(P237, EllTriple(1, 1, 3)) == Fraction(121, 84)
-    assert t_exponent(P235, EllTriple(1, 1, 1)) == Fraction(1, 60)
-    assert t_exponent(P235, EllTriple(1, 1, 2)) == Fraction(49, 60)
+    # the T-exponent is A^2 mod 4P over 2P; 121/84 = -47/84 mod 2 is the
+    # phase quoted with the other sign convention
+    for p, ell, quoted in (
+        (P237, EllTriple(1, 1, 2), Fraction(25, 84)),
+        (P237, EllTriple(1, 1, 3), Fraction(121, 84)),
+        (P235, EllTriple(1, 1, 1), Fraction(1, 60)),
+        (P235, EllTriple(1, 1, 2), Fraction(49, 60)),
+    ):
+        assert Fraction(t_numerator(p, ell), 2 * p.P) == quoted
 
 
 def test_t_exponent_constant_on_orbit():
@@ -62,7 +67,7 @@ def test_t_exponent_constant_on_orbit():
 
     for p in (P237, P345):
         for ell in enumerate_triples(p):
-            exps = {t_exponent(p, member) for member in orbit(p, ell)}
+            exps = {t_numerator(p, member) for member in orbit(p, ell)}
             assert len(exps) == 1
 
 
@@ -93,7 +98,7 @@ def _sign_of_sinpi(x: Fraction) -> int:
 def _s_entry_oracle(p, ell, ellp):
     # the per-entry formula: integer parity, then the reduced Fraction angles
     # r_j = P l_j l'_j / p_j^2 mod 1 with the sign of each sin(pi x_j)
-    l, lp = ell.ell, ellp.ell
+    l, lp = tuple(ell), tuple(ellp)
     value = (-1 if s_parity_reference(p, l, lp) else 1) * mp.sqrt(mp.mpf(32) / p.P)
     for j in range(3):
         x = Fraction(p.P * l[j] * lp[j], p.p[j] ** 2)
@@ -147,13 +152,13 @@ def test_s_value_matches_reference_sign_and_sines():
                 row = md.s_row(ell)  # entry j is S[ell][triples[j]]
                 assert len(row) == len(triples)
                 for ellp, value in zip(triples, row):
-                    want = -scale if s_parity_reference(p, ell.ell, ellp.ell) else scale
-                    for a, b, pk in zip(ell.ell, ellp.ell, p.p):
+                    want = -scale if s_parity_reference(p, ell, ellp) else scale
+                    for a, b, pk in zip(ell, ellp, p.p):
                         key = (pk, p.P * a * b % (2 * pk * pk))
                         if key not in sines:
                             sines[key] = mp.sinpi(mp.mpf(key[1]) / (pk * pk))
                         want *= sines[key]
-                    assert abs(value - want) < tol, (p.p, ell.ell, ellp.ell)
+                    assert abs(value - want) < tol, (p.p, tuple(ell), tuple(ellp))
                     pairs += 1
     assert pairs == sum(p.D**2 for p in spheres)
 
@@ -270,7 +275,7 @@ def test_theta_t_transformation(ctx50):
         tau = mp.mpc(0, 0.5)
         for ell in enumerate_triples(P237):
             lhs = theta_eval(P237, ell, tau + 1, ctx50)
-            rhs = mp.expjpi(to_mpf(t_exponent(P237, ell))) * theta_eval(
+            rhs = mp.expjpi(to_mpf(t_exponent_fraction(P237, ell))) * theta_eval(
                 P237, ell, tau, ctx50
             )
             assert abs(lhs - rhs) < ctx50.tolerance

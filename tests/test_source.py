@@ -34,18 +34,18 @@ def test_library_has_no_assert_statements():
 def test_spectrum_modules_never_call_t_exponent_or_ell_condition():
     # the spectrum path reads the integer chi.t_numerator (T-exponent and CS
     # value alike) and the admissible runs; a D-wide Fraction or ell_condition
-    # scan must not come back.  Only the definition of t_exponent may name it.
-    banned = {
-        "modularform.py": {"t_exponent", "ell_condition"},
-        "topology.py": {"t_exponent", "ell_condition"},
-    }
+    # scan must not come back.  No module defines or names a second name for
+    # T (t_exponent), for Fraction (Rational) or for an mpf conversion
+    # (to_mpf), or a Bernoulli table cache.
+    everywhere = {"t_exponent", "to_mpf", "Rational", "_even_bernoulli_table"}
+    banned = {"modularform.py": {"ell_condition"}, "topology.py": {"ell_condition"}}
     found = [
         f"{name}:{getattr(node, 'lineno', '?')}"
         for name, node in _package_nodes()
         if any(
-            getattr(node, f, None) in banned.get(name, ()) for f in ("id", "attr", "name", "value")
+            getattr(node, f, None) in everywhere | banned.get(name, set())
+            for f in ("id", "attr", "name", "value", "asname")
         )
-        and not (isinstance(node, ast.FunctionDef) and node.name == "t_exponent")
     ]
     assert not found, found
 
@@ -217,8 +217,6 @@ def test_every_process_cache_names_its_traffic():
         ("modularform.py", "_modular_data_cached"),
         # spectrum 36/60; 23-35 us a miss at K = 3
         ("modularform.py", "eichler_tail"),
-        # spectrum 20/24; 48 us a miss at size 16
-        ("exactmath.py", "_even_bernoulli_table"),
     }
     decorators = {"lru_cache", "cache", "cached_property"}
     found = {

@@ -19,16 +19,15 @@ from brieskorn_wrt import (
     modular_data,
     phi_invariant,
     rozansky_normalized,
-    t_exponent,
     tau_coordinates,
     tau_n,
 )
 from brieskorn_wrt.chi import dedekind_triple_numerator, enumerate_triples, t_numerator
 from brieskorn_wrt.cli import parse
-from brieskorn_wrt.exactmath import PrecisionContext, to_mpf
+from brieskorn_wrt.exactmath import PrecisionContext
 from brieskorn_wrt.modularform import _limit_weights
 from conftest import coprime_triples
-from oracles import chi_value, eichler_tail_term, gauss_sum, tau_prefactor
+from oracles import chi_value, eichler_tail_term, gauss_sum, tau_prefactor, to_mpf
 from test_cli import GOLDEN_STDOUT
 from test_modularform import _count_exponentials
 
@@ -246,7 +245,7 @@ def test_witten_large_level_tracks_flat_connection_sum(ctx50):
     with ctx50.workdps():
         dominant = mp.mpc(0)
         for ell in admissible_triples(P237)[0]:
-            r = t_exponent(P237, ell)
+            r = Fraction(t_numerator(P237, ell), 2 * P237.P)
             dominant += (
                 mp.sqrt(mp.mpf(2))
                 * md.s_value(base, ell)
@@ -514,8 +513,8 @@ def test_asymptotic_dominant_amplitudes_235(ctx50):
         s2 = md.s_value(base, EllTriple(1, 1, 2))
         assert abs(s1 - 2 / mp.sqrt(5) * mp.sinpi(mp.mpf(1) / 5)) < tol
         assert abs(s2 - 2 / mp.sqrt(5) * mp.sinpi(mp.mpf(2) / 5)) < tol
-        assert t_exponent(P235, EllTriple(1, 1, 1)) == Fraction(1, 60)
-        assert t_exponent(P235, EllTriple(1, 1, 2)) == Fraction(49, 60)
+        assert Fraction(t_numerator(P235, EllTriple(1, 1, 1)), 2 * P235.P) == Fraction(1, 60)
+        assert Fraction(t_numerator(P235, EllTriple(1, 1, 2)), 2 * P235.P) == Fraction(49, 60)
         n_level = 40
         approx = asymptotic_approx(P235, n_level, 3, ctx50)
         manual = mp.sqrt(mp.mpf(n_level)) * mp.expjpi(mp.mpf(-0.25)) * (
