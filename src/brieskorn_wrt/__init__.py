@@ -1,9 +1,9 @@
 """Exact and high-precision invariants of Brieskorn homology spheres.
 
-Computes the SU(2) quantum invariant tau_N as half the Eichler-integral
-limit of a false theta series (the closed cyclotomic surgery sum is kept as
-a cross-check), the weight-3/2 theta series with its transformation data,
-the nearly modular asymptotics of those limits, the classical invariants
+Computes the SU(2) quantum invariant tau_N as half the Eichler-integral limit
+of a false theta series (Jeffrey's SL(2, Z) formula from SU(2)'s S and T is
+kept as a cross-check), the weight-3/2 theta series with its transformation
+data, the nearly modular asymptotics of those limits, the classical invariants
 (Casson, Chern-Simons, Reidemeister torsion, spectral flow), and the exact
 perturbative series coefficients, read off the L-values of the same nearly
 modular tail, with every identity between them available as a check.
@@ -52,7 +52,7 @@ from .wrt import (
     AsymptoticApprox,
     WrtResult,
     asymptotic_approx,
-    rozansky_normalized,
+    jeffrey_tau,
     tau_coordinates,
     tau_n,
 )
@@ -81,6 +81,7 @@ __all__ = [
     "enumerate_triples",
     "flat_connections",
     "gamma_closed_form",
+    "jeffrey_tau",
     "lambda_coefficients",
     "load_table1",
     "modular_data",
@@ -88,7 +89,6 @@ __all__ = [
     "nearly_modular_expansion",
     "orbit",
     "phi_invariant",
-    "rozansky_normalized",
     "table1_path",
     "tau_coordinates",
     "tau_n",

@@ -1,22 +1,15 @@
-"""The quantum invariant: tau_N, its surgery-sum cross-check, and its asymptotics.
+"""The quantum invariant: tau_N, its SL(2, Z) cross-check, and its asymptotics.
 
-The level-N invariant is computed through the paper's Theorem 5.1: the
-normalized tau_N equals half the Eichler-integral limit of the (1, 1, 1) false
-theta series at 1/N, plus e^{pi i/60N} for the Poincare sphere.  That limit is
-one T-phase times one exact integer weight vector over the N-th roots of unity
-(``modularform._limit_weights``), so tau_N itself is an exact element of
-Z[zeta_N]: ``tau_coordinates`` turns the weights, laid out shifted, into the
-integers c_k with tau_N = sum_k c_k zeta_N^k by one exact division by 2PN and
-one prefix sum, each step's integrality checked.  ``tau_n`` evaluates the output
-of ``tau_coordinates`` and its two normalizations in fixed point, every root a
-power of one exponential e^{pi i/2PN} (``exactmath.root_power_sum``), and bounds
-the result by the coordinates it sums.  The Eichler limit (same weights and
-kernel) and ``rozansky_normalized``, the closed cyclotomic surgery sum, which
-shares neither, are the routes that ``theorem51`` and the tests compare against.
-The surgery summand is even under n -> 2PN - n, so it runs over 0 < n < PN
-(PN - P terms, multiples of N excluded by index arithmetic) and reads every sine
-and phase off one table of 4PN-th roots of unity.  The asymptotics normalize the
-(1, 1, 1) nearly modular expansion as Theorem 5.1 does.
+The level-N invariant is computed through the paper's Theorem 5.1: the normalized tau_N is
+half the Eichler-integral limit of the (1, 1, 1) false theta series at 1/N, plus e^{pi i/60N}
+for the Poincare sphere.  That limit is one T-phase times exact integer weights over the N-th
+roots of unity (``modularform._limit_weights``), so ``tau_coordinates`` reads off the integers
+c_k with tau_N = sum_k c_k zeta_N^k, integrality checked, and ``tau_n`` evaluates them and
+their two normalizations in fixed point from one exponential (``exactmath.root_power_sum``),
+bounded by the coordinates it sums.  The Eichler limit (same weights and kernel) checks
+normalized; ``jeffrey_tau``, which shares neither, checks tau_N itself from SU(2)'s level-N S
+and T and the Seifert invariants alone.  The asymptotics normalize the (1, 1, 1) nearly
+modular expansion as Theorem 5.1 does.
 """
 
 from __future__ import annotations
@@ -29,13 +22,7 @@ from typing import NamedTuple
 from mpmath import mp
 
 from .chi import BrieskornTriple, EllTriple, dedekind_triple_numerator, t_numerator
-from .exactmath import (
-    DEFAULT_CONTEXT,
-    PrecisionContext,
-    ensure_finite,
-    root_power_sum,
-    root_table,
-)
+from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, root_power_sum, root_table
 from .modularform import _limit_weights, eichler_limit, nearly_modular_expansion
 
 
@@ -67,43 +54,56 @@ def _signed_sines(order: int) -> tuple:
     return tuple(half + [-v for v in half])
 
 
-def rozansky_normalized(
-    p: BrieskornTriple,
-    n_level: int,
-    ctx: PrecisionContext = DEFAULT_CONTEXT,
-):
-    """Normalized invariant e^{2 pi i (phi/4 - 1/2)/N} (e^{2 pi i/N} - 1) tau_N.
+def _seifert_tau(fibres, n_level: int, ctx: PrecisionContext):
+    """tau_N of the Seifert sphere with fibres (p_j, q_j), sum_j q_j P/p_j = 1, P = prod p_j.
 
-    Evaluated as the closed surgery sum
-    (e^{pi i/4} / (2 sqrt(2 P N))) * sum_{n, N !| n} e^{-pi i n^2/(2PN)}
-    * prod_j 2i sin(n pi/(N p_j)) / (2i sin(n pi/N)).
+    Jeffrey's formula, on colours 1..N-1 with S_ab = sqrt(2/N) sin(pi ab/N) and T_bb =
+    e^{pi i (b^2 - 1)/2N}: a_i = ceil(a/b), (a, b) <- (b, a_i b - a) from (q_j, p_j) until
+    b = 0 give W_j = T^{a_1} S ... T^{a_m} S with first column (q_j, p_j); s counts their S
+    letters, J = sum_l prod_j W_j[l, 1] / (S_1l S_11), and tau_N = e^{pi i c (s - 2)/4}
+    conj(J), c = 3(N - 2)/N.  Derivation: S^2 = 1 and (ST)^3 = e^{pi i c/4} S^2, so
+    S~ = e^{-pi i c/4} S has (S~ T)^3 = S~^2, and J~, built with S~ in the words and the two
+    divisions, is e^{-pi i c (s - 2)/4} J.  Each partial product of a ceiling word has a
+    positive lower-left entry, so Rademacher's Phi(W_j) = sum_i a_i - 3(m - 1), and Jeffrey's
+    framing phase in Phi (T_11 = 1 frees the T^b that completes W_j) leaves tau_N = conj(J~);
+    the conjugate is the orientation, fixed by S^3 presented with a fibre p = 1 giving 1.
 
-    This O(PN) sum is the cross-check route: ``tau_n`` computes the same
-    value from the exact coordinates of tau_N, and the ``theorem51`` suite
-    and the tests compare the two.
+    S_ab is entry 2ab of one table sin(pi k/2N), e^{pi i k/2N} entry k + N plus i entry k.
+    Each column, T^a (S column) from the right, costs O(N^2) a letter, keeps norm 1 (S and T
+    are unitary) and gains about N 2^-prec; sum_l |prod_j W_j[l, 1]| <= 1 and S_1l S_11 >=
+    8/N^3, so tau_N is within s N^4 2^-prec, under 10^-decimal_digits while s N^4 < 10^15.
     """
-    if n_level < 2:
-        raise ValueError("level must be at least 2")
     with ctx.workdps():
-        four_pn = 4 * p.P * n_level
-        sin = _signed_sines(four_pn)  # sin(2 pi e / 4PN)
-        # sin(pi n / N p_k) is entry 2 c_k n, and sin(pi n / N) entry 2 P n
-        doubled = [2 * c for c in (*p.cofactors, p.P)]
-        real = imag = mp.mpf(0)
-        for n in range(1, p.P * n_level):
-            if n % n_level == 0:
-                continue
-            s1, s2, s3, den = (sin[d * n % four_pn] for d in doubled)
-            value = s1 * s2 * s3 / den
-            e = n * n % four_pn  # e^{-pi i n^2 / 2PN} = cos - i sin(2 pi e / 4PN)
-            real += value * sin[(e + four_pn // 4) % four_pn]  # cos t = sin(t + pi / 2)
-            imag -= value * sin[e]
-        # prod of three (2i sin) over one (2i sin) contributes (2i)^2 = -4, and
-        # the summand is even under n -> 2PN - n (three sines over one change
-        # sign, the phase does not), so the half 0 < n < PN counts twice
-        total = -8 * mp.mpc(real, imag)
-        prefactor = mp.expjpi(mp.mpf(1) / 4) / (2 * mp.sqrt(mp.mpf(2) * p.P * n_level))
-        return ensure_finite(+(prefactor * total))
+        order, colours = 4 * n_level, range(1, n_level)
+        sin = _signed_sines(order)  # sin(2 pi k / 4N)
+        root = [mp.mpc(sin[(k + n_level) % order], sin[k]) for k in range(order)]
+        rows = [[sin[2 * a * b % order] for b in colours] for a in colours]  # S / sqrt(2/N)
+        product, letters = [mp.mpc(1)] * (n_level - 1), 0
+        for p, q in fibres:
+            word, column = [], [mp.mpc(b == 1) for b in colours]  # e_1
+            while p:
+                word.append(-(-q // p))
+                q, p = p, word[-1] * p - q
+            for a in reversed(word):  # column <- T^a (S column)
+                column = [mp.fdot(row, column) for row in rows]
+                column = [x * root[a * (b * b - 1) % order] for x, b in zip(column, colours)]
+            product, letters = list(map(operator.mul, product, column)), letters + len(word)
+        total = mp.fsum(x / sin[2 * b] for x, b in zip(product, colours)) / sin[2]
+        scale = (mp.mpf(2) / n_level) ** (mp.mpf(letters - 2) / 2)  # the sqrt(2/N) of S
+        phase = mp.expjpi(mp.mpf(3 * (n_level - 2) * (letters - 2)) / (4 * n_level))
+        return ensure_finite(+(phase * mp.conj(scale * total)))
+
+
+def jeffrey_tau(p: BrieskornTriple, n_level: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """tau_N by Jeffrey's SL(2, Z) formula (Comm. Math. Phys. 147, 1992), with q_j = (P/p_j)^-1
+    mod p_j and q_1 moved by a multiple of p_1 so that sum_j q_j P/p_j = 1.  A level below 3
+    raises ValueError, as in ``tau_n``.
+    """
+    if n_level < 3:
+        raise ValueError("level must be at least 3")
+    qs = [pow(c, -1, pk) for pk, c in zip(p.p, p.cofactors)]
+    qs[0] -= (sum(map(operator.mul, qs, p.cofactors)) - 1) // p.P * p.p1
+    return _seifert_tau(zip(p.p, qs), n_level, ctx)
 
 
 def tau_coordinates(p: BrieskornTriple, n_level: int) -> list:

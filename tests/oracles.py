@@ -18,8 +18,10 @@ read off those Bernoulli-polynomial L-values.
 Former library functions that no verb or suite called: ``dedekind_sum``
 reads s(b, a) as one ``Fraction`` off the integer kernel under test,
 ``ell_condition`` tests the open-tetrahedron inequalities in integers,
-``tau_prefactor`` is normalized / tau_N as one sine and one phase, and
-``conjugacy_angles`` gives one connection's rotation numbers.
+``tau_prefactor`` is normalized / tau_N as one sine and one phase,
+``conjugacy_angles`` gives one connection's rotation numbers, and
+``rozansky_normalized`` is the closed O(PN) cyclotomic surgery sum for the
+normalized invariant, read off ``wrt._signed_sines``.
 
 Retired production forms kept to check their replacements:
 ``dedekind_sum_fraction`` is the reciprocity law summed in ``Fraction``s
@@ -85,6 +87,7 @@ from brieskorn_wrt import cli
 from brieskorn_wrt.chi import dedekind_triple_numerator
 from brieskorn_wrt.exactmath import _scaled_dedekind_sum, ensure_finite
 from brieskorn_wrt.ohtsuki import table1_path
+from brieskorn_wrt.wrt import _signed_sines
 
 
 def to_mpf(x):
@@ -682,6 +685,44 @@ def tau_prefactor(p: BrieskornTriple, n_level: int, ctx: PrecisionContext = DEFA
     with ctx.workdps():
         sine = mp.sinpi(mp.mpf(1) / n_level)
         return ensure_finite(mp.mpc(0, 2 * sine) * mp.expjpi(mp.mpf(numerator) / two_pn))
+
+
+def rozansky_normalized(
+    p: BrieskornTriple,
+    n_level: int,
+    ctx: PrecisionContext = DEFAULT_CONTEXT,
+):
+    """Normalized invariant e^{2 pi i (phi/4 - 1/2)/N} (e^{2 pi i/N} - 1) tau_N.
+
+    Evaluated as the closed surgery sum
+    (e^{pi i/4} / (2 sqrt(2 P N))) * sum_{n, N !| n} e^{-pi i n^2/(2PN)}
+    * prod_j 2i sin(n pi/(N p_j)) / (2i sin(n pi/N)).
+
+    This O(PN) sum is the cross-check route: ``tau_n`` computes the same
+    value from the exact coordinates of tau_N, and the tests compare the two.
+    """
+    if n_level < 2:
+        raise ValueError("level must be at least 2")
+    with ctx.workdps():
+        four_pn = 4 * p.P * n_level
+        sin = _signed_sines(four_pn)  # sin(2 pi e / 4PN)
+        # sin(pi n / N p_k) is entry 2 c_k n, and sin(pi n / N) entry 2 P n
+        doubled = [2 * c for c in (*p.cofactors, p.P)]
+        real = imag = mp.mpf(0)
+        for n in range(1, p.P * n_level):
+            if n % n_level == 0:
+                continue
+            s1, s2, s3, den = (sin[d * n % four_pn] for d in doubled)
+            value = s1 * s2 * s3 / den
+            e = n * n % four_pn  # e^{-pi i n^2 / 2PN} = cos - i sin(2 pi e / 4PN)
+            real += value * sin[(e + four_pn // 4) % four_pn]  # cos t = sin(t + pi / 2)
+            imag -= value * sin[e]
+        # prod of three (2i sin) over one (2i sin) contributes (2i)^2 = -4, and
+        # the summand is even under n -> 2PN - n (three sines over one change
+        # sign, the phase does not), so the half 0 < n < PN counts twice
+        total = -8 * mp.mpc(real, imag)
+        prefactor = mp.expjpi(mp.mpf(1) / 4) / (2 * mp.sqrt(mp.mpf(2) * p.P * n_level))
+        return ensure_finite(+(prefactor * total))
 
 
 def unit_root_expjpi(order: int, wide: int) -> tuple:

@@ -27,7 +27,6 @@ from brieskorn_wrt import (
     lambda_coefficients,
     modular_data,
     mordell_count,
-    rozansky_normalized,
     theta_eval,
     verify_s_torsion,
 )
@@ -41,6 +40,7 @@ from oracles import (
     gauss_sum,
     lambda_horner,
     lambda_stirling,
+    rozansky_normalized,
     t_exponent_fraction,
     to_mpf,
 )

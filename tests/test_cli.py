@@ -26,6 +26,7 @@ import brieskorn_wrt.chi as chi
 import brieskorn_wrt.cli as cli
 import brieskorn_wrt.modularform as modularform
 import brieskorn_wrt.topology as topology
+import brieskorn_wrt.wrt as wrt
 from brieskorn_wrt import (
     BrieskornTriple,
     EllTriple,
@@ -161,7 +162,7 @@ def test_parse_rejects_negative_tail_order(capsys):
 
 def test_parse_caps_order_tail_order_and_nmax(capsys):
     # --order and --K set the size of the Bernoulli tables and tails,
-    # theorem51 runs the surgery sum at every level up to --nmax and gamma
+    # theorem51 runs Jeffrey's route at every level up to --nmax and gamma
     # checks every sphere with P <= --pmax, so all four are capped from above
     for argv, flag in (
         (["ohtsuki", "--p", "2,3,7", "--order", str(MAX_ORDER + 1)], "--order"),
@@ -549,6 +550,69 @@ def test_verify_theorem51_trimmed():
     assert laid["results"]["checks"] > 0
 
 
+def _poincare_term_dropped(real):
+    def approx(p, n, k_max, ctx):
+        result = real(p, n, k_max, ctx)
+        if not p.is_poincare:
+            return result
+        return result._replace(exact=result.exact - _unit(60 * n))
+
+    return approx
+
+
+def _unit(denominator, numerator=1):
+    return mp.expjpi(mp.mpf(numerator) / denominator)
+
+
+def _on_result(change):
+    return lambda real: lambda p, n, ctx: change(real(p, n, ctx), p, n)
+
+
+ALL_FIVE = {(2, 3, 7), (2, 5, 7), (3, 4, 5), (2, 3, 11), (2, 3, 5)}
+THEOREM51_FAULTS = {  # module, name, fault, the manifolds whose checks must fail
+    "T + 4P": (
+        wrt,
+        "dedekind_triple_numerator",
+        lambda real: lambda p: real(p) + 4 * p.P,
+        ALL_FIVE,
+    ),
+    "c_0 + 1": (
+        wrt,
+        "tau_coordinates",
+        lambda real: lambda p, n: [c + (k == 0) for k, c in enumerate(real(p, n))],
+        ALL_FIVE,
+    ),
+    "tau conjugated": (
+        cli, "tau_n", _on_result(lambda r, p, n: r._replace(tau=mp.conj(r.tau))), ALL_FIVE
+    ),
+    "Poincare term dropped": (cli, "asymptotic_approx", _poincare_term_dropped, {(2, 3, 5)}),
+    "normalized times e^{pi i/2PN}": (
+        cli,
+        "tau_n",
+        _on_result(lambda r, p, n: r._replace(normalized=r.normalized * _unit(2 * p.P * n))),
+        ALL_FIVE,
+    ),
+    "Jeffrey's phase one S letter off": (
+        cli,
+        "jeffrey_tau",
+        _on_result(lambda r, p, n: r * _unit(4 * n, 3 * (n - 2))),  # e^{pi i c/4}
+        ALL_FIVE,
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", THEOREM51_FAULTS)
+def test_theorem51_fails_on_the_manifolds_each_fault_reaches(fault, monkeypatch):
+    # tau_N is checked against Jeffrey's route and normalized against Theorem 5.1's
+    # Eichler limit, so a fault in T, the coordinates, tau's phase or orientation
+    # fails every manifold, and the Poincare term fails Sigma(2,3,5) alone
+    module, name, wrong, expected = THEOREM51_FAULTS[fault]
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    report, code, laid = execute_json(["verify", "--suite", "theorem51", "--nmax", "8"])
+    assert (code, report.status) == (EXIT_FAIL, "fail"), fault
+    assert {tuple(f["p"]) for f in laid["failure"]} == expected, fault
+
+
 def test_verify_torsion_and_modular_and_table():
     for suite in ("torsion", "modular", "table1"):
         report, code, laid = execute_json(["verify", "--suite", suite])
@@ -596,7 +660,7 @@ def test_encodings_pin_digit_counts_and_failure_field_types(monkeypatch, tmp_pat
     assert _mantissa_digits(invariant["tau"]["re"]) == 50  # --precision digits
     tiny = mp.mpf(10) ** -20 / 7  # a residual with no trailing zeros
     for name, fault in (
-        ("rozansky_normalized", lambda real: lambda p, n, ctx: real(p, n, ctx) + tiny),
+        ("jeffrey_tau", lambda real: lambda p, n, ctx: real(p, n, ctx) + tiny),
         ("t_numerator", lambda real: lambda p, ell: real(p, ell) + mp.mpf(2 * p.P) / 7),
         ("verify_s_torsion", lambda real: lambda p, ctx: real(p, ctx) + tiny),
         ("mordell_count", lambda real: lambda p: real(p) + 1),

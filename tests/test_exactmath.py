@@ -15,9 +15,9 @@ from brieskorn_wrt import (
     PrecisionContext,
     eichler_limit,
     flat_connections,
+    jeffrey_tau,
     modular_data,
     nearly_modular_expansion,
-    rozansky_normalized,
 )
 from brieskorn_wrt.exactmath import (
     even_bernoulli_numbers,
@@ -474,7 +474,7 @@ ROOT_TABLE_SITES = {
     "modular_data": (_cold_modular_data, THIN),
     "flat_connections": (flat_connections, THIN),  # its torsion rows, one per fibre
     "nearly_modular_expansion": (_nearly_modular_expansion, THIN),
-    "rozansky_normalized": (lambda p, ctx: rozansky_normalized(p, 2, ctx), THIN),
+    "jeffrey_tau": (lambda n, ctx: jeffrey_tau(BrieskornTriple(2, 3, 7), n, ctx), (10, 60)),
 }
 
 

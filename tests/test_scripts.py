@@ -45,3 +45,12 @@ def test_run_verifications_reads_each_suites_check_count():
     assert all(found), proc.stdout + proc.stderr
     assert [match[1] for match in found] == list(cli.SUITES), proc.stdout
     assert all(int(match[2]) > 0 for match in found), proc.stdout
+
+
+def test_readme_library_sketch_runs():
+    # the README's library sketch is code a reader copies, so it must run as written
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as readme:
+        text = readme.read()
+    section = text[text.index("## Library sketch") :]
+    sketch = re.search(r"```python\n(.*?)```", section, re.S)[1]
+    exec(compile(sketch, "README.md", "exec"), {})

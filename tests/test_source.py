@@ -124,6 +124,39 @@ def test_root_tables_are_built_only_where_each_is_owned():
     assert callers == {("modularform.py", "eichler_limit"), ("wrt.py", "tau_n")}, callers
 
 
+def test_jeffrey_route_reads_no_chi_theta_or_dedekind_data():
+    # the theorem51 suite checks tau_n against jeffrey_tau, so that route and its
+    # core call nothing of tau_n's: no chi, theta vector, Eichler weight or
+    # Dedekind sum.  The O(PN) surgery sum is a test oracle, defined in no module
+    banned = {
+        "build_chi",
+        "t_numerator",
+        "dedekind_triple_numerator",
+        "tau_coordinates",
+        "_limit_weights",
+        "modular_data",
+        "eichler_limit",
+        "eichler_tail",
+        "root_power_sum",
+    }
+    route = {"jeffrey_tau", "_seifert_tau", "_signed_sines"}
+    called = {
+        getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        for name, node in _package_nodes()
+        if name == "wrt.py" and isinstance(node, ast.FunctionDef) and node.name in route
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    }
+    assert {"_seifert_tau", "_signed_sines", "root_table"} <= called, called
+    assert not called & banned, called & banned
+    defined = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if isinstance(node, ast.FunctionDef) and node.name == "rozansky_normalized"
+    ]
+    assert not defined, defined
+
+
 def test_flat_connections_reads_its_tables_once_per_call():
     # the walk of the admissible runs reads each per-manifold table once; no
     # per-record function and no second caller may read them again

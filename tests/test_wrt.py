@@ -17,8 +17,8 @@ from brieskorn_wrt import (
     eichler_tail,
     lambda_coefficients,
     modular_data,
+    jeffrey_tau,
     phi_invariant,
-    rozansky_normalized,
     tau_coordinates,
     tau_n,
 )
@@ -27,7 +27,16 @@ from brieskorn_wrt.cli import parse
 from brieskorn_wrt.exactmath import PrecisionContext
 from brieskorn_wrt.modularform import _limit_weights
 from conftest import coprime_triples
-from oracles import chi_value, eichler_tail_term, gauss_sum, tau_prefactor, to_mpf
+from oracles import (
+    UnimodularMatrix,
+    chi_value,
+    eichler_tail_term,
+    gauss_sum,
+    rademacher_phi,
+    rozansky_normalized,
+    tau_prefactor,
+    to_mpf,
+)
 from test_cli import GOLDEN_STDOUT
 from test_modularform import _count_exponentials
 
@@ -212,8 +221,8 @@ def test_eichler_route_matches_surgery_sum(ps, n_level, digits):
 
 @pytest.mark.parametrize("ps", [(2, 3, 7), (3, 4, 5)])
 @pytest.mark.parametrize("n_level", [5, 12])
-def test_surgery_sum_builds_one_root_table(ps, n_level, monkeypatch, ctx50):
-    # every sine and phase of the surgery sum is an entry of one table of 4PN-th roots
+def test_jeffrey_tau_builds_one_root_table(ps, n_level, monkeypatch, ctx50):
+    # every entry of S and every phase of T is an entry of one table of 4N-th roots
     real = wrt.root_table
     orders = []
 
@@ -222,9 +231,73 @@ def test_surgery_sum_builds_one_root_table(ps, n_level, monkeypatch, ctx50):
         return real(order, bits)
 
     monkeypatch.setattr(wrt, "root_table", counted)
-    p = BrieskornTriple(*ps)
-    rozansky_normalized(p, n_level, ctx50)
-    assert orders == [4 * p.P * n_level]
+    jeffrey_tau(BrieskornTriple(*ps), n_level, ctx50)
+    assert orders == [4 * n_level]
+
+
+JEFFREY_PROBE = [
+    (2, 3, 5), (2, 3, 7), (2, 5, 7), (3, 4, 5), (2, 3, 11), (5, 7, 9), (2, 3, 13), (3, 5, 7)
+]
+JEFFREY_CASES = [(ps, n) for ps in JEFFREY_PROBE for n in range(3, 26)]
+JEFFREY_CASES += [(ps, n) for ps in [(7, 11, 13), (2, 3, 101), (11, 13, 17)] for n in (31, 50)]
+
+
+@pytest.mark.parametrize("ps, n_level", JEFFREY_CASES)
+def test_jeffrey_tau_matches_tau_n(ps, n_level):
+    # Jeffrey's SL(2, Z) route reads no chi, theta vector or Dedekind sum, yet
+    # lands on tau_n's exact coordinates, phase and orientation included
+    p, ctx = BrieskornTriple(*ps), PrecisionContext(45)
+    jeffrey, tau = jeffrey_tau(p, n_level, ctx), tau_n(p, n_level, ctx).tau
+    with ctx.workdps():
+        assert abs(jeffrey - tau) < ctx.tolerance, (ps, n_level)
+
+
+@pytest.mark.parametrize(
+    "fibres", [((1, -3), (3, 2), (5, 12)), ((1, -3), (5, 3), (7, 17)), ((1, -3), (4, 3), (7, 16))]
+)
+def test_seifert_presentations_of_the_three_sphere_give_one(fibres, ctx50):
+    # sum_j q_j P/p_j = 1 with a fibre p = 1 presents S^3, whose normalized
+    # invariant is exactly 1: this fixes Jeffrey's phase and its conjugate
+    for n_level in range(3, 26):
+        value = wrt._seifert_tau(fibres, n_level, ctx50)
+        with ctx50.workdps():
+            assert abs(value - 1) < ctx50.tolerance, (fibres, n_level)
+
+
+def _ceiling_word(q: int, p: int) -> list:
+    word = []
+    while p:
+        word.append(-(-q // p))
+        q, p = p, word[-1] * p - q
+    return word
+
+
+def test_ceiling_words_have_rademacher_phi_sum_a_minus_three_m_minus_one():
+    # T^{a_1} S ... T^{a_m} S has first column (q, p), every partial product a
+    # positive lower-left entry, and so Phi = sum a - 3(m - 1): Jeffrey's framing
+    # phase is a count of S letters
+    fibres = 0
+    for ps in coprime_triples(1000):
+        p = BrieskornTriple(*ps)
+        qs = [pow(c, -1, pk) for pk, c in zip(p.p, p.cofactors)]
+        qs[0] -= (sum(q * c for q, c in zip(qs, p.cofactors)) - 1) // p.P * p.p1
+        assert sum(q * c for q, c in zip(qs, p.cofactors)) == 1
+        for pk, q in zip(p.p, qs):
+            word, (x, y, z, w) = _ceiling_word(q, pk), (1, 0, 0, 1)
+            for a in word:  # times T^a S = [[a, -1], [1, 0]]
+                x, y, z, w = a * x + y, -x, a * z + w, -z
+                assert z > 0, (ps, pk, q)
+            assert (x, z) == (q, pk), (ps, pk, q)
+            phi = rademacher_phi(UnimodularMatrix(x, y, z, w))
+            assert phi == sum(word) - 3 * (len(word) - 1), (ps, pk, q)
+            fibres += 1
+    assert fibres > 1000
+
+
+def test_jeffrey_tau_rejects_levels_below_three(ctx50):
+    for n_level in (1, 2):
+        with pytest.raises(ValueError):
+            jeffrey_tau(P237, n_level, ctx50)
 
 
 def test_witten_normalization_quotient(ctx50):
