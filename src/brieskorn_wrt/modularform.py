@@ -20,10 +20,10 @@ split, without the O(n) limit; ``wrt.asymptotic_approx`` normalizes its
 gamma admissible columns, run by run of ``chi.admissible_triples``, through
 sines and phases off those same rows, summed as Gaussian integers and scaled
 by the exact 8 sqrt(n/P)(1 - i)(-i)^q with one integer square root.  Its
-tail is summed exactly by Horner's rule from the exact coefficients in the
-integer int(pi 2^w).  Each is rounded once (``exactmath.rounded_ratio``)
-within a bound derived from what it sums, so a warm call takes no
-exponential and builds no table.
+tail is Horner's rule in i pi / 2Pn over the exact coefficients, at a few
+guard bits above the working precision.  Each is rounded once within a bound
+derived from what it sums, so a warm call takes no exponential and builds
+no table.
 ``eichler_tail`` takes every L-value from one pass of ``chi.l_value_ratios``
 and builds one ``Fraction`` per coefficient.
 """
@@ -400,34 +400,30 @@ def _dominant(md: ModularData, ell: EllTriple, n: int):
 
 
 def _tail(coefficients: tuple, two_pn: int):
-    """sum_k c_k (pi i / two_pn)^k over the exact c_k, each component rounded once.
+    """sum_k c_k (i y)^k, y = pi / two_pn, by Horner's rule at w bits, rounded once.
 
-    With the c_k over their common denominator E as integers a_k, Pi =
-    int(pi 2^w) and M = two_pn 2^w, the sum is H / (E M^K), K the order, for
-    the Gaussian integer H = sum_k a_k (i Pi)^k M^(K-k), which Horner's rule
-    forms exactly.  Each component is one ``exactmath.rounded_ratio``.
+    Each c_k is rounded once to w bits (``exactmath.rounded_ratio``) and each step
+    forms real, imag <- c_k - imag y, real y, so the real part sums the even k and
+    the imaginary part the odd k; each is rounded once to mp.prec bits on return.
 
-    Bound.  Pi is within 2 units of pi 2^w, so Pi^k / 2^(wk) is within
-    k 2^-w pi^k, and w = mp.prec + K.bit_length() puts every term within
-    u = 2^-mp.prec times its magnitude |c_k| (pi / two_pn)^k.  So each component,
-    the real one of even k and the imaginary one of odd k, is within 3 u
-    times the sum of its terms' magnitudes, however large the c_k.  Called
-    inside the caller's workdps().
+    Bound (Higham, ch. 3 and 5).  With u = 2^-mp.prec and v = 2^-w, each operation
+    at w bits is exact times (1 + d), |d| <= v; mpmath's pi is pi (1 + d), |d| <= 2 v,
+    so y^k carries 3k such factors.  Term k meets 2k + 2 more: the rounding of c_k,
+    the difference of its own step and at most a product and a difference in each
+    of its k later steps.  So each part is the exact sum of its terms, each times
+    (1 + theta), |theta| <= gamma_m = m v / (1 - m v), m = 5K + 2 for the order K.
+    g = m.bit_length() + 1 and w = mp.prec + g make m v < u / 2 and gamma_m < 0.6 u;
+    the last rounding adds u (1 + gamma_m) times the sum of the terms' magnitudes
+    |c_k| y^k, so each part is within 2 u < 3 u times that sum, however large the
+    c_k.  Called inside the caller's workdps().
     """
     order = len(coefficients) - 1
-    wide = mp.prec + order.bit_length()
-    with mp.workprec(wide + 2):
-        pi = int(mp.ldexp(mp.pi, wide))
-    common = math.lcm(*(c.denominator for c in coefficients))
-    scale = two_pn << wide
-    real = imag = 0
-    weight = 1  # M^(K-k)
-    for c in reversed(coefficients):
-        real, imag = c.numerator * (common // c.denominator) * weight - imag * pi, real * pi
-        weight *= scale
-    # H / (E M^K) = H / (E two_pn^K) 2^(-wK)
-    denominator, shift = common * two_pn**order, -wide * order
-    return mp.mpc(rounded_ratio(real, denominator, shift), rounded_ratio(imag, denominator, shift))
+    with mp.workprec(mp.prec + (5 * order + 2).bit_length() + 1):
+        y = mp.pi / two_pn
+        real = imag = 0
+        for c in reversed(coefficients):
+            real, imag = rounded_ratio(c.numerator, c.denominator) - imag * y, real * y
+    return mp.mpc(real, imag)
 
 
 def nearly_modular_expansion(
@@ -446,10 +442,10 @@ def nearly_modular_expansion(
     sines times phases off the rows of ``modular_data`` (``_dominant_integers``),
     and its scaling is exact but for one integer square root (``_dominant``).
     tail sums the ``eichler_tail`` coefficients c_k (pi i / 2Pn)^k, k <= k_max,
-    exactly in the integer Pi = int(pi 2^w) (``_tail``).  Each is rounded once,
-    within its stated bound, so the call takes no exponential and does not
-    call the O(n) ``eichler_limit``: the limit and the residual are left to
-    the caller.
+    by Horner's rule at a few guard bits above the working precision
+    (``_tail``).  Each is rounded once, within its stated bound, so the call
+    takes no exponential and does not call the O(n) ``eichler_limit``: the
+    limit and the residual are left to the caller.
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")

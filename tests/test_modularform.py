@@ -667,10 +667,18 @@ TAIL_CASES = (
     ((7, 11, 13), (3, 5, 6), 6, 3),
     ((5, 7, 9), (2, 3, 4), 5, 0),
 )
+# the (1, 1, 1) column at both ends of every range: K from the first term to
+# the --K cap, N from the least level to 10^6
+TAIL_GRID = tuple(
+    (ps, (1, 1, 1), n, k_max)
+    for ps in ((2, 3, 5), (7, 11, 13))
+    for n in (3, 10**6)
+    for k_max in (0, 1, 6, 100)
+)
 
 
-@pytest.mark.parametrize("ps, ell, n, k_max", TAIL_CASES)
-@pytest.mark.parametrize("digits", (30, 51))
+@pytest.mark.parametrize("ps, ell, n, k_max", TAIL_CASES + TAIL_GRID)
+@pytest.mark.parametrize("digits", (30, 51, 10**4))
 def test_tail_within_stated_bound(ps, ell, n, k_max, digits):
     # each component within 3 u times the sum of its terms' magnitudes, against
     # the terms at 20 more digits
@@ -695,8 +703,8 @@ def test_tail_within_stated_bound(ps, ell, n, k_max, digits):
 def test_nearly_modular_expansion_takes_only_the_limits_one_exponential(
     ps, monkeypatch, ctx50
 ):
-    # dominant and tail are scaled in integers, and the O(n) eichler_limit is
-    # the caller's: no exponential and no mp.sqrt, whatever n and k_max
+    # the dominant is scaled in integers, the tail is a Horner sum in pi, and the
+    # O(n) eichler_limit is the caller's: no exponential and no mp.sqrt, whatever n and k_max
     p, ell = BrieskornTriple(*ps), EllTriple(1, 1, 1)
     modular_data(p, ctx50)
     calls = _count_exponentials(monkeypatch)

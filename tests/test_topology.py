@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from brieskorn_wrt import (
     admissible_triples,
     casson,
     chern_simons,
+    enumerate_triples,
     flat_connections,
     modular_data,
     phi_invariant,
@@ -93,6 +95,27 @@ def test_casson_is_minus_half_gamma_and_integer(ps):
     lam = casson(p)
     assert lam == -Fraction(admissible_triples(p)[1], 2)
     assert lam.denominator == 1
+
+
+def test_casson_counts_the_columns_whose_limit_at_an_integer_survives():
+    # the paper's count: column l' has limit e^{pi i m t / 2P} V0(l') / P at an
+    # integer m, V0(l') = sum chi_l'(r) (P - r) over its support r < P, and V0 is
+    # -2P on the admissible columns and 0 on every other canonical column, so
+    # -2 casson of them survive.  chi_l' is -eps1 eps2 eps3 at the eight residues
+    # P + sum eps_j l'_j c_j mod 2P, read here and not through build_chi's cache
+    for ps in coprime_triples(1000):
+        p = BrieskornTriple(*ps)
+        admissible = set(admissible_triples(p)[0])
+        surviving = 0
+        for lp in enumerate_triples(p):
+            v0 = 0
+            for eps in product((1, -1), repeat=3):
+                r = (p.P + sum(e * l * c for e, l, c in zip(eps, lp, p.cofactors))) % (2 * p.P)
+                if r < p.P:
+                    v0 -= eps[0] * eps[1] * eps[2] * (p.P - r)
+            assert v0 == (-2 * p.P if lp in admissible else 0), (ps, lp, v0, lp in admissible)
+            surviving += v0 != 0
+        assert surviving == -2 * casson(p), ps
 
 
 # ------------------------------------------------------------- flat connections
