@@ -146,30 +146,32 @@ def modular_data(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT) ->
 
 
 # theta_eval sums about 4 n_max / P terms.  A tau whose cutoff n_max lies
-# beyond this many terms (Im tau below about 3e-11 for Sigma(2,3,7) at 50
+# beyond this many terms (Im tau below about 2.9e-11 for Sigma(2,3,7) at 50
 # digits) is rejected with ValueError before any summing.
 THETA_MAX_TERMS = 10**6
 
 
 def _theta_cutoff(p: BrieskornTriple, im_tau: float, tol_log10: float) -> int:
-    # the first n = n0 2^j (j >= 0) with exp(-pi*im_tau*n^2/(2P)) * n < tol / (4P),
-    # n0 just past the peak of n exp(...): below twice the least such n, not that n
-    target = tol_log10 - math.log10(4 * p.P)
-    decay = math.pi * im_tau / (2 * p.P) * math.log10(math.e)
-
-    def small_enough(n: int) -> bool:
-        return -decay * n * n + math.log10(n) < target
-
-    # small_enough fails up to the peak sqrt(P / (pi im_tau)) of n exp(...),
-    # so a failure at the cap puts the cutoff beyond it
+    # Term n has modulus n e^{-a n^2}, a = pi Im(tau)/2P, falling past the peak 1/sqrt(2a).
+    # Past it a class mod 2P sums beyond n to at most n e^{-a n^2} (its first term) plus
+    # (1/2P) int_n^oo x e^{-a x^2} dx = c e^{-a n^2}, c = 1/4Pa.  chi has eight classes, so
+    # the tail is below t = 10^tol_log10 / 64 (a theta error enters the modular suite's S
+    # residual times at most |i/tau|^{3/2} sqrt(D) + 1 <= 43) when a n^2 - ln(n + c) >= L =
+    # ln(8/t).  n0 = max(1, sqrt(L/a)) is past the peak (L >= ln 512), and with
+    # m = ln(n0 + c) + 1, n = floor(sqrt((L + m)/a)) + 1 meets that when n + c <= e (n0 + c):
+    # if n0 = 1, as then a > L and n <= 2; else, as n <= n0 (1 + m/2L) + 1 and c/n0 = n0/4PL,
+    # when m <= 2(e - 2)(L + n0/4P).  The criterion fails below sqrt(L/a) and grows past it,
+    # so it fails at the cap exactly when no n up to the cap meets it; a = 0 fails it (c = inf).
+    big_l = math.log(512) - tol_log10 * math.log(10)
+    a = math.pi * im_tau / (2 * p.P)
+    c = 1 / (4 * p.P * a) if a else math.inf
     cap = THETA_MAX_TERMS * p.P // 4
-    if not small_enough(cap):
-        raise ValueError(
-            f"Im(tau) = {im_tau:.3g} needs more than {THETA_MAX_TERMS} theta terms"
-        )
-    n = max(2, math.isqrt(int(p.P / (math.pi * im_tau))) + 2)
-    while not small_enough(n):
-        n *= 2
+    if a * cap * cap - math.log(cap + c) < big_l:
+        raise ValueError(f"Im(tau) = {im_tau:.3g} needs more than {THETA_MAX_TERMS} theta terms")
+    n0 = max(1.0, math.sqrt(big_l / a))
+    n = min(cap, math.isqrt(int((big_l + math.log(n0 + c) + 1) / a)) + 1)
+    if a * n * n - math.log(n + c) < big_l:
+        raise ArithmeticError(f"theta cutoff {n} misses its tail bound at Im(tau) = {im_tau:.3g}")
     return n
 
 
@@ -181,9 +183,9 @@ def theta_eval(
 ):
     """Theta series (1/2) sum_n n chi(n) q^{n^2/4P} at tau in the upper half plane.
 
-    The sum runs over all integers n; chi is odd, so n chi(n) is even and it
-    is summed here over n > 0 only, without the 1/2.  Truncated where the
-    geometric majorant exp(-pi Im(tau) n^2 / 2P) * n drops below tolerance / 4P.
+    The sum runs over all integers n; chi is odd, so n chi(n) is even and it is summed here
+    over n > 0 only, without the 1/2.  It stops at n_max = ``_theta_cutoff``, where the omitted
+    tail is at most 8 e^{-a n_max^2} (n_max + 1/4Pa) <= tolerance/64, a = pi Im(tau)/2P.
     """
     chi = build_chi(p, ell)
     with ctx.workdps():
@@ -192,12 +194,9 @@ def theta_eval(
             raise ValueError("tau must lie in the upper half plane")
         n_max = _theta_cutoff(p, float(mp.im(tau)), -ctx.tolerance_digits)
         total = mp.mpc(0)
-        two_p = chi.modulus
         for r, sign in chi.signed_support:
-            n = r
-            while n <= n_max:
+            for n in range(r, n_max + 1, chi.modulus):
                 total += sign * n * mp.expjpi(tau * n * n / (2 * p.P))
-                n += two_p
         return ensure_finite(+total)
 
 

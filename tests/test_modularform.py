@@ -308,6 +308,87 @@ def test_theta_leading_term_dominates(ctx50):
         assert abs(ratio - 1) < mp.mpf("1e-80")
 
 
+def _theta_tail_bound(p: BrieskornTriple, im_tau: float, n: int):
+    # 8 e^{-a n^2} (n + 1/4Pa), a = pi Im(tau)/2P: the whole tail of the series past n
+    a = mp.pi * mp.mpf(im_tau) / (2 * p.P)
+    return 8 * mp.exp(-a * n * n) * (n + 1 / (4 * p.P * a))
+
+
+def test_theta_cutoff_meets_its_tail_bound_within_seven_percent_of_the_least_n():
+    # on the cutoff the tail bound is below the target tolerance/64.  The bound misses
+    # the target below sqrt(ln(8/target)/a), past the peak, and falls with n beyond, so
+    # bisection up to the cap finds the least n that meets it; the cutoff raises
+    # exactly when even the cap misses it
+    grid = [(p, im, d) for p in (P235, P237, P345, P358, BrieskornTriple(2, 3, 101))
+            for im in (1e-11, 1e-9, 1e-7, 1e-3, 0.2, 1, 5, 40) for d in (5, 40, 290, 990)]
+    with mp.workdps(30):
+        for p, im, d in grid:
+            target = mp.mpf(10) ** -d / 64
+            cap = THETA_MAX_TERMS * p.P // 4
+            if _theta_tail_bound(p, im, cap) > target:
+                with pytest.raises(ValueError, match="theta terms"):
+                    _theta_cutoff(p, im, -d)
+                continue
+            n = _theta_cutoff(p, im, -d)
+            lo, hi = 1, cap
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if _theta_tail_bound(p, im, mid) <= target else (mid + 1, hi)
+            assert _theta_tail_bound(p, im, n) <= target, (p.P, im, d, n)
+            assert n <= 1.07 * lo, (p.P, im, d, n, lo)
+
+
+def test_theta_at_imaginary_parts_whose_floats_are_zero_and_infinite(ctx50, monkeypatch):
+    # Im(tau) = 1e-400 underflows to 0.0 and raises before any term; 1e400 overflows
+    # to inf and sums the leading term alone, at n = 1
+    tau = mp.mpc(0, mp.mpf("1e400"))
+    with ctx50.workdps():
+        lead = mp.expjpi(tau / (2 * P237.P))
+    assert build_chi(P237, EllTriple(1, 1, 1)).signed_support[0] == (1, 1)
+    assert theta_eval(P237, EllTriple(1, 1, 1), tau, ctx50) == lead != 0
+
+    def no_term(*args):
+        raise AssertionError("theta_eval summed a term before rejecting tau")
+
+    monkeypatch.setattr(mp, "expjpi", no_term)
+    with pytest.raises(ValueError, match="theta terms"):
+        theta_eval(P237, EllTriple(1, 1, 1), mp.mpc(0, mp.mpf("1e-400")), ctx50)
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+def test_theta_truncation_is_within_its_target_of_four_times_the_terms(digits):
+    # theta_eval is within the target tolerance/64 plus its rounding of the series to
+    # 4 n_max at 20 more digits.  Each term's argument tau n^2/2P is rounded three times,
+    # a phase error up to 3 pi u |tau| n_max^2/2P, the term is within 3u, and each of the
+    # terms is added within u of the running sum, u = 2^(1 - prec); the sum of |terms|
+    # is at most 8 (1/sqrt(2 e a) + c), a peak term plus (1/2P) int x e^{-ax^2} per class.
+    # The reference steps term <- term w^(n + P), w = e^{2 pi i tau}, at 20 more digits:
+    # its error, about (n^2/P + k^2) u 10^-20 at 4 n_max, is below 1e-12 of that rounding.
+    ctx, wide = PrecisionContext(digits), PrecisionContext(digits + 20)
+    chi = build_chi(P237, EllTriple(1, 1, 1))
+    for im in ("1e-7", "0.2"):
+        n_max = _theta_cutoff(P237, float(im), -ctx.tolerance_digits)
+        for re in ("0", "0.37"):
+            with ctx.workdps():
+                tau = mp.mpc(re, im)
+                a = mp.pi * mp.im(tau) / (2 * P237.P)
+                terms = sum(len(range(r, n_max + 1, chi.modulus)) for r, _ in chi.signed_support)
+                phase = 3 * mp.pi * abs(tau) * n_max**2 / (2 * P237.P)
+                mass = 8 * (1 / mp.sqrt(2 * mp.e * a) + 1 / (4 * P237.P * a))
+                rounding = mass * (phase + terms + 3) * 2 ** (1 - mp.prec)
+                allowed = ctx.tolerance / 64 + rounding
+            value = theta_eval(P237, EllTriple(1, 1, 1), tau, ctx)
+            with wide.workdps():
+                w = mp.expjpi(2 * tau)
+                step, reference = w ** (2 * P237.P), mp.mpc(0)
+                for r, sign in chi.signed_support:
+                    term, ratio = sign * mp.expjpi(tau * r * r / (2 * P237.P)), w ** (r + P237.P)
+                    for n in range(r, 4 * n_max + 1, chi.modulus):
+                        reference += n * term
+                        term, ratio = term * ratio, ratio * step
+                assert abs(value - reference) <= allowed, (digits, im, re)
+
+
 # -------------------------------------------------------------- Eichler limits
 
 

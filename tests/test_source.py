@@ -112,7 +112,7 @@ def test_only_the_dedekind_numerator_calls_dedekind_sum():
 
 def test_root_tables_are_built_only_where_each_is_owned():
     # the S entries and the dominant sum read the rows of _modular_data_cached;
-    # the torsion rows and the surgery sum keep their own.  The two exact
+    # the torsion rows and jeffrey_tau's _signed_sines keep their own.  The two exact
     # elements of Z[zeta], tau_N and the Eichler limit, are power sums
     callers = _callers("root_table")
     assert callers == {
