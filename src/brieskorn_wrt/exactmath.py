@@ -85,13 +85,6 @@ def rounded_ratio(numerator: int, denominator: int, exponent: int = 0):
     return mp.mpf((sign * (2 * quotient + (remainder > 0)), exponent - extra - 1))
 
 
-def ensure_finite(z):
-    """Return a numeric result with finite components; raise ArithmeticError otherwise."""
-    if not mp.isfinite(z):
-        raise ArithmeticError(f"non-finite value escaped a computation: {z!r}")
-    return z
-
-
 def _scaled_dedekind_sum(h: int, k: int) -> int:
     """F(h, k) = 12k s(h, k), an integer, for coprime 0 <= h < k.
 

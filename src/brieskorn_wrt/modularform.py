@@ -53,7 +53,6 @@ from .chi import (
 from .exactmath import (
     DEFAULT_CONTEXT,
     PrecisionContext,
-    ensure_finite,
     root_power_sum,
     root_table,
     rounded_ratio,
@@ -128,7 +127,7 @@ class ModularData(NamedTuple):
 def _modular_data_cached(p: BrieskornTriple, digits: int) -> ModularData:
     ctx = PrecisionContext(digits)
     with ctx.workdps():
-        scale = ensure_finite(mp.sqrt(mp.mpf(32) / p.P))
+        scale = mp.sqrt(mp.mpf(32) / p.P)
         bits = mp.prec + (4 * p.p3).bit_length()
     halves = (root_table(4 * pk, bits) for pk in p.p)
     rows = tuple(tuple(half + [-s for s in half]) for half in halves)
@@ -186,18 +185,22 @@ def theta_eval(
     The sum runs over all integers n; chi is odd, so n chi(n) is even and it is summed here
     over n > 0 only, without the 1/2.  It stops at n_max = ``_theta_cutoff``, where the omitted
     tail is at most 8 e^{-a n_max^2} (n_max + 1/4Pa) <= tolerance/64, a = pi Im(tau)/2P.
+    A tau with Im(tau) <= 0, with a real part that is not finite, or whose n_max needs more
+    than THETA_MAX_TERMS terms raises ValueError before any term is summed.
     """
     chi = build_chi(p, ell)
     with ctx.workdps():
         tau = mp.mpc(tau)
         if not mp.im(tau) > 0:
             raise ValueError("tau must lie in the upper half plane")
+        if not mp.isfinite(mp.re(tau)):
+            raise ValueError("tau must have a finite real part")
         n_max = _theta_cutoff(p, float(mp.im(tau)), -ctx.tolerance_digits)
         total = mp.mpc(0)
         for r, sign in chi.signed_support:
             for n in range(r, n_max + 1, chi.modulus):
                 total += sign * n * mp.expjpi(tau * n * n / (2 * p.P))
-        return ensure_finite(+total)
+        return +total
 
 
 def _limit_weights(p: BrieskornTriple, ell: EllTriple, t: int, m: int, n: int, shift: int) -> list:
@@ -453,5 +456,4 @@ def nearly_modular_expansion(
     md = modular_data(p, ctx)
     coefficients = eichler_tail(p, ell, k_max)
     with ctx.workdps():
-        dominant = ensure_finite(_dominant(md, ell, n))
-        return ExpansionParts(dominant, ensure_finite(_tail(coefficients, 2 * p.P * n)))
+        return ExpansionParts(_dominant(md, ell, n), _tail(coefficients, 2 * p.P * n))

@@ -30,7 +30,7 @@ from .chi import (
     gamma_closed_form,
     t_numerator,
 )
-from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, root_table
+from .exactmath import DEFAULT_CONTEXT, PrecisionContext, root_table
 from .modularform import modular_data
 
 
@@ -164,7 +164,7 @@ def flat_connections(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT
                         f"spectral flow {total} is not an integer for p={p.p}, ell={ell}"
                     )
                 cs = _cs_window(a * a % four_p, four_p)
-                torsion = ensure_finite(mp.mpf((head * row3[c3 * l3 % p3], -4 * bits)))
+                torsion = mp.mpf((head * row3[c3 * l3 % p3], -4 * bits))
                 flow, angles = numerator // denominator % 8, (angle1, angle2, angles3[l3])
                 record = FlatConnectionRecord(EllTriple(l1, l2, l3), cs, torsion, flow, angles)
                 records.append(record)
@@ -183,4 +183,4 @@ def verify_s_torsion(p: BrieskornTriple, ctx: PrecisionContext = DEFAULT_CONTEXT
             s_val = md.s_value(base, record.triple)
             phase = phases[record.spectral_flow % 4]
             worst = max(worst, abs(root2 * s_val - record.torsion_sqrt * phase))
-        return ensure_finite(+worst)
+        return +worst

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from mpmath import mp
 
 from .chi import BrieskornTriple, EllTriple, dedekind_triple_numerator, t_numerator
-from .exactmath import DEFAULT_CONTEXT, PrecisionContext, ensure_finite, root_power_sum, root_table
+from .exactmath import DEFAULT_CONTEXT, PrecisionContext, root_power_sum, root_table
 from .modularform import _limit_weights, eichler_limit, nearly_modular_expansion
 
 
@@ -91,7 +91,7 @@ def _seifert_tau(fibres, n_level: int, ctx: PrecisionContext):
         total = mp.fsum(x / sin[2 * b] for x, b in zip(product, colours)) / sin[2]
         scale = (mp.mpf(2) / n_level) ** (mp.mpf(letters - 2) / 2)  # the sqrt(2/N) of S
         phase = mp.expjpi(mp.mpf(3 * (n_level - 2) * (letters - 2)) / (4 * n_level))
-        return ensure_finite(+(phase * mp.conj(scale * total)))
+        return +(phase * mp.conj(scale * total))
 
 
 def jeffrey_tau(p: BrieskornTriple, n_level: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -221,5 +221,4 @@ def asymptotic_approx(
         if p.is_poincare:  # Theorem 5.1's e^{pi i/60N}, one phase for tail and exact
             phase = mp.expjpi(mp.mpf(1) / (60 * n_level))
             tail, exact = tail + phase, exact + phase
-        tail, exact = ensure_finite(tail), ensure_finite(exact)
         return AsymptoticApprox(dominant, tail, exact, +abs(exact - dominant - tail))

@@ -85,9 +85,19 @@ from brieskorn_wrt import (
 )
 from brieskorn_wrt import cli
 from brieskorn_wrt.chi import dedekind_triple_numerator
-from brieskorn_wrt.exactmath import _scaled_dedekind_sum, ensure_finite
+from brieskorn_wrt.exactmath import _scaled_dedekind_sum
 from brieskorn_wrt.ohtsuki import table1_path
 from brieskorn_wrt.wrt import _signed_sines
+
+
+def ensure_finite(z):
+    """Return a numeric result with finite components; raise ArithmeticError otherwise.
+
+    The float oracles (cotangent sums, Gauss sums, erfc, the surgery sum) keep this guard.
+    """
+    if not mp.isfinite(z):
+        raise ArithmeticError(f"non-finite value escaped a computation: {z!r}")
+    return z
 
 
 def to_mpf(x):

@@ -270,6 +270,25 @@ def test_theta_rejects_tiny_imaginary_part(ctx50, monkeypatch):
     assert 4 * n_max / P237.P <= 2 * THETA_MAX_TERMS
 
 
+def test_theta_rejects_non_finite_real_part_before_summing(ctx50, monkeypatch):
+    # Re(tau) = +-inf or nan is an input error, raised beside the Im(tau) > 0 check,
+    # as mpc or as Python complex; each term is one expjpi, and none may be taken
+    calls = []
+    expjpi = mp.expjpi
+
+    def counted(*args):
+        calls.append(args)
+        return expjpi(*args)
+
+    monkeypatch.setattr(mp, "expjpi", counted)
+    inf, nan = float("inf"), float("nan")
+    for re, im in ((inf, 1), (-inf, 2), (nan, 1)):
+        for tau in (mp.mpc(re, im), complex(re, im)):
+            with pytest.raises(ValueError, match="finite real part"):
+                theta_eval(P237, EllTriple(1, 1, 1), tau, ctx50)
+    assert calls == []
+
+
 def test_theta_t_transformation(ctx50):
     with ctx50.workdps():
         tau = mp.mpc(0, 0.5)

@@ -157,6 +157,28 @@ def test_jeffrey_route_reads_no_chi_theta_or_dedekind_data():
     assert not defined, defined
 
 
+def test_only_theta_eval_checks_finiteness():
+    # every result is built from integers or by finite mpmath arithmetic on them: an mpf
+    # exponent is unbounded and a division by zero raises, so no result is wrapped in a
+    # finiteness guard.  The one input that can be non-finite, Re(tau), is rejected by
+    # theta_eval before it sums a term.  Definitions, imports and calls all count.
+    found = [
+        f"{name}:{getattr(node, 'lineno', '?')}"
+        for name, node in _package_nodes()
+        if any(getattr(node, f, None) == "ensure_finite" for f in ("id", "attr", "name", "asname"))
+    ]
+    assert not found, found
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if isinstance(node, ast.Call) and "isfinite" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
+    ]
+    assert len(calls) == 1, calls
+    assert _callers("isfinite") == {("modularform.py", "theta_eval")}, calls
+
+
 def test_flat_connections_reads_its_tables_once_per_call():
     # the walk of the admissible runs reads each per-manifold table once; no
     # per-record function and no second caller may read them again
